@@ -14,28 +14,34 @@ and move a folding there; statistics and weights come from affine reflections.
 A second, independent formulation of the same operators through a piecewise
 linear profile is provided for cross-checking (``profile_f`` / ``profile_e``).
 
-Set ``CHECKED = False`` to skip the admissibility assertions after each
-operator application.
+Each element is folded once: a single walk along its chain yields the folded
+roots, the end product of the folding reflections and whether every folding
+was a Bruhat cover (``AlcoveElement.fold``).  Operators, signatures, weights
+and the profile all read that walk, and every element built by
+:func:`element` or by an operator is checked to be admissible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .chains import (
     InfChainWindow,
     LambdaChain,
+    _rho_chain,
     concat,
     dual_chain,
     lex_chain,
     window,
 )
-from .rootsys import Root, RootSystem, pairing, root_string, weight_neg
+from .rootsys import Root, RootSystem, WeylElement, pairing, root_string, weight_neg
 
 __all__ = [
     "AlcoveElement",
-    "CHECKED",
+    "Fold",
     "element",
     "element_from_pairs",
     "element_to_json",
@@ -58,7 +64,15 @@ __all__ = [
     "weight",
 ]
 
-CHECKED = True
+
+class Fold(NamedTuple):
+    """One walk along an element's chain: the folded root coordinates at each
+    position, the product of the folding reflections in walk order (tau
+    primally, iota dually) and whether every folding was a Bruhat cover."""
+
+    roots: tuple[tuple[int, ...], ...]
+    end: WeylElement
+    admissible: bool
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,32 @@ class AlcoveElement:
     def is_window(self) -> bool:
         return self.chain.is_window
 
+    @cached_property
+    def fold(self) -> Fold:
+        """The folded chain, walked left to right primally, right to left dually.
+
+        At each position the product of the foldings already passed is applied
+        to the chain root.  After k covers the product has length k, so each
+        folding is checked with one length computation.
+        """
+        rs = self.rs
+        entries = self.chain.entries
+        shared = rs._root_table  # store the root system's tuples, not fresh ones
+        jset = set(self.positions)
+        n = len(entries)
+        roots: list = [None] * n
+        w = rs.identity_element()
+        covers = 0
+        admissible = True
+        for ind in range(n - 1, -1, -1) if self.is_dual else range(n):
+            root = entries[ind].root
+            roots[ind] = shared[w.apply_root_coeffs(root.coeffs)].coeffs
+            if ind in jset:
+                w = w * rs.reflection(root)
+                covers += 1
+                admissible = admissible and rs.length(w) == covers
+        return Fold(tuple(roots), w, admissible)
+
     def pairs(self) -> tuple[tuple[Root, int], ...]:
         """The foldings as (root, level) pairs in chain order."""
         ent = self.chain.entries
@@ -100,7 +140,8 @@ def render_element(el: AlcoveElement) -> str:
 
 
 def _deepest_block(el: AlcoveElement) -> int:
-    """Index of the farthest rho-chain block containing a folding (0 if none)."""
+    """Index of the farthest rho-chain block containing a folding (0 if none):
+    the largest ceil(level / <rho, beta^vee>), levels negated primally."""
     rho = el.rs.rho
     worst = 0
     for root, lvl in el.pairs():
@@ -127,7 +168,7 @@ def _canonical(el: AlcoveElement) -> AlcoveElement:
     if w.dual:
         positions = el.positions  # dual windows grow by appending
     else:
-        block = len(lex_chain(el.rs, el.rs.rho))
+        block = len(_rho_chain(el.rs))
         shift = block * (wanted - w.copies)
         positions = tuple(p + shift for p in el.positions)
     return AlcoveElement(fresh, positions)
@@ -136,15 +177,18 @@ def _canonical(el: AlcoveElement) -> AlcoveElement:
 def element(chain, positions) -> AlcoveElement:
     """Build an element over ``chain``, validating and normalizing positions.
 
-    Positions must be distinct 0-based indices into the chain; window elements
-    are renormalized to the canonical window.
+    Positions must be distinct 0-based indices into the chain forming an
+    admissible set; window elements are renormalized to the canonical window.
     """
     pos = tuple(sorted(int(p) for p in positions))
     if len(set(pos)) != len(pos):
         raise ValueError(f"duplicate positions in {positions}")
     if pos and (pos[0] < 0 or pos[-1] >= len(chain.entries)):
         raise ValueError(f"position out of range for a chain of length {len(chain.entries)}")
-    return _canonical(AlcoveElement(chain, pos))
+    out = _canonical(AlcoveElement(chain, pos))
+    if not out.fold.admissible:
+        raise ValueError(f"positions {list(pos)} are not admissible: {out!r}")
+    return out
 
 
 def element_from_pairs(chain, pairs) -> AlcoveElement:
@@ -162,7 +206,7 @@ def element_from_pairs(chain, pairs) -> AlcoveElement:
 
 
 # ---------------------------------------------------------------------------
-# admissibility, folding products
+# admissibility, folded chains and signatures
 
 
 def is_admissible(el: AlcoveElement) -> bool:
@@ -170,36 +214,7 @@ def is_admissible(el: AlcoveElement) -> bool:
 
     Primal elements are read left to right, dual elements right to left.
     """
-    rs = el.rs
-    entries = el.chain.entries
-    order = reversed(el.positions) if el.is_dual else el.positions
-    w = rs.identity_element()
-    for p in order:
-        root = entries[p].root
-        if not rs.is_cover(w, root):
-            return False
-        w = w * rs.reflection(root)
-    return True
-
-
-def _tau(el: AlcoveElement):
-    """Product of the folding reflections in ascending position order."""
-    rs = el.rs
-    entries = el.chain.entries
-    w = rs.identity_element()
-    for p in el.positions:
-        w = w * rs.reflection(entries[p].root)
-    return w
-
-
-def _iota_dual(el: AlcoveElement):
-    """Product in descending position order (the dual walk endpoint)."""
-    rs = el.rs
-    entries = el.chain.entries
-    w = rs.identity_element()
-    for p in reversed(el.positions):
-        w = w * rs.reflection(entries[p].root)
-    return w
+    return el.fold.admissible
 
 
 def folded_roots(el: AlcoveElement) -> tuple[tuple[int, ...], ...]:
@@ -209,22 +224,22 @@ def folded_roots(el: AlcoveElement) -> tuple[tuple[int, ...], ...]:
     to the chain root; primal elements accumulate left to right, dual elements
     right to left, in both cases excluding the position itself.
     """
-    rs = el.rs
-    entries = el.chain.entries
+    return el.fold.roots
+
+
+def _letters(el: AlcoveElement, i: int) -> list[tuple[int, int]]:
+    """(position, sign) wherever the folded chain passes through plus or minus
+    the i-th simple root, foldings included, in chain order."""
+    target = el.rs.simple_root(i).coeffs
+    signs = {target: 1, tuple(-c for c in target): -1}
+    return [(ind, signs[c]) for ind, c in enumerate(folded_roots(el)) if c in signs]
+
+
+def _word(el: AlcoveElement, letters) -> tuple[tuple[int, int], ...]:
+    """The plus/minus word: the unfolded letters, signs flipped dually."""
     jset = set(el.positions)
-    out: list[tuple[int, ...]] = [None] * len(entries)  # type: ignore[list-item]
-    w = rs.identity_element()
-    rng = range(len(entries) - 1, -1, -1) if el.is_dual else range(len(entries))
-    for ind in rng:
-        root = entries[ind].root
-        out[ind] = w.apply_root_coeffs(root.coeffs)
-        if ind in jset:
-            w = w * rs.reflection(root)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# signatures
+    flip = -1 if el.is_dual else 1
+    return tuple((ind, flip * sign) for ind, sign in letters if ind not in jset)
 
 
 def i_signature(el: AlcoveElement, i: int) -> tuple[tuple[int, int], ...]:
@@ -234,22 +249,7 @@ def i_signature(el: AlcoveElement, i: int) -> tuple[tuple[int, int], ...]:
     the i-th simple root (either sign); the dual convention flips signs.
     """
     el = _canonical(el)
-    rs = el.rs
-    target = rs.simple_root(i).coeffs
-    negated = tuple(-c for c in target)
-    jset = set(el.positions)
-    word = []
-    for ind, coeffs in enumerate(folded_roots(el)):
-        if coeffs == target:
-            sign = 1
-        elif coeffs == negated:
-            sign = -1
-        else:
-            continue
-        if ind in jset:
-            continue
-        word.append((ind, -sign if el.is_dual else sign))
-    return tuple(word)
+    return _word(el, _letters(el, i))
 
 
 def reduce_signature(word) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -266,25 +266,6 @@ def reduce_signature(word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(pluses), tuple(minus_stack)
 
 
-def _all_i_positions(el: AlcoveElement, i: int) -> list[int]:
-    """Chain positions whose folded root is plus or minus the i-th simple root,
-    foldings included."""
-    target = el.rs.simple_root(i).coeffs
-    negated = tuple(-c for c in target)
-    return [
-        ind
-        for ind, coeffs in enumerate(folded_roots(el))
-        if coeffs == target or coeffs == negated
-    ]
-
-
-def _finish(el: AlcoveElement, new_positions) -> AlcoveElement:
-    out = _canonical(AlcoveElement(el.chain, tuple(sorted(new_positions))))
-    if CHECKED:
-        assert is_admissible(out), f"operator produced an inadmissible set {out!r}"
-    return out
-
-
 # ---------------------------------------------------------------------------
 # crystal operators
 
@@ -293,25 +274,25 @@ def f_op(el: AlcoveElement, i: int) -> AlcoveElement | None:
     """Lowering operator in direction ``i`` (1-based), or None."""
     el = _canonical(el)
     rs = el.rs
-    pluses, _ = reduce_signature(i_signature(el, i))
+    letters = _letters(el, i)
+    pluses, _ = reduce_signature(_word(el, letters))
     jset = set(el.positions)
+    mine = [j for j, _ in letters if j in jset]
     if pluses:
         a = pluses[-1]
-        tail = [j for j in _all_i_positions(el, i) if j in jset and j > a]
+        tail = [j for j in mine if j > a]
         new = jset | {a}
         if tail:
-            new.discard(min(tail))
-        return _finish(el, new)
+            new.discard(tail[0])
+        return element(el.chain, new)
     if not el.is_dual:
         if el.is_window:
             raise AssertionError("the limit model always admits a lowering")
         return None
     # dual boundary: drop the first folding in this direction when the dual
     # walk endpoint points away from the i-th wall
-    v = _iota_dual(el).apply_weight(rs.rho)
-    if pairing(v, rs.simple_root(i)) < 0:
-        mine = [j for j in _all_i_positions(el, i) if j in jset]
-        return _finish(el, jset - {min(mine)})
+    if pairing(el.fold.end.apply_weight(rs.rho), rs.simple_root(i)) < 0:
+        return element(el.chain, jset - {mine[0]})
     return None
 
 
@@ -319,19 +300,23 @@ def e_op(el: AlcoveElement, i: int) -> AlcoveElement | None:
     """Raising operator in direction ``i`` (1-based), or None."""
     el = _canonical(el)
     rs = el.rs
-    _, minuses = reduce_signature(i_signature(el, i))
+    letters = _letters(el, i)
+    _, minuses = reduce_signature(_word(el, letters))
     jset = set(el.positions)
+    mine = [j for j, _ in letters if j in jset]
     if minuses:
         a = minuses[0]
-        head = [j for j in _all_i_positions(el, i) if j in jset and j < a]
+        head = [j for j in mine if j < a]
         new = jset | {a}
         if head:
-            new.discard(max(head))
-        return _finish(el, new)
-    w = _tau(el) if not el.is_dual else _iota_dual(el) * _tau(el)
-    if pairing(w.apply_weight(rs.rho), rs.simple_root(i)) < 0:
-        mine = [j for j in _all_i_positions(el, i) if j in jset]
-        return _finish(el, jset - {max(mine)})
+            new.discard(head[-1])
+        return element(el.chain, new)
+    # primal boundary: drop the last folding in this direction when tau(rho)
+    # points away from the i-th wall; dual raising always needs a minus letter
+    if el.is_dual:
+        return None
+    if pairing(el.fold.end.apply_weight(rs.rho), rs.simple_root(i)) < 0:
+        return element(el.chain, jset - {mine[-1]})
     return None
 
 
@@ -354,7 +339,7 @@ def weight(el: AlcoveElement):
     for p in reversed(el.positions):
         e = entries[p]
         v = rs.affine_reflect(e.root, e.level, v)
-    return weight_neg(_iota_dual(el).apply_weight(v))
+    return weight_neg(el.fold.end.apply_weight(v))
 
 
 def epsilon(el: AlcoveElement, i: int) -> int:
@@ -431,7 +416,7 @@ def project_Spr(el: AlcoveElement, k: int) -> AlcoveElement | None:
     rs = el.rs
     if k < 0:
         raise ValueError("k must be nonnegative")
-    block = len(lex_chain(rs, rs.rho))
+    block = len(_rho_chain(rs))
     copies = el.chain.copies
     target = lex_chain(rs, tuple(k * c for c in rs.rho))
     positions = []
@@ -441,11 +426,10 @@ def project_Spr(el: AlcoveElement, k: int) -> AlcoveElement | None:
             return None
         q = (k - from_right) * block + p % block
         positions.append(q)
-        if CHECKED:
-            src = el.chain.entries[p]
-            dst = target.entries[q]
-            assert dst.root == src.root
-            assert dst.level == src.level + k * pairing(rs.rho, src.root)
+        src = el.chain.entries[p]
+        dst = target.entries[q]
+        assert dst.root == src.root
+        assert dst.level == src.level + k * pairing(rs.rho, src.root)
     out = AlcoveElement(target, tuple(positions))
     if not is_admissible(out):
         return None
@@ -458,11 +442,7 @@ def minimal_projection(el: AlcoveElement) -> tuple[int, AlcoveElement]:
     The empty element projects at k = 0 onto the empty chain.
     """
     el = _canonical(el)
-    rho = el.rs.rho
-    k = 0
-    for root, lvl in el.pairs():
-        step = pairing(rho, root)
-        k = max(k, (-lvl + step - 1) // step)
+    k = _deepest_block(el)
     while True:
         image = project_Spr(el, k)
         if image is not None:
@@ -494,19 +474,18 @@ def _profile_data(el: AlcoveElement, i: int):
     """Half-step heights of the profile for direction ``i``.
 
     Returns (positions, heights at marked half-points, height past the end,
-    running maximum of the whole profile).
+    running maximum of the whole profile).  ``el`` is primal, so its fold
+    ends at the product of its foldings in chain order.
     """
     rs = el.rs
     jset = set(el.positions)
-    gam = folded_roots(el)
-    target = rs.simple_root(i).coeffs
-    spots = _all_i_positions(el, i)
+    letters = _letters(el, i)
+    spots = [ind for ind, _ in letters]
     g = Fraction(-1, 2)
     peak = g
     heights = []
     prev_pair = None
-    for ind in spots:
-        sgn = 1 if gam[ind] == target else -1
+    for ind, sgn in letters:
         mark = -1 if ind in jset else 1
         pair = (sgn, mark * sgn)
         assert pair != (-1, 1), "profile slopes violate the structure conditions"
@@ -518,7 +497,7 @@ def _profile_data(el: AlcoveElement, i: int):
         peak = max(peak, g)
         g += Fraction(mark * sgn, 2)
         peak = max(peak, g)
-    gamma_inf = _tau(el).apply_weight(rs.rho)
+    gamma_inf = el.fold.end.apply_weight(rs.rho)
     last = pairing(gamma_inf, rs.simple_root(i))
     assert last != 0
     sgn_inf = 1 if last > 0 else -1
@@ -557,7 +536,7 @@ def profile_f(el: AlcoveElement, i: int) -> AlcoveElement | None:
         k = spots[-1]
         new = jset | {k}
     assert k not in jset
-    return _finish(el, new)
+    return element(el.chain, new)
 
 
 def profile_e(el: AlcoveElement, i: int) -> AlcoveElement | None:
@@ -581,7 +560,7 @@ def profile_e(el: AlcoveElement, i: int) -> AlcoveElement | None:
         new = (jset - {k}) | {mu}
     else:
         new = jset - {k}
-    return _finish(el, new)
+    return element(el.chain, new)
 
 
 # ---------------------------------------------------------------------------

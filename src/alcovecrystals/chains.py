@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .rootsys import Root, RootSystem, pairing
 
@@ -87,7 +87,7 @@ class InfChainWindow:
     @cached_property
     def entries(self) -> tuple[ChainEntry, ...]:
         rho = self.rs.rho
-        base = lex_chain(self.rs, rho)
+        base = _rho_chain(self.rs)
         out: list[ChainEntry] = []
         if not self.dual:
             for c in range(self.copies, 0, -1):
@@ -128,6 +128,12 @@ def lex_chain(rs: RootSystem, lam) -> LambdaChain:
     keys = [k for k, _ in keyed]
     assert len(set(keys)) == len(keys), "lex sort keys must be distinct"
     return LambdaChain(rs, lam, tuple(e for _, e in keyed))
+
+
+@cache
+def _rho_chain(rs: RootSystem) -> LambdaChain:
+    """The chain for rho, built once per root system: windows repeat it."""
+    return lex_chain(rs, rs.rho)
 
 
 def _coroot_triples(rs: RootSystem):

@@ -504,6 +504,13 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _add_common(p, weight=False, seed=False, fmt=("text", "json")):
     p.add_argument("--type", help="Cartan type, e.g. A2, B2, G2")
     p.add_argument("--matrix", help="Cartan matrix, rows ; separated, entries , separated")
@@ -536,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="project an unbounded element to a finite crystal")
     _add_common(p, seed=True)
-    p.add_argument("--k", type=int, help="number of copies; minimal when omitted")
+    p.add_argument("--k", type=_nonnegative, help="number of copies; minimal when omitted")
 
     p = sub.add_parser("lift", help="include a finite crystal element into the unbounded model")
     _add_common(p, seed=True)
@@ -549,12 +556,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     _add_common(p, fmt=("text", "json"))
     p.add_argument("--suite", choices=["all", *sorted(_SUITES)], default="all")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_nonnegative, default=4)
 
     p = sub.add_parser("export", help="emit a crystal graph as DOT or JSON")
     _add_common(p, weight=True, fmt=("dot", "json"))
     p.add_argument("--infinity", action="store_true", help="use the unbounded model")
-    p.add_argument("--depth", type=int, help="truncation depth (required with --infinity)")
+    p.add_argument("--depth", type=_nonnegative, help="truncation depth (required with --infinity)")
 
     return parser
 

@@ -396,6 +396,23 @@ def check_stembridge(graph: CrystalGraph) -> StembridgeReport:
                 return None
         return cur
 
+    def meet(k, first, second, off_graph, differ) -> bool:
+        """Whether raising along two words from ``k`` ends at one node; a walk
+        off the graph fails a complete graph and is skipped otherwise."""
+        a_end = chase(k, first)
+        b_end = chase(k, second)
+        label = graph.nodes[k].label
+        if a_end is None or b_end is None:
+            if graph.complete:
+                report.failures.append(f"{label}: {off_graph}")
+            else:
+                report.skipped += 1
+        elif a_end != b_end:
+            report.failures.append(f"{label}: {differ}")
+        else:
+            return True
+        return False
+
     index_set = rs.index_set
     for k in graph.nodes:
         for ai in range(n):
@@ -417,59 +434,30 @@ def check_stembridge(graph: CrystalGraph) -> StembridgeReport:
                             f"{node.label}: orthogonal directions {i},{j} interact"
                         )
                         continue
-                    a_end = chase(k, [i, j])
-                    b_end = chase(k, [j, i])
-                    if a_end is None or b_end is None:
-                        if graph.complete:
+                    square = True
+                else:
+                    for diff in ((d_eps_j, d_phi_j), (d_eps_i, d_phi_i)):
+                        if diff not in ((0, -1), (1, 0)):
                             report.failures.append(
-                                f"{node.label}: commuting square walks off the graph"
+                                f"{node.label}: statistic change {diff} along {i},{j}"
                             )
-                        else:
-                            report.skipped += 1
-                    elif a_end != b_end:
-                        report.failures.append(
-                            f"{node.label}: raises along {i},{j} do not commute"
-                        )
-                    else:
-                        report.commuting += 1
-                    continue
-                for diff in ((d_eps_j, d_phi_j), (d_eps_i, d_phi_i)):
-                    if diff not in ((0, -1), (1, 0)):
-                        report.failures.append(
-                            f"{node.label}: statistic change {diff} along {i},{j}"
-                        )
-                if d_eps_j == 0 and d_eps_i == 0:
-                    a_end = chase(k, [i, j])
-                    b_end = chase(k, [j, i])
-                    if a_end is None or b_end is None:
-                        if graph.complete:
-                            report.failures.append(
-                                f"{node.label}: commuting square walks off the graph"
-                            )
-                        else:
-                            report.skipped += 1
-                    elif a_end != b_end:
-                        report.failures.append(
-                            f"{node.label}: raises along {i},{j} do not commute"
-                        )
-                    else:
-                        report.commuting += 1
-                elif d_eps_j == 1 and d_eps_i == 1:
-                    a_end = chase(k, [i, j, j, i])
-                    b_end = chase(k, [j, i, i, j])
-                    if a_end is None or b_end is None:
-                        if graph.complete:
-                            report.failures.append(
-                                f"{node.label}: braid walk falls off the graph"
-                            )
-                        else:
-                            report.skipped += 1
-                    elif a_end != b_end:
-                        report.failures.append(
-                            f"{node.label}: braid relation fails along {i},{j}"
-                        )
-                    else:
+                    square = d_eps_j == 0 and d_eps_i == 0
+                    if d_eps_j == 1 and d_eps_i == 1 and meet(
+                        k,
+                        [i, j, j, i],
+                        [j, i, i, j],
+                        "braid walk falls off the graph",
+                        f"braid relation fails along {i},{j}",
+                    ):
                         report.braiding += 1
+                if square and meet(
+                    k,
+                    [i, j],
+                    [j, i],
+                    "commuting square walks off the graph",
+                    f"raises along {i},{j} do not commute",
+                ):
+                    report.commuting += 1
     return report
 
 

@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .alcove import element_from_pairs, minimal_projection, mirror, project_Spr
+from .alcove import (
+    _deepest_block,
+    element_from_pairs,
+    minimal_projection,
+    mirror,
+    project_Spr,
+)
 from .chains import dual_chain, lex_chain
 from .littelmann import PLPath, dualize, xi_infinity
 from .rootsys import pairing
@@ -124,10 +130,7 @@ def varpi_dual_infinity(el, copies: int | None = None) -> PLPath:
     if not el.chain.is_window or not el.is_dual:
         raise ValueError("varpi_dual_infinity expects an element over the dual window")
     rs = el.rs
-    needed = 1
-    for root, level in el.pairs():
-        gap = pairing(rs.rho, root)
-        needed = max(needed, -(-level // gap))
+    needed = max(1, _deepest_block(el))
     if copies is None:
         copies = needed
     elif copies < needed:

@@ -374,21 +374,28 @@ class RootSystem:
         eye = _identity(self.rank)
         return WeylElement(eye, eye)
 
-    def reflection(self, root: Root) -> WeylElement:
-        """The Weyl element of the reflection through ``root``."""
+    @cached_property
+    def _reflections(self) -> dict[IVec, WeylElement]:
+        """The reflection of every root, keyed by the root's coordinates."""
         a = self.cartan.matrix
         n = self.rank
-        b = root.coeffs
-        d = root.cocoeffs
-        ad = tuple(sum(a[j][k] * d[k] for k in range(n)) for j in range(n))
-        atb = tuple(sum(b[j] * a[j][i] for j in range(n)) for i in range(n))
-        rmat = tuple(
-            tuple(int(k == j) - b[k] * ad[j] for j in range(n)) for k in range(n)
-        )
-        wmat = tuple(
-            tuple(int(k == j) - atb[k] * d[j] for j in range(n)) for k in range(n)
-        )
-        return WeylElement(rmat, wmat)
+        table = {}
+        for b, root in self._root_table.items():
+            d = root.cocoeffs
+            ad = tuple(sum(a[j][k] * d[k] for k in range(n)) for j in range(n))
+            atb = tuple(sum(b[j] * a[j][i] for j in range(n)) for i in range(n))
+            rmat = tuple(
+                tuple(int(k == j) - b[k] * ad[j] for j in range(n)) for k in range(n)
+            )
+            wmat = tuple(
+                tuple(int(k == j) - atb[k] * d[j] for j in range(n)) for k in range(n)
+            )
+            table[b] = WeylElement(rmat, wmat)
+        return table
+
+    def reflection(self, root: Root) -> WeylElement:
+        """The Weyl element of the reflection through ``root``."""
+        return self._reflections[root.coeffs]
 
     def simple_reflection(self, i: int) -> WeylElement:
         self._check_index(i)

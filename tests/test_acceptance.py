@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from alcovecrystals import alcove as al
 from alcovecrystals import crystalgraph as cg
 from alcovecrystals import littelmann as lp
@@ -161,7 +163,9 @@ def test_criterion_02_vertex_lists_for_small_a3_weights():
     )
     assert found1 == [[], [0], [0, 1], [0, 1, 2]]
 
-    assert not al.is_admissible(al.element(chain1, [1, 2]))
+    assert not al.is_admissible(al.AlcoveElement(chain1, (1, 2)))
+    with pytest.raises(ValueError):
+        al.element(chain1, [1, 2])
 
 
 R1, R2, R12 = (1, 0), (0, 1), (1, 1)

@@ -47,7 +47,11 @@ def test_single_fold_admissible_for_doubled_first_fundamental():
 
 def test_non_cover_pair_rejected():
     chain = lex_chain(A3, (1, 0, 0))
-    assert not al.is_admissible(el(chain, 1, 2))
+    assert not al.is_admissible(al.AlcoveElement(chain, (1, 2)))
+    with pytest.raises(ValueError):
+        el(chain, 1, 2)
+    with pytest.raises(ValueError):
+        al.element(lex_chain(A2, (1, 1)), [0, 1, 2, 3])
 
 
 def test_positions_validated():
@@ -122,6 +126,70 @@ def test_dual_rho_chain_admissible_sets_a2():
 
 # ---------------------------------------------------------------------------
 # folded chains and signatures
+
+
+B2 = RootSystem.from_type("B2")
+G2 = RootSystem.from_type("G2")
+
+
+def reference_walk(chain, positions):
+    """Admissibility, folded roots, end product and weight of a position set,
+    each from its own loop of plain reflection products."""
+    rs = chain.rs
+    entries = chain.entries
+    walk = list(reversed(positions)) if chain.dual else list(positions)
+    admissible = True
+    w = rs.identity_element()
+    for p in walk:
+        admissible = admissible and rs.is_cover(w, entries[p].root)
+        w = w * rs.reflection(entries[p].root)
+    folded = [None] * len(entries)
+    v = rs.identity_element()
+    order = range(len(entries) - 1, -1, -1) if chain.dual else range(len(entries))
+    for ind in order:
+        folded[ind] = v.apply_root_coeffs(entries[ind].root.coeffs)
+        if ind in positions:
+            v = v * rs.reflection(entries[ind].root)
+    lam = chain.weight_for_ops()
+    sign = 1 if chain.dual else -1
+    wt = lam if chain.dual else weight_neg(lam)
+    for p in reversed(positions):
+        wt = rs.affine_reflect(entries[p].root, sign * entries[p].level, wt)
+    if chain.dual:
+        wt = w.apply_weight(wt)
+    return admissible, tuple(folded), w, weight_neg(wt)
+
+
+FOLD_CHAINS = {
+    "a2-21": lex_chain(A2, (2, 1)),
+    "b2-rho": lex_chain(B2, (1, 1)),
+    "g2-01": lex_chain(G2, (0, 1)),
+    "a2-21-dual": dual_chain(lex_chain(A2, (2, 1))),
+    "b2-rho-dual": dual_chain(lex_chain(B2, (1, 1))),
+    "g2-01-dual": dual_chain(lex_chain(G2, (0, 1))),
+    "a2-window-1": window(A2, 1),
+    "a2-window-2": window(A2, 2),
+    "b2-window-1": window(B2, 1),
+    "a2-dual-window-1": window(A2, 1, dual=True),
+    "a2-dual-window-2": window(A2, 2, dual=True),
+    "b2-dual-window-1": window(B2, 1, dual=True),
+}
+
+
+@pytest.mark.parametrize("chain", FOLD_CHAINS.values(), ids=FOLD_CHAINS.keys())
+def test_fold_matches_reference_walks(chain):
+    n = len(chain.entries)
+    admissible = 0
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            b = al.AlcoveElement(chain, combo)
+            ok, folded, end, wt = reference_walk(chain, combo)
+            assert al.is_admissible(b) == ok, combo
+            assert al.folded_roots(b) == folded, combo
+            assert b.fold.end == end, combo
+            assert al.weight(b) == wt, combo
+            admissible += ok
+    assert admissible > 1
 
 
 def test_folded_chain_single_fold():

@@ -184,6 +184,9 @@ def test_verify_reports_are_deterministic(capsys):
         ["chain", "--weight", "1,1"],
         ["path-image", "--type", "A2", "--weight", "0,0", "--fstring", "1"],
         ["lift", "--type", "A2", "--k", "0", "--fstring", "1"],
+        ["verify", "--type", "A2", "--suite", "limits", "--depth", "-3"],
+        ["export", "--type", "A2", "--infinity", "--depth", "-1"],
+        ["project", "--type", "A2", "--fstring", "1", "--k", "-1"],
     ],
 )
 def test_usage_errors(argv, capsys):

@@ -99,23 +99,26 @@ class AlcoveElement:
         """The folded chain, walked left to right primally, right to left dually.
 
         At each position the product of the foldings already passed is applied
-        to the chain root.  After k covers the product has length k, so each
-        folding is checked with one length computation.
+        to the chain root, by a lookup in the root system's memoized action
+        (which also keeps the stored tuples shared).  After k covers the
+        product has length k, so each folding is checked with one memoized
+        length.
         """
         rs = self.rs
         entries = self.chain.entries
-        shared = rs._root_table  # store the root system's tuples, not fresh ones
         jset = set(self.positions)
         n = len(entries)
         roots: list = [None] * n
         w = rs.identity_element()
+        action = rs.root_action(w)
         covers = 0
         admissible = True
         for ind in range(n - 1, -1, -1) if self.is_dual else range(n):
             root = entries[ind].root
-            roots[ind] = shared[w.apply_root_coeffs(root.coeffs)].coeffs
+            roots[ind] = action[root.coeffs]
             if ind in jset:
-                w = w * rs.reflection(root)
+                w = rs.times_reflection(w, root)
+                action = rs.root_action(w)
                 covers += 1
                 admissible = admissible and rs.length(w) == covers
         return Fold(tuple(roots), w, admissible)

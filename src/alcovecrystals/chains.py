@@ -86,19 +86,8 @@ class InfChainWindow:
 
     @cached_property
     def entries(self) -> tuple[ChainEntry, ...]:
-        rho = self.rs.rho
-        base = _rho_chain(self.rs)
-        out: list[ChainEntry] = []
-        if not self.dual:
-            for c in range(self.copies, 0, -1):
-                for e in base.entries:
-                    out.append(ChainEntry(e.root, e.level - c * pairing(rho, e.root)))
-        else:
-            dbase = dual_chain(base)
-            for c in range(1, self.copies + 1):
-                for e in dbase.entries:
-                    out.append(ChainEntry(e.root, e.level + (c - 1) * pairing(rho, e.root)))
-        return tuple(out)
+        blocks = range(1, self.copies + 1) if self.dual else range(self.copies, 0, -1)
+        return tuple(e for c in blocks for e in _block(self.rs, c, self.dual))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -134,6 +123,19 @@ def lex_chain(rs: RootSystem, lam) -> LambdaChain:
 def _rho_chain(rs: RootSystem) -> LambdaChain:
     """The chain for rho, built once per root system: windows repeat it."""
     return lex_chain(rs, rs.rho)
+
+
+@cache
+def _block(rs: RootSystem, c: int, dual: bool) -> tuple[ChainEntry, ...]:
+    """The c-th rho-chain block of the infinite chain, counted from the end
+    where windows start, built once and shared by every window holding it."""
+    if dual:
+        # the primal block mirrored: reversed, levels negated
+        return tuple(ChainEntry(e.root, -e.level) for e in reversed(_block(rs, c, False)))
+    rho = rs.rho
+    return tuple(
+        ChainEntry(e.root, e.level - c * pairing(rho, e.root)) for e in _rho_chain(rs).entries
+    )
 
 
 def _coroot_triples(rs: RootSystem):
@@ -243,9 +245,15 @@ def dual_chain(chain: LambdaChain) -> LambdaChain:
 
 
 def window(rs: RootSystem, copies: int, dual: bool = False) -> InfChainWindow:
-    """A window of ``copies`` rho-chain blocks of the infinite chain."""
+    """A window of ``copies`` rho-chain blocks of the infinite chain; the same
+    arguments give the same window, so its entries are built once."""
     if copies < 1:
         raise ValueError("window needs at least one copy")
+    return _window(rs, copies, dual)
+
+
+@cache
+def _window(rs: RootSystem, copies: int, dual: bool) -> InfChainWindow:
     return InfChainWindow(rs, copies, dual)
 
 

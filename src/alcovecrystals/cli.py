@@ -578,8 +578,22 @@ _DISPATCH = {
 }
 
 
+def _glue_weights(argv: list[str]) -> list[str]:
+    """Write ``--weight -1,0`` as ``--weight=-1,0``: argparse takes a separate
+    value that starts with a minus sign for an option, so a negative weight
+    would never reach the dominance check."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--weight" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--weight={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
     """Parse ``argv`` and execute one subcommand; returns the exit status."""
+    argv = _glue_weights(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -73,7 +73,7 @@ def varpi(el) -> PLPath:
         if j >= len(events):
             break
         while j < len(events) and events[j][0] == t:
-            w = w * rs.reflection(events[j][1])
+            w = rs.times_reflection(w, events[j][1])
             j += 1
     return PLPath(rs, "finite", tuple(segments))
 

@@ -10,6 +10,13 @@ With the Cartan matrix ``a[i][j] = <alpha_i, alpha_j^vee>`` these three systems
 talk to each other through integer matrices only, so nothing in this module
 ever leaves exact arithmetic.  Weyl group elements are stored as a pair of
 integer matrices (action on root coordinates, action on weight coordinates).
+
+A root system memoizes what it learns about each Weyl element it meets, keyed
+by the element's root matrix (the action on roots is faithful): the element's
+action on the roots as a dict between coefficient tuples, its length, and its
+products with reflections.  The tables fill lazily, on first use, and hold at
+most ``|W|`` entries each (at most ``|W| * |roots|`` products), so folding a
+chain costs dict lookups instead of matrix products.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 __all__ = [
     "CartanDatum",
@@ -39,15 +47,12 @@ def _freeze(rows) -> IMat:
 
 
 def _mat_vec(m: IMat, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _mat_mul(m1: IMat, m2: IMat) -> IMat:
-    n = len(m1)
-    return tuple(
-        tuple(sum(m1[i][k] * m2[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*m2))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in m1)
 
 
 def _identity(n: int) -> IMat:
@@ -254,6 +259,8 @@ class RootSystem:
         self.rank = cartan.rank
         #: operator/reflection indices accepted by the public API (1-based)
         self.index_set = tuple(range(1, self.rank + 1))
+        # root matrix -> what is known about that Weyl element, filled lazily
+        self._weyl: dict[IMat, _WeylMemo] = {}
 
     @classmethod
     def from_type(cls, type_string: str) -> "RootSystem":
@@ -401,16 +408,55 @@ class RootSystem:
         self._check_index(i)
         return self.reflection(self.simple_root_list[i - 1])
 
+    def _memo(self, w: WeylElement) -> "_WeylMemo":
+        memo = self._weyl.get(w.rmat)
+        if memo is None:
+            memo = self._weyl[w.rmat] = _WeylMemo(w)
+        return memo
+
+    def root_action(self, w: WeylElement) -> dict[IVec, IVec]:
+        """The action of ``w`` on the roots, memoized: each root's coefficient
+        tuple maps to this root system's own tuple for its image."""
+        memo = self._memo(w)
+        if memo.action is None:
+            table = self._root_table
+            memo.action = {c: table[w.apply_root_coeffs(c)].coeffs for c in table}
+        return memo.action
+
+    def times_reflection(self, w: WeylElement, root: Root) -> WeylElement:
+        """``w * reflection(root)``, memoized; equal products are one object."""
+        products = self._memo(w).products
+        out = products.get(root.coeffs)
+        if out is None:
+            out = self._memo(w * self.reflection(root)).element
+            products[root.coeffs] = out
+        return out
+
     def length(self, w: WeylElement) -> int:
         """Coxeter length: the number of positive roots sent to negatives."""
-        count = 0
-        for r in self.positive_roots:
-            image = w.apply_root_coeffs(r.coeffs)
-            if any(c < 0 for c in image):
-                count += 1
-        return count
+        memo = self._memo(w)
+        if memo.length is None:
+            action = self.root_action(w)
+            memo.length = sum(
+                any(c < 0 for c in action[r.coeffs]) for r in self.positive_roots
+            )
+        return memo.length
 
     def is_cover(self, w: WeylElement, root: Root) -> bool:
         """Whether right multiplication by the reflection of ``root`` is a
         Bruhat cover, i.e. lengthens ``w`` by exactly one."""
-        return self.length(w * self.reflection(root)) == self.length(w) + 1
+        return self.length(self.times_reflection(w, root)) == self.length(w) + 1
+
+
+class _WeylMemo:
+    """What a root system knows about one Weyl element: the first object met
+    with its root matrix, its action on the roots, its length, and its
+    products with reflections keyed by root coefficients."""
+
+    __slots__ = ("element", "action", "length", "products")
+
+    def __init__(self, element: WeylElement):
+        self.element = element
+        self.action: dict[IVec, IVec] | None = None
+        self.length: int | None = None
+        self.products: dict[IVec, WeylElement] = {}

@@ -8,6 +8,7 @@ import pytest
 
 from alcovecrystals.chains import (
     ChainEntry,
+    InfChainWindow,
     LambdaChain,
     chain_to_json,
     concat,
@@ -306,6 +307,30 @@ def test_dual_window_prefix_of_dual_multiple_rho_chain():
             w = window(rs, k, dual=True)
             d = dual_chain(lex_chain(rs, tuple(k * c for c in rs.rho)))
             assert w.entries == d.entries
+
+
+@pytest.mark.parametrize("type_string", ["A2", "G2"])
+@pytest.mark.parametrize("dual", [False, True])
+def test_window_is_reused(type_string, dual):
+    rs = RootSystem.from_type(type_string)
+    for k in (1, 2, 3, 4):
+        w = window(rs, k, dual)
+        assert window(rs, k, dual) is w
+        assert w.entries == InfChainWindow(rs, k, dual).entries
+        # independent reference: the k*rho chain, levels shifted primally
+        chain = lex_chain(rs, tuple(k * c for c in rs.rho))
+        if dual:
+            assert w.entries == dual_chain(chain).entries
+        else:
+            assert entries_as_pairs(w) == [
+                (e.root.coeffs, e.level - k * pairing(rs.rho, e.root))
+                for e in chain.entries
+            ]
+    # blocks are shared: the window of k + 1 copies holds the same entry
+    # objects as the window of k copies
+    small, big = window(rs, 3, dual).entries, window(rs, 4, dual).entries
+    overlap = big[: len(small)] if dual else big[len(big) - len(small) :]
+    assert all(a is b for a, b in zip(overlap, small, strict=True))
 
 
 def test_window_rejects_bad_copies():

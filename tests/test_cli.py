@@ -193,6 +193,13 @@ def test_usage_errors(argv, capsys):
     assert run(argv) == 2
 
 
+@pytest.mark.parametrize("cmd", ["chain", "crystal", "path-image", "export"])
+@pytest.mark.parametrize("form", [["--weight", "-1,0"], ["--weight=-1,0"]])
+def test_negative_weight_reaches_dominance_check(cmd, form, capsys):
+    assert run([cmd, "--type", "A2", *form]) == 2
+    assert "not dominant integral" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 

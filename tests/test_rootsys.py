@@ -138,8 +138,13 @@ def _bfs_lengths(rs):
     return dist
 
 
-@pytest.mark.parametrize("type_string,order", [("A2", 6), ("B2", 8), ("G2", 12), ("A3", 24)])
+@pytest.mark.parametrize(
+    "type_string,order",
+    [("A2", 6), ("B2", 8), ("G2", 12), ("A3", 24), ("D4", 192), ("F4", 1152)],
+)
 def test_length_matches_shortest_word(type_string, order):
+    """Lengths, and the memoized action and reflection products, agree with
+    the matrices on every element of W."""
     rs = RootSystem.from_type(type_string)
     dist = _bfs_lengths(rs)
     assert len(dist) == order
@@ -155,8 +160,22 @@ def test_length_matches_shortest_word(type_string, order):
                     seen[v.rmat] = v
                     nxt.append(v)
         frontier = nxt
+    roots = [*rs.positive_roots, *(-r for r in rs.positive_roots)]
     for rmat, w in seen.items():
+        action = rs.root_action(w)
+        assert len(action) == len(roots)
+        for r in roots:
+            assert action[r.coeffs] == w.apply_root_coeffs(r.coeffs)
         assert rs.length(w) == dist[rmat]
+        assert rs.length(w) == dist[rmat]  # now read from the memo
+        for r in roots:
+            assert rs.times_reflection(w, r) == w * rs.reflection(r)
+    # the products landed on the elements already met, one object each
+    assert len(rs._weyl) == order
+    for w in seen.values():
+        for r in roots:
+            v = rs.times_reflection(w, r)
+            assert v is rs._weyl[v.rmat].element
 
 
 def test_is_cover_examples():

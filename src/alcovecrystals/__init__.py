@@ -9,6 +9,7 @@ The package is organized bottom-up:
 * :mod:`alcovecrystals.littelmann` - piecewise-linear path crystals
 * :mod:`alcovecrystals.limits` - the maps from alcove elements to paths
 * :mod:`alcovecrystals.crystalgraph` - model-agnostic crystal machinery
+* :mod:`alcovecrystals.verify` - the verification suites
 * :mod:`alcovecrystals.cli` - the ``alcovecrystals`` command line tool
 """
 

@@ -32,6 +32,7 @@ from .chains import (
     InfChainWindow,
     LambdaChain,
     _rho_chain,
+    _rho_multiple,
     concat,
     dual_chain,
     lex_chain,
@@ -421,7 +422,7 @@ def project_Spr(el: AlcoveElement, k: int) -> AlcoveElement | None:
         raise ValueError("k must be nonnegative")
     block = len(_rho_chain(rs))
     copies = el.chain.copies
-    target = lex_chain(rs, tuple(k * c for c in rs.rho))
+    target = _rho_multiple(rs, k)
     positions = []
     for p in el.positions:
         from_right = copies - p // block

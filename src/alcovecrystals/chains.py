@@ -138,6 +138,15 @@ def _block(rs: RootSystem, c: int, dual: bool) -> tuple[ChainEntry, ...]:
     )
 
 
+@cache
+def _rho_multiple(rs: RootSystem, k: int) -> LambdaChain:
+    """The chain for k * rho, equal to ``lex_chain(rs, k * rho)``: k copies of
+    the rho-chain, the j-th shifted up by j * <rho, beta^vee>.  Built once per
+    (root system, k) from the shared blocks, without sorting."""
+    entries = tuple(e for j in range(k) for e in _block(rs, -j, False))
+    return LambdaChain(rs, tuple(k * c for c in rs.rho), entries)
+
+
 def _coroot_triples(rs: RootSystem):
     """All (alpha, beta, gamma, p) with gamma^vee = alpha^vee + p beta^vee,
     alpha != beta, p a nonzero integer, all three positive roots."""

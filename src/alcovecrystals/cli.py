@@ -10,7 +10,6 @@ reports failures, and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -18,8 +17,9 @@ from . import alcove as al
 from . import crystalgraph as cg
 from . import littelmann as lp
 from .chains import chain_to_json, dual_chain, lex_chain, window
-from .limits import varpi, varpi_dual, varpi_dual_infinity, varpi_infinity, verify_dual_iso
+from .limits import varpi, varpi_dual, varpi_dual_infinity, varpi_infinity
 from .rootsys import RootSystem, root_string
+from .verify import SUITES as _SUITES, Sweep
 
 __all__ = ["main", "run"]
 
@@ -264,240 +264,23 @@ def _cmd_export(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _dominant_weights(rs, cap=2):
-    return list(itertools.product(range(cap + 1), repeat=rs.rank))
-
-
-def _path_closure(rs, lam):
-    ops = cg.path_ops(rs)
-    return cg.enumerate_crystal(ops, [lp.straight_path(rs, lam)])
-
-
-def _alcove_elements(graph, chain):
-    index = {(e.root.coeffs, e.level): i for i, e in enumerate(chain.entries)}
-    out = []
-    for key in graph.nodes:
-        out.append(al.element(chain, [index[pair] for pair in key]))
-    return out
-
-
-def _window_elements(rs, depth, dual=False):
-    win = window(rs, 1, dual=dual)
-    start = al.element(win, [])
-    op = al.e_op if dual else al.f_op
-    out = [start]
-    seen = {start.pairs()}
-    frontier = [start]
-    for _ in range(depth):
-        nxt = []
-        for b in frontier:
-            for i in rs.index_set:
-                c = op(b, i)
-                if c is not None and c.pairs() not in seen:
-                    seen.add(c.pairs())
-                    out.append(c)
-                    nxt.append(c)
-        frontier = nxt
-    return out
-
-
-def _path_truncation(rs, depth, kind):
-    seed = lp.pi_infinity(rs) if kind == "extended" else lp.xi_infinity(rs)
-    return cg.enumerate_crystal(cg.path_ops(rs, kind), [seed], depth=depth)
-
-
-def _suite_axioms(rs, depth, emit):
-    bad = 0
-    for lam in _dominant_weights(rs):
-        chain = lex_chain(rs, lam)
-        report = cg.check_axioms(_crystal_graph(chain), seminormal=True)
-        bad += emit(f"axioms Al{lam}", report.ok, report.failures)
-        report = cg.check_axioms(_path_closure(rs, lam), seminormal=True)
-        bad += emit(f"axioms paths{lam}", report.ok, report.failures)
-    for dual in (False, True):
-        graph = _crystal_graph(window(rs, 1, dual=dual), depth=depth)
-        name = "Al-dual(inf)" if dual else "Al(inf)"
-        report = cg.check_axioms(graph)
-        bad += emit(f"axioms {name} depth {depth}", report.ok, report.failures)
-    for kind in ("extended", "co-extended"):
-        report = cg.check_axioms(_path_truncation(rs, depth, kind))
-        bad += emit(f"axioms {kind} paths depth {depth}", report.ok, report.failures)
-    return bad
-
-
-def _suite_stembridge(rs, depth, emit):
-    offdiag = [
-        rs.cartan.matrix[a][b]
-        for a in range(rs.rank)
-        for b in range(rs.rank)
-        if a != b
-    ]
-    if any(v not in (0, -1) for v in offdiag):
-        return emit("stembridge skipped: not simply laced", True, [])
-    bad = 0
-    for lam in _dominant_weights(rs):
-        report = cg.check_stembridge(_crystal_graph(lex_chain(rs, lam)))
-        bad += emit(f"stembridge Al{lam}", report.ok, report.failures)
-    return bad
-
-
-def _dual_iso_reports(rs, depth):
-    reports = []
-    for lam in _dominant_weights(rs):
-        chain = lex_chain(rs, lam)
-        graph = _crystal_graph(chain)
-        report = verify_dual_iso(
-            _alcove_elements(graph, chain), varpi, cg.alcove_ops(chain), cg.path_ops(rs)
-        )
-        reports.append((f"Al{lam} -> paths", report))
-    bound = min(depth, 4)
-    report = verify_dual_iso(
-        _window_elements(rs, bound),
-        varpi_infinity,
-        cg.alcove_ops(window(rs, 1)),
-        cg.path_ops(rs, "co-extended"),
-    )
-    reports.append((f"Al(inf) depth {bound} -> co-extended paths", report))
-    report = verify_dual_iso(
-        _window_elements(rs, bound, dual=True),
-        varpi_dual_infinity,
-        cg.alcove_ops(window(rs, 1, dual=True)),
-        cg.path_ops(rs, "extended"),
-    )
-    reports.append((f"Al-dual(inf) depth {bound} -> extended paths", report))
-    return reports
-
-
-def _suite_dual_iso(rs, depth, emit):
-    bad = 0
-    for name, report in _dual_iso_reports(rs, depth):
-        bad += emit(f"dual-iso {name} checked {report.checked}", report.ok, report.failures)
-    return bad
-
-
-def _suite_limits(rs, depth, emit):
-    checks = 0
-    failures = []
-    for el in _window_elements(rs, depth):
-        k0, _ = al.minimal_projection(el)
-        for k in range(max(k0, 1), max(k0, 1) + 3):
-            image = al.project_Spr(el, k)
-            if image is None:
-                continue
-            if al.include_Sin(image, k).pairs() != el.pairs():
-                failures.append(f"inclusion does not invert projection at k={k}")
-            checks += 1
-            for i in rs.index_set:
-                for op in (al.f_op, al.e_op):
-                    big = op(el, i)
-                    small = op(image, i)
-                    if big is None or small is None:
-                        continue
-                    proj = al.project_Spr(big, k)
-                    if proj is not None and proj.pairs() != small.pairs():
-                        failures.append(
-                            f"projection does not intertwine at k={k}, i={i}"
-                        )
-                    checks += 1
-        for copies in (1, 2):
-            alt = al.element_from_pairs(
-                window(rs, copies + el.chain.copies),
-                [(r.coeffs, lvl) for r, lvl in el.pairs()],
-            )
-            for i in rs.index_set:
-                a = al.f_op(el, i)
-                b = al.f_op(alt, i)
-                if (a is None) != (b is None) or (
-                    a is not None and a.pairs() != b.pairs()
-                ):
-                    failures.append(f"copies {copies} changed a lowering at i={i}")
-                checks += 1
-    return emit(f"limits coherence checks {checks}", not failures, failures)
-
-
-def _suite_profile(rs, depth, emit):
-    checks = 0
-    failures = []
-    pools = []
-    for lam in _dominant_weights(rs):
-        chain = lex_chain(rs, lam)
-        pools.append(_alcove_elements(_crystal_graph(chain), chain))
-    pools.append(_window_elements(rs, depth))
-    for pool in pools:
-        for el in pool:
-            for i in rs.index_set:
-                for a, b in (
-                    (al.f_op(el, i), al.profile_f(el, i)),
-                    (al.e_op(el, i), al.profile_e(el, i)),
-                ):
-                    checks += 1
-                    if (a is None) != (b is None) or (
-                        a is not None and a.pairs() != b.pairs()
-                    ):
-                        failures.append(
-                            f"profile disagrees at {al.render_element(el)}, i={i}"
-                        )
-    return emit(f"profile operators checks {checks}", not failures, failures)
-
-
-def _suite_duality(rs, depth, emit):
-    bad = 0
-    for lam in _dominant_weights(rs):
-        primal = _crystal_graph(lex_chain(rs, lam))
-        dual = _crystal_graph(dual_chain(lex_chain(rs, lam)))
-        ok = cg.is_isomorphic(cg.dualize_graph(primal), dual)
-        bad += emit(f"duality Al{lam}", ok, [] if ok else ["graphs differ"])
-    return bad
-
-
-_SUITES = {
-    "axioms": _suite_axioms,
-    "stembridge": _suite_stembridge,
-    "dual-iso": _suite_dual_iso,
-    "limits": _suite_limits,
-    "profile": _suite_profile,
-    "duality": _suite_duality,
-}
-
-
 def _cmd_verify(args) -> int:
-    rs = _root_system(args)
-    if args.suite == "dual-iso" and args.format != "text":
-        doc = []
-        for name, report in _dual_iso_reports(rs, args.depth):
-            doc.append(
-                {
-                    "source": name,
-                    "checked": report.checked,
-                    "failures": [list(f) for f in report.failures],
-                }
-            )
-        _emit(doc)
-        return 0 if all(not d["failures"] for d in doc) else 1
-
-    total = 0
-    bad = 0
-
-    def emit(name, ok, failures):
-        nonlocal total
-        total += 1
-        if ok:
-            print(f"ok {name}")
-            return 0
-        print(f"FAIL {name}")
-        for f in failures[:5]:
-            print(f"     {f}")
-        return 1
-
-    suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    for name in suites:
-        bad += _SUITES[name](rs, args.depth, emit)
-    print(f"passed {total - bad}/{total} checks")
-    return 0 if bad == 0 else 1
+    sweep = Sweep(_root_system(args), args.depth)
+    checks = []
+    for name in list(_SUITES) if args.suite == "all" else [args.suite]:
+        done = _SUITES[name](sweep)
+        checks += done
+        if args.format == "text":
+            for check in done:
+                print(f"{'ok' if check.ok else 'FAIL'} {check.name}")
+                for f in check.failures[:5]:
+                    print(f"     {f}")
+    passed = sum(check.ok for check in checks)
+    if args.format == "json":
+        _emit([vars(check) for check in checks])
+    else:
+        print(f"passed {passed}/{len(checks)} checks")
+    return 0 if passed == len(checks) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,12 @@ class NodeData:
 
 @dataclass
 class CrystalGraph:
+    """An enumerated crystal: ``nodes`` maps each key to its statistics and
+    ``elements`` maps it to the model element it was read from."""
+
     rs: RootSystem
     nodes: dict = field(default_factory=dict)
+    elements: dict = field(default_factory=dict)
     edges: list = field(default_factory=list)
     generators: list = field(default_factory=list)
     complete: bool = True
@@ -262,6 +266,7 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
     return CrystalGraph(
         rs=ops.rs,
         nodes=nodes,
+        elements=elements,
         edges=edges,
         generators=gen_keys,
         complete=complete,
@@ -523,6 +528,7 @@ def dualize_graph(graph: CrystalGraph) -> CrystalGraph:
     return CrystalGraph(
         rs=graph.rs,
         nodes=nodes,
+        elements=graph.elements,
         edges=edges,
         generators=list(graph.generators),
         complete=graph.complete,

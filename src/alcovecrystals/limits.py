@@ -24,7 +24,7 @@ from .alcove import (
     mirror,
     project_Spr,
 )
-from .chains import dual_chain, lex_chain
+from .chains import _rho_multiple, dual_chain
 from .littelmann import PLPath, dualize, xi_infinity
 from .rootsys import pairing
 
@@ -135,7 +135,7 @@ def varpi_dual_infinity(el, copies: int | None = None) -> PLPath:
         copies = needed
     elif copies < needed:
         raise ValueError(f"need at least {needed} copies")
-    target = dual_chain(lex_chain(rs, tuple(c * copies for c in rs.rho)))
+    target = dual_chain(_rho_multiple(rs, copies))
     restricted = element_from_pairs(
         target, [(root.coeffs, level) for root, level in el.pairs()]
     )

@@ -1,89 +1,40 @@
 """End-to-end acceptance checks, one test per numbered criterion.
 
 Everything here is exact: frozen walks, frozen vertex lists, frozen level
-shifts, and counting identities. Several criteria sweep the same family of
-small crystals, so enumerations are cached at module level.
+shifts, and counting identities. Criteria 05, 06, 07 and 09 run the
+verification suites that the command line runs. Several criteria sweep the
+same family of small crystals, so each type keeps one sweep at module level.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 
 import pytest
 
 from alcovecrystals import alcove as al
 from alcovecrystals import crystalgraph as cg
 from alcovecrystals import littelmann as lp
-from alcovecrystals.chains import dual_chain, lex_chain, window
-from alcovecrystals.limits import (
-    varpi,
-    varpi_dual_infinity,
-    varpi_infinity,
-    verify_dual_iso,
-)
+from alcovecrystals.chains import lex_chain, window
+from alcovecrystals.limits import varpi_dual_infinity, varpi_infinity
 from alcovecrystals.rootsys import RootSystem
+from alcovecrystals.verify import SUITES, Sweep
 
 SWEEP_TYPES = ("A2", "A3", "B2", "G2")
 
-_RS: dict = {}
-_FINITE: dict = {}
-_PATH_CLOSURE: dict = {}
-_TRUNCATION: dict = {}
+
+@functools.cache
+def sweep(name):
+    """The crystals of one type, with unbounded crystals to depth 5."""
+    return Sweep(RootSystem.from_type(name), 5)
 
 
-def rootsys(name):
-    if name not in _RS:
-        _RS[name] = RootSystem.from_type(name)
-    return _RS[name]
-
-
-def dominant_weights(rs):
-    """All dominant weights with fundamental coefficients at most 2."""
-    return list(itertools.product(range(3), repeat=rs.rank))
-
-
-def finite_crystal(name, lam):
-    if (name, lam) not in _FINITE:
-        rs = rootsys(name)
-        chain = lex_chain(rs, lam)
-        graph = cg.enumerate_crystal(cg.alcove_ops(chain), [al.element(chain, [])])
-        _FINITE[(name, lam)] = (chain, graph)
-    return _FINITE[(name, lam)]
-
-
-def path_closure(name, lam):
-    if (name, lam) not in _PATH_CLOSURE:
-        rs = rootsys(name)
-        graph = cg.enumerate_crystal(cg.path_ops(rs), [lp.straight_path(rs, lam)])
-        _PATH_CLOSURE[(name, lam)] = graph
-    return _PATH_CLOSURE[(name, lam)]
-
-
-def elements_of(name, lam):
-    """The chain and the full element list of a cached finite crystal."""
-    chain, graph = finite_crystal(name, lam)
-    index = {(e.root.coeffs, e.level): i for i, e in enumerate(chain.entries)}
-    pool = [al.element(chain, [index[p] for p in key]) for key in graph.nodes]
-    return chain, pool
-
-
-def window_truncation(name, depth, dual=False):
-    key = (name, depth, dual)
-    if key not in _TRUNCATION:
-        rs = rootsys(name)
-        win = window(rs, 1, dual=dual)
-        graph = cg.enumerate_crystal(
-            cg.alcove_ops(win), [al.element(win, [])], depth=depth
-        )
-        _TRUNCATION[key] = graph
-    return _TRUNCATION[key]
-
-
-def window_pool(name, depth, dual=False):
-    rs = rootsys(name)
-    big = window(rs, max(depth, 1), dual=dual)
-    graph = window_truncation(name, depth, dual)
-    return [al.element_from_pairs(big, key) for key in graph.nodes]
+def passing(suite, name):
+    """Run a suite on the sweep of one type; every check must pass."""
+    checks = SUITES[suite](sweep(name))
+    for check in checks:
+        assert check.ok, (name, check.name, check.failures[:3])
+    return checks
 
 
 def pair_list(el):
@@ -92,7 +43,7 @@ def pair_list(el):
 
 def test_criterion_01_golden_lowering_walk_in_type_a3():
     """A pinned eight step walk down from the empty element and back."""
-    rs = rootsys("A3")
+    rs = sweep("A3").rs
     el = al.element(window(rs, 1), [])
     for i in (2, 1, 3, 2, 2, 1, 3, 2):
         el = al.f_op(el, i)
@@ -136,7 +87,7 @@ def test_criterion_01_golden_lowering_walk_in_type_a3():
 
 
 def test_criterion_02_vertex_lists_for_small_a3_weights():
-    chain, graph = finite_crystal("A3", (2, 0, 0))
+    chain, graph = lex_chain(sweep("A3").rs, (2, 0, 0)), sweep("A3").finite((2, 0, 0))
     index = {(e.root.coeffs, e.level): i for i, e in enumerate(chain.entries)}
     found = sorted(
         (sorted(index[p] for p in key) for key in graph.nodes),
@@ -155,7 +106,7 @@ def test_criterion_02_vertex_lists_for_small_a3_weights():
         [3, 4, 5],
     ]
 
-    chain1, graph1 = finite_crystal("A3", (1, 0, 0))
+    chain1, graph1 = lex_chain(sweep("A3").rs, (1, 0, 0)), sweep("A3").finite((1, 0, 0))
     index1 = {(e.root.coeffs, e.level): i for i, e in enumerate(chain1.entries)}
     found1 = sorted(
         (sorted(index1[p] for p in key) for key in graph1.nodes),
@@ -227,7 +178,7 @@ DEPTH4_EDGES = (
 
 def test_criterion_03_depth_four_window_figure_in_a2():
     """The depth 4 slice of the unbounded A2 crystal, node by node."""
-    graph = window_truncation("A2", 4)
+    graph = Sweep(sweep("A2").rs, 4).truncation()
     assert len(DEPTH4_NODES) == len(set(DEPTH4_NODES)) == 22
     assert set(graph.nodes) == set(DEPTH4_NODES)
     assert len(graph.edges) == len(DEPTH4_EDGES) == 26
@@ -235,7 +186,7 @@ def test_criterion_03_depth_four_window_figure_in_a2():
 
     # sliding each element into Al(4 rho) shifts simple-root levels by 4
     # and height two levels by 8
-    rs = rootsys("A2")
+    rs = sweep("A2").rs
     big = window(rs, 5)
     for key in DEPTH4_NODES:
         el = al.element_from_pairs(big, key)
@@ -247,121 +198,57 @@ def test_criterion_03_depth_four_window_figure_in_a2():
 
 def test_criterion_04_enumeration_matches_weyl_dimension():
     for name in SWEEP_TYPES:
-        rs = rootsys(name)
-        for lam in dominant_weights(rs):
-            dim = cg.weyl_dimension(rs, lam)
-            _, graph = finite_crystal(name, lam)
-            assert len(graph.nodes) == dim, (name, lam)
-            assert len(path_closure(name, lam).nodes) == dim, (name, lam)
+        s = sweep(name)
+        for lam in s.weights:
+            dim = cg.weyl_dimension(s.rs, lam)
+            assert len(s.finite(lam).nodes) == dim, (name, lam)
+            assert len(s.paths(lam).nodes) == dim, (name, lam)
 
 
 def test_criterion_05_axiom_and_local_structure_suites():
+    # the axioms suite also checks that each Al(lam) is isomorphic to its
+    # path crystal, so the local structure of the path closures follows from
+    # that of the alcove crystals
     for name in SWEEP_TYPES:
-        for lam in dominant_weights(rootsys(name)):
-            _, graph = finite_crystal(name, lam)
-            report = cg.check_axioms(graph, seminormal=True)
-            assert report.ok, (name, lam, report.failures[:3])
-            report = cg.check_axioms(path_closure(name, lam), seminormal=True)
-            assert report.ok, (name, lam, report.failures[:3])
-
-    for name in ("A2", "A3"):
-        rs = rootsys(name)
-        for dual in (False, True):
-            report = cg.check_axioms(window_truncation(name, 5, dual))
-            assert report.ok, (name, dual, report.failures[:3])
-        for kind, seed in (
-            ("extended", lp.pi_infinity(rs)),
-            ("co-extended", lp.xi_infinity(rs)),
-        ):
-            graph = cg.enumerate_crystal(cg.path_ops(rs, kind), [seed], depth=5)
-            report = cg.check_axioms(graph)
-            assert report.ok, (name, kind, report.failures[:3])
+        passing("axioms", name)
 
     pairs_seen = 0
     for name in ("A2", "A3"):
-        for lam in dominant_weights(rootsys(name)):
-            for graph in (finite_crystal(name, lam)[1], path_closure(name, lam)):
-                report = cg.check_stembridge(graph)
-                assert report.ok, (name, lam, report.failures[:3])
-                pairs_seen += report.checked_pairs
-        for dual in (False, True):
-            report = cg.check_stembridge(window_truncation(name, 5, dual))
-            assert report.ok, (name, dual, report.failures[:3])
-            pairs_seen += report.checked_pairs
+        checks = passing("stembridge", name)
+        assert len(checks) == len(sweep(name).weights) + 2
+        pairs_seen += sum(check.checked for check in checks)
     assert pairs_seen > 0
 
 
 def test_criterion_06_finite_dual_isomorphism_sweep():
     total = 0
     for name in SWEEP_TYPES:
-        rs = rootsys(name)
-        for lam in dominant_weights(rs):
-            chain, pool = elements_of(name, lam)
-            report = verify_dual_iso(
-                pool, varpi, cg.alcove_ops(chain), cg.path_ops(rs)
-            )
-            assert report.failures == [], (name, lam, report.failures[:3])
-            assert report.checked == cg.weyl_dimension(rs, lam)
-            total += report.checked
+        s = sweep(name)
+        checks = passing("dual-iso", name)
+        for lam, check in zip(s.weights, checks):
+            assert check.name.startswith(f"dual-iso Al{lam} -> paths"), check.name
+            assert check.checked == cg.weyl_dimension(s.rs, lam)
+            total += check.checked
     assert total > 100
 
 
 def test_criterion_07_direct_limit_coherence():
-    checks = 0
-    for name in ("A2", "A3"):
-        rs = rootsys(name)
-        for el in window_pool(name, 5):
-            k0, _ = al.minimal_projection(el)
-            start = max(k0, 1)
-            for k in range(start, start + 3):
-                image = al.project_Spr(el, k)
-                if image is None:
-                    continue
-                assert al.include_Sin(image, k).pairs() == el.pairs(), (name, k)
-                for i in rs.index_set:
-                    for op in (al.f_op, al.e_op):
-                        big = op(el, i)
-                        small = op(image, i)
-                        if big is None or small is None:
-                            continue
-                        proj = al.project_Spr(big, k)
-                        if proj is not None:
-                            assert proj.pairs() == small.pairs(), (name, k, i)
-                        checks += 1
-            wider = al.element_from_pairs(
-                window(rs, el.chain.copies + 1), pair_list(el)
-            )
-            for i in rs.index_set:
-                for op in (al.f_op, al.e_op):
-                    a, b = op(el, i), op(wider, i)
-                    assert (a is None) == (b is None), (name, i)
-                    if a is not None:
-                        assert a.pairs() == b.pairs(), (name, i)
-                    checks += 1
+    checks = sum(check.checked for name in ("A2", "A3") for check in passing("limits", name))
     assert checks > 500
 
 
 def test_criterion_08_unbounded_dual_isomorphisms_in_a2():
-    rs = rootsys("A2")
-    primal = window_pool("A2", 4)
-    dual = window_pool("A2", 4, dual=True)
+    primal = sweep("A2").pool(4)
+    dual = sweep("A2").pool(4, dual=True)
     assert len(primal) == len(dual) == 22
 
-    report = verify_dual_iso(
-        primal,
-        varpi_infinity,
-        cg.alcove_ops(window(rs, 1)),
-        cg.path_ops(rs, "co-extended"),
-    )
-    assert report.failures == [] and report.checked == 22
-
-    report = verify_dual_iso(
-        dual,
-        varpi_dual_infinity,
-        cg.alcove_ops(window(rs, 1, dual=True)),
-        cg.path_ops(rs, "extended"),
-    )
-    assert report.failures == [] and report.checked == 22
+    # the suite's last two checks transport these two pools
+    unbounded = passing("dual-iso", "A2")[-2:]
+    assert [check.name for check in unbounded] == [
+        "dual-iso Al(inf) depth 4 -> co-extended paths checked 22",
+        "dual-iso Al-dual(inf) depth 4 -> extended paths checked 22",
+    ]
+    assert [check.checked for check in unbounded] == [22, 22]
 
     # the image path does not depend on which window size computes it
     for el in primal:
@@ -383,50 +270,23 @@ def test_criterion_08_unbounded_dual_isomorphisms_in_a2():
 
 
 def test_criterion_09_profile_operators_match_signature_operators():
-    pools = []
-    for name in SWEEP_TYPES:
-        for lam in dominant_weights(rootsys(name)):
-            pools.append((rootsys(name), elements_of(name, lam)[1]))
-    for name in ("A2", "A3"):
-        for dual in (False, True):
-            pools.append((rootsys(name), window_pool(name, 5, dual=dual)))
-
-    checks = 0
-    for rs, pool in pools:
-        for el in pool:
-            for i in rs.index_set:
-                for sig, prof in (
-                    (al.f_op(el, i), al.profile_f(el, i)),
-                    (al.e_op(el, i), al.profile_e(el, i)),
-                ):
-                    assert (sig is None) == (prof is None), al.render_element(el)
-                    if sig is not None:
-                        assert sig.pairs() == prof.pairs(), al.render_element(el)
-                    checks += 1
+    checks = sum(check.checked for name in SWEEP_TYPES for check in passing("profile", name))
     assert checks > 1000
 
 
 def test_criterion_10_duality_of_models_and_paths():
     for name, lam in (("A2", (1, 1)), ("A3", (1, 0, 0)), ("A3", (2, 0, 0))):
-        rs = rootsys(name)
-        chain = lex_chain(rs, lam)
-        flipped = dual_chain(chain)
-        primal = cg.enumerate_crystal(cg.alcove_ops(chain), [al.element(chain, [])])
-        mirror_model = cg.enumerate_crystal(
-            cg.alcove_ops(flipped), [al.element(flipped, [])]
-        )
+        primal = sweep(name).finite(lam)
+        mirror_model = sweep(name).finite(lam, dual=True)
         assert cg.is_isomorphic(cg.dualize_graph(primal), mirror_model)
         assert cg.is_isomorphic(cg.dualize_graph(mirror_model), primal)
 
-    rs = rootsys("A2")
-    samples = [
-        lp.PLPath(rs, kind, segments)
-        for kind, segments in path_closure("A2", (1, 1)).nodes
-    ]
+    rs = sweep("A2").rs
+    samples = list(sweep("A2").paths((1, 1)).elements.values())
     samples.append(lp.xi_infinity(rs))
     samples.append(lp.pi_infinity(rs))
     samples.append(lp.e_op(lp.xi_infinity(rs), 1))
     samples.append(lp.f_op(lp.pi_infinity(rs), 2))
-    samples.append(varpi_infinity(window_pool("A2", 3)[5]))
+    samples.append(varpi_infinity(sweep("A2").pool(3)[5]))
     for p in samples:
         assert lp.dualize(lp.dualize(p)) == p

@@ -10,6 +10,7 @@ from alcovecrystals.chains import (
     ChainEntry,
     InfChainWindow,
     LambdaChain,
+    _rho_multiple,
     chain_to_json,
     concat,
     dual_chain,
@@ -331,6 +332,19 @@ def test_window_is_reused(type_string, dual):
     small, big = window(rs, 3, dual).entries, window(rs, 4, dual).entries
     overlap = big[: len(small)] if dual else big[len(big) - len(small) :]
     assert all(a is b for a, b in zip(overlap, small, strict=True))
+
+
+@pytest.mark.parametrize("type_string", ["A1", "A2", "A3", "B2", "C2", "G2", "B3", "D4"])
+def test_rho_multiple_is_the_sorted_chain(type_string):
+    rs = RootSystem.from_type(type_string)
+    for k in range(7):
+        chain = _rho_multiple(rs, k)
+        assert chain == lex_chain(rs, tuple(k * c for c in rs.rho))
+        assert _rho_multiple(rs, k) is chain
+    # each copy holds the entry objects of a shared block
+    block = len(lex_chain(rs, rs.rho))
+    two, three = _rho_multiple(rs, 2).entries, _rho_multiple(rs, 3).entries
+    assert all(a is b for a, b in zip(two, three[: 2 * block], strict=True))
 
 
 def test_window_rejects_bad_copies():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from alcovecrystals import alcove
 from alcovecrystals.cli import run
 
 
@@ -161,6 +162,33 @@ def test_verify_dual_iso_json(capsys):
     doc = json.loads(out_of(capsys))
     assert all(entry["failures"] == [] for entry in doc)
     assert sum(entry["checked"] for entry in doc) > 20
+
+
+@pytest.mark.parametrize(
+    "suite", ["axioms", "stembridge", "dual-iso", "limits", "profile", "duality", "all"]
+)
+def test_verify_json_for_every_suite(suite, capsys):
+    code = run(["verify", "--type", "A2", "--suite", suite, "--depth", "2", "--format", "json"])
+    doc = json.loads(out_of(capsys))
+    assert doc
+    for record in doc:
+        assert set(record) == {"name", "checked", "failures"}
+    assert code == (0 if all(not r["failures"] for r in doc) else 1)
+
+
+def test_verify_reports_a_failing_identity(monkeypatch, capsys):
+    # the suites reach the operators through their module, so this reaches them
+    monkeypatch.setattr(alcove, "profile_f", lambda el, i: None)
+    argv = ["verify", "--type", "A2", "--suite", "profile", "--depth", "2"]
+    assert run(argv) == 1
+    lines = out_of(capsys).splitlines()
+    assert lines[0].startswith("FAIL profile operators checks")
+    assert "     Al(0, 1): profile_f disagrees at (), i=2" in lines
+    assert lines[-1] == "passed 0/1 checks"
+
+    assert run([*argv, "--format", "json"]) == 1
+    (record,) = json.loads(out_of(capsys))
+    assert "Al(0, 1): profile_f disagrees at (), i=2" in record["failures"]
 
 
 def test_verify_reports_are_deterministic(capsys):

@@ -54,6 +54,16 @@ def test_truncated_window_layers():
     assert g.boundary
 
 
+def test_graphs_keep_their_elements():
+    for ops, g in (
+        (cg.alcove_ops(lex_chain(A2, (2, 1))), alcove_graph(A2, (2, 1))),
+        (cg.alcove_ops(window(A2, 1)), window_graph(A2, 3)),
+    ):
+        assert set(g.elements) == set(g.nodes)
+        assert all(ops.key(el) == k for k, el in g.elements.items())
+        assert cg.dualize_graph(g).elements == g.elements
+
+
 def test_unbounded_enumeration_of_infinite_model_fails():
     ops = cg.alcove_ops(window(A2, 1))
     gen = al.element(window(A2, 1), [])

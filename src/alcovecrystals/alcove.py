@@ -10,21 +10,24 @@ same signature machinery drives all four flavours:
 * dual windows model the dual limit.
 
 Operators locate a letter in the reduced plus/minus word of the folded chain
-and move a folding there; statistics and weights come from affine reflections.
-A second, independent formulation of the same operators through a piecewise
-linear profile is provided for cross-checking (``profile_f`` / ``profile_e``).
+and move a folding there; weights come from affine reflections.  A second,
+independent formulation of the same operators through a piecewise linear
+profile is provided for cross-checking (``profile_f`` / ``profile_e``).  The
+string statistics are read off that profile in closed form: how far it falls
+from its peak to its end gives epsilon (phi in the dual models), and the
+weight gives the other one, so no operator is applied to compute them.
 
 Each element is folded once: a single walk along its chain yields the folded
 roots, the end product of the folding reflections and whether every folding
 was a Bruhat cover (``AlcoveElement.fold``).  Operators, signatures, weights
 and the profile all read that walk, and every element built by
-:func:`element` or by an operator is checked to be admissible.
+:func:`element` or by an operator is checked to be admissible.  The weight
+and the string statistics are computed once per element and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -123,6 +126,45 @@ class AlcoveElement:
                 covers += 1
                 admissible = admissible and rs.length(w) == covers
         return Fold(tuple(roots), w, admissible)
+
+    @cached_property
+    def wt(self) -> tuple[int, ...]:
+        """The weight, in fundamental-weight coordinates: the chain weight
+        pushed through the foldings' affine reflections, last folding first."""
+        rs = self.rs
+        entries = self.chain.entries
+        lam = self.chain.weight_for_ops()
+        if not self.is_dual:
+            v = weight_neg(lam)
+            for p in reversed(self.positions):
+                e = entries[p]
+                v = rs.affine_reflect(e.root, -e.level, v)
+            return weight_neg(v)
+        v = lam
+        for p in reversed(self.positions):
+            e = entries[p]
+            v = rs.affine_reflect(e.root, e.level, v)
+        return weight_neg(self.fold.end.apply_weight(v))
+
+    @cached_property
+    def strings(self) -> dict[int, tuple[int, int]]:
+        """(epsilon, phi) in every direction i, read off the profile.
+
+        The profile of a primal element falls from its peak to its end by
+        twice epsilon (its heights are doubled); a dual element reads its
+        mirror's profile, where the same fall is twice phi.  The other
+        statistic follows from phi - epsilon = <wt, alpha_i^vee>, which in
+        the limit models defines it and lets it be negative.
+        """
+        el = _canonical(self)
+        out = {}
+        for i in self.rs.index_set:
+            _, _, h_inf, peak = _profile_data(el, i)
+            fall, odd = divmod(peak - h_inf, 2)
+            assert not odd, "a profile falls from its peak by whole steps"
+            gap = pairing(self.wt, self.rs.simple_root(i))
+            out[i] = (fall - gap, fall) if self.is_dual else (fall, fall + gap)
+        return out
 
     def pairs(self) -> tuple[tuple[Root, int], ...]:
         """The foldings as (root, level) pairs in chain order."""
@@ -276,7 +318,17 @@ def reduce_signature(word) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def f_op(el: AlcoveElement, i: int) -> AlcoveElement | None:
     """Lowering operator in direction ``i`` (1-based), or None."""
-    el = _canonical(el)
+    return _lower(_canonical(el), i)
+
+
+def e_op(el: AlcoveElement, i: int) -> AlcoveElement | None:
+    """Raising operator in direction ``i`` (1-based), or None."""
+    return _raise(_canonical(el), i)
+
+
+def _lower(el: AlcoveElement, i: int) -> AlcoveElement | None:
+    """The lowering step on the element's own chain, which for a window
+    element need not be the canonical window; the result is canonical."""
     rs = el.rs
     letters = _letters(el, i)
     pluses, _ = reduce_signature(_word(el, letters))
@@ -300,9 +352,8 @@ def f_op(el: AlcoveElement, i: int) -> AlcoveElement | None:
     return None
 
 
-def e_op(el: AlcoveElement, i: int) -> AlcoveElement | None:
-    """Raising operator in direction ``i`` (1-based), or None."""
-    el = _canonical(el)
+def _raise(el: AlcoveElement, i: int) -> AlcoveElement | None:
+    """The raising step on the element's own chain (see :func:`_lower`)."""
     rs = el.rs
     letters = _letters(el, i)
     _, minuses = reduce_signature(_word(el, letters))
@@ -330,45 +381,19 @@ def e_op(el: AlcoveElement, i: int) -> AlcoveElement | None:
 
 def weight(el: AlcoveElement):
     """The weight of an element, in fundamental-weight coordinates."""
-    rs = el.rs
-    entries = el.chain.entries
-    lam = el.chain.weight_for_ops()
-    if not el.is_dual:
-        v = weight_neg(lam)
-        for p in reversed(el.positions):
-            e = entries[p]
-            v = rs.affine_reflect(e.root, -e.level, v)
-        return weight_neg(v)
-    v = lam
-    for p in reversed(el.positions):
-        e = entries[p]
-        v = rs.affine_reflect(e.root, e.level, v)
-    return weight_neg(el.fold.end.apply_weight(v))
+    return el.wt
 
 
 def epsilon(el: AlcoveElement, i: int) -> int:
-    """How many times the raising operator applies."""
-    if el.is_window and el.is_dual:
-        return phi(el, i) - pairing(weight(el), el.rs.simple_root(i))
-    count = 0
-    cur = e_op(el, i)
-    while cur is not None:
-        count += 1
-        cur = e_op(cur, i)
-    return count
+    """How many times the raising operator applies; in the dual limit model it
+    is defined through the weight identity and may be negative."""
+    return el.strings[i][0]
 
 
 def phi(el: AlcoveElement, i: int) -> int:
     """How many times the lowering operator applies; in the limit model it is
     defined through the weight identity and may be negative."""
-    if el.is_window and not el.is_dual:
-        return epsilon(el, i) + pairing(weight(el), el.rs.simple_root(i))
-    count = 0
-    cur = f_op(el, i)
-    while cur is not None:
-        count += 1
-        cur = f_op(cur, i)
-    return count
+    return el.strings[i][1]
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +500,22 @@ def mirror(el: AlcoveElement) -> AlcoveElement:
 
 
 def _profile_data(el: AlcoveElement, i: int):
-    """Half-step heights of the profile for direction ``i``.
+    """Doubled heights of the profile for direction ``i``.
 
     Returns (positions, heights at marked half-points, height past the end,
-    running maximum of the whole profile).  ``el`` is primal, so its fold
-    ends at the product of its foldings in chain order.
+    maximum of the whole profile), every height twice the profile's so that
+    all of them are integers.  A primal element reads its letters in chain
+    order; a dual element reads them in reverse, which is the profile of its
+    mirror.  Either way the fold ends at the product of the foldings in the
+    order read.
     """
     rs = el.rs
     jset = set(el.positions)
     letters = _letters(el, i)
+    if el.is_dual:
+        letters.reverse()
     spots = [ind for ind, _ in letters]
-    g = Fraction(-1, 2)
+    g = -1
     peak = g
     heights = []
     prev_pair = None
@@ -496,10 +526,10 @@ def _profile_data(el: AlcoveElement, i: int):
         if prev_pair == (1, 1):
             assert pair != (-1, -1), "profile slopes violate the structure conditions"
         prev_pair = pair
-        g += Fraction(sgn, 2)
+        g += sgn
         heights.append(g)
         peak = max(peak, g)
-        g += Fraction(mark * sgn, 2)
+        g += mark * sgn
         peak = max(peak, g)
     gamma_inf = el.fold.end.apply_weight(rs.rho)
     last = pairing(gamma_inf, rs.simple_root(i))
@@ -507,7 +537,7 @@ def _profile_data(el: AlcoveElement, i: int):
     sgn_inf = 1 if last > 0 else -1
     if prev_pair == (1, 1):
         assert sgn_inf == 1, "profile slopes violate the structure conditions"
-    h_inf = g + Fraction(sgn_inf, 2)
+    h_inf = g + sgn_inf
     peak = max(peak, h_inf)
     return spots, heights, h_inf, peak
 
@@ -515,13 +545,23 @@ def _profile_data(el: AlcoveElement, i: int):
 def profile_f(el: AlcoveElement, i: int) -> AlcoveElement | None:
     """Lowering operator computed from the piecewise linear profile.
 
-    Independent of the signature route; the two must agree everywhere.
-    Dual-model elements are transported through :func:`mirror`.
+    Independent of the signature route; the two must agree everywhere.  A
+    dual element reads its mirror's profile, on which lowering is the
+    mirror's raising.
     """
-    if el.is_dual:
-        out = profile_e(mirror(el), i)
-        return None if out is None else mirror(out)
     el = _canonical(el)
+    return _profile_up(el, i) if el.is_dual else _profile_down(el, i)
+
+
+def profile_e(el: AlcoveElement, i: int) -> AlcoveElement | None:
+    """Raising operator computed from the piecewise linear profile."""
+    el = _canonical(el)
+    return _profile_down(el, i) if el.is_dual else _profile_up(el, i)
+
+
+def _profile_down(el: AlcoveElement, i: int) -> AlcoveElement | None:
+    """Move the first maximal marked point of the profile one letter back,
+    or fold at the last letter when the maximum is only reached at the end."""
     spots, heights, h_inf, peak = _profile_data(el, i)
     if peak <= 0:
         return None
@@ -543,12 +583,9 @@ def profile_f(el: AlcoveElement, i: int) -> AlcoveElement | None:
     return element(el.chain, new)
 
 
-def profile_e(el: AlcoveElement, i: int) -> AlcoveElement | None:
-    """Raising operator computed from the piecewise linear profile."""
-    if el.is_dual:
-        out = profile_f(mirror(el), i)
-        return None if out is None else mirror(out)
-    el = _canonical(el)
+def _profile_up(el: AlcoveElement, i: int) -> AlcoveElement | None:
+    """Move the last maximal marked point of the profile one letter on, or
+    unfold it when it is the last letter."""
     spots, heights, h_inf, peak = _profile_data(el, i)
     if peak <= h_inf:
         return None

@@ -43,7 +43,43 @@ __all__ = [
     "weyl_dimension",
 ]
 
-MINUS_INF = float("-inf")
+
+class _MinusInfinity:
+    """The string statistic of an element no operator moves: exact, below
+    every integer and unchanged by adding or subtracting one, so tensor
+    products compare, shift and ``max`` it like any other statistic."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "MINUS_INF"
+
+    def __eq__(self, other) -> bool:
+        return other is self
+
+    def __hash__(self) -> int:
+        return hash(_MinusInfinity)
+
+    def __lt__(self, other) -> bool:
+        return other is not self
+
+    def __le__(self, other) -> bool:
+        return True
+
+    def __gt__(self, other) -> bool:
+        return False
+
+    def __ge__(self, other) -> bool:
+        return other is self
+
+    def __add__(self, other):
+        return self if isinstance(other, int) else NotImplemented
+
+    __radd__ = __add__
+    __sub__ = __add__
+
+
+MINUS_INF = _MinusInfinity()
 
 
 @dataclass(frozen=True)

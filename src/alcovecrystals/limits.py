@@ -170,10 +170,19 @@ def verify_dual_iso(elements, mapping, source_ops, target_ops) -> DualIsoReport:
     if source_ops.rs != target_ops.rs:
         raise ValueError("source and target live over different root systems")
     report = DualIsoReport()
+    images: dict = {}
+
+    def image_of(b):
+        """The image of ``b``, mapped once per call however often it is met."""
+        key = source_ops.key(b)
+        if key not in images:
+            images[key] = mapping(b)
+        return images[key]
+
     for b in elements:
         report.checked += 1
         name = source_ops.render(b)
-        image = mapping(b)
+        image = image_of(b)
         wt = source_ops.weight(b)
         if tuple(target_ops.weight(image)) != tuple(-c for c in wt):
             report.failures.append((name, "weight negation"))
@@ -186,12 +195,12 @@ def verify_dual_iso(elements, mapping, source_ops, target_ops) -> DualIsoReport:
             up = target_ops.e(image, i)
             if (down is None) != (up is None):
                 report.failures.append((name, f"lowering nullity at {i}"))
-            elif down is not None and target_ops.key(mapping(down)) != target_ops.key(up):
+            elif down is not None and target_ops.key(image_of(down)) != target_ops.key(up):
                 report.failures.append((name, f"lowering transport at {i}"))
             down = target_ops.f(image, i)
             up = source_ops.e(b, i)
             if (down is None) != (up is None):
                 report.failures.append((name, f"raising nullity at {i}"))
-            elif up is not None and target_ops.key(mapping(up)) != target_ops.key(down):
+            elif up is not None and target_ops.key(image_of(up)) != target_ops.key(down):
                 report.failures.append((name, f"raising transport at {i}"))
     return report

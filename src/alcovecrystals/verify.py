@@ -198,8 +198,9 @@ def _dual_iso(sweep) -> list[Check]:
 def _limits(sweep) -> list[Check]:
     """Direct-limit coherence on Al(infinity) to ``depth``: each projection onto
     k copies of rho (three values of k from the minimal one) is inverted by the
-    inclusion and intertwines both operators, and the operators do not change
-    when the window grows by one or two copies."""
+    inclusion and intertwines both operators; and on Al(infinity) and its
+    dual, the operators do not change when the window grows by one or two
+    copies."""
     rs = sweep.rs
     checks = 0
     failures = []
@@ -222,15 +223,25 @@ def _limits(sweep) -> list[Check]:
                     proj = al.project_Spr(big, k)
                     if proj is not None and proj.pairs() != small.pairs():
                         failures.append(f"{name}: projection does not intertwine at k={k}, i={i}")
-        pairs = [(r.coeffs, lvl) for r, lvl in el.pairs()]
+    for el in sweep.pool(sweep.depth) + sweep.pool(sweep.depth, dual=True):
+        name = f"{_INF[el.is_dual]} {al.render_element(el)}"
         for copies in (1, 2):
-            wider = al.element_from_pairs(chains.window(rs, el.chain.copies + copies), pairs)
+            wider = _widen(el, copies)
             for i in rs.index_set:
-                for op in (al.f_op, al.e_op):
+                for op, step in ((al.f_op, al._lower), (al.e_op, al._raise)):
                     checks += 1
-                    if not _same(op(el, i), op(wider, i)):
+                    if not _same(op(el, i), step(wider, i)):
                         failures.append(f"{name}: +{copies} copies changed {op.__name__} at i={i}")
     return [Check(f"limits coherence checks {checks}", checks, failures)]
+
+
+def _widen(el, copies):
+    """The same element over a window of ``copies`` more blocks, left as it
+    is rather than renormalized: a primal window grows at its start, so its
+    positions move by as many blocks."""
+    chain = chains.window(el.rs, el.chain.copies + copies, el.is_dual)
+    shift = 0 if el.is_dual else copies * len(chains._rho_chain(el.rs))
+    return al.AlcoveElement(chain, tuple(p + shift for p in el.positions))
 
 
 def _profile(sweep) -> list[Check]:

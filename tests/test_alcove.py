@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from alcovecrystals import alcove as al
 from alcovecrystals.chains import dual_chain, lex_chain, window
 from alcovecrystals.rootsys import RootSystem, pairing, weight_neg
+from alcovecrystals.verify import Sweep
 
 A1 = RootSystem.from_type("A1")
 A2 = RootSystem.from_type("A2")
@@ -299,6 +300,49 @@ def test_window_statistics():
     assert al.weight(top) == (0, 0)
     assert al.epsilon(top, 1) == 0
     assert al.phi(top, 1) == 0
+
+
+def walked_strings(b, i):
+    """(epsilon, phi) by applying the operators until they stop.  In the
+    limit models the unbounded side comes from the weight identity."""
+
+    def walk(op):
+        count, cur = 0, op(b, i)
+        while cur is not None:
+            count, cur = count + 1, op(cur, i)
+        return count
+
+    gap = pairing(al.weight(b), b.rs.simple_root(i))
+    if b.is_window and b.is_dual:
+        phi = walk(al.f_op)
+        return phi - gap, phi
+    if b.is_window:
+        eps = walk(al.e_op)
+        return eps, eps + gap
+    return walk(al.e_op), walk(al.f_op)
+
+
+@pytest.mark.parametrize(("type_string", "top", "depth"), [
+    ("A2", 2, 5), ("B2", 2, 5), ("G2", 2, 5), ("A3", 1, 4),
+])
+def test_string_statistics_match_string_walks(type_string, top, depth):
+    sweep = Sweep(RootSystem.from_type(type_string), depth)
+    rs = sweep.rs
+    pools = [
+        sweep.finite(lam, dual).elements.values()
+        for lam in product(range(top + 1), repeat=rs.rank)
+        for dual in (False, True)
+    ]
+    pools += [sweep.pool(depth, dual) for dual in (False, True)]
+    compared = 0
+    for pool in pools:
+        for b in pool:
+            for i in rs.index_set:
+                eps, phi = al.epsilon(b, i), al.phi(b, i)
+                assert (eps, phi) == walked_strings(b, i), (b, i)
+                assert phi - eps == pairing(al.weight(b), rs.simple_root(i))
+                compared += 1
+    assert compared > 400
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ import json
 
 import pytest
 
-from alcovecrystals import alcove
+from alcovecrystals import alcove, chains, verify
 from alcovecrystals.cli import run
+from alcovecrystals.rootsys import RootSystem
+
+A2 = RootSystem.from_type("A2")
 
 
 def out_of(capsys):
@@ -189,6 +192,28 @@ def test_verify_reports_a_failing_identity(monkeypatch, capsys):
     assert run([*argv, "--format", "json"]) == 1
     (record,) = json.loads(out_of(capsys))
     assert "Al(0, 1): profile_f disagrees at (), i=2" in record["failures"]
+
+
+def test_limits_suite_fails_on_a_wrongly_grown_window(monkeypatch, capsys):
+    # the suite compares each operator with its step over a wider window
+    # that is not renormalized back to the element itself
+    el = alcove.f_op(alcove.element(chains.window(A2, 1), []), 1)
+    wider = verify._widen(el, 2)
+    assert wider.chain.copies == el.chain.copies + 2
+    assert wider.pairs() == el.pairs() and alcove._canonical(wider) == el
+
+    # the same positions over a primal window that grew at its start hold
+    # other foldings, so the check must fail
+    def unshifted(el, copies):
+        chain = chains.window(el.rs, el.chain.copies + copies, el.is_dual)
+        return alcove.AlcoveElement(chain, el.positions)
+
+    monkeypatch.setattr(verify, "_widen", unshifted)
+    assert run(["verify", "--type", "A2", "--suite", "limits", "--depth", "2"]) == 1
+    lines = out_of(capsys).splitlines()
+    assert lines[0].startswith("FAIL limits coherence checks")
+    assert "     Al(inf) ((α1, -1)): +1 copies changed f_op at i=1" in lines
+    assert lines[-1] == "passed 0/1 checks"
 
 
 def test_verify_reports_are_deterministic(capsys):

@@ -198,6 +198,29 @@ def test_weight_twist_shifts_the_rho_crystal():
     assert shifted == reference
 
 
+def test_tensor_statistics_with_a_weight_factor_are_exact():
+    chain = lex_chain(A2, (1, 1))
+    t_ops, b_ops = cg.t_weight_ops(A2, (-1, 2)), cg.alcove_ops(chain)
+    top = al.element(chain, [])
+    cases = [
+        (cg.tensor_ops(t_ops, b_ops), cg.TensorElement((-1, 2), top)),
+        (cg.tensor_ops(b_ops, t_ops), cg.TensorElement(top, (-1, 2))),
+        (cg.tensor_ops(t_ops, t_ops), cg.TensorElement((-1, 2), (0, 1))),
+    ]
+    for ops, gen in cases:
+        g = cg.enumerate_crystal(ops, [gen])
+        report = cg.check_axioms(g)
+        assert report.ok, report.failures
+        for data in g.nodes.values():
+            for value in data.eps + data.phi:
+                assert not isinstance(value, float)
+                assert value is cg.MINUS_INF or type(value) is int
+    # the last case, T ⊗ T, is moved by no operator
+    assert g.nodes[ops.key(gen)].eps == (cg.MINUS_INF, cg.MINUS_INF)
+    assert cg.MINUS_INF < -(10**30) and max(cg.MINUS_INF, -3) == -3
+    assert cg.MINUS_INF + 1 is cg.MINUS_INF and 1 + cg.MINUS_INF - 2 is cg.MINUS_INF
+
+
 def test_two_fundamental_path_factors_split_into_two_components():
     ops = cg.tensor_ops(cg.path_ops(A2), cg.path_ops(A2))
     fact_ops = cg.path_ops(A2)

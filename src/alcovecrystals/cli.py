@@ -38,9 +38,14 @@ def _root_system(args) -> RootSystem:
             rows = [
                 [int(x) for x in row.split(",")] for row in args.matrix.split(";")
             ]
-            return RootSystem.from_matrix(rows)
+            rs = RootSystem.from_matrix(rows)
         except ValueError as exc:
             raise UsageError(f"bad Cartan matrix: {exc}")
+        try:
+            rs.positive_roots  # a matrix of infinite type fails here, not mid-command
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        return rs
     if not getattr(args, "type", None):
         raise UsageError("one of --type or --matrix is required")
     try:

@@ -8,6 +8,9 @@ statistics so checks need no further operator calls.
 
 Graphs truncated at a depth remember which nodes had neighbors suppressed
 (``boundary``); structural checks skip existence assertions exactly there.
+Every checker, here and in ``limits`` and ``verify``, returns a
+:class:`Check`: a name, how much it covered, and failures as strings that
+start with the label of the failing element.
 """
 
 from __future__ import annotations
@@ -22,11 +25,10 @@ from . import littelmann as _paths
 from .rootsys import RootSystem, pairing
 
 __all__ = [
-    "AxiomReport",
+    "Check",
     "CrystalGraph",
     "CrystalOps",
     "NodeData",
-    "StembridgeReport",
     "TensorElement",
     "alcove_ops",
     "check_axioms",
@@ -238,12 +240,16 @@ class CrystalGraph:
     elements: dict = field(default_factory=dict)
     edges: list = field(default_factory=list)
     generators: list = field(default_factory=list)
-    complete: bool = True
     boundary: frozenset = frozenset()
 
     @property
     def index_set(self):
         return self.rs.index_set
+
+    @property
+    def complete(self) -> bool:
+        """Whether the enumeration suppressed no neighbor of any node."""
+        return not self.boundary
 
 
 def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> CrystalGraph:
@@ -261,7 +267,6 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
     edge_set = set()
     edges = []
     boundary = set()
-    complete = True
     queue = deque()
 
     def admit(x, d):
@@ -289,7 +294,6 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
                 if ko not in nodes:
                     if depth is not None and d >= depth:
                         boundary.add(kx)
-                        complete = False
                         continue
                     admit(other, d + 1)
                 edge = (kx, i, ko) if forward else (ko, i, kx)
@@ -305,7 +309,6 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
         elements=elements,
         edges=edges,
         generators=gen_keys,
-        complete=complete,
         boundary=frozenset(boundary),
     )
 
@@ -319,19 +322,24 @@ def highest_weight_keys(graph: CrystalGraph) -> list:
 # structural checks
 
 
-@dataclass
-class AxiomReport:
-    checked_nodes: int = 0
-    checked_edges: int = 0
-    failures: list = field(default_factory=list)
+@dataclass(frozen=True)
+class Check:
+    """One identity checked on one crystal or pool: how many nodes, pairs or
+    elements it covered, and what failed.  Each failure is a string that
+    starts with the label of the element, or the crystal, it is about."""
+
+    name: str
+    checked: int
+    failures: list
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> AxiomReport:
-    """Audit the defining identities of a crystal on an enumerated graph.
+def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
+    """Audit the defining identities of a crystal on an enumerated graph;
+    ``checked`` counts the nodes.
 
     Per node: phi - eps equals the weight paired with the coroot, and a node
     with both statistics at minus infinity carries no edge.  Per edge: the
@@ -344,72 +352,50 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> AxiomReport:
     the finite highest weight crystals but not for the unbounded models,
     where phi routinely reaches zero and below while lowering still acts.
     """
-    report = AxiomReport()
+    failures = []
     rs = graph.rs
     index_set = rs.index_set
     out_edge = {}
     in_edge = {}
     for src, i, dst in graph.edges:
         if (src, i) in out_edge:
-            report.failures.append(f"two lowering edges at {src} direction {i}")
+            failures.append(f"{graph.nodes[src].label}: two lowering edges in direction {i}")
         if (dst, i) in in_edge:
-            report.failures.append(f"two raising edges at {dst} direction {i}")
+            failures.append(f"{graph.nodes[dst].label}: two raising edges in direction {i}")
         out_edge[(src, i)] = dst
         in_edge[(dst, i)] = src
 
     for k, data in graph.nodes.items():
-        report.checked_nodes += 1
         for pos, i in enumerate(index_set):
             gap = pairing(data.weight, rs.simple_root(i))
             if data.phi[pos] != data.eps[pos] + gap:
-                report.failures.append(
-                    f"{data.label}: phi - eps != <wt, coroot> in direction {i}"
-                )
+                failures.append(f"{data.label}: phi - eps != <wt, coroot> in direction {i}")
             if data.phi[pos] == MINUS_INF:
                 if (k, i) in out_edge or (k, i) in in_edge:
-                    report.failures.append(
-                        f"{data.label}: edges on a minus-infinity string {i}"
-                    )
+                    failures.append(f"{data.label}: edges on a minus-infinity string {i}")
                 continue
             if not seminormal or k in graph.boundary:
                 continue
             if (data.phi[pos] > 0) != ((k, i) in out_edge):
-                report.failures.append(
-                    f"{data.label}: phi and lowering disagree in direction {i}"
-                )
+                failures.append(f"{data.label}: phi and lowering disagree in direction {i}")
             if (data.eps[pos] > 0) != ((k, i) in in_edge):
-                report.failures.append(
-                    f"{data.label}: eps and raising disagree in direction {i}"
-                )
+                failures.append(f"{data.label}: eps and raising disagree in direction {i}")
 
     for src, i, dst in graph.edges:
-        report.checked_edges += 1
         pos = index_set.index(i)
         a = graph.nodes[src]
         b = graph.nodes[dst]
         alpha = rs.root_in_weight_coords(rs.simple_root(i))
         if b.weight != tuple(w - c for w, c in zip(a.weight, alpha)):
-            report.failures.append(f"edge {a.label} -{i}-> {b.label}: weight step wrong")
+            failures.append(f"{a.label}: weight step wrong on the edge -{i}-> {b.label}")
         if b.eps[pos] != a.eps[pos] + 1 or b.phi[pos] != a.phi[pos] - 1:
-            report.failures.append(f"edge {a.label} -{i}-> {b.label}: statistic step wrong")
-    return report
+            failures.append(f"{a.label}: statistic step wrong on the edge -{i}-> {b.label}")
+    return Check("axioms", len(graph.nodes), failures)
 
 
-@dataclass
-class StembridgeReport:
-    checked_pairs: int = 0
-    commuting: int = 0
-    braiding: int = 0
-    skipped: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def check_stembridge(graph: CrystalGraph) -> StembridgeReport:
-    """Local characterization checks for simply laced types.
+def check_stembridge(graph: CrystalGraph) -> Check:
+    """Local characterization checks for simply laced types; ``checked``
+    counts the pairs of raising edges compared.
 
     Walking up along ``i``, the change of the ``j`` statistics must be (0, -1)
     or (+1, 0) for neighbors and (0, 0) for orthogonal pairs; two zero changes
@@ -417,14 +403,12 @@ def check_stembridge(graph: CrystalGraph) -> StembridgeReport:
     Nodes with truncated surroundings are skipped rather than failed.
     """
     rs = graph.rs
+    if not rs.cartan.simply_laced:
+        raise ValueError("the local checks apply to simply laced types only")
     A = rs.cartan.matrix
     n = rs.rank
-    for a in range(n):
-        for b in range(n):
-            if a != b and A[a][b] not in (0, -1):
-                raise ValueError("the local checks apply to simply laced types only")
-
-    report = StembridgeReport()
+    pairs = 0
+    failures = []
     e_map = {}
     for src, i, dst in graph.edges:
         e_map[(dst, i)] = src
@@ -437,22 +421,17 @@ def check_stembridge(graph: CrystalGraph) -> StembridgeReport:
                 return None
         return cur
 
-    def meet(k, first, second, off_graph, differ) -> bool:
-        """Whether raising along two words from ``k`` ends at one node; a walk
+    def meet(k, first, second, off_graph, differ) -> None:
+        """Raising along two words from ``k`` must end at one node; a walk
         off the graph fails a complete graph and is skipped otherwise."""
         a_end = chase(k, first)
         b_end = chase(k, second)
         label = graph.nodes[k].label
         if a_end is None or b_end is None:
             if graph.complete:
-                report.failures.append(f"{label}: {off_graph}")
-            else:
-                report.skipped += 1
+                failures.append(f"{label}: {off_graph}")
         elif a_end != b_end:
-            report.failures.append(f"{label}: {differ}")
-        else:
-            return True
-        return False
+            failures.append(f"{label}: {differ}")
 
     index_set = rs.index_set
     for k in graph.nodes:
@@ -463,7 +442,7 @@ def check_stembridge(graph: CrystalGraph) -> StembridgeReport:
                 yj = e_map.get((k, j))
                 if yi is None or yj is None:
                     continue
-                report.checked_pairs += 1
+                pairs += 1
                 node = graph.nodes[k]
                 d_eps_j = graph.nodes[yi].eps[aj] - node.eps[aj]
                 d_phi_j = graph.nodes[yi].phi[aj] - node.phi[aj]
@@ -471,35 +450,31 @@ def check_stembridge(graph: CrystalGraph) -> StembridgeReport:
                 d_phi_i = graph.nodes[yj].phi[ai] - node.phi[ai]
                 if A[ai][aj] == 0:
                     if (d_eps_j, d_phi_j) != (0, 0) or (d_eps_i, d_phi_i) != (0, 0):
-                        report.failures.append(
-                            f"{node.label}: orthogonal directions {i},{j} interact"
-                        )
+                        failures.append(f"{node.label}: orthogonal directions {i},{j} interact")
                         continue
                     square = True
                 else:
                     for diff in ((d_eps_j, d_phi_j), (d_eps_i, d_phi_i)):
                         if diff not in ((0, -1), (1, 0)):
-                            report.failures.append(
-                                f"{node.label}: statistic change {diff} along {i},{j}"
-                            )
+                            failures.append(f"{node.label}: statistic change {diff} along {i},{j}")
                     square = d_eps_j == 0 and d_eps_i == 0
-                    if d_eps_j == 1 and d_eps_i == 1 and meet(
+                    if d_eps_j == 1 and d_eps_i == 1:
+                        meet(
+                            k,
+                            [i, j, j, i],
+                            [j, i, i, j],
+                            "braid walk falls off the graph",
+                            f"braid relation fails along {i},{j}",
+                        )
+                if square:
+                    meet(
                         k,
-                        [i, j, j, i],
-                        [j, i, i, j],
-                        "braid walk falls off the graph",
-                        f"braid relation fails along {i},{j}",
-                    ):
-                        report.braiding += 1
-                if square and meet(
-                    k,
-                    [i, j],
-                    [j, i],
-                    "commuting square walks off the graph",
-                    f"raises along {i},{j} do not commute",
-                ):
-                    report.commuting += 1
-    return report
+                        [i, j],
+                        [j, i],
+                        "commuting square walks off the graph",
+                        f"raises along {i},{j} do not commute",
+                    )
+    return Check("stembridge", pairs, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +542,6 @@ def dualize_graph(graph: CrystalGraph) -> CrystalGraph:
         elements=graph.elements,
         edges=edges,
         generators=list(graph.generators),
-        complete=graph.complete,
         boundary=graph.boundary,
     )
 

@@ -9,12 +9,12 @@ a finite crystal first and letting the canonical straightening of rho-rays
 erase the choice made there.
 
 ``verify_dual_iso`` is the audit harness: it replays every defining identity
-of a dual isomorphism over an enumerated set of elements.
+of a dual isomorphism over an enumerated set of elements and returns a
+:class:`~alcovecrystals.crystalgraph.Check`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .alcove import (
@@ -25,11 +25,11 @@ from .alcove import (
     project_Spr,
 )
 from .chains import _rho_multiple, dual_chain
+from .crystalgraph import Check
 from .littelmann import PLPath, dualize, xi_infinity
 from .rootsys import pairing
 
 __all__ = [
-    "DualIsoReport",
     "varpi",
     "varpi_dual",
     "varpi_dual_infinity",
@@ -147,29 +147,19 @@ def varpi_dual_infinity(el, copies: int | None = None) -> PLPath:
     return PLPath(rs, "extended", segments)
 
 
-@dataclass
-class DualIsoReport:
-    """Outcome of replaying the dual-isomorphism identities element by element."""
-
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_dual_iso(elements, mapping, source_ops, target_ops) -> DualIsoReport:
-    """Check that ``mapping`` is a dual isomorphism on the given elements.
+def verify_dual_iso(elements, mapping, source_ops, target_ops) -> Check:
+    """Check that ``mapping`` is a dual isomorphism on the given elements;
+    ``checked`` counts the elements.
 
     For every element and every direction: lowering must transport to
     raising and vice versa (with undefined matching undefined), the two
     string statistics must trade places, and the weight must flip sign.
-    Failures are recorded as (rendered element, property) pairs.
+    Failures read ``"rendered element: property"``.
     """
     if source_ops.rs != target_ops.rs:
         raise ValueError("source and target live over different root systems")
-    report = DualIsoReport()
+    elements = list(elements)
+    failures = []
     images: dict = {}
 
     def image_of(b):
@@ -180,27 +170,26 @@ def verify_dual_iso(elements, mapping, source_ops, target_ops) -> DualIsoReport:
         return images[key]
 
     for b in elements:
-        report.checked += 1
         name = source_ops.render(b)
         image = image_of(b)
         wt = source_ops.weight(b)
         if tuple(target_ops.weight(image)) != tuple(-c for c in wt):
-            report.failures.append((name, "weight negation"))
+            failures.append(f"{name}: weight negation")
         for i in source_ops.rs.index_set:
             if target_ops.epsilon(image, i) != source_ops.phi(b, i):
-                report.failures.append((name, f"eps/phi swap at {i}"))
+                failures.append(f"{name}: eps/phi swap at {i}")
             if target_ops.phi(image, i) != source_ops.epsilon(b, i):
-                report.failures.append((name, f"phi/eps swap at {i}"))
+                failures.append(f"{name}: phi/eps swap at {i}")
             down = source_ops.f(b, i)
             up = target_ops.e(image, i)
             if (down is None) != (up is None):
-                report.failures.append((name, f"lowering nullity at {i}"))
+                failures.append(f"{name}: lowering nullity at {i}")
             elif down is not None and target_ops.key(image_of(down)) != target_ops.key(up):
-                report.failures.append((name, f"lowering transport at {i}"))
+                failures.append(f"{name}: lowering transport at {i}")
             down = target_ops.f(image, i)
             up = source_ops.e(b, i)
             if (down is None) != (up is None):
-                report.failures.append((name, f"raising nullity at {i}"))
+                failures.append(f"{name}: raising nullity at {i}")
             elif up is not None and target_ops.key(image_of(up)) != target_ops.key(down):
-                report.failures.append((name, f"raising transport at {i}"))
-    return report
+                failures.append(f"{name}: raising transport at {i}")
+    return Check("dual-iso", len(elements), failures)

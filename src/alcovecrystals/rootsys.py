@@ -35,7 +35,6 @@ __all__ = [
     "pairing",
     "root_string",
     "weight_neg",
-    "weight_sum",
 ]
 
 IVec = tuple[int, ...]
@@ -93,6 +92,13 @@ class CartanDatum:
     @property
     def rank(self) -> int:
         return len(self.matrix)
+
+    @property
+    def simply_laced(self) -> bool:
+        """Whether every off-diagonal entry is 0 or -1."""
+        return all(
+            a in (0, -1) for i, row in enumerate(self.matrix) for j, a in enumerate(row) if i != j
+        )
 
 
 _TYPE_RE = re.compile(r"^([A-G])\s*(\d+)$")
@@ -185,10 +191,6 @@ class Root:
     def height(self) -> int:
         return sum(self.coeffs)
 
-    @property
-    def is_positive(self) -> bool:
-        return all(c >= 0 for c in self.coeffs) and any(self.coeffs)
-
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coeffs), tuple(-d for d in self.cocoeffs))
 
@@ -200,10 +202,6 @@ def pairing(weight, root: Root):
     coroot coordinates.
     """
     return sum(w * d for w, d in zip(weight, root.cocoeffs, strict=True))
-
-
-def weight_sum(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def weight_neg(u):
@@ -239,10 +237,6 @@ class WeylElement:
 
     def apply_weight(self, weight):
         return _mat_vec(self.wmat, weight)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.rmat == _identity(len(self.rmat))
 
 
 class RootSystem:

@@ -6,35 +6,23 @@ same suites.  A :class:`Sweep` keeps every crystal it builds, so suites run
 on one sweep enumerate each crystal once.  Library functions are reached
 through their modules (``cg.enumerate_crystal``, not an imported name), so
 replacing a module attribute, as a test or a profiler does, reaches the
-suites too.
+suites too.  Every suite reports through :class:`crystalgraph.Check`, the
+record the checkers return, relabeled for the crystal it ran on.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import replace
 
 from . import alcove as al
 from . import chains
 from . import crystalgraph as cg
 from . import limits
 from . import littelmann as lp
+from .crystalgraph import Check
 
 __all__ = ["Check", "SUITES", "Sweep"]
-
-
-@dataclass(frozen=True)
-class Check:
-    """One identity checked on one crystal or pool: how many nodes, pairs or
-    comparisons it covered, and what failed (each failure names its element)."""
-
-    name: str
-    checked: int
-    failures: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _alcove_closure(rs, lam, dual):
@@ -122,19 +110,14 @@ def _same(a, b) -> bool:
     return a.pairs() == b.pairs()
 
 
-def _axioms_of(name, graph, seminormal=False) -> Check:
-    report = cg.check_axioms(graph, seminormal=seminormal)
-    return Check(name, report.checked_nodes, report.failures)
-
-
 def _axioms(sweep) -> list[Check]:
     """Crystal axioms on every crystal of the sweep; each Al(lam) has the Weyl
     dimension of nodes and is isomorphic to the path crystal of lam."""
     out = []
     for lam in sweep.weights:
         alcove, paths = sweep.finite(lam), sweep.paths(lam)
-        out.append(_axioms_of(f"axioms Al{lam}", alcove, seminormal=True))
-        out.append(_axioms_of(f"axioms paths{lam}", paths, seminormal=True))
+        out.append(replace(cg.check_axioms(alcove, seminormal=True), name=f"axioms Al{lam}"))
+        out.append(replace(cg.check_axioms(paths, seminormal=True), name=f"axioms paths{lam}"))
         dim = cg.weyl_dimension(sweep.rs, lam)
         failures = [
             f"{model}{lam} has {len(graph.nodes)} nodes, the Weyl dimension is {dim}"
@@ -144,31 +127,23 @@ def _axioms(sweep) -> list[Check]:
         if not cg.is_isomorphic(alcove, paths):
             failures.append(f"Al{lam} and paths{lam} are not isomorphic")
         out.append(Check(f"axioms Al{lam} iso paths, dimension {dim}", dim, failures))
-    for dual, model in _INF.items():
-        out.append(_axioms_of(f"axioms {model} depth {sweep.depth}", sweep.truncation(dual)))
+    truncations = [(model, sweep.truncation(dual)) for dual, model in _INF.items()]
     for kind in ("extended", "co-extended"):
-        graph = sweep.path_truncation(kind)
-        out.append(_axioms_of(f"axioms {kind} paths depth {sweep.depth}", graph))
+        truncations.append((f"{kind} paths", sweep.path_truncation(kind)))
+    for model, graph in truncations:
+        out.append(replace(cg.check_axioms(graph), name=f"axioms {model} depth {sweep.depth}"))
     return out
-
-
-def _stembridge_of(name, graph) -> Check:
-    report = cg.check_stembridge(graph)
-    return Check(name, report.checked_pairs, report.failures)
 
 
 def _stembridge(sweep) -> list[Check]:
     """Stembridge's local conditions on Al(lam) and the truncated Al(infinity)
     and its dual; simply laced types only."""
-    matrix = sweep.rs.cartan.matrix
-    offdiag = [v for a, row in enumerate(matrix) for b, v in enumerate(row) if a != b]
-    if any(v not in (0, -1) for v in offdiag):
+    if not sweep.rs.cartan.simply_laced:
         return [Check("stembridge skipped: not simply laced", 0, [])]
-    out = [_stembridge_of(f"stembridge Al{lam}", sweep.finite(lam)) for lam in sweep.weights]
+    graphs = [(f"Al{lam}", sweep.finite(lam)) for lam in sweep.weights]
     for dual, model in _INF.items():
-        graph = sweep.truncation(dual)
-        out.append(_stembridge_of(f"stembridge {model} depth {sweep.depth}", graph))
-    return out
+        graphs.append((f"{model} depth {sweep.depth}", sweep.truncation(dual)))
+    return [replace(cg.check_stembridge(g), name=f"stembridge {src}") for src, g in graphs]
 
 
 def _dual_iso(sweep) -> list[Check]:
@@ -180,18 +155,17 @@ def _dual_iso(sweep) -> list[Check]:
     for lam in sweep.weights:
         graph = sweep.finite(lam)
         ops = cg.alcove_ops(graph.elements[graph.generators[0]].chain), cg.path_ops(rs)
-        report = limits.verify_dual_iso(list(graph.elements.values()), limits.varpi, *ops)
-        name = f"dual-iso Al{lam} -> paths checked {report.checked}"
-        out.append(Check(name, report.checked, report.failures))
+        check = limits.verify_dual_iso(graph.elements.values(), limits.varpi, *ops)
+        out.append(replace(check, name=f"dual-iso Al{lam} -> paths checked {check.checked}"))
     bound = min(sweep.depth, 4)
     for dual, mapping, kind in (
         (False, limits.varpi_infinity, "co-extended"),
         (True, limits.varpi_dual_infinity, "extended"),
     ):
         ops = cg.alcove_ops(chains.window(rs, 1, dual)), cg.path_ops(rs, kind)
-        report = limits.verify_dual_iso(sweep.pool(bound, dual), mapping, *ops)
-        name = f"dual-iso {_INF[dual]} depth {bound} -> {kind} paths checked {report.checked}"
-        out.append(Check(name, report.checked, report.failures))
+        check = limits.verify_dual_iso(sweep.pool(bound, dual), mapping, *ops)
+        source = f"{_INF[dual]} depth {bound} -> {kind} paths"
+        out.append(replace(check, name=f"dual-iso {source} checked {check.checked}"))
     return out
 
 
@@ -270,9 +244,9 @@ def _duality(sweep) -> list[Check]:
         primal, dual = sweep.finite(lam), sweep.finite(lam, dual=True)
         failures = []
         if not cg.is_isomorphic(cg.dualize_graph(primal), dual):
-            failures.append(f"the dual of Al{lam} differs from the dual model")
+            failures.append(f"Al{lam}: its dual graph differs from the dual model")
         if not cg.is_isomorphic(cg.dualize_graph(dual), primal):
-            failures.append(f"the dual of the dual model differs from Al{lam}")
+            failures.append(f"Al{lam}: the dual graph of the dual model differs from it")
         out.append(Check(f"duality Al{lam}", len(primal.nodes), failures))
     return out
 

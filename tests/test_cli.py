@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from alcovecrystals import alcove, chains, verify
+from alcovecrystals import alcove, chains, limits, verify
+from alcovecrystals import littelmann as lp
 from alcovecrystals.cli import run
 from alcovecrystals.rootsys import RootSystem
 
@@ -194,6 +195,27 @@ def test_verify_reports_a_failing_identity(monkeypatch, capsys):
     assert "Al(0, 1): profile_f disagrees at (), i=2" in record["failures"]
 
 
+def test_dual_iso_failures_print_like_every_other_failure(monkeypatch, capsys):
+    # map the empty element of each Al(lam) to the straight path of lam, whose
+    # weight is lam, not -lam
+    varpi = limits.varpi
+
+    def wrong(el):
+        return varpi(el) if el.positions else lp.straight_path(el.rs, el.chain.lam)
+
+    monkeypatch.setattr(limits, "varpi", wrong)
+    argv = ["verify", "--type", "A2", "--suite", "dual-iso", "--depth", "2"]
+    assert run(argv) == 1
+    lines = out_of(capsys).splitlines()
+    assert "FAIL dual-iso Al(0, 1) -> paths checked 3" in lines
+    assert "     (): weight negation" in lines
+
+    assert run([*argv, "--format", "json"]) == 1
+    doc = json.loads(out_of(capsys))
+    assert all(type(f) is str for record in doc for f in record["failures"])
+    assert "(): weight negation" in doc[1]["failures"]
+
+
 def test_limits_suite_fails_on_a_wrongly_grown_window(monkeypatch, capsys):
     # the suite compares each operator with its step over a wider window
     # that is not renormalized back to the element itself
@@ -251,6 +273,24 @@ def test_usage_errors(argv, capsys):
 def test_negative_weight_reaches_dominance_check(cmd, form, capsys):
     assert run([cmd, "--type", "A2", *form]) == 2
     assert "not dominant integral" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--weight", "1,1"],
+        ["crystal", "--weight", "1,1"],
+        ["binf"],
+        ["project"],
+        ["lift", "--k", "1"],
+        ["path-image", "--infinity"],
+        ["export", "--infinity", "--depth", "2"],
+        ["verify"],
+    ],
+)
+def test_infinite_matrix_is_a_usage_error(argv, capsys):
+    assert run([*argv, "--matrix", "2,-3;-3,2"]) == 2
+    assert capsys.readouterr().err == "error: infinite root system\n"
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -8,7 +8,9 @@ import pytest
 
 from alcovecrystals import alcove as al
 from alcovecrystals import crystalgraph as cg
+from alcovecrystals import limits
 from alcovecrystals import littelmann as lp
+from alcovecrystals import verify
 from alcovecrystals.chains import dual_chain, lex_chain, window
 from alcovecrystals.rootsys import RootSystem
 
@@ -106,7 +108,7 @@ def test_axioms_clean_on_finite_crystals():
     for rs, lam in ((A2, (1, 1)), (A2, (2, 0)), (B2, (1, 1)), (A3, (1, 0, 1))):
         report = cg.check_axioms(alcove_graph(rs, lam), seminormal=True)
         assert report.ok, report.failures
-        assert report.checked_nodes == cg.weyl_dimension(rs, lam)
+        assert report.checked == cg.weyl_dimension(rs, lam)
 
 
 def test_axioms_clean_on_truncations():
@@ -123,7 +125,6 @@ def test_axioms_catch_a_missing_edge():
             nodes=g.nodes,
             edges=g.edges[:k] + g.edges[k + 1 :],
             generators=g.generators,
-            complete=True,
             boundary=frozenset(),
         )
         assert not cg.check_axioms(broken, seminormal=True).ok
@@ -149,11 +150,10 @@ def test_axioms_catch_corrupt_statistics():
 def test_stembridge_clean_and_non_vacuous():
     report = cg.check_stembridge(alcove_graph(A2, (1, 1)))
     assert report.ok, report.failures
-    assert report.checked_pairs > 0
-    assert report.braiding > 0
+    assert report.checked > 0
     bigger = cg.check_stembridge(alcove_graph(A3, (1, 1, 0)))
     assert bigger.ok, bigger.failures
-    assert bigger.commuting > 0
+    assert bigger.checked > 0
 
 
 def test_stembridge_rejects_multiply_laced_input():
@@ -162,20 +162,35 @@ def test_stembridge_rejects_multiply_laced_input():
 
 
 def test_stembridge_edge_deletion_control():
+    # deleting one edge must trip the braid walk on A2 and the commuting
+    # square on A3, so neither branch of the check is vacuous
+    for rs, lam, walk in ((A2, (1, 1), "braid"), (A3, (1, 1, 0), "commuting")):
+        g = alcove_graph(rs, lam)
+        failures = []
+        for k in range(len(g.edges)):
+            broken = cg.CrystalGraph(
+                rs=g.rs,
+                nodes=g.nodes,
+                edges=g.edges[:k] + g.edges[k + 1 :],
+                generators=g.generators,
+                boundary=frozenset(),
+            )
+            failures += cg.check_stembridge(broken).failures
+        assert any(walk in f for f in failures), (lam, failures[:5])
+
+
+def test_checkers_share_one_record():
     g = alcove_graph(A2, (1, 1))
-    tripped = False
-    for k in range(len(g.edges)):
-        broken = cg.CrystalGraph(
-            rs=g.rs,
-            nodes=g.nodes,
-            edges=g.edges[:k] + g.edges[k + 1 :],
-            generators=g.generators,
-            complete=True,
-            boundary=frozenset(),
-        )
-        if not cg.check_stembridge(broken).ok:
-            tripped = True
-    assert tripped
+    ops = cg.alcove_ops(lex_chain(A2, (1, 1)))
+    elements = list(g.elements.values())
+    for check in (
+        cg.check_axioms(g),
+        cg.check_stembridge(g),
+        limits.verify_dual_iso(elements, limits.varpi, ops, cg.path_ops(A2)),
+    ):
+        assert type(check) is cg.Check
+        assert check.ok and check.checked > 0
+    assert verify.Check is cg.Check
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def path_ops(rs: RootSystem, kind: str = "finite") -> CrystalOps:
         raise ValueError(f"unknown path kind {kind!r}")
 
     def key(p):
-        return (p.kind, p.segments)
+        return (p.kind, p.den, p.times, p.points)
 
     return CrystalOps(
         rs=rs,

@@ -16,6 +16,7 @@ of a dual isomorphism over an enumerated set of elements and returns a
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .alcove import (
     _deepest_block,
@@ -44,7 +45,8 @@ def varpi(el) -> PLPath:
     Each selected hyperplane is crossed at the time given by its level over
     the pairing of the chain weight with its coroot; the direction between
     consecutive crossing times is minus the running reflection product
-    applied to the chain weight.
+    applied to the chain weight.  The path is built in integer form over the
+    lcm of the crossing-time denominators.
     """
     chain = el.chain
     if chain.is_window or el.is_dual:
@@ -59,23 +61,20 @@ def varpi(el) -> PLPath:
     for (a, _), (b, _) in zip(events, events[1:]):
         if a > b:
             raise ValueError("chain entries are not in crossing-time order")
+    den = lcm(*(t.denominator for t, _ in events))
+    ticks = [t.numerator * (den // t.denominator) for t, _ in events] + [den]
 
-    segments = []
+    times, points = [0], [(0,) * rs.rank]
     w = rs.identity_element()
-    prev = Fraction(0)
-    j = 0
-    while True:
-        t = events[j][0] if j < len(events) else Fraction(1)
-        if t > prev:
+    for j, tick in enumerate(ticks):
+        if tick > times[-1]:
+            dt = tick - times[-1]
             v = w.apply_weight(lam)
-            segments.append((tuple(-c for c in v), t - prev))
-            prev = t
-        if j >= len(events):
-            break
-        while j < len(events) and events[j][0] == t:
+            points.append(tuple(c - x * dt for c, x in zip(points[-1], v)))
+            times.append(tick)
+        if j < len(events):
             w = rs.times_reflection(w, events[j][1])
-            j += 1
-    return PLPath(rs, "finite", tuple(segments))
+    return PLPath.from_vertices(rs, "finite", den, times, points)
 
 
 def varpi_dual(el) -> PLPath:
@@ -111,12 +110,17 @@ def varpi_infinity(el, copies: int | None = None) -> PLPath:
         image = project_Spr(el, copies)
         if image is None:
             raise ValueError(f"no projection onto {copies} copies")
+    # slowed down by ``copies`` and negated, the finite path ends at time 0
+    # and starts where the incoming ray is at time -copies
     finite = varpi(image)
-    segments = tuple(
-        (tuple(Fraction(-c) / copies for c in vel), dur * copies)
-        for vel, dur in finite.segments
+    start = copies * finite.den
+    return PLPath.from_vertices(
+        rs,
+        "co-extended",
+        finite.den,
+        [copies * t - start for t in finite.times],
+        [tuple(-start - c for c in p) for p in finite.points],
     )
-    return PLPath(rs, "co-extended", segments)
 
 
 def varpi_dual_infinity(el, copies: int | None = None) -> PLPath:
@@ -140,11 +144,9 @@ def varpi_dual_infinity(el, copies: int | None = None) -> PLPath:
         target, [(root.coeffs, level) for root, level in el.pairs()]
     )
     finite = varpi_dual(restricted)
-    segments = tuple(
-        (tuple(Fraction(c) / copies for c in vel), dur * copies)
-        for vel, dur in finite.segments
+    return PLPath.from_vertices(
+        rs, "extended", finite.den, [copies * t for t in finite.times], finite.points
     )
-    return PLPath(rs, "extended", segments)
 
 
 def verify_dual_iso(elements, mapping, source_ops, target_ops) -> Check:

@@ -1,27 +1,53 @@
-"""Piecewise linear path crystals over exact rational arithmetic.
+"""Piecewise linear path crystals over exact integer arithmetic.
 
-Three kinds of path live here, all stored as (velocity, duration) segments in
-fundamental-weight coordinates:
+Three kinds of path live here, all in fundamental-weight coordinates:
 
 * ``finite`` paths on [0, 1], the classical model generated by a straight
   segment to a dominant weight;
 * ``extended`` paths on [0, infinity), which end in an implicit ray of
   velocity rho (only the part before the ray is stored);
 * ``co-extended`` paths on (-infinity, 0], which begin with an implicit
-  rho-velocity ray arriving from far in the negative direction.
+  rho-velocity ray arriving from far in the negative direction (the ray is
+  the path ``t -> t * rho``).
 
-Raising and lowering reflect a window of the path where the pairing with the
-chosen simple coroot reaches its extreme value.  The co-extended kind gets its
-operators by transport through :func:`dualize`, which also couples the two
+A path is stored as one positive denominator ``den`` and the vertices at the
+ends of its explicit linear pieces: integer times ``times[k] = den * t_k`` and
+integer points ``points[k] = den * pi(t_k)``.  The form is canonical, so
+equality and hashing compare int tuples: no piece has zero length, no two
+neighbouring pieces are collinear, no rho-velocity piece touches the implicit
+ray, and ``den``, the times and the points have no common factor.  The
+denominators stay small because the breakpoints sigma of
+Lakshmibai-Seshadri paths of shape lambda satisfy
+sigma * <lambda, beta^vee> in Z (Littelmann, *Paths and crystal bases*,
+1995); for a finite path of lambda, ``den`` divides the lcm of the nonzero
+<lambda, beta^vee> over the positive roots beta.
+
+In fundamental-weight coordinates the pairing with the simple coroot
+alpha_i^vee is coordinate ``i - 1``, so the height profile along direction i
+is that coordinate of each stored point, and the string statistics and the
+operators' minimum and crossings are integer scans.  Raising and lowering
+reflect a window of the path, where the height reaches its extreme value,
+through the Cartan row of i; they insert at most one vertex, at the crossing
+that bounds the window, rescaling the denominator when that crossing falls
+between integer times.  The co-extended kind gets its operators by transport
+through :func:`dualize`, which reverses the vertices and also couples the two
 unbounded kinds to each other.
+
+``PLPath(rs, kind, segments)`` builds a path from exact (velocity, duration)
+segments; ``segments``, ``duration``, :func:`evaluate`, :func:`endpoint`,
+:func:`h_extremum`, :func:`render_path` and :func:`path_to_json` are
+``Fraction`` views of the integer form.  Floats are rejected: they are not
+exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
+from math import gcd, lcm
+from operator import index
 
-from .rootsys import RootSystem, pairing
+from .rootsys import RootSystem
 
 __all__ = [
     "PLPath",
@@ -44,68 +70,173 @@ __all__ = [
 
 KINDS = ("finite", "extended", "co-extended")
 
-
-def _rho_velocity(rank: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1) for _ in range(rank))
+_set = object.__setattr__
 
 
-def _normalize(rs, kind, segments):
-    segs = []
-    for velocity, duration in segments:
-        d = Fraction(duration)
-        if d < 0:
-            raise ValueError("segment durations must be nonnegative")
-        if d == 0:
-            continue
-        v = tuple(Fraction(c) for c in velocity)
-        if len(v) != rs.rank:
-            raise ValueError("velocity has the wrong rank")
-        if segs and segs[-1][0] == v:
-            segs[-1] = (v, segs[-1][1] + d)
-        else:
-            segs.append((v, d))
-    rho = _rho_velocity(rs.rank)
-    if kind == "extended":
-        while segs and segs[-1][0] == rho:
-            segs.pop()
-    elif kind == "co-extended":
-        while segs and segs[0][0] == rho:
-            segs.pop(0)
-    elif kind == "finite":
-        total = sum((d for _, d in segs), Fraction(0))
-        if total != 1:
-            raise ValueError(f"a finite path must have total duration 1, got {total}")
-    else:
-        raise ValueError(f"unknown path kind {kind!r}")
-    return tuple(segs)
+def _exact(x, what: str) -> Fraction:
+    if isinstance(x, float):
+        raise ValueError(f"{what} {x!r} is a float; path data must be exact")
+    return Fraction(x)
 
 
-@dataclass(frozen=True)
 class PLPath:
-    """A piecewise linear path; equality compares the stored canonical form."""
+    """A piecewise linear path in canonical integer form.
 
-    rs: RootSystem
-    kind: str
-    segments: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    ``PLPath(rs, kind, segments)`` takes (velocity, duration) pairs of exact
+    rationals; :meth:`from_vertices` takes the integer form directly.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "segments", _normalize(self.rs, self.kind, self.segments)
+    __slots__ = ("rs", "kind", "den", "times", "points")
+
+    def __init__(self, rs: RootSystem, kind: str, segments):
+        if kind not in KINDS:
+            raise ValueError(f"unknown path kind {kind!r}")
+        segs = []
+        for velocity, duration in segments:
+            d = _exact(duration, "duration")
+            if d < 0:
+                raise ValueError("segment durations must be nonnegative")
+            v = tuple(_exact(c, "velocity coordinate") for c in velocity)
+            if len(v) != rs.rank:
+                raise ValueError("velocity has the wrong rank")
+            segs.append((v, d))
+        total = sum((d for _, d in segs), Fraction(0))
+        if kind == "finite" and total != 1:
+            raise ValueError(f"a finite path must have total duration 1, got {total}")
+        # every kind starts at t * rho: the origin, or the end of the ray
+        t = -total if kind == "co-extended" else Fraction(0)
+        point = (t,) * rs.rank
+        times, points = [t], [point]
+        for v, d in segs:
+            t += d
+            point = tuple(p + c * d for p, c in zip(point, v))
+            times.append(t)
+            points.append(point)
+        den = lcm(*(q.denominator for q in times), *(c.denominator for p in points for c in p))
+        times = [int(q * den) for q in times]
+        points = [tuple(int(c * den) for c in p) for p in points]
+        _init(self, rs, kind, *_canonical(kind, den, times, points))
+
+    @classmethod
+    def from_vertices(cls, rs: RootSystem, kind: str, den: int, times, points) -> "PLPath":
+        """The path through ``points[k] / den`` at times ``times[k] / den``.
+
+        The vertices need not be canonical: zero-length pieces, collinear
+        neighbours, rho runs at the ray and common factors are removed.
+        """
+        if kind not in KINDS:
+            raise ValueError(f"unknown path kind {kind!r}")
+        try:
+            den = index(den)
+            times = [index(t) for t in times]
+            points = [tuple(index(c) for c in p) for p in points]
+        except TypeError:
+            raise ValueError("the denominator, times and points must be integers") from None
+        if den <= 0 or not times or len(times) != len(points):
+            raise ValueError("need a positive denominator and one point per time")
+        if any(len(p) != rs.rank for p in points):
+            raise ValueError("a point has the wrong rank")
+        if any(a > b for a, b in pairwise(times)):
+            raise ValueError("vertex times must not decrease")
+        if points[0] != (times[0],) * rs.rank or (kind != "co-extended" and times[0] != 0):
+            raise ValueError(f"a {kind} path starts at the wrong place")
+        if kind == "co-extended" and times[-1] != 0:
+            raise ValueError("a co-extended path must end at time 0")
+        if kind == "finite" and times[-1] != den:
+            raise ValueError("a finite path must have total duration 1")
+        return _make(rs, kind, den, times, points)
+
+    @property
+    def segments(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+        """The explicit pieces as (velocity, duration) pairs."""
+        den = self.den
+        return tuple(
+            (tuple(Fraction(b - a, u - t) for a, b in zip(p, q)), Fraction(u - t, den))
+            for (t, p), (u, q) in pairwise(zip(self.times, self.points))
         )
 
     @property
     def duration(self) -> Fraction:
         """Total duration of the explicit segments."""
-        return sum((d for _, d in self.segments), Fraction(0))
+        return Fraction(self.times[-1] - self.times[0], self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PLPath):
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self.den == other.den
+            and self.times == other.times
+            and self.points == other.points
+            and self.rs == other.rs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.den, self.times, self.points))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PLPath is immutable")
+
+    def __reduce__(self):
+        return _make, (self.rs, self.kind, self.den, self.times, self.points)
 
     def __repr__(self) -> str:
         return render_path(self)
 
 
+def _init(path: PLPath, rs, kind, den, times, points) -> PLPath:
+    _set(path, "rs", rs)
+    _set(path, "kind", kind)
+    _set(path, "den", den)
+    _set(path, "times", times)
+    _set(path, "points", points)
+    return path
+
+
+def _canonical(kind: str, den: int, times, points):
+    """(den, times, points) with zero-length pieces dropped, collinear
+    neighbours merged, a rho piece at the implicit ray absorbed and the
+    common factor divided out."""
+    ts, ps = [times[0]], [points[0]]
+    last_dt, last_dp = 0, None
+    for t, p in zip(times[1:], points[1:]):
+        dt = t - ts[-1]
+        if not dt:
+            continue
+        dp = [b - a for a, b in zip(ps[-1], p)]
+        if last_dp is not None and all(a * last_dt == b * dt for a, b in zip(dp, last_dp)):
+            ts[-1], ps[-1] = t, p
+        else:
+            ts.append(t)
+            ps.append(p)
+            last_dt, last_dp = dt, dp
+    # neighbours are no longer collinear, so at most one rho piece meets the ray
+    if len(ts) > 1:
+        if kind == "extended":
+            dt = ts[-1] - ts[-2]
+            if all(b - a == dt for a, b in zip(ps[-2], ps[-1])):
+                del ts[-1], ps[-1]
+        elif kind == "co-extended":
+            dt = ts[1] - ts[0]
+            if all(b - a == dt for a, b in zip(ps[0], ps[1])):
+                del ts[0], ps[0]
+    g = gcd(den, *ts, *(c for p in ps for c in p))
+    if g > 1:
+        return (
+            den // g,
+            tuple(t // g for t in ts),
+            tuple(tuple(c // g for c in p) for p in ps),
+        )
+    return den, tuple(ts), tuple(ps)
+
+
+def _make(rs, kind, den, times, points) -> PLPath:
+    return _init(object.__new__(PLPath), rs, kind, *_canonical(kind, den, times, points))
+
+
 def straight_path(rs: RootSystem, lam) -> PLPath:
     """The path moving straight from the origin to ``lam`` in unit time."""
-    v = tuple(Fraction(c) for c in lam)
-    return PLPath(rs, "finite", ((v, Fraction(1)),))
+    return PLPath(rs, "finite", ((lam, 1),))
 
 
 def pi_infinity(rs: RootSystem) -> PLPath:
@@ -122,72 +253,52 @@ def xi_infinity(rs: RootSystem) -> PLPath:
 # evaluation
 
 
-def _start_point(path: PLPath):
-    if path.kind == "co-extended":
-        t = -path.duration
-        return tuple(t * c for c in _rho_velocity(path.rs.rank))
-    return tuple(Fraction(0) for _ in range(path.rs.rank))
-
-
 def endpoint(path: PLPath) -> tuple[Fraction, ...]:
     """Value at the end of the explicit part (t=1, the ray start, or t=0)."""
-    point = list(_start_point(path))
-    for v, d in path.segments:
-        for k in range(len(point)):
-            point[k] += v[k] * d
-    return tuple(point)
+    return tuple(Fraction(c, path.den) for c in path.points[-1])
 
 
 def evaluate(path: PLPath, t) -> tuple[Fraction, ...]:
     """The point reached at time ``t`` (exact)."""
-    t = Fraction(t)
-    rank = path.rs.rank
-    rho = _rho_velocity(rank)
+    t = _exact(t, "time")
+    den, times, points = path.den, path.times, path.points
+    s = t * den
     if path.kind == "finite":
         if not 0 <= t <= 1:
             raise ValueError("a finite path is defined on [0, 1]")
-        start, rest = Fraction(0), t
     elif path.kind == "extended":
         if t < 0:
             raise ValueError("an extended path is defined on [0, infinity)")
-        if t > path.duration:
-            base = endpoint(path)
-            return tuple(b + (t - path.duration) * r for b, r in zip(base, rho))
-        start, rest = Fraction(0), t
+        if s > times[-1]:
+            return tuple((c + s - times[-1]) / den for c in points[-1])
     else:
         if t > 0:
             raise ValueError("a co-extended path is defined on (-infinity, 0]")
-        anchor = -path.duration
-        if t <= anchor:
-            return tuple(t * r for r in rho)
-        start, rest = anchor, t - anchor
-    point = list(_start_point(path))
-    for v, d in path.segments:
-        step = min(d, rest)
-        for k in range(rank):
-            point[k] += v[k] * step
-        rest -= step
-        if rest == 0:
-            break
-    return tuple(point)
+        if s <= times[0]:
+            return (t,) * path.rs.rank
+    for (ta, pa), (tb, pb) in pairwise(zip(times, points)):
+        if s <= tb:
+            u = (s - ta) / (tb - ta)
+            return tuple((a + (b - a) * u) / den for a, b in zip(pa, pb))
+    return endpoint(path)
 
 
 # ---------------------------------------------------------------------------
 # the height profile along a simple coroot
 
 
-def _breakpoints(path: PLPath, i: int):
-    """(time, height) pairs at the ends of the explicit linear pieces."""
-    rs = path.rs
-    alpha = rs.simple_root(i)
-    t = -path.duration if path.kind == "co-extended" else Fraction(0)
-    h = pairing(_start_point(path), alpha)
-    out = [(t, h)]
-    for v, d in path.segments:
-        t = t + d
-        h = h + pairing(v, alpha) * d
-        out.append((t, h))
-    return out
+def _heights(path: PLPath, i: int) -> list[int]:
+    """``den`` times the height along alpha_i^vee at each vertex."""
+    path.rs.simple_root(i)  # validates the index
+    k = i - 1
+    return [p[k] for p in path.points]
+
+
+def _require_integral(h: int, den: int, what: str) -> int:
+    q, r = divmod(h, den)
+    if r:
+        raise ValueError(f"{what} is not an integer; not a crystal path")
+    return q
 
 
 def h_extremum(path: PLPath, i: int) -> tuple[Fraction, Fraction]:
@@ -196,90 +307,57 @@ def h_extremum(path: PLPath, i: int) -> tuple[Fraction, Fraction]:
     Minimum for the finite and extended kinds, maximum for the co-extended
     kind (where the incoming ray makes the height unbounded below).
     """
-    bps = _breakpoints(path, i)
-    if path.kind == "co-extended":
-        best = max(h for _, h in bps)
-    else:
-        best = min(h for _, h in bps)
-    for t, h in bps:
-        if h == best:
-            return best, t
-    raise AssertionError("unreachable")
-
-
-def _last_attainment(bps, m):
-    out = None
-    for t, h in bps:
-        if h == m:
-            out = t
-    assert out is not None
-    return out
-
-
-def _first_down_crossing(bps, level):
-    """Smallest time after which the height first falls below ``level``."""
-    for (ta, ha), (tb, hb) in zip(bps, bps[1:]):
-        if hb < level:
-            assert ha >= level
-            return ta + (tb - ta) * (ha - level) / (ha - hb)
-    raise AssertionError("the height never falls below the requested level")
-
-
-def _last_up_crossing(bps, level):
-    """Smallest time from which the height stays at or above ``level``."""
-    assert bps[-1][1] >= level
-    for k in range(len(bps) - 2, -1, -1):
-        if bps[k][1] < level:
-            ta, ha = bps[k]
-            tb, hb = bps[k + 1]
-            return ta + (tb - ta) * (level - ha) / (hb - ha)
-    raise AssertionError("the height starts at or above the requested level")
-
-
-# ---------------------------------------------------------------------------
-# splitting and reflecting segment lists
-
-
-def _split_at(segments, t):
-    """Split a segment tuple at offset ``t`` from its start, exactly."""
-    before, after = [], []
-    rest = t
-    for v, d in segments:
-        if rest <= 0:
-            after.append((v, d))
-        elif rest >= d:
-            before.append((v, d))
-            rest -= d
-        else:
-            before.append((v, rest))
-            after.append((v, d - rest))
-            rest = Fraction(0)
-    return before, after
-
-
-def _reflect_segments(rs, i, segments):
-    alpha = rs.simple_root(i)
-    return [(tuple(rs.reflect(alpha, v)), d) for v, d in segments]
-
-
-def _surgery(path: PLPath, i: int, lo, hi, segments=None):
-    """Reflect the window [lo, hi] of the path (times in domain coordinates)."""
-    segs = path.segments if segments is None else segments
-    origin = -path.duration if path.kind == "co-extended" else Fraction(0)
-    head, rest = _split_at(segs, lo - origin)
-    mid, tail = _split_at(rest, hi - lo)
-    out = head + _reflect_segments(path.rs, i, mid) + tail
-    return PLPath(path.rs, path.kind, tuple(out))
+    h = _heights(path, i)
+    best = max(h) if path.kind == "co-extended" else min(h)
+    return Fraction(best, path.den), Fraction(path.times[h.index(best)], path.den)
 
 
 # ---------------------------------------------------------------------------
 # crystal operators
 
 
-def _require_integral(m, what):
-    if m.denominator != 1:
-        raise ValueError(f"{what} is not an integer; not a crystal path")
-    return int(m)
+def _split(den, times, points, k, level, i0):
+    """Make the point where piece ``k`` (vertex k to k + 1) reaches height
+    ``level`` along direction ``i0 + 1`` a vertex, scaling the integer form
+    up if that point is not integral.  Returns the new denominator and the
+    index of the vertex; ``times`` and ``points`` are lists, updated in
+    place."""
+    ta, pa = times[k], points[k]
+    dt = times[k + 1] - ta
+    dp = [b - a for a, b in zip(pa, points[k + 1])]
+    num, q = level - pa[i0], dp[i0]
+    if num == 0:
+        return den, k
+    if num == q:
+        return den, k + 1
+    g = gcd(num, q)
+    num, q = num // g, q // g
+    if q < 0:
+        num, q = -num, -q
+    scale = q // gcd(q, dt, *dp)
+    if scale > 1:
+        den *= scale
+        times[:] = [t * scale for t in times]
+        points[:] = [tuple(c * scale for c in p) for p in points]
+        ta, pa, dt = times[k], points[k], dt * scale
+        dp = [c * scale for c in dp]
+    times.insert(k + 1, ta + dt * num // q)
+    points.insert(k + 1, tuple(a + c * num // q for a, c in zip(pa, dp)))
+    return den, k + 1
+
+
+def _reflect(path, den, times, points, i0, lo, hi) -> PLPath:
+    """Apply s_i to the stretch between vertices ``lo`` and ``hi`` relative
+    to its start, and translate everything after it to stay attached."""
+    row = path.rs.cartan.matrix[i0]  # alpha_i in fundamental-weight coordinates
+    base = points[lo][i0]
+    shift = points[hi][i0] - base
+    out = points[: lo + 1]
+    for k in range(lo + 1, len(points)):
+        p = points[k]
+        c = p[i0] - base if k <= hi else shift
+        out.append(tuple(x - c * a for x, a in zip(p, row)))
+    return _make(path.rs, path.kind, den, times, out)
 
 
 def e_op(path: PLPath, i: int) -> PLPath | None:
@@ -287,15 +365,19 @@ def e_op(path: PLPath, i: int) -> PLPath | None:
     if path.kind == "co-extended":
         out = f_op(dualize(path), i)
         return None if out is None else dualize(out)
-    bps = _breakpoints(path, i)
-    m = min(h for _, h in bps)
-    _require_integral(m, "the minimal height")
-    if m > -1:
+    den = path.den
+    h = _heights(path, i)
+    m = min(h)
+    _require_integral(m, den, "the minimal height")
+    if m > -den:
         return None
-    t1 = next(t for t, h in bps if h == m)
-    t0 = _first_down_crossing(bps, m + 1)
-    assert t0 <= t1
-    return _surgery(path, i, t0, t1)
+    level = m + den
+    first_min = h.index(m)
+    # the first piece that falls below level, ending no later than first_min
+    k = next(k for k in range(first_min) if h[k + 1] < level)
+    times, points = list(path.times), list(path.points)
+    den, lo = _split(den, times, points, k, level, i - 1)
+    return _reflect(path, den, times, points, i - 1, lo, first_min + len(times) - len(h))
 
 
 def f_op(path: PLPath, i: int) -> PLPath | None:
@@ -303,24 +385,25 @@ def f_op(path: PLPath, i: int) -> PLPath | None:
     if path.kind == "co-extended":
         out = e_op(dualize(path), i)
         return None if out is None else dualize(out)
-    bps = _breakpoints(path, i)
-    m = min(h for _, h in bps)
-    _require_integral(m, "the minimal height")
-    end = bps[-1][1]
-    segments = path.segments
-    if path.kind == "finite":
-        if end - m < 1:
+    den = path.den
+    h = _heights(path, i)
+    m = min(h)
+    _require_integral(m, den, "the minimal height")
+    level = m + den
+    times, points = list(path.times), list(path.points)
+    if h[-1] < level:
+        if path.kind == "finite":
             return None
-    elif end - m < 1:
         # pull the needed stretch of the implicit ray into the explicit part
-        extra = m + 1 - end
-        rho = _rho_velocity(path.rs.rank)
-        segments = segments + ((rho, extra),)
-        bps = bps + [(bps[-1][0] + extra, m + 1)]
-    t0 = _last_attainment(bps, m)
-    t1 = _last_up_crossing(bps, m + 1)
-    assert t0 <= t1
-    return _surgery(path, i, t0, t1, segments=segments)
+        extra = level - h[-1]
+        times.append(times[-1] + extra)
+        points.append(tuple(c + extra for c in points[-1]))
+        h.append(level)
+    last_min = len(h) - 1 - h[::-1].index(m)
+    # the last piece that starts below level, starting no earlier than last_min
+    k = next(k for k in range(len(h) - 2, -1, -1) if h[k] < level)
+    den, hi = _split(den, times, points, k, level, i - 1)
+    return _reflect(path, den, times, points, i - 1, last_min, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -329,29 +412,27 @@ def f_op(path: PLPath, i: int) -> PLPath | None:
 
 def weight(path: PLPath) -> tuple[int, ...]:
     """The weight: where the path ends up, relative to its implicit rays."""
-    end = endpoint(path)
+    end = path.points[-1]
     if path.kind == "extended":
-        t = path.duration
+        t = path.times[-1]
         end = tuple(c - t for c in end)
     elif path.kind == "co-extended":
         end = tuple(-c for c in end)
-    return tuple(_require_integral(Fraction(c), "a weight coordinate") for c in end)
+    return tuple(_require_integral(c, path.den, "a weight coordinate") for c in end)
 
 
 def epsilon(path: PLPath, i: int) -> int:
+    h = _heights(path, i)
     if path.kind == "co-extended":
-        m, _ = h_extremum(path, i)
-        return _require_integral(m, "the maximal height")
-    m, _ = h_extremum(path, i)
-    return -_require_integral(m, "the minimal height")
+        return _require_integral(max(h), path.den, "the maximal height")
+    return -_require_integral(min(h), path.den, "the minimal height")
 
 
 def phi(path: PLPath, i: int) -> int:
     if path.kind == "finite":
-        bps = _breakpoints(path, i)
-        m = min(h for _, h in bps)
-        return _require_integral(bps[-1][1] - m, "the height gap")
-    return epsilon(path, i) + pairing(weight(path), path.rs.simple_root(i))
+        h = _heights(path, i)
+        return _require_integral(h[-1] - min(h), path.den, "the height gap")
+    return epsilon(path, i) + weight(path)[i - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +444,23 @@ def dualize(path: PLPath) -> PLPath:
 
     Finite paths run backwards from their endpoint (reversed segments with
     negated velocities); the two unbounded kinds swap into each other keeping
-    velocities, so the implicit ray changes ends.
+    velocities, so the implicit ray changes ends.  On vertices this is time
+    reversal and a point reflection, which keep the form canonical.
     """
+    den, times, points = path.den, path.times, path.points
     if path.kind == "finite":
-        segs = tuple(
-            (tuple(-c for c in v), d) for v, d in reversed(path.segments)
-        )
-        return PLPath(path.rs, "finite", segs)
-    other = "co-extended" if path.kind == "extended" else "extended"
-    return PLPath(path.rs, other, tuple(reversed(path.segments)))
+        kind, offset, end = "finite", den, points[-1]
+        points = tuple(tuple(a - b for a, b in zip(p, end)) for p in reversed(points))
+    else:
+        if path.kind == "extended":
+            kind, t = "co-extended", times[-1]
+            end = tuple(c - t for c in points[-1])
+        else:
+            kind, end = "extended", points[-1]
+        offset = 0
+        points = tuple(tuple(b - a for a, b in zip(p, end)) for p in reversed(points))
+    times = tuple(offset - t for t in reversed(times))
+    return _init(object.__new__(PLPath), path.rs, kind, den, times, points)
 
 
 def concat(first: PLPath, second: PLPath) -> PLPath:

@@ -52,6 +52,52 @@ def test_ray_runs_are_absorbed():
     assert lp.xi_infinity(A2).segments == ()
 
 
+def test_integer_form():
+    r = lp.f_op(lp.f_op(lp.straight_path(A2, (1, 1)), 1), 2)
+    assert (r.den, r.times, r.points) == (2, (0, 1, 2), ((0, 0), (1, -2), (0, 0)))
+    assert lp.h_extremum(r, 2) == (Q(-1), Q(1, 2))
+    co = lp.e_op(lp.xi_infinity(A2), 1)
+    assert (co.den, co.times, co.points) == (1, (-1, 0), ((-1, -1), (-2, 1)))
+    with pytest.raises(AttributeError):
+        r.den = 4
+
+
+def test_from_vertices_canonicalizes_and_validates():
+    # a zero-length piece, a split piece, a factor 3 and a rho piece at the ray
+    p = lp.PLPath.from_vertices(
+        A2, "extended", 6, (0, 3, 3, 6, 9), ((0, 0), (0, 3), (0, 3), (0, 6), (3, 9))
+    )
+    assert p == lp.PLPath(A2, "extended", (((0, 1), 1),))
+    assert (p.den, p.times, p.points) == (1, (0, 1), ((0, 0), (0, 1)))
+    for kind, den, times, points in [
+        ("finite", 0, (0, 1), ((0, 0), (1, 0))),
+        ("finite", 2, (0, 1), ((0, 0), (1, 0))),
+        ("finite", 1, (0, 1), ((1, 0), (1, 0))),
+        ("extended", 1, (0, 2, 1), ((0, 0), (1, 0), (1, 1))),
+        ("co-extended", 1, (-1, 0), ((0, 0), (1, 0))),
+        ("co-extended", 1, (-2, -1), ((-2, -2), (1, 0))),
+        ("finite", 1, (0, 1), ((0, 0), (1, 0, 0))),
+        ("straight", 1, (0, 1), ((0, 0), (1, 0))),
+        ("finite", 1, (0, 1.0), ((0, 0), (1, 0))),
+        ("finite", 2, (0, 2), ((0, 0), (Q(1, 2), 0))),
+    ]:
+        with pytest.raises(ValueError):
+            lp.PLPath.from_vertices(A2, kind, den, times, points)
+
+
+def test_floats_are_rejected():
+    p = lp.straight_path(A2, (1, 0))
+    with pytest.raises(ValueError, match="float"):
+        lp.evaluate(p, 0.1)
+    with pytest.raises(ValueError, match="float"):
+        lp.PLPath(A2, "finite", (((1.5, 0), 1),))
+    with pytest.raises(ValueError, match="float"):
+        lp.PLPath(A2, "finite", (((1, 0), 1.0),))
+    with pytest.raises(ValueError, match="float"):
+        lp.straight_path(A2, (0.5, 0))
+    assert lp.evaluate(p, Q(1, 10)) == (Q(1, 10), 0)
+
+
 def test_evaluate_on_each_kind():
     p = lp.straight_path(A2, (0, 2))
     assert lp.evaluate(p, Q(1, 2)) == (0, 1)

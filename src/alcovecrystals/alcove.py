@@ -34,7 +34,6 @@ from typing import NamedTuple
 from .chains import (
     InfChainWindow,
     LambdaChain,
-    _rho_chain,
     _rho_multiple,
     concat,
     dual_chain,
@@ -185,18 +184,6 @@ def render_element(el: AlcoveElement) -> str:
 # construction and window canonicalization
 
 
-def _deepest_block(el: AlcoveElement) -> int:
-    """Index of the farthest rho-chain block containing a folding (0 if none):
-    the largest ceil(level / <rho, beta^vee>), levels negated primally."""
-    rho = el.rs.rho
-    worst = 0
-    for root, lvl in el.pairs():
-        step = pairing(rho, root)
-        depth = -lvl if not el.is_dual else lvl
-        worst = max(worst, -(-depth // step))  # ceil for positive ints
-    return worst
-
-
 def _canonical(el: AlcoveElement) -> AlcoveElement:
     """Renormalize a window element to its canonical number of copies.
 
@@ -207,17 +194,12 @@ def _canonical(el: AlcoveElement) -> AlcoveElement:
     if not el.is_window:
         return el
     w: InfChainWindow = el.chain
-    wanted = max(1, _deepest_block(el) + 1)
+    wanted = w.deepest_block(el.positions) + 1
     if wanted == w.copies:
         return el
+    shift = w.offset(wanted)
     fresh = window(el.rs, wanted, dual=w.dual)
-    if w.dual:
-        positions = el.positions  # dual windows grow by appending
-    else:
-        block = len(_rho_chain(el.rs))
-        shift = block * (wanted - w.copies)
-        positions = tuple(p + shift for p in el.positions)
-    return AlcoveElement(fresh, positions)
+    return AlcoveElement(fresh, tuple(p + shift for p in el.positions))
 
 
 def element(chain, positions) -> AlcoveElement:
@@ -445,21 +427,16 @@ def project_Spr(el: AlcoveElement, k: int) -> AlcoveElement | None:
     rs = el.rs
     if k < 0:
         raise ValueError("k must be nonnegative")
-    block = len(_rho_chain(rs))
-    copies = el.chain.copies
+    if el.chain.deepest_block(el.positions) > k:
+        return None
+    shift = el.chain.offset(k)
     target = _rho_multiple(rs, k)
-    positions = []
     for p in el.positions:
-        from_right = copies - p // block
-        if from_right > k:
-            return None
-        q = (k - from_right) * block + p % block
-        positions.append(q)
         src = el.chain.entries[p]
-        dst = target.entries[q]
+        dst = target.entries[p + shift]
         assert dst.root == src.root
         assert dst.level == src.level + k * pairing(rs.rho, src.root)
-    out = AlcoveElement(target, tuple(positions))
+    out = AlcoveElement(target, tuple(p + shift for p in el.positions))
     if not is_admissible(out):
         return None
     return out
@@ -470,8 +447,7 @@ def minimal_projection(el: AlcoveElement) -> tuple[int, AlcoveElement]:
 
     The empty element projects at k = 0 onto the empty chain.
     """
-    el = _canonical(el)
-    k = _deepest_block(el)
+    k = el.chain.deepest_block(el.positions) if el.is_window else 0
     while True:
         image = project_Spr(el, k)
         if image is not None:

@@ -8,6 +8,10 @@ concatenation rule so downstream code can handle them uniformly.
 
 Windows truncate the one-sided infinite chain built from copies of the
 ``rho`` chain; all window levels are negative (primal) or positive (dual).
+A window knows its own layout: which block holds a position
+(:meth:`InfChainWindow.deepest_block`) and how far positions move when the
+same foldings are read in a wider window or in the chain for a multiple of
+``rho`` (:meth:`InfChainWindow.offset`), so no other module computes it.
 """
 
 from __future__ import annotations
@@ -94,6 +98,26 @@ class InfChainWindow:
 
     def weight_for_ops(self) -> tuple:
         return (0,) * self.rs.rank
+
+    @cached_property
+    def _block_len(self) -> int:
+        return len(_rho_chain(self.rs))
+
+    def deepest_block(self, positions) -> int:
+        """The farthest block holding any of ``positions``, or 0 for none:
+        blocks count from 1 at the window's fixed end."""
+        if not positions:
+            return 0
+        if self.dual:
+            return max(positions) // self._block_len + 1
+        return self.copies - min(positions) // self._block_len
+
+    def offset(self, k: int) -> int:
+        """How far positions move when the same foldings are read in a window
+        of ``k`` blocks, or in the chain for ``k * rho`` (its dual chain, for
+        a dual window): primal windows grow at their start, dual ones at
+        their end."""
+        return 0 if self.dual else (k - self.copies) * self._block_len
 
 
 def lex_chain(rs: RootSystem, lam) -> LambdaChain:
@@ -256,8 +280,6 @@ def dual_chain(chain: LambdaChain) -> LambdaChain:
 def window(rs: RootSystem, copies: int, dual: bool = False) -> InfChainWindow:
     """A window of ``copies`` rho-chain blocks of the infinite chain; the same
     arguments give the same window, so its entries are built once."""
-    if copies < 1:
-        raise ValueError("window needs at least one copy")
     return _window(rs, copies, dual)
 
 

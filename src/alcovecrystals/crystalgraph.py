@@ -100,9 +100,13 @@ class CrystalOps:
 
 
 def alcove_ops(chain) -> CrystalOps:
-    """Ops for the alcove model over the given chain or window."""
+    """Ops for the alcove model over the given chain or window; an element
+    of the other kind (window against finite chain) has no key."""
+    is_window = chain.is_window
 
     def key(x):
+        if x.is_window != is_window:
+            raise ValueError(f"{x!r} is not over a {'window' if is_window else 'finite chain'}")
         return tuple((r.coeffs, lvl) for r, lvl in x.pairs())
 
     return CrystalOps(
@@ -119,11 +123,14 @@ def alcove_ops(chain) -> CrystalOps:
 
 
 def path_ops(rs: RootSystem, kind: str = "finite") -> CrystalOps:
-    """Ops for the piecewise linear path model of the given kind."""
+    """Ops for the piecewise linear path model of the given kind; a path of
+    another kind has no key."""
     if kind not in _paths.KINDS:
         raise ValueError(f"unknown path kind {kind!r}")
 
     def key(p):
+        if p.kind != kind:
+            raise ValueError(f"a {p.kind} path is not a {kind} path")
         return (p.kind, p.den, p.times, p.points)
 
     return CrystalOps(

@@ -18,13 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .alcove import (
-    _deepest_block,
-    element_from_pairs,
-    minimal_projection,
-    mirror,
-    project_Spr,
-)
+from .alcove import element, minimal_projection, mirror, project_Spr
 from .chains import _rho_multiple, dual_chain
 from .crystalgraph import Check
 from .littelmann import PLPath, dualize, xi_infinity
@@ -134,16 +128,12 @@ def varpi_dual_infinity(el, copies: int | None = None) -> PLPath:
     if not el.chain.is_window or not el.is_dual:
         raise ValueError("varpi_dual_infinity expects an element over the dual window")
     rs = el.rs
-    needed = max(1, _deepest_block(el))
+    needed = max(1, el.chain.deepest_block(el.positions))
     if copies is None:
         copies = needed
     elif copies < needed:
         raise ValueError(f"need at least {needed} copies")
-    target = dual_chain(_rho_multiple(rs, copies))
-    restricted = element_from_pairs(
-        target, [(root.coeffs, level) for root, level in el.pairs()]
-    )
-    finite = varpi_dual(restricted)
+    finite = varpi_dual(element(dual_chain(_rho_multiple(rs, copies)), el.positions))
     return PLPath.from_vertices(
         rs, "extended", finite.den, [copies * t for t in finite.times], finite.points
     )

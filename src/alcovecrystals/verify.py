@@ -214,7 +214,7 @@ def _widen(el, copies):
     is rather than renormalized: a primal window grows at its start, so its
     positions move by as many blocks."""
     chain = chains.window(el.rs, el.chain.copies + copies, el.is_dual)
-    shift = 0 if el.is_dual else copies * len(chains._rho_chain(el.rs))
+    shift = el.chain.offset(chain.copies)
     return al.AlcoveElement(chain, tuple(p + shift for p in el.positions))
 
 

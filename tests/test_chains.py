@@ -347,6 +347,44 @@ def test_rho_multiple_is_the_sorted_chain(type_string):
     assert all(a is b for a, b in zip(two, three[: 2 * block], strict=True))
 
 
+def _block_by_level(rs, entry, dual):
+    """Reference for the window layout: the entry's block read off its level,
+    ceil(-level / <rho, beta^vee>) primally and ceil(level / ...) dually."""
+    depth = entry.level if dual else -entry.level
+    return -(-depth // pairing(rs.rho, entry.root))
+
+
+@pytest.mark.parametrize("type_string", ["A1", "A2", "A3", "B2", "C3", "G2", "D4"])
+@pytest.mark.parametrize("dual", [False, True])
+def test_window_layout_matches_levels(type_string, dual):
+    rs = RootSystem.from_type(type_string)
+    for copies in range(1, 6):
+        w = window(rs, copies, dual)
+        blocks = [_block_by_level(rs, e, dual) for e in w.entries]
+        assert sorted(set(blocks)) == list(range(1, copies + 1))
+        assert w.deepest_block(()) == 0
+        assert all(w.deepest_block((p,)) == b for p, b in enumerate(blocks))
+        spread = tuple(range(len(w) // 3, len(w), 2))
+        assert w.deepest_block(spread) == max(blocks[p] for p in spread)
+        if dual:
+            assert w.entries == dual_chain(_rho_multiple(rs, copies)).entries
+        # every entry in the first k blocks keeps its root in a window of k
+        # blocks and in the k*rho chain; its level moves by k * <rho, beta^vee>
+        # into the primal k*rho chain and nowhere else
+        for k in range(1, 6):
+            shift = w.offset(k)
+            other = window(rs, k, dual).entries
+            krho = _rho_multiple(rs, k)
+            krho = dual_chain(krho) if dual else krho
+            for p, e in enumerate(w.entries):
+                if blocks[p] > k:
+                    continue
+                assert other[p + shift] == e
+                moved = krho.entries[p + shift]
+                lift = 0 if dual else k * pairing(rs.rho, e.root)
+                assert (moved.root, moved.level) == (e.root, e.level + lift)
+
+
 def test_window_rejects_bad_copies():
     rs = RootSystem.from_type("A2")
     with pytest.raises(ValueError):

@@ -73,6 +73,26 @@ def test_unbounded_enumeration_of_infinite_model_fails():
         cg.enumerate_crystal(ops, [gen])
 
 
+@pytest.mark.parametrize(
+    "ops, seed",
+    [
+        (cg.path_ops(A2), lp.pi_infinity(A2)),
+        (cg.path_ops(A2, "co-extended"), lp.straight_path(A2, (1, 1))),
+        (cg.alcove_ops(lex_chain(A2, (1, 1))), al.element(window(A2, 1), [])),
+        (cg.alcove_ops(window(A2, 1)), al.element(lex_chain(A2, (1, 1)), [])),
+    ],
+    ids=["finite-ops-infinite-path", "co-extended-ops-finite-path",
+         "finite-ops-window", "window-ops-finite-chain"],
+)
+def test_ops_reject_elements_of_another_kind(ops, seed):
+    # finite ops on an element of an infinite crystal would walk it forever
+    # without a depth; the depth only keeps this test finite if keys pass
+    with pytest.raises(ValueError):
+        cg.enumerate_crystal(ops, [seed], depth=2)
+    with pytest.raises(ValueError):
+        ops.key(seed)
+
+
 def test_enumeration_is_deterministic():
     g1 = alcove_graph(A3, (1, 0, 1))
     g2 = alcove_graph(A3, (1, 0, 1))

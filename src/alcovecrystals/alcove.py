@@ -9,13 +9,17 @@ same signature machinery drives all four flavours:
 * primal windows model the direct limit from below,
 * dual windows model the dual limit.
 
-Operators locate a letter in the reduced plus/minus word of the folded chain
-and move a folding there; weights come from affine reflections.  A second,
-independent formulation of the same operators through a piecewise linear
-profile is provided for cross-checking (``profile_f`` / ``profile_e``).  The
-string statistics are read off that profile in closed form: how far it falls
-from its peak to its end gives epsilon (phi in the dual models), and the
-weight gives the other one, so no operator is applied to compute them.
+Every element is read in its walk order: chain order primally, reversed
+dually.  One signature step (``_step``) gives all four operators: lowering a
+primal element or raising a dual one reads the letters of the folded chain in
+walk order, the other two read them backwards with negated signs, as
+``mirror`` (the dual isomorphism that swaps f_i and e_i) reads them.  Weights
+come from affine reflections.  A second, independent formulation of the same
+operators through a piecewise linear profile is their oracle (``profile_f``
+/ ``profile_e``).  The string statistics are read off that profile in closed
+form: how far it falls from its peak to its end gives epsilon (phi in the
+dual models), and the weight gives the other one, so no operator is applied
+to compute them.
 
 Each element is folded once: a single walk along its chain yields the folded
 roots, the end product of the folding reflections and whether every folding
@@ -34,6 +38,7 @@ from typing import NamedTuple
 from .chains import (
     InfChainWindow,
     LambdaChain,
+    _integer,
     _rho_multiple,
     concat,
     dual_chain,
@@ -208,7 +213,7 @@ def element(chain, positions) -> AlcoveElement:
     Positions must be distinct 0-based indices into the chain forming an
     admissible set; window elements are renormalized to the canonical window.
     """
-    pos = tuple(sorted(int(p) for p in positions))
+    pos = tuple(sorted(_integer(p, "a position") for p in positions))
     if len(set(pos)) != len(pos):
         raise ValueError(f"duplicate positions in {positions}")
     if pos and (pos[0] < 0 or pos[-1] >= len(chain.entries)):
@@ -221,7 +226,7 @@ def element(chain, positions) -> AlcoveElement:
 
 def element_from_pairs(chain, pairs) -> AlcoveElement:
     """Build an element from (root coefficients, level) pairs."""
-    wanted = [(tuple(c), int(lvl)) for c, lvl in pairs]
+    wanted = [(tuple(c), _integer(lvl, "a level")) for c, lvl in pairs]
     index = {
         (e.root.coeffs, e.level): i for i, e in enumerate(chain.entries)
     }
@@ -255,29 +260,30 @@ def folded_roots(el: AlcoveElement) -> tuple[tuple[int, ...], ...]:
     return el.fold.roots
 
 
-def _letters(el: AlcoveElement, i: int) -> list[tuple[int, int]]:
-    """(position, sign) wherever the folded chain passes through plus or minus
-    the i-th simple root, foldings included, in chain order."""
+def _letters(el: AlcoveElement, i: int, up: bool = False) -> list[tuple[int, int, bool]]:
+    """(position, sign, folded) wherever the folded chain passes through plus
+    or minus the i-th simple root, in walk order: chain order for a primal
+    element, reversed for a dual one, as :meth:`AlcoveElement.fold` walks.
+    Read ``up``, they come backwards with their signs negated."""
     target = el.rs.simple_root(i).coeffs
-    signs = {target: 1, tuple(-c for c in target): -1}
-    return [(ind, signs[c]) for ind, c in enumerate(folded_roots(el)) if c in signs]
-
-
-def _word(el: AlcoveElement, letters) -> tuple[tuple[int, int], ...]:
-    """The plus/minus word: the unfolded letters, signs flipped dually."""
+    sign = -1 if up else 1
+    signs = {target: sign, tuple(-c for c in target): -sign}
     jset = set(el.positions)
-    flip = -1 if el.is_dual else 1
-    return tuple((ind, flip * sign) for ind, sign in letters if ind not in jset)
+    out = [(ind, signs[c], ind in jset) for ind, c in enumerate(folded_roots(el)) if c in signs]
+    if el.is_dual != up:
+        out.reverse()
+    return out
 
 
 def i_signature(el: AlcoveElement, i: int) -> tuple[tuple[int, int], ...]:
     """The plus/minus word for direction ``i``: (position, sign) pairs.
 
     Letters sit at unfolded positions where the folded chain passes through
-    the i-th simple root (either sign); the dual convention flips signs.
+    the i-th simple root (either sign), as the lowering operator reads them:
+    in chain order, signs negated dually.
     """
     el = _canonical(el)
-    return _word(el, _letters(el, i))
+    return tuple((ind, sign) for ind, sign, folded in _letters(el, i, up=el.is_dual) if not folded)
 
 
 def reduce_signature(word) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -300,60 +306,42 @@ def reduce_signature(word) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def f_op(el: AlcoveElement, i: int) -> AlcoveElement | None:
     """Lowering operator in direction ``i`` (1-based), or None."""
-    return _lower(_canonical(el), i)
+    return _step(_canonical(el), i, up=el.is_dual)
 
 
 def e_op(el: AlcoveElement, i: int) -> AlcoveElement | None:
     """Raising operator in direction ``i`` (1-based), or None."""
-    return _raise(_canonical(el), i)
+    return _step(_canonical(el), i, up=not el.is_dual)
 
 
-def _lower(el: AlcoveElement, i: int) -> AlcoveElement | None:
-    """The lowering step on the element's own chain, which for a window
-    element need not be the canonical window; the result is canonical."""
-    rs = el.rs
-    letters = _letters(el, i)
-    pluses, _ = reduce_signature(_word(el, letters))
+def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
+    """One signature step on the element's own chain, which for a window
+    element need not be the canonical window; the result is canonical.
+
+    Lowering a primal element and raising a dual one step down, the other two
+    step up: the same rule on the letters read backwards with negated signs.
+    The last unmatched plus is folded and the next folding read after it, if
+    any, unfolded.  With no plus left, a step up drops the first folding read
+    when the walk's end product turns rho away from the i-th wall.
+    """
+    letters = _letters(el, i, up)
+    word = [(n, sign) for n, (_, sign, folded) in enumerate(letters) if not folded]
+    pluses, _ = reduce_signature(word)
     jset = set(el.positions)
-    mine = [j for j, _ in letters if j in jset]
     if pluses:
-        a = pluses[-1]
-        tail = [j for j in mine if j > a]
-        new = jset | {a}
-        if tail:
-            new.discard(tail[0])
+        n = pluses[-1]
+        later = [ind for ind, _, folded in letters[n + 1 :] if folded]
+        new = jset | {letters[n][0]}
+        if later:
+            new.discard(later[0])
         return element(el.chain, new)
-    if not el.is_dual:
+    if not up:
         if el.is_window:
-            raise AssertionError("the limit model always admits a lowering")
+            raise AssertionError("the limit models always admit a step down")
         return None
-    # dual boundary: drop the first folding in this direction when the dual
-    # walk endpoint points away from the i-th wall
-    if pairing(el.fold.end.apply_weight(rs.rho), rs.simple_root(i)) < 0:
-        return element(el.chain, jset - {mine[0]})
-    return None
-
-
-def _raise(el: AlcoveElement, i: int) -> AlcoveElement | None:
-    """The raising step on the element's own chain (see :func:`_lower`)."""
-    rs = el.rs
-    letters = _letters(el, i)
-    _, minuses = reduce_signature(_word(el, letters))
-    jset = set(el.positions)
-    mine = [j for j, _ in letters if j in jset]
-    if minuses:
-        a = minuses[0]
-        head = [j for j in mine if j < a]
-        new = jset | {a}
-        if head:
-            new.discard(head[-1])
-        return element(el.chain, new)
-    # primal boundary: drop the last folding in this direction when tau(rho)
-    # points away from the i-th wall; dual raising always needs a minus letter
-    if el.is_dual:
-        return None
-    if pairing(el.fold.end.apply_weight(rs.rho), rs.simple_root(i)) < 0:
-        return element(el.chain, jset - {mine[-1]})
+    if pairing(el.fold.end.apply_weight(el.rs.rho), el.rs.simple_root(i)) < 0:
+        first = next(ind for ind, _, folded in letters if folded)
+        return element(el.chain, jset - {first})
     return None
 
 
@@ -464,9 +452,8 @@ def mirror(el: AlcoveElement) -> AlcoveElement:
     """
     if el.is_window:
         target = window(el.rs, el.chain.copies, dual=not el.is_dual)
-        size = len(el.chain.entries)
-        return element(target, tuple(size - 1 - p for p in el.positions))
-    target = dual_chain(el.chain)
+    else:
+        target = dual_chain(el.chain)
     size = len(el.chain.entries)
     return element(target, tuple(size - 1 - p for p in el.positions))
 
@@ -480,23 +467,19 @@ def _profile_data(el: AlcoveElement, i: int):
 
     Returns (positions, heights at marked half-points, height past the end,
     maximum of the whole profile), every height twice the profile's so that
-    all of them are integers.  A primal element reads its letters in chain
-    order; a dual element reads them in reverse, which is the profile of its
-    mirror.  Either way the fold ends at the product of the foldings in the
-    order read.
+    all of them are integers.  The letters are read in walk order, so a dual
+    element reads the profile of its mirror, and the fold ends at the product
+    of the foldings in the order read.
     """
     rs = el.rs
-    jset = set(el.positions)
     letters = _letters(el, i)
-    if el.is_dual:
-        letters.reverse()
-    spots = [ind for ind, _ in letters]
+    spots = [ind for ind, _, _ in letters]
     g = -1
     peak = g
     heights = []
     prev_pair = None
-    for ind, sgn in letters:
-        mark = -1 if ind in jset else 1
+    for _, sgn, folded in letters:
+        mark = -1 if folded else 1
         pair = (sgn, mark * sgn)
         assert pair != (-1, 1), "profile slopes violate the structure conditions"
         if prev_pair == (1, 1):

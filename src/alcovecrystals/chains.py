@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
+from operator import index
 
 from .rootsys import Root, RootSystem, pairing
 
@@ -33,6 +34,15 @@ __all__ = [
     "validate_chain",
     "window",
 ]
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, refusing floats, strings and other non-integers
+    instead of truncating them."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,7 @@ class InfChainWindow:
     dual: bool = False
 
     def __post_init__(self) -> None:
-        if self.copies < 1:
+        if _integer(self.copies, "window copies") < 1:
             raise ValueError("window needs at least one copy")
 
     @property
@@ -283,7 +293,8 @@ def window(rs: RootSystem, copies: int, dual: bool = False) -> InfChainWindow:
     return _window(rs, copies, dual)
 
 
-@cache
+# typed, so that 3.0 is a key of its own and rejected rather than served 3's window
+@lru_cache(maxsize=None, typed=True)
 def _window(rs: RootSystem, copies: int, dual: bool) -> InfChainWindow:
     return InfChainWindow(rs, copies, dual)
 

@@ -202,9 +202,9 @@ def _limits(sweep) -> list[Check]:
         for copies in (1, 2):
             wider = _widen(el, copies)
             for i in rs.index_set:
-                for op, step in ((al.f_op, al._lower), (al.e_op, al._raise)):
+                for op, up in ((al.f_op, el.is_dual), (al.e_op, not el.is_dual)):
                     checks += 1
-                    if not _same(op(el, i), step(wider, i)):
+                    if not _same(op(el, i), al._step(wider, i, up)):
                         failures.append(f"{name}: +{copies} copies changed {op.__name__} at i={i}")
     return [Check(f"limits coherence checks {checks}", checks, failures)]
 

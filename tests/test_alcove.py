@@ -61,6 +61,14 @@ def test_positions_validated():
         al.element(chain, [4])
     with pytest.raises(ValueError):
         al.element(chain, [1, 1])
+    for bad in (0.7, 2.9, 2.0, "2"):
+        with pytest.raises(ValueError):
+            al.element(chain, [bad])
+    with pytest.raises(ValueError):
+        al.element_from_pairs(chain, [((1, 0), 0.5)])
+    with pytest.raises(ValueError):
+        al.element_from_pairs(chain, [((1, 0), "0")])
+    assert al.element_from_pairs(chain, [((1, 0), 0)]).positions == (2,)
 
 
 def test_admissible_sets_for_doubled_first_fundamental_a3():
@@ -507,19 +515,40 @@ def test_mirror_negates_levels_on_windows():
     assert pairs(m) == (((1, 0), 1),)
 
 
+def mirror_elements(type_string):
+    """The elements of Al(lam) and its dual model for lam = rho and
+    (2, 1, 0, ...), and of Al(infinity) and its dual to depth 4."""
+    sweep = Sweep(RootSystem.from_type(type_string), 4)
+    rank = sweep.rs.rank
+    out = [
+        b
+        for lam in ((1,) * rank, (2, 1) + (0,) * (rank - 2))
+        for dual in (False, True)
+        for b in sweep.finite(lam, dual).elements.values()
+    ]
+    return out + sweep.pool(4) + sweep.pool(4, dual=True)
+
+
 def test_mirror_intertwines_the_operators():
-    chain = lex_chain(A2, (1, 1))
-    for s in all_admissible(chain):
-        b = el(chain, *sorted(s))
-        for i in (1, 2):
-            lhs = al.f_op(al.mirror(b), i)
-            rhs = al.e_op(b, i)
-            if rhs is None:
-                assert lhs is None
-            else:
-                assert lhs.positions == al.mirror(rhs).positions
-            assert al.weight(al.mirror(b)) == weight_neg(al.weight(b))
-            assert al.epsilon(al.mirror(b), i) == al.phi(b, i)
+    """mirror is a dual isomorphism on all four models: it swaps f_i and e_i
+    both ways, negates weights, swaps epsilon and phi, and reverses the
+    signature with negated signs."""
+    for type_string in ("A2", "B2", "G2", "A3"):
+        for b in mirror_elements(type_string):
+            m = al.mirror(b)
+            size = len(b.chain.entries)
+            assert al.weight(m) == weight_neg(al.weight(b))
+            for i in b.rs.index_set:
+                for op, op_dual in ((al.f_op, al.e_op), (al.e_op, al.f_op)):
+                    lhs, rhs = op(m, i), op_dual(b, i)
+                    if rhs is None:
+                        assert lhs is None
+                    else:
+                        assert pairs(lhs) == pairs(al.mirror(rhs))
+                assert al.epsilon(m, i) == al.phi(b, i)
+                assert al.i_signature(m, i) == tuple(
+                    (size - 1 - p, -sign) for p, sign in reversed(al.i_signature(b, i))
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -387,8 +387,12 @@ def test_window_layout_matches_levels(type_string, dual):
 
 def test_window_rejects_bad_copies():
     rs = RootSystem.from_type("A2")
-    with pytest.raises(ValueError):
-        window(rs, 0)
+    assert window(rs, 3).copies == 3
+    for bad in (0, 1.5, 3.0, "3"):
+        with pytest.raises(ValueError):
+            window(rs, bad)
+    copies = window(rs, 3).copies
+    assert type(copies) is int and copies == 3
 
 
 def test_chain_json():

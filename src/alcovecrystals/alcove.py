@@ -21,10 +21,14 @@ form: how far it falls from its peak to its end gives epsilon (phi in the
 dual models), and the weight gives the other one, so no operator is applied
 to compute them.
 
-Each element is folded once: a single walk along its chain yields the folded
-roots, the end product of the folding reflections and whether every folding
-was a Bruhat cover (``AlcoveElement.fold``).  Operators, signatures, weights
-and the profile all read that walk, and every element built by
+Each element is folded once (``AlcoveElement.fold``): the folded roots, the
+end product of the folding reflections and whether every folding was a
+Bruhat cover.  An element built by :func:`element` or directly is folded by
+a walk along its whole chain; an operator's result derives its fold from its
+parent's, since a step changes the folded chain only by s_i between the
+positions that move, and walks only its own folding positions for the end
+product and the cover check (``_child``).  Operators, signatures, weights
+and the profile all read the fold, and every element built by
 :func:`element` or by an operator is checked to be admissible.  The weight
 and the string statistics are computed once per element and kept.
 """
@@ -327,22 +331,72 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
     letters = _letters(el, i, up)
     word = [(n, sign) for n, (_, sign, folded) in enumerate(letters) if not folded]
     pluses, _ = reduce_signature(word)
-    jset = set(el.positions)
     if pluses:
         n = pluses[-1]
         later = [ind for ind, _, folded in letters[n + 1 :] if folded]
-        new = jset | {letters[n][0]}
-        if later:
-            new.discard(later[0])
-        return element(el.chain, new)
+        return _child(el, i, {letters[n][0], *later[:1]})
     if not up:
         if el.is_window:
             raise AssertionError("the limit models always admit a step down")
         return None
     if pairing(el.fold.end.apply_weight(el.rs.rho), el.rs.simple_root(i)) < 0:
         first = next(ind for ind, _, folded in letters if folded)
-        return element(el.chain, jset - {first})
+        return _child(el, i, {first})
     return None
+
+
+def _child(el: AlcoveElement, i: int, changed: set[int]) -> AlcoveElement:
+    """The element whose foldings differ from ``el``'s at ``changed``, letters
+    of direction ``i``, on its canonical window, with its fold derived from
+    ``el``'s instead of walked.
+
+    Toggling a folding where the folded chain passes through plus or minus
+    alpha_i turns every later prefix product P into s_i P, since
+    P s_beta = s_{P(beta)} P; a second toggle cancels it again.  So the
+    child's roots are the parent's, with s_i applied wherever an odd number
+    of changed positions come strictly before in walk order.  Blocks a
+    window gains or loses hold no folding and are walked first, so gained
+    ones read the plain chain roots.  The end product and admissibility come
+    from one walk over the child's positions.
+    """
+    rs = el.rs
+    roots = el.fold.roots
+    s_i = rs.root_action(rs.simple_reflection(i))
+    alpha = rs.simple_root(i).coeffs
+    assert len(changed) in (1, 2) and all(roots[p] in (alpha, s_i[alpha]) for p in changed)
+    lo, hi = min(changed), max(changed)
+    if len(changed) == 2:
+        a, b = (lo, hi) if el.is_dual else (lo + 1, hi + 1)
+    else:
+        a, b = (0, lo) if el.is_dual else (lo + 1, len(roots))
+    roots = roots[:a] + tuple(map(s_i.__getitem__, roots[a:b])) + roots[b:]
+    positions = tuple(sorted(set(el.positions).symmetric_difference(changed)))
+    out = _canonical(AlcoveElement(el.chain, positions))
+    entries = out.chain.entries
+    grown = len(entries) - len(roots)
+    if el.is_dual and grown:
+        roots = roots[: len(entries)] + tuple(e.root.coeffs for e in entries[len(roots) :])
+    elif grown:
+        roots = tuple(e.root.coeffs for e in entries[: max(grown, 0)]) + roots[max(-grown, 0) :]
+    end = _positions_walk(out)
+    if end is None:
+        raise ValueError(f"positions {list(out.positions)} are not admissible: {out!r}")
+    out.__dict__["fold"] = Fold(roots, end, True)
+    return out
+
+
+def _positions_walk(el: AlcoveElement) -> WeylElement | None:
+    """The product of the foldings in walk order, or None unless each of
+    them is a Bruhat cover: the walk of :meth:`AlcoveElement.fold` over the
+    folding positions only."""
+    rs = el.rs
+    entries = el.chain.entries
+    w = rs.identity_element()
+    for count, p in enumerate(reversed(el.positions) if el.is_dual else el.positions, 1):
+        w = rs.times_reflection(w, entries[p].root)
+        if rs.length(w) != count:
+            return None
+    return w
 
 
 # ---------------------------------------------------------------------------

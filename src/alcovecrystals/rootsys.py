@@ -372,6 +372,10 @@ class RootSystem:
     # -- Weyl group ----------------------------------------------------------
 
     def identity_element(self) -> WeylElement:
+        return self._identity_element
+
+    @cached_property
+    def _identity_element(self) -> WeylElement:
         eye = _identity(self.rank)
         return WeylElement(eye, eye)
 

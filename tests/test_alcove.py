@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcovecrystals import alcove as al
+from alcovecrystals import verify
 from alcovecrystals.chains import dual_chain, lex_chain, window
 from alcovecrystals.rootsys import RootSystem, pairing, weight_neg
 from alcovecrystals.verify import Sweep
@@ -199,6 +200,43 @@ def test_fold_matches_reference_walks(chain):
             assert al.weight(b) == wt, combo
             admissible += ok
     assert admissible > 1
+
+
+@pytest.mark.parametrize(
+    "type_string, depth", [("A2", 6), ("B2", 6), ("G2", 6), ("A3", 5)], ids=["a2", "b2", "g2", "a3"]
+)
+def test_derived_folds_match_fresh_walks(type_string, depth):
+    """Operator results derive their fold from the parent's; it must equal a
+    fresh walk on window pools of both models, on finite primal and dual
+    crystals, and on pool elements widened by two and three blocks (as the
+    limits suite widens them), whose steps drop blocks again."""
+    rs = RootSystem.from_type(type_string)
+    sweep = Sweep(rs, depth)
+    pool = sweep.pool(depth) + sweep.pool(depth, dual=True)
+    lam = {"A2": (2, 1), "B2": (1, 1), "G2": (0, 1)}.get(type_string)
+    for dual in (False, True) if lam else ():
+        pool += sweep.finite(lam, dual).elements.values()
+    children = [op(b, i) for b in pool for i in rs.index_set for op in (al.f_op, al.e_op)]
+    shrunk = 0
+    for wide in (verify._widen(b, copies) for b in pool if b.is_window for copies in (2, 3)):
+        steps = [al._step(wide, i, up) for i in rs.index_set for up in (False, True)]
+        shrunk += sum(c is not None and c.chain.copies < wide.chain.copies for c in steps)
+        children += steps
+    children = [c for c in children if c is not None]
+    assert len(children) > 1000 and shrunk > 500
+    for c in children:
+        assert c.fold == al.AlcoveElement(c.chain, c.positions).fold, c
+
+
+def test_derived_child_checks_admissibility():
+    # both alpha_1 letters of the two-block A2 window: s_1 s_1 is no chain of covers
+    chain = window(A2, 2)
+    letters = [p for p, e in enumerate(chain.entries) if e.root.coeffs == (1, 0)]
+    assert len(letters) == 2
+    with pytest.raises(ValueError, match="not admissible"):
+        al.element(chain, letters)
+    with pytest.raises(ValueError, match="not admissible"):
+        al._child(al.AlcoveElement(chain, ()), 1, set(letters))
 
 
 def test_folded_chain_single_fold():

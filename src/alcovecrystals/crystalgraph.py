@@ -3,8 +3,9 @@
 Everything here works through a :class:`CrystalOps` bundle, so the alcove
 model, the path model, single-node weight twists and tensor products all feed
 the same machinery.  Enumeration is a deterministic breadth-first walk along
-both raising and lowering operators; the resulting graph keeps per-node
-statistics so checks need no further operator calls.
+both raising and lowering operators that computes each edge once; the
+resulting graph keeps per-node statistics, so the checks call no operator
+except the one the axiom check applies to each edge's other end.
 
 Graphs truncated at a depth remember which nodes had neighbors suppressed
 (``boundary``); structural checks skip existence assertions exactly there.
@@ -16,7 +17,7 @@ start with the label of the failing element.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -240,7 +241,13 @@ class NodeData:
 @dataclass
 class CrystalGraph:
     """An enumerated crystal: ``nodes`` maps each key to its statistics and
-    ``elements`` maps it to the model element it was read from."""
+    ``elements`` maps it to the model element it was read from.
+
+    An enumerated graph also keeps the ``ops`` it was read with and the
+    edges it found by raising (``raised``); every other edge was found by
+    lowering.  ``check_axioms`` uses both to check each edge in the
+    direction enumeration did not compute.  A graph built by hand has no
+    ops."""
 
     rs: RootSystem
     nodes: dict = field(default_factory=dict)
@@ -248,6 +255,8 @@ class CrystalGraph:
     edges: list = field(default_factory=list)
     generators: list = field(default_factory=list)
     boundary: frozenset = frozenset()
+    ops: CrystalOps | None = field(default=None, compare=False, repr=False)
+    raised: frozenset = frozenset()
 
     @property
     def index_set(self):
@@ -265,14 +274,23 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
     ``depth`` bounds the walk distance from the generators; it is required
     when the ops describe an infinite crystal.  Edges always point along the
     lowering operator and connect only enumerated nodes.
+
+    Each edge is computed once, from the end that reaches it first: f_i is
+    skipped at a node whose i-edge out is known, e_i at a node whose i-edge
+    in is known.  Raising still runs wherever no edge in is known, which is
+    how nodes above the generators are reached.  Whether the operators are
+    mutually inverse is not read off the graph; ``check_axioms`` computes
+    the other direction of every edge.
     """
     if depth is None and not ops.finite:
         raise ValueError("an infinite crystal can only be enumerated to a finite depth")
     index_set = ops.rs.index_set
     nodes: dict = {}
     elements: dict = {}
-    edge_set = set()
     edges = []
+    raised = []
+    has_out = set()
+    has_in = set()
     boundary = set()
     queue = deque()
 
@@ -289,24 +307,38 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
             queue.append((x, k, d))
         return k
 
+    def reach(other, kx, d):
+        """The key of a neighbor of the node ``kx`` at depth ``d``, admitted
+        if new, or None if the depth bound keeps it out."""
+        ko = ops.key(other)
+        if ko not in nodes:
+            if depth is not None and d >= depth:
+                boundary.add(kx)
+                return None
+            admit(other, d + 1)
+        return ko
+
     gen_keys = [admit(g, 0) for g in generators]
 
     while queue:
         x, kx, d = queue.popleft()
         for i in index_set:
-            for other, forward in ((ops.f(x, i), True), (ops.e(x, i), False)):
-                if other is None:
-                    continue
-                ko = ops.key(other)
-                if ko not in nodes:
-                    if depth is not None and d >= depth:
-                        boundary.add(kx)
-                        continue
-                    admit(other, d + 1)
-                edge = (kx, i, ko) if forward else (ko, i, kx)
-                if edge not in edge_set:
-                    edge_set.add(edge)
+            if (kx, i) not in has_out:
+                below = ops.f(x, i)
+                ko = None if below is None else reach(below, kx, d)
+                if ko is not None:
+                    edges.append((kx, i, ko))
+                    has_out.add((kx, i))
+                    has_in.add((ko, i))
+            if (kx, i) not in has_in:
+                above = ops.e(x, i)
+                ko = None if above is None else reach(above, kx, d)
+                if ko is not None:
+                    edge = (ko, i, kx)
                     edges.append(edge)
+                    raised.append(edge)
+                    has_out.add((ko, i))
+                    has_in.add((kx, i))
 
     order = {k: n for n, k in enumerate(nodes)}
     edges.sort(key=lambda t: (order[t[0]], t[1], order[t[2]]))
@@ -317,6 +349,8 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
         edges=edges,
         generators=gen_keys,
         boundary=frozenset(boundary),
+        ops=ops,
+        raised=frozenset(raised),
     )
 
 
@@ -350,8 +384,15 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
 
     Per node: phi - eps equals the weight paired with the coroot, and a node
     with both statistics at minus infinity carries no edge.  Per edge: the
-    weight drops by the root, the statistics step by one, and operators are
-    mutually inverse (encoded by edge uniqueness in both directions).
+    weight drops by the root, the statistics step by one, and no node has
+    two edges out or two edges in along one direction.
+
+    On a graph that carries its ops, each edge is also checked against the
+    operator enumeration did not apply to it: an edge found by f_i needs
+    e_i(dst) = src, an edge found by e_i (``graph.raised``) needs
+    f_i(src) = dst.  So f_i and e_i are checked mutually inverse on every
+    edge, which catches f_i(x) = y with e_i(y) undefined; edge uniqueness
+    alone does not.  A graph built by hand gets only the uniqueness checks.
 
     With ``seminormal=True`` the statistics must also predict edge existence
     (positive phi means a lowering edge, positive eps a raising edge) away
@@ -371,6 +412,17 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
             failures.append(f"{graph.nodes[dst].label}: two raising edges in direction {i}")
         out_edge[(src, i)] = dst
         in_edge[(dst, i)] = src
+
+    ops = graph.ops
+    if ops is not None:
+        for edge in graph.edges:
+            src, i, dst = edge
+            if edge in graph.raised:
+                at, want, back = src, dst, ops.f(graph.elements[src], i)
+            else:
+                at, want, back = dst, src, ops.e(graph.elements[dst], i)
+            if back is None or ops.key(back) != want:
+                failures.append(f"{graph.nodes[at].label}: operators not inverse in direction {i}")
 
     for k, data in graph.nodes.items():
         for pos, i in enumerate(index_set):
@@ -526,9 +578,25 @@ def is_isomorphic(a: CrystalGraph, b: CrystalGraph, weights: bool = True) -> boo
     return _canonical_signature(a, weights) == _canonical_signature(b, weights)
 
 
+def _dual_ops(ops: CrystalOps) -> CrystalOps:
+    """The contragredient operators: lowering and raising swapped, the two
+    statistics swapped, weights negated."""
+    return replace(
+        ops,
+        f=ops.e,
+        e=ops.f,
+        epsilon=ops.phi,
+        phi=ops.epsilon,
+        weight=lambda x: tuple(-c for c in ops.weight(x)),
+    )
+
+
 def dualize_graph(graph: CrystalGraph) -> CrystalGraph:
     """The contragredient graph: arrows reversed, statistics swapped, weights
-    negated.  Labels carry over from the original nodes."""
+    negated.  Labels carry over from the original nodes.  Ops carry over
+    swapped the same way, and an edge found by lowering becomes one found
+    by raising, so ``check_axioms`` still checks each edge's other
+    direction."""
     nodes = {
         k: NodeData(
             weight=tuple(-c for c in data.weight),
@@ -550,6 +618,10 @@ def dualize_graph(graph: CrystalGraph) -> CrystalGraph:
         edges=edges,
         generators=list(graph.generators),
         boundary=graph.boundary,
+        ops=None if graph.ops is None else _dual_ops(graph.ops),
+        raised=frozenset(
+            (dst, i, src) for src, i, dst in graph.edges if (src, i, dst) not in graph.raised
+        ),
     )
 
 

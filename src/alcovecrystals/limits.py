@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .alcove import element, minimal_projection, mirror, project_Spr
-from .chains import _rho_multiple, dual_chain
+from .chains import _rho_multiple
 from .crystalgraph import Check
 from .littelmann import PLPath, dualize, xi_infinity
 from .rootsys import pairing
@@ -133,7 +133,12 @@ def varpi_dual_infinity(el, copies: int | None = None) -> PLPath:
         copies = needed
     elif copies < needed:
         raise ValueError(f"need at least {needed} copies")
-    finite = varpi_dual(element(dual_chain(_rho_multiple(rs, copies)), el.positions))
+    # the dual chain of k * rho mirrors the cached k * rho chain, so the
+    # element is read off that chain at the mirrored positions, as
+    # ``varpi_dual`` would after ``mirror``
+    chain = _rho_multiple(rs, copies)
+    size = len(chain.entries)
+    finite = dualize(varpi(element(chain, [size - 1 - p for p in el.positions])))
     return PLPath.from_vertices(
         rs, "extended", finite.den, [copies * t for t in finite.times], finite.points
     )

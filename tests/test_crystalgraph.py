@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +19,7 @@ from alcovecrystals.rootsys import RootSystem
 A2 = RootSystem.from_type("A2")
 A3 = RootSystem.from_type("A3")
 B2 = RootSystem.from_type("B2")
+G2 = RootSystem.from_type("G2")
 
 
 def alcove_graph(rs, lam, dual=False, depth=None):
@@ -107,6 +110,125 @@ def test_path_closure_sizes_match_dimensions():
         assert len(g.nodes) == cg.weyl_dimension(A2, lam)
 
 
+def reference_closure(ops, generators, depth=None):
+    """Breadth-first closure computing every edge from both ends, deduplicated:
+    the enumeration loop before each edge was found once."""
+    nodes, edge_set, edges, boundary = {}, set(), [], set()
+    queue = deque()
+
+    def admit(x, d):
+        k = ops.key(x)
+        if k not in nodes:
+            nodes[k] = x
+            queue.append((x, k, d))
+
+    for g in generators:
+        admit(g, 0)
+    while queue:
+        x, kx, d = queue.popleft()
+        for i in ops.rs.index_set:
+            for other, forward in ((ops.f(x, i), True), (ops.e(x, i), False)):
+                if other is None:
+                    continue
+                ko = ops.key(other)
+                if ko not in nodes:
+                    if depth is not None and d >= depth:
+                        boundary.add(kx)
+                        continue
+                    admit(other, d + 1)
+                edge = (kx, i, ko) if forward else (ko, i, kx)
+                if edge not in edge_set:
+                    edge_set.add(edge)
+                    edges.append(edge)
+    order = {k: n for n, k in enumerate(nodes)}
+    edges.sort(key=lambda t: (order[t[0]], t[1], order[t[2]]))
+    return list(nodes), edges, frozenset(boundary)
+
+
+# the nine crystals of the finite-alcove benchmark: (root system, weight, dual)
+FINITE_ALCOVE = (
+    (G2, (2, 1), False),
+    (G2, (1, 1), True),
+    (A3, (1, 1, 1), True),
+    (A3, (2, 1, 0), False),
+    (A3, (1, 0, 2), True),
+    (B2, (2, 1), True),
+    (B2, (1, 2), False),
+    (A2, (3, 1), False),
+    (A2, (2, 2), True),
+)
+
+
+def _closure_cases():
+    for rs, lam, dual in FINITE_ALCOVE:
+        chain = lex_chain(rs, lam)
+        if dual:
+            chain = dual_chain(chain)
+        yield cg.alcove_ops(chain), [al.element(chain, [])], None
+    yield cg.path_ops(B2), [lp.straight_path(B2, (1, 2))], None
+    for rs, depth in ((A2, 4), (G2, 3)):
+        for dual in (False, True):
+            win = window(rs, 1, dual=dual)
+            yield cg.alcove_ops(win), [al.element(win, [])], depth
+    yield cg.path_ops(A2, "extended"), [lp.pi_infinity(A2)], 3
+
+
+def test_enumeration_matches_the_two_sided_reference():
+    cases = list(_closure_cases())
+    assert sum(depth is not None for _, _, depth in cases) == 5
+    for ops, gens, depth in cases:
+        g = cg.enumerate_crystal(ops, gens, depth=depth)
+        nodes, edges, boundary = reference_closure(ops, gens, depth=depth)
+        assert list(g.nodes) == nodes
+        assert g.edges == edges
+        assert g.boundary == boundary
+        assert (depth is None) == g.complete
+
+
+def counted(ops):
+    """The ops with f and e counting their calls in ``calls``."""
+    calls = [0]
+
+    def count(op):
+        def wrapped(x, i):
+            calls[0] += 1
+            return op(x, i)
+
+        return wrapped
+
+    return replace(ops, f=count(ops.f), e=count(ops.e)), calls
+
+
+@pytest.mark.parametrize(
+    "rs, lam, dual, calls, edges",
+    [
+        (G2, (2, 2), False, 1818, 1098),
+        (A3, (2, 2, 2), False, 2862, 1512),
+        (G2, (1, 1), True, None, None),
+    ],
+    ids=["g2-22", "a3-222", "g2-11-dual"],
+)
+def test_enumeration_computes_each_edge_once(rs, lam, dual, calls, edges):
+    chain = lex_chain(rs, lam)
+    if dual:
+        chain = dual_chain(chain)
+    ops, counter = counted(cg.alcove_ops(chain))
+    g = cg.enumerate_crystal(ops, [al.element(chain, [])])
+    assert len(g.nodes) == cg.weyl_dimension(rs, lam)
+    # every node tries both operators in every direction, less one call per edge
+    assert counter[0] == 2 * len(g.nodes) * rs.rank - len(g.edges)
+    if calls is not None:
+        assert (counter[0], len(g.edges)) == (calls, edges)
+    if dual:
+        # the dual model's generator is its lowest element: edges are raised into
+        assert g.raised
+    assert g.raised <= set(g.edges)
+    # the audit applies the other operator to each edge once
+    before = counter[0]
+    assert cg.check_axioms(g, seminormal=True).ok
+    assert counter[0] - before == len(g.edges)
+
+
 # ---------------------------------------------------------------------------
 # dimension formula
 
@@ -148,6 +270,59 @@ def test_axioms_catch_a_missing_edge():
             boundary=frozenset(),
         )
         assert not cg.check_axioms(broken, seminormal=True).ok
+
+
+def _tampered(chain, i, bad):
+    """Enumerate the alcove crystal of ``chain`` with e_i replaced by ``bad``
+    at the target of the first edge found by f_i; ``bad`` gets that target
+    and the edge's source and returns e_i's tampered value.  Also returns
+    the target's key."""
+    ops = cg.alcove_ops(chain)
+    g = cg.enumerate_crystal(ops, [al.element(chain, [])])
+    src, _, dst = next(
+        edge for edge in g.edges if edge[1] == i and edge not in g.raised
+    )
+    target, source = g.elements[dst], g.elements[src]
+
+    def e(x, j):
+        if j == i and ops.key(x) == dst:
+            return bad(target, source)
+        return al.e_op(x, j)
+
+    return cg.enumerate_crystal(replace(ops, e=e), [al.element(chain, [])]), dst
+
+
+@pytest.mark.parametrize(
+    "i, bad",
+    [(1, lambda y, x: None), (2, lambda y, x: y)],
+    ids=["raising-undefined", "raising-elsewhere"],
+)
+def test_axioms_catch_operators_that_are_not_inverse(i, bad):
+    g, dst = _tampered(lex_chain(A2, (1, 1)), i, bad)
+    # the tampered raising is never applied while enumerating: the graph is
+    # the clean one, and edge uniqueness alone finds nothing
+    clean = alcove_graph(A2, (1, 1))
+    assert (list(g.nodes), g.edges) == (list(clean.nodes), clean.edges)
+    assert cg.check_axioms(replace(g, ops=None), seminormal=True).ok
+    report = cg.check_axioms(g, seminormal=True)
+    label = g.nodes[dst].label
+    assert report.failures == [f"{label}: operators not inverse in direction {i}"]
+    # the dual graph carries the swapped ops and still applies the tampered
+    # operator, now as its lowering
+    dual_report = cg.check_axioms(cg.dualize_graph(g))
+    assert dual_report.failures == [f"{label}: operators not inverse in direction {i}"]
+
+
+def test_dualized_graphs_check_inverses():
+    for g in (alcove_graph(A2, (2, 1)), alcove_graph(B2, (1, 1), dual=True), window_graph(A2, 3)):
+        d = cg.dualize_graph(g)
+        ops, counter = counted(d.ops)
+        report = cg.check_axioms(replace(d, ops=ops))
+        assert report.ok, report.failures
+        assert counter[0] == len(d.edges)
+        # an edge found by lowering becomes one found by raising
+        assert len(d.raised) == len(g.edges) - len(g.raised)
+        assert cg.dualize_graph(d).raised == g.raised
 
 
 def test_axioms_catch_corrupt_statistics():

@@ -14,7 +14,7 @@ dually.  One signature step (``_step``) gives all four operators: lowering a
 primal element or raising a dual one reads the letters of the folded chain in
 walk order, the other two read them backwards with negated signs, as
 ``mirror`` (the dual isomorphism that swaps f_i and e_i) reads them.  Weights
-come from affine reflections.  A second, independent formulation of the same
+are read off the folded chain.  A second, independent formulation of the same
 operators through a piecewise linear profile is their oracle (``profile_f``
 / ``profile_e``).  The string statistics are read off that profile in closed
 form: how far it falls from its peak to its end gives epsilon (phi in the
@@ -23,14 +23,15 @@ to compute them.
 
 Each element is folded once (``AlcoveElement.fold``): the folded roots, the
 end product of the folding reflections and whether every folding was a
-Bruhat cover.  An element built by :func:`element` or directly is folded by
-a walk along its whole chain; an operator's result derives its fold from its
-parent's, since a step changes the folded chain only by s_i between the
-positions that move, and walks only its own folding positions for the end
-product and the cover check (``_child``).  Operators, signatures, weights
-and the profile all read the fold, and every element built by
-:func:`element` or by an operator is checked to be admissible.  The weight
-and the string statistics are computed once per element and kept.
+Bruhat cover.  ``_walk`` is the only loop that multiplies Weyl elements,
+over the folding positions only.  An element built by :func:`element` or
+directly applies its products to the runs between the foldings; an
+operator's result derives its folded roots from its parent's, since a step
+changes the folded chain only by s_i between the positions that move
+(``_child``).  Operators, signatures, weights and the profile all read the
+fold, and every element built by :func:`element` or by an operator is
+checked to be admissible.  The weight and the string statistics are
+computed once per element and kept.
 """
 
 from __future__ import annotations
@@ -80,11 +81,29 @@ __all__ = [
 class Fold(NamedTuple):
     """One walk along an element's chain: the folded root coordinates at each
     position, the product of the folding reflections in walk order (tau
-    primally, iota dually) and whether every folding was a Bruhat cover."""
+    primally, iota dually) and whether every folding was a Bruhat cover.  The
+    weight and the path image are read off the folded roots."""
 
     roots: tuple[tuple[int, ...], ...]
     end: WeylElement
     admissible: bool
+
+
+def _walk(el: AlcoveElement) -> tuple[list[WeylElement], bool]:
+    """The products of the foldings in walk order, one per prefix from the
+    identity to the end product, and whether each folding was a Bruhat
+    cover.  After k covers the product has length k, so each folding is
+    checked with one memoized length."""
+    rs = el.rs
+    entries = el.chain.entries
+    w = rs.identity_element()
+    prefixes = [w]
+    admissible = True
+    for count, p in enumerate(reversed(el.positions) if el.is_dual else el.positions, 1):
+        w = rs.times_reflection(w, entries[p].root)
+        prefixes.append(w)
+        admissible = admissible and rs.length(w) == count
+    return prefixes, admissible
 
 
 @dataclass(frozen=True)
@@ -110,49 +129,36 @@ class AlcoveElement:
     def fold(self) -> Fold:
         """The folded chain, walked left to right primally, right to left dually.
 
-        At each position the product of the foldings already passed is applied
-        to the chain root, by a lookup in the root system's memoized action
-        (which also keeps the stored tuples shared).  After k covers the
-        product has length k, so each folding is checked with one memoized
-        length.
+        Each run of the chain up to and including a folding reads its roots
+        under the product of the foldings walked before it, in the root
+        system's memoized action (which also keeps the stored tuples shared).
         """
-        rs = self.rs
+        prefixes, admissible = _walk(self)
         entries = self.chain.entries
-        jset = set(self.positions)
-        n = len(entries)
-        roots: list = [None] * n
-        w = rs.identity_element()
-        action = rs.root_action(w)
-        covers = 0
-        admissible = True
-        for ind in range(n - 1, -1, -1) if self.is_dual else range(n):
-            root = entries[ind].root
-            roots[ind] = action[root.coeffs]
-            if ind in jset:
-                w = rs.times_reflection(w, root)
-                action = rs.root_action(w)
-                covers += 1
-                admissible = admissible and rs.length(w) == covers
-        return Fold(tuple(roots), w, admissible)
+        cuts = (0, *(p + (not self.is_dual) for p in self.positions), len(entries))
+        roots: list = []
+        for a, b, w in zip(cuts, cuts[1:], reversed(prefixes) if self.is_dual else prefixes):
+            action = self.rs.root_action(w)
+            roots.extend(action[e.root.coeffs] for e in entries[a:b])
+        return Fold(tuple(roots), prefixes[-1], admissible)
 
     @cached_property
     def wt(self) -> tuple[int, ...]:
-        """The weight, in fundamental-weight coordinates: the chain weight
-        pushed through the foldings' affine reflections, last folding first."""
-        rs = self.rs
+        """The weight, in fundamental-weight coordinates, read off the fold:
+        with gamma_p the folded root at the folding on beta_p at level l_p, it
+        is lam - sum_p (<lam, beta_p^vee> - l_p) gamma_p primally (Lenart and
+        Postnikov's -r_{j1}...r_{js}(-lam) expanded) and -lam + sum_p l_p
+        gamma_p dually, lam the chain weight (0 on windows)."""
         entries = self.chain.entries
+        roots = self.fold.roots
         lam = self.chain.weight_for_ops()
-        if not self.is_dual:
-            v = weight_neg(lam)
-            for p in reversed(self.positions):
-                e = entries[p]
-                v = rs.affine_reflect(e.root, -e.level, v)
-            return weight_neg(v)
-        v = lam
-        for p in reversed(self.positions):
+        total = [0] * self.rs.rank
+        for p in self.positions:
             e = entries[p]
-            v = rs.affine_reflect(e.root, e.level, v)
-        return weight_neg(self.fold.end.apply_weight(v))
+            k = e.level if self.is_dual else e.level - pairing(lam, e.root)
+            total = [t + k * c for t, c in zip(total, roots[p])]
+        base = weight_neg(lam) if self.is_dual else lam
+        return tuple(x + y for x, y in zip(base, self.rs._weight_coords(total)))
 
     @cached_property
     def strings(self) -> dict[int, tuple[int, int]]:
@@ -378,25 +384,11 @@ def _child(el: AlcoveElement, i: int, changed: set[int]) -> AlcoveElement:
         roots = roots[: len(entries)] + tuple(e.root.coeffs for e in entries[len(roots) :])
     elif grown:
         roots = tuple(e.root.coeffs for e in entries[: max(grown, 0)]) + roots[max(-grown, 0) :]
-    end = _positions_walk(out)
-    if end is None:
+    prefixes, admissible = _walk(out)
+    if not admissible:
         raise ValueError(f"positions {list(out.positions)} are not admissible: {out!r}")
-    out.__dict__["fold"] = Fold(roots, end, True)
+    out.__dict__["fold"] = Fold(roots, prefixes[-1], True)
     return out
-
-
-def _positions_walk(el: AlcoveElement) -> WeylElement | None:
-    """The product of the foldings in walk order, or None unless each of
-    them is a Bruhat cover: the walk of :meth:`AlcoveElement.fold` over the
-    folding positions only."""
-    rs = el.rs
-    entries = el.chain.entries
-    w = rs.identity_element()
-    for count, p in enumerate(reversed(el.positions) if el.is_dual else el.positions, 1):
-        w = rs.times_reflection(w, entries[p].root)
-        if rs.length(w) != count:
-            return None
-    return w
 
 
 # ---------------------------------------------------------------------------

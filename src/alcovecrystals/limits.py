@@ -1,9 +1,9 @@
 """Transports between the alcove model and the path model.
 
 The finite transport ``varpi`` reads the folding times of an alcove element
-off its chain and produces a piecewise linear path; it swaps raising with
-lowering and negates weights.  ``varpi_dual`` is the same construction
-threaded through the order-reversing identification of the dual chain.  The
+off its chain and the directions off its folded chain, and produces a
+piecewise linear path; it swaps raising with lowering and negates weights.
+``varpi_dual`` is the same construction threaded through the order-reversing identification of the dual chain.  The
 ``*_infinity`` variants lift both to the unbounded models by projecting onto
 a finite crystal first and letting the canonical straightening of rho-rays
 erase the choice made there.
@@ -37,37 +37,38 @@ def varpi(el) -> PLPath:
     """Path image of a finite alcove element.
 
     Each selected hyperplane is crossed at the time given by its level over
-    the pairing of the chain weight with its coroot; the direction between
-    consecutive crossing times is minus the running reflection product
-    applied to the chain weight.  The path is built in integer form over the
-    lcm of the crossing-time denominators.
+    the pairing of the chain weight lam with its coroot.  The direction
+    between crossing times is -w(lam), w the product of the reflections
+    crossed so far: crossing beta_p drops w(lam) by <lam, beta_p^vee> gamma_p,
+    gamma_p the folded root there.  The path is built in integer form over
+    the lcm of the crossing-time denominators.
     """
     chain = el.chain
     if chain.is_window or el.is_dual:
         raise ValueError("varpi expects an element over a finite primal chain")
     rs = el.rs
     lam = tuple(chain.lam)
-    events = []
+    folded = el.fold.roots
+    crossings, drops = [], []
     for p in el.positions:
         entry = chain.entries[p]
         gap = pairing(lam, entry.root)
-        events.append((Fraction(entry.level, gap), entry.root))
-    for (a, _), (b, _) in zip(events, events[1:]):
-        if a > b:
-            raise ValueError("chain entries are not in crossing-time order")
-    den = lcm(*(t.denominator for t, _ in events))
-    ticks = [t.numerator * (den // t.denominator) for t, _ in events] + [den]
+        crossings.append(Fraction(entry.level, gap))
+        drops.append(rs._weight_coords([gap * c for c in folded[p]]))
+    if any(a > b for a, b in zip(crossings, crossings[1:])):
+        raise ValueError("chain entries are not in crossing-time order")
+    den = lcm(*(t.denominator for t in crossings))
+    ticks = [t.numerator * (den // t.denominator) for t in crossings] + [den]
 
     times, points = [0], [(0,) * rs.rank]
-    w = rs.identity_element()
+    v = lam
     for j, tick in enumerate(ticks):
         if tick > times[-1]:
             dt = tick - times[-1]
-            v = w.apply_weight(lam)
             points.append(tuple(c - x * dt for c, x in zip(points[-1], v)))
             times.append(tick)
-        if j < len(events):
-            w = rs.times_reflection(w, events[j][1])
+        if j < len(drops):
+            v = tuple(x - d for x, d in zip(v, drops[j]))
     return PLPath.from_vertices(rs, "finite", den, times, points)
 
 

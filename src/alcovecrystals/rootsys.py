@@ -349,11 +349,11 @@ class RootSystem:
 
     def root_in_weight_coords(self, root: Root):
         """Coordinates of a root in the fundamental-weight basis (A^T c)."""
-        a = self.cartan.matrix
-        return tuple(
-            sum(root.coeffs[j] * a[j][i] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return self._weight_coords(root.coeffs)
+
+    def _weight_coords(self, coeffs) -> IVec:
+        """A^T c: simple-root coordinates in the fundamental-weight basis."""
+        return tuple(sum(map(mul, col, coeffs)) for col in zip(*self.cartan.matrix))
 
     # -- reflections ---------------------------------------------------------
 

@@ -183,6 +183,10 @@ FOLD_CHAINS = {
     "a2-dual-window-1": window(A2, 1, dual=True),
     "a2-dual-window-2": window(A2, 2, dual=True),
     "b2-dual-window-1": window(B2, 1, dual=True),
+    "a3-rho": lex_chain(A3, (1, 1, 1)),
+    "a3-rho-dual": dual_chain(lex_chain(A3, (1, 1, 1))),
+    "a3-window-1": window(A3, 1),
+    "a3-dual-window-1": window(A3, 1, dual=True),
 }
 
 

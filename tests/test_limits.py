@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
@@ -17,7 +19,7 @@ from alcovecrystals.limits import (
     varpi_infinity,
     verify_dual_iso,
 )
-from alcovecrystals.rootsys import RootSystem
+from alcovecrystals.rootsys import RootSystem, pairing
 
 A2 = RootSystem.from_type("A2")
 A3 = RootSystem.from_type("A3")
@@ -93,6 +95,54 @@ def test_transport_breaks_times_at_distinct_crossings():
     path = varpi(el)
     assert sum(d for _, d in path.segments) == 1
     assert len(path.segments) >= 2
+
+
+def reference_varpi(el) -> lp.PLPath:
+    """The finite transport with each run direction computed as minus the
+    running product of the crossed reflections applied to the chain weight,
+    sharing nothing with the folded chain."""
+    rs = el.rs
+    lam = tuple(el.chain.lam)
+    events = []
+    for p in el.positions:
+        entry = el.chain.entries[p]
+        events.append((Fraction(entry.level, pairing(lam, entry.root)), entry.root))
+    den = lcm(*(t.denominator for t, _ in events))
+    ticks = [t.numerator * (den // t.denominator) for t, _ in events] + [den]
+    times, points = [0], [(0,) * rs.rank]
+    w = rs.identity_element()
+    for j, tick in enumerate(ticks):
+        if tick > times[-1]:
+            dt = tick - times[-1]
+            v = w.apply_weight(lam)
+            points.append(tuple(c - x * dt for c, x in zip(points[-1], v)))
+            times.append(tick)
+        if j < len(events):
+            w = rs.times_reflection(w, events[j][1])
+    return lp.PLPath.from_vertices(rs, "finite", den, times, points)
+
+
+def same_path(a, b) -> bool:
+    return (a.kind, a.den, a.times, a.points) == (b.kind, b.den, b.times, b.points)
+
+
+VARPI_CRYSTALS = [
+    (t, lam) for t in ("A2", "B2", "G2") for lam in product(range(3), repeat=2)
+] + [("A3", (1, 1, 1))]
+
+
+@pytest.mark.parametrize(
+    "type_string, lam", VARPI_CRYSTALS, ids=[f"{t}-{lam}" for t, lam in VARPI_CRYSTALS]
+)
+def test_varpi_matches_the_reflection_product_reference(type_string, lam):
+    """varpi and varpi_dual agree path for path with the reference on every
+    element of Al(lam) and of its dual."""
+    elements = closure(lex_chain(RootSystem.from_type(type_string), lam))
+    for el in elements:
+        assert same_path(varpi(el), reference_varpi(el)), el
+        dual = al.mirror(el)
+        assert same_path(varpi_dual(dual), lp.dualize(reference_varpi(al.mirror(dual)))), dual
+    assert len(elements) > 1 or lam == (0, 0)
 
 
 def test_varpi_rejects_wrong_models():

@@ -21,17 +21,18 @@ form: how far it falls from its peak to its end gives epsilon (phi in the
 dual models), and the weight gives the other one, so no operator is applied
 to compute them.
 
-Each element is folded once (``AlcoveElement.fold``): the folded roots, the
-end product of the folding reflections and whether every folding was a
-Bruhat cover.  ``_walk`` is the only loop that multiplies Weyl elements,
-over the folding positions only.  An element built by :func:`element` or
-directly applies its products to the runs between the foldings; an
-operator's result derives its folded roots from its parent's, since a step
-changes the folded chain only by s_i between the positions that move
-(``_child``).  Operators, signatures, weights and the profile all read the
-fold, and every element built by :func:`element` or by an operator is
-checked to be admissible.  The weight and the string statistics are
-computed once per element and kept.
+Each element is folded once (``AlcoveElement.fold``): the folded roots as
+root indices (one byte per position, see ``RootSystem.roots``), the end
+product of the folding reflections and whether every folding was a Bruhat
+cover.  ``_walk`` is the only loop that multiplies Weyl elements, over the
+folding positions only.  An element built by :func:`element` or directly
+translates each run of the chain's root indices between the foldings by
+the product before it; an operator's result derives its folded roots from
+its parent's, since a step changes the folded chain only by s_i between
+the positions that move (``_child``).  Operators, signatures, weights and
+the profile all read the fold, and every element built by :func:`element`
+or by an operator is checked to be admissible.  The weight and the string
+statistics are computed once per element and kept.
 """
 
 from __future__ import annotations
@@ -79,12 +80,13 @@ __all__ = [
 
 
 class Fold(NamedTuple):
-    """One walk along an element's chain: the folded root coordinates at each
-    position, the product of the folding reflections in walk order (tau
-    primally, iota dually) and whether every folding was a Bruhat cover.  The
-    weight and the path image are read off the folded roots."""
+    """One walk along an element's chain: the index of the folded root at each
+    position, one byte per position, the product of the folding reflections
+    in walk order (tau primally, iota dually) and whether every folding was a
+    Bruhat cover.  The weight and the path image are read off the folded
+    roots."""
 
-    roots: tuple[tuple[int, ...], ...]
+    roots: bytes
     end: WeylElement
     admissible: bool
 
@@ -93,14 +95,14 @@ def _walk(el: AlcoveElement) -> tuple[list[WeylElement], bool]:
     """The products of the foldings in walk order, one per prefix from the
     identity to the end product, and whether each folding was a Bruhat
     cover.  After k covers the product has length k, so each folding is
-    checked with one memoized length."""
+    checked with one length."""
     rs = el.rs
     entries = el.chain.entries
     w = rs.identity_element()
     prefixes = [w]
     admissible = True
     for count, p in enumerate(reversed(el.positions) if el.is_dual else el.positions, 1):
-        w = rs.times_reflection(w, entries[p].root)
+        w = w * rs.reflection(entries[p].root)
         prefixes.append(w)
         admissible = admissible and rs.length(w) == count
     return prefixes, admissible
@@ -130,17 +132,15 @@ class AlcoveElement:
         """The folded chain, walked left to right primally, right to left dually.
 
         Each run of the chain up to and including a folding reads its roots
-        under the product of the foldings walked before it, in the root
-        system's memoized action (which also keeps the stored tuples shared).
+        under the product of the foldings walked before it: one translate of
+        the run's root indices by that product's permutation.
         """
         prefixes, admissible = _walk(self)
-        entries = self.chain.entries
-        cuts = (0, *(p + (not self.is_dual) for p in self.positions), len(entries))
-        roots: list = []
-        for a, b, w in zip(cuts, cuts[1:], reversed(prefixes) if self.is_dual else prefixes):
-            action = self.rs.root_action(w)
-            roots.extend(action[e.root.coeffs] for e in entries[a:b])
-        return Fold(tuple(roots), prefixes[-1], admissible)
+        ids = self.chain.root_ids
+        cuts = (0, *(p + (not self.is_dual) for p in self.positions), len(ids))
+        runs = zip(cuts, cuts[1:], reversed(prefixes) if self.is_dual else prefixes)
+        roots = b"".join(ids[a:b].translate(w.perm) for a, b, w in runs)
+        return Fold(roots, prefixes[-1], admissible)
 
     @cached_property
     def wt(self) -> tuple[int, ...]:
@@ -150,13 +150,14 @@ class AlcoveElement:
         Postnikov's -r_{j1}...r_{js}(-lam) expanded) and -lam + sum_p l_p
         gamma_p dually, lam the chain weight (0 on windows)."""
         entries = self.chain.entries
-        roots = self.fold.roots
+        folded = self.fold.roots
+        roots = self.rs.roots
         lam = self.chain.weight_for_ops()
         total = [0] * self.rs.rank
         for p in self.positions:
             e = entries[p]
             k = e.level if self.is_dual else e.level - pairing(lam, e.root)
-            total = [t + k * c for t, c in zip(total, roots[p])]
+            total = [t + k * c for t, c in zip(total, roots[folded[p]].coeffs)]
         base = weight_neg(lam) if self.is_dual else lam
         return tuple(x + y for x, y in zip(base, self.rs._weight_coords(total)))
 
@@ -265,9 +266,11 @@ def folded_roots(el: AlcoveElement) -> tuple[tuple[int, ...], ...]:
 
     At each position the accumulated product of folding reflections is applied
     to the chain root; primal elements accumulate left to right, dual elements
-    right to left, in both cases excluding the position itself.
+    right to left, in both cases excluding the position itself.  This is the
+    coordinate view of ``el.fold.roots``, which holds root indices.
     """
-    return el.fold.roots
+    roots = el.rs.roots
+    return tuple(roots[k].coeffs for k in el.fold.roots)
 
 
 def _letters(el: AlcoveElement, i: int, up: bool = False) -> list[tuple[int, int, bool]]:
@@ -275,14 +278,23 @@ def _letters(el: AlcoveElement, i: int, up: bool = False) -> list[tuple[int, int
     or minus the i-th simple root, in walk order: chain order for a primal
     element, reversed for a dual one, as :meth:`AlcoveElement.fold` walks.
     Read ``up``, they come backwards with their signs negated."""
-    target = el.rs.simple_root(i).coeffs
+    rs = el.rs
+    alpha = rs.simple_index(i)
     sign = -1 if up else 1
-    signs = {target: sign, tuple(-c for c in target): -sign}
+    signs = {alpha: sign, alpha + len(rs.positive_roots): -sign}
     jset = set(el.positions)
-    out = [(ind, signs[c], ind in jset) for ind, c in enumerate(folded_roots(el)) if c in signs]
+    out = [(ind, signs[c], ind in jset) for ind, c in enumerate(el.fold.roots) if c in signs]
     if el.is_dual != up:
         out.reverse()
     return out
+
+
+def _turns_away(el: AlcoveElement, i: int) -> bool:
+    """Whether the end product w of the element's walk turns rho away from the
+    i-th wall.  As <w(rho), alpha_i^vee> = <rho, w^-1(alpha_i)^vee>, that is
+    exactly when w^-1(alpha_i) is a negative root."""
+    rs = el.rs
+    return el.fold.end.perm.index(rs.simple_index(i)) >= len(rs.positive_roots)
 
 
 def i_signature(el: AlcoveElement, i: int) -> tuple[tuple[int, int], ...]:
@@ -345,7 +357,7 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
         if el.is_window:
             raise AssertionError("the limit models always admit a step down")
         return None
-    if pairing(el.fold.end.apply_weight(el.rs.rho), el.rs.simple_root(i)) < 0:
+    if _turns_away(el, i):
         first = next(ind for ind, _, folded in letters if folded)
         return _child(el, i, {first})
     return None
@@ -367,23 +379,23 @@ def _child(el: AlcoveElement, i: int, changed: set[int]) -> AlcoveElement:
     """
     rs = el.rs
     roots = el.fold.roots
-    s_i = rs.root_action(rs.simple_reflection(i))
-    alpha = rs.simple_root(i).coeffs
+    s_i = rs.simple_reflection(i).perm
+    alpha = rs.simple_index(i)
     assert len(changed) in (1, 2) and all(roots[p] in (alpha, s_i[alpha]) for p in changed)
     lo, hi = min(changed), max(changed)
     if len(changed) == 2:
         a, b = (lo, hi) if el.is_dual else (lo + 1, hi + 1)
     else:
         a, b = (0, lo) if el.is_dual else (lo + 1, len(roots))
-    roots = roots[:a] + tuple(map(s_i.__getitem__, roots[a:b])) + roots[b:]
+    roots = roots[:a] + roots[a:b].translate(s_i) + roots[b:]
     positions = tuple(sorted(set(el.positions).symmetric_difference(changed)))
     out = _canonical(AlcoveElement(el.chain, positions))
-    entries = out.chain.entries
-    grown = len(entries) - len(roots)
+    ids = out.chain.root_ids
+    grown = len(ids) - len(roots)
     if el.is_dual and grown:
-        roots = roots[: len(entries)] + tuple(e.root.coeffs for e in entries[len(roots) :])
+        roots = roots[: len(ids)] + ids[len(roots) :]
     elif grown:
-        roots = tuple(e.root.coeffs for e in entries[: max(grown, 0)]) + roots[max(-grown, 0) :]
+        roots = ids[: max(grown, 0)] + roots[max(-grown, 0) :]
     prefixes, admissible = _walk(out)
     if not admissible:
         raise ValueError(f"positions {list(out.positions)} are not admissible: {out!r}")
@@ -517,7 +529,6 @@ def _profile_data(el: AlcoveElement, i: int):
     element reads the profile of its mirror, and the fold ends at the product
     of the foldings in the order read.
     """
-    rs = el.rs
     letters = _letters(el, i)
     spots = [ind for ind, _, _ in letters]
     g = -1
@@ -536,10 +547,7 @@ def _profile_data(el: AlcoveElement, i: int):
         peak = max(peak, g)
         g += mark * sgn
         peak = max(peak, g)
-    gamma_inf = el.fold.end.apply_weight(rs.rho)
-    last = pairing(gamma_inf, rs.simple_root(i))
-    assert last != 0
-    sgn_inf = 1 if last > 0 else -1
+    sgn_inf = -1 if _turns_away(el, i) else 1
     if prev_pair == (1, 1):
         assert sgn_inf == 1, "profile slopes violate the structure conditions"
     h_inf = g + sgn_inf

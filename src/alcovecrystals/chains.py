@@ -51,8 +51,19 @@ class ChainEntry:
     level: int
 
 
+class _RootIds:
+    """What chains and windows share: their roots as root indices."""
+
+    @cached_property
+    def root_ids(self) -> bytes:
+        """The index of each entry's root (see ``RootSystem.roots``), one byte
+        per entry, in chain order."""
+        index = self.rs.root_index
+        return bytes(index(e.root.coeffs) for e in self.entries)
+
+
 @dataclass(frozen=True)
-class LambdaChain:
+class LambdaChain(_RootIds):
     """A chain for the dominant weight ``lam`` over the root system ``rs``.
 
     ``dual`` marks the reversed convention (levels already transformed).
@@ -76,7 +87,7 @@ class LambdaChain:
 
 
 @dataclass(frozen=True)
-class InfChainWindow:
+class InfChainWindow(_RootIds):
     """A truncation of the one-sided infinite chain to ``copies`` rho-chains.
 
     Primal windows are read as the *last* ``copies`` blocks of the infinite

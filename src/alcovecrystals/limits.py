@@ -54,7 +54,7 @@ def varpi(el) -> PLPath:
         entry = chain.entries[p]
         gap = pairing(lam, entry.root)
         crossings.append(Fraction(entry.level, gap))
-        drops.append(rs._weight_coords([gap * c for c in folded[p]]))
+        drops.append(rs._weight_coords([gap * c for c in rs.roots[folded[p]].coeffs]))
     if any(a > b for a, b in zip(crossings, crossings[1:])):
         raise ValueError("chain entries are not in crossing-time order")
     den = lcm(*(t.denominator for t in crossings))

@@ -8,21 +8,23 @@ Coordinates are fixed once and for all:
 
 With the Cartan matrix ``a[i][j] = <alpha_i, alpha_j^vee>`` these three systems
 talk to each other through integer matrices only, so nothing in this module
-ever leaves exact arithmetic.  Weyl group elements are stored as a pair of
-integer matrices (action on root coordinates, action on weight coordinates).
+ever leaves exact arithmetic.
 
-A root system memoizes what it learns about each Weyl element it meets, keyed
-by the element's root matrix (the action on roots is faithful): the element's
-action on the roots as a dict between coefficient tuples, its length, and its
-products with reflections.  The tables fill lazily, on first use, and hold at
-most ``|W|`` entries each (at most ``|W| * |roots|`` products), so folding a
-chain costs dict lookups instead of matrix products.
+Each root has an index: its place in :attr:`RootSystem.roots`, the positive
+roots followed by their negatives in the same order.  A Weyl element is the
+permutation it makes of those indices (the action on the roots is faithful),
+stored as a 256-byte ``bytes.translate`` table, so composing two elements,
+moving a root and folding a chain of root indices are each one ``translate``
+or one index, and the length counts the positive roots sent to negatives
+(Humphreys, *Reflection Groups and Coxeter Groups*, 1.6-1.7).  Every root
+index has to fit in a byte, so a root system may have at most 128 positive
+roots; every named type does.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 
@@ -43,19 +45,6 @@ IMat = tuple[IVec, ...]
 
 def _freeze(rows) -> IMat:
     return tuple(tuple(int(x) for x in row) for row in rows)
-
-
-def _mat_vec(m: IMat, v):
-    return tuple(sum(map(mul, row, v)) for row in m)
-
-
-def _mat_mul(m1: IMat, m2: IMat) -> IMat:
-    cols = tuple(zip(*m2))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in m1)
-
-
-def _identity(n: int) -> IMat:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -221,22 +210,29 @@ def root_string(root: Root) -> str:
     return "".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElement:
-    """A Weyl group element as its matrices on root and weight coordinates."""
+    """A Weyl group element as the permutation it makes of the root indices of
+    ``rs``: ``perm[k]`` is the index of the image of root ``k``, and ``perm``
+    is the identity past the roots."""
 
-    rmat: IMat
-    wmat: IMat
+    perm: bytes
+    rs: RootSystem = field(compare=False)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """Composition: ``(w1 * w2)(x) = w1(w2(x))``."""
-        return WeylElement(_mat_mul(self.rmat, other.rmat), _mat_mul(self.wmat, other.wmat))
+        return WeylElement(other.perm.translate(self.perm), self.rs)
 
     def apply_root_coeffs(self, coeffs) -> IVec:
-        return _mat_vec(self.rmat, coeffs)
+        rs = self.rs
+        return rs.roots[self.perm[rs.root_index(coeffs)]].coeffs
 
     def apply_weight(self, weight):
-        return _mat_vec(self.wmat, weight)
+        """``w(weight)``, whose i-th coordinate is ``<weight, w^-1(alpha_i)^vee>``."""
+        rs = self.rs
+        return tuple(
+            pairing(weight, rs.roots[self.perm.index(rs.simple_index(i))]) for i in rs.index_set
+        )
 
 
 class RootSystem:
@@ -245,7 +241,8 @@ class RootSystem:
     The positive roots are generated by closing the simple roots under simple
     reflections; the closure aborts with ``ValueError("infinite root system")``
     once the count exceeds ``4 * rank**2``, which is above every finite type of
-    the supported ranks.
+    the supported ranks, and with a ValueError past 128 positive roots,
+    where root indices stop fitting in a byte.
     """
 
     def __init__(self, cartan: CartanDatum):
@@ -253,8 +250,8 @@ class RootSystem:
         self.rank = cartan.rank
         #: operator/reflection indices accepted by the public API (1-based)
         self.index_set = tuple(range(1, self.rank + 1))
-        # root matrix -> what is known about that Weyl element, filled lazily
-        self._weyl: dict[IMat, _WeylMemo] = {}
+        # root coordinates -> the reflection through that root, built on first use
+        self._reflections: dict[IVec, WeylElement] = {}
 
     @classmethod
     def from_type(cls, type_string: str) -> "RootSystem":
@@ -307,7 +304,8 @@ class RootSystem:
         """All positive roots, sorted by height then lexicographically.
 
         Raises ValueError("infinite root system") if the closure does not
-        terminate within the finite-type bound.
+        terminate within the finite-type bound, and ValueError if it ends
+        with more than 128 roots.
         """
         bound = 4 * self.rank * self.rank
         seen: dict[IVec, IVec] = {r.coeffs: r.cocoeffs for r in self.simple_root_list}
@@ -324,24 +322,36 @@ class RootSystem:
                 raise ValueError("infinite root system")
             frontier = nxt
         roots = [Root(c, d) for c, d in seen.items()]
+        if len(roots) > 128:  # root indices must fit in a byte
+            raise ValueError(f"{len(roots)} positive roots: at most 128 are supported")
         roots.sort(key=lambda r: (r.height, r.coeffs))
         return tuple(roots)
 
     @cached_property
-    def _root_table(self) -> dict[IVec, Root]:
-        table = {}
-        for r in self.positive_roots:
-            table[r.coeffs] = r
-            table[(-r).coeffs] = -r
-        return table
+    def roots(self) -> tuple[Root, ...]:
+        """Every root at its index: the positive roots, then their negatives
+        in the same order, so ``-roots[k]`` is ``roots[k + len(positive_roots)]``."""
+        return self.positive_roots + tuple(-r for r in self.positive_roots)
+
+    @cached_property
+    def _index(self) -> dict[IVec, int]:
+        return {r.coeffs: k for k, r in enumerate(self.roots)}
+
+    def root_index(self, coeffs) -> int:
+        """The index of the root with the given simple-root coordinates."""
+        key = tuple(int(c) for c in coeffs)
+        try:
+            return self._index[key]
+        except KeyError:
+            raise ValueError(f"{key} is not a root") from None
 
     def root_from_coeffs(self, coeffs) -> Root:
         """Look up the root with the given simple-root coordinates."""
-        key = tuple(int(c) for c in coeffs)
-        try:
-            return self._root_table[key]
-        except KeyError:
-            raise ValueError(f"{key} is not a root") from None
+        return self.roots[self.root_index(coeffs)]
+
+    def simple_index(self, i: int) -> int:
+        """The index of the i-th simple root, ``i`` running through ``index_set``."""
+        return self._index[self.simple_root(i).coeffs]
 
     @property
     def rho(self) -> IVec:
@@ -376,85 +386,37 @@ class RootSystem:
 
     @cached_property
     def _identity_element(self) -> WeylElement:
-        eye = _identity(self.rank)
-        return WeylElement(eye, eye)
-
-    @cached_property
-    def _reflections(self) -> dict[IVec, WeylElement]:
-        """The reflection of every root, keyed by the root's coordinates."""
-        a = self.cartan.matrix
-        n = self.rank
-        table = {}
-        for b, root in self._root_table.items():
-            d = root.cocoeffs
-            ad = tuple(sum(a[j][k] * d[k] for k in range(n)) for j in range(n))
-            atb = tuple(sum(b[j] * a[j][i] for j in range(n)) for i in range(n))
-            rmat = tuple(
-                tuple(int(k == j) - b[k] * ad[j] for j in range(n)) for k in range(n)
-            )
-            wmat = tuple(
-                tuple(int(k == j) - atb[k] * d[j] for j in range(n)) for k in range(n)
-            )
-            table[b] = WeylElement(rmat, wmat)
-        return table
+        return WeylElement(bytes(range(256)), self)
 
     def reflection(self, root: Root) -> WeylElement:
-        """The Weyl element of the reflection through ``root``."""
-        return self._reflections[root.coeffs]
+        """The Weyl element of the reflection through ``root``: it sends each
+        root gamma to gamma - <gamma, root^vee> root."""
+        w = self._reflections.get(root.coeffs)
+        if w is None:
+            images = []
+            for gamma in self.roots:
+                k = pairing(self._weight_coords(gamma.coeffs), root)
+                images.append(
+                    self._index[tuple(c - k * b for c, b in zip(gamma.coeffs, root.coeffs))]
+                )
+            w = WeylElement(bytes(images) + bytes(range(len(images), 256)), self)
+            self._reflections[root.coeffs] = w
+        return w
 
     def simple_reflection(self, i: int) -> WeylElement:
         self._check_index(i)
         return self.reflection(self.simple_root_list[i - 1])
 
-    def _memo(self, w: WeylElement) -> "_WeylMemo":
-        memo = self._weyl.get(w.rmat)
-        if memo is None:
-            memo = self._weyl[w.rmat] = _WeylMemo(w)
-        return memo
-
-    def root_action(self, w: WeylElement) -> dict[IVec, IVec]:
-        """The action of ``w`` on the roots, memoized: each root's coefficient
-        tuple maps to this root system's own tuple for its image."""
-        memo = self._memo(w)
-        if memo.action is None:
-            table = self._root_table
-            memo.action = {c: table[w.apply_root_coeffs(c)].coeffs for c in table}
-        return memo.action
-
-    def times_reflection(self, w: WeylElement, root: Root) -> WeylElement:
-        """``w * reflection(root)``, memoized; equal products are one object."""
-        products = self._memo(w).products
-        out = products.get(root.coeffs)
-        if out is None:
-            out = self._memo(w * self.reflection(root)).element
-            products[root.coeffs] = out
-        return out
+    @cached_property
+    def _negative(self) -> bytes:
+        """The translate table sending negative root indices to 1, others to 0."""
+        return bytes(k >= len(self.positive_roots) for k in range(256))
 
     def length(self, w: WeylElement) -> int:
         """Coxeter length: the number of positive roots sent to negatives."""
-        memo = self._memo(w)
-        if memo.length is None:
-            action = self.root_action(w)
-            memo.length = sum(
-                any(c < 0 for c in action[r.coeffs]) for r in self.positive_roots
-            )
-        return memo.length
+        return w.perm[: len(self.positive_roots)].translate(self._negative).count(1)
 
     def is_cover(self, w: WeylElement, root: Root) -> bool:
         """Whether right multiplication by the reflection of ``root`` is a
         Bruhat cover, i.e. lengthens ``w`` by exactly one."""
-        return self.length(self.times_reflection(w, root)) == self.length(w) + 1
-
-
-class _WeylMemo:
-    """What a root system knows about one Weyl element: the first object met
-    with its root matrix, its action on the roots, its length, and its
-    products with reflections keyed by root coefficients."""
-
-    __slots__ = ("element", "action", "length", "products")
-
-    def __init__(self, element: WeylElement):
-        self.element = element
-        self.action: dict[IVec, IVec] | None = None
-        self.length: int | None = None
-        self.products: dict[IVec, WeylElement] = {}
+        return self.length(w * self.reflection(root)) == self.length(w) + 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from alcovecrystals import alcove as al
 from alcovecrystals import verify
 from alcovecrystals.chains import dual_chain, lex_chain, window
-from alcovecrystals.rootsys import RootSystem, pairing, weight_neg
+from alcovecrystals.rootsys import RootSystem, cartan_matrix, pairing, weight_neg
 from alcovecrystals.verify import Sweep
 
 A1 = RootSystem.from_type("A1")
@@ -436,6 +437,42 @@ def test_dual_window_raising_is_total():
     again = al.e_op(up, 1)
     assert again is not None
     assert al.f_op(al.e_op(b, 2), 2).positions == ()
+
+
+def kostant_counts(rs, depth):
+    """Kostant's partition function p(beta) on every beta of height at most
+    ``depth``, in simple-root coordinates: how many ways beta is a sum of
+    positive roots, counted by choosing how often each root occurs."""
+    counts = {(0,) * rs.rank: 1}
+    for root in rs.positive_roots:
+        grown = {}
+        for beta, ways in counts.items():
+            while sum(beta) <= depth:
+                grown[beta] = grown.get(beta, 0) + ways
+                beta = tuple(b + c for b, c in zip(beta, root.coeffs))
+        counts = grown
+    return counts
+
+
+@pytest.mark.parametrize(
+    "type_string, depth",
+    [("F4", 4), ("E6", 4), ("E7", 3), ("E8", 2)],
+    ids=["f4", "e6", "e7", "e8"],
+)
+def test_window_truncations_match_kostant_partition_counts(type_string, depth):
+    """The character of B(infinity) is prod_{beta > 0} 1 / (1 - e^{-beta}), so
+    a truncation to depth d holds p(beta) elements of weight -beta for every
+    beta of height at most d; the dual model, built by raising, holds them at
+    +beta."""
+    rs = RootSystem.from_type(type_string)
+    a = cartan_matrix(type_string)
+    sweep = Sweep(rs, depth)
+    for dual, sign in ((False, -1), (True, 1)):
+        want = {
+            tuple(sign * sum(b * row[i] for b, row in zip(beta, a)) for i in range(rs.rank)): ways
+            for beta, ways in kostant_counts(rs, depth).items()
+        }
+        assert Counter(al.weight(b) for b in sweep.pool(depth, dual)) == want
 
 
 def test_dual_finite_rank_one():

@@ -293,6 +293,17 @@ def test_infinite_matrix_is_a_usage_error(argv, capsys):
     assert capsys.readouterr().err == "error: infinite root system\n"
 
 
+def test_matrix_past_128_positive_roots_is_a_usage_error(capsys):
+    def type_a(n):
+        rows = [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+        return ";".join(",".join(map(str, row)) for row in rows)
+
+    assert run(["chain", "--matrix", type_a(16), "--weight", ",".join("1" * 16)]) == 2
+    assert capsys.readouterr().err == "error: 136 positive roots: at most 128 are supported\n"
+    assert run(["chain", "--matrix", type_a(15), "--weight", "1" + ",0" * 14]) == 0
+    assert out_of(capsys).count(", 0)") == 15
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 

@@ -118,7 +118,7 @@ def reference_varpi(el) -> lp.PLPath:
             points.append(tuple(c - x * dt for c, x in zip(points[-1], v)))
             times.append(tick)
         if j < len(events):
-            w = rs.times_reflection(w, events[j][1])
+            w = w * rs.reflection(events[j][1])
     return lp.PLPath.from_vertices(rs, "finite", den, times, points)
 
 

@@ -25,12 +25,15 @@ def expected_count(family: str, n: int) -> int:
         return 6
     if family == "F":
         return 24
+    if family == "E":
+        return {6: 36, 7: 63, 8: 120}[n]
     raise AssertionError(family)
 
 
 @pytest.mark.parametrize(
     "type_string",
-    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "D3", "D4", "G2", "F4"],
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "D3", "D4", "G2", "F4"]
+    + ["E6", "E7", "E8"],
 )
 def test_positive_root_counts_match_family_formula(type_string):
     rs = RootSystem.from_type(type_string)
@@ -120,22 +123,53 @@ def test_affine_reflect_examples():
     assert rs.affine_reflect(a1, 0, (1, 1)) == rs.reflect(a1, (1, 1))
 
 
-def _bfs_lengths(rs):
-    """Map every Weyl element (by its root-coordinate matrix) to its
-    shortest-word length, by breadth-first search over simple reflections."""
-    start = rs.identity_element()
-    dist = {start.rmat: 0}
+def _mat_vec(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def _mat_mul(m1, m2):
+    cols = tuple(zip(*m2))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in m1)
+
+
+def _reference_reflection(rs, root):
+    """The reflection through ``root`` as a pair of integer matrices, on
+    simple-root coordinates (gamma -> gamma - <gamma, root^vee> root) and on
+    fundamental-weight coordinates (lam -> lam - <lam, root^vee> root), built
+    from the Cartan matrix alone."""
+    a = rs.cartan.matrix
+    n = rs.rank
+    b, d = root.coeffs, root.cocoeffs
+    ad = [sum(a[j][k] * d[k] for k in range(n)) for j in range(n)]
+    atb = [sum(b[j] * a[j][i] for j in range(n)) for i in range(n)]
+    rmat = tuple(tuple(int(k == j) - b[k] * ad[j] for j in range(n)) for k in range(n))
+    wmat = tuple(tuple(int(k == j) - atb[k] * d[j] for j in range(n)) for k in range(n))
+    return rmat, wmat
+
+
+def _weyl_group(rs):
+    """Every element of W as (element, root matrix, weight matrix, length of
+    its shortest word), by breadth-first search over simple reflections,
+    keyed by the root matrix; each step multiplies both the element and the
+    reference matrices."""
+    eye = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    simple = [
+        (rs.simple_reflection(i), *_reference_reflection(rs, rs.simple_root(i)))
+        for i in rs.index_set
+    ]
+    start = (rs.identity_element(), eye, eye, 0)
+    found = {eye: start}
     frontier = [start]
     while frontier:
         nxt = []
-        for w in frontier:
-            for i in rs.index_set:
-                v = w * rs.simple_reflection(i)
-                if v.rmat not in dist:
-                    dist[v.rmat] = dist[w.rmat] + 1
-                    nxt.append(v)
+        for w, rmat, wmat, dist in frontier:
+            for s, s_rmat, s_wmat in simple:
+                key = _mat_mul(rmat, s_rmat)
+                if key not in found:
+                    found[key] = (w * s, key, _mat_mul(wmat, s_wmat), dist + 1)
+                    nxt.append(found[key])
         frontier = nxt
-    return dist
+    return list(found.values())
 
 
 @pytest.mark.parametrize(
@@ -143,39 +177,23 @@ def _bfs_lengths(rs):
     [("A2", 6), ("B2", 8), ("G2", 12), ("A3", 24), ("D4", 192), ("F4", 1152)],
 )
 def test_length_matches_shortest_word(type_string, order):
-    """Lengths, and the memoized action and reflection products, agree with
-    the matrices on every element of W."""
+    """The root permutations against the reference matrices on every element
+    of W: the action on every root and on a generic weight, the product with
+    every reflection, and the length against the shortest word."""
     rs = RootSystem.from_type(type_string)
-    dist = _bfs_lengths(rs)
-    assert len(dist) == order
-    start = rs.identity_element()
-    seen = {start.rmat: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in rs.index_set:
-                v = w * rs.simple_reflection(i)
-                if v.rmat not in seen:
-                    seen[v.rmat] = v
-                    nxt.append(v)
-        frontier = nxt
-    roots = [*rs.positive_roots, *(-r for r in rs.positive_roots)]
-    for rmat, w in seen.items():
-        action = rs.root_action(w)
-        assert len(action) == len(roots)
-        for r in roots:
-            assert action[r.coeffs] == w.apply_root_coeffs(r.coeffs)
-        assert rs.length(w) == dist[rmat]
-        assert rs.length(w) == dist[rmat]  # now read from the memo
-        for r in roots:
-            assert rs.times_reflection(w, r) == w * rs.reflection(r)
-    # the products landed on the elements already met, one object each
-    assert len(rs._weyl) == order
-    for w in seen.values():
-        for r in roots:
-            v = rs.times_reflection(w, r)
-            assert v is rs._weyl[v.rmat].element
+    group = _weyl_group(rs)
+    assert len(group) == order
+    assert len({w for w, _, _, _ in group}) == order
+    by_rmat = {rmat: w for w, rmat, _, _ in group}
+    reflections = [(rs.reflection(r), _reference_reflection(rs, r)[0]) for r in rs.roots]
+    weight = (3, 5, 7, 11)[: rs.rank]
+    for w, rmat, wmat, dist in group:
+        for r in rs.roots:
+            assert w.apply_root_coeffs(r.coeffs) == _mat_vec(rmat, r.coeffs)
+        assert w.apply_weight(weight) == _mat_vec(wmat, weight)
+        assert rs.length(w) == dist
+        for s, s_rmat in reflections:
+            assert w * s == by_rmat[_mat_mul(rmat, s_rmat)]
 
 
 def test_is_cover_examples():
@@ -185,6 +203,29 @@ def test_is_cover_examples():
     assert rs.is_cover(s1, a12)
     # the reflection of a non-simple root jumps length by more than one
     assert not rs.is_cover(rs.identity_element(), a12)
+
+
+def type_a_rows(n):
+    """The Cartan matrix of type A_n, for ranks past the named types."""
+    return [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+def test_more_than_128_positive_roots_rejected():
+    # A16 has 136 positive roots; a Weyl element permutes at most 256 roots
+    rs = RootSystem.from_matrix(type_a_rows(16))
+    with pytest.raises(ValueError, match="136 positive roots: at most 128"):
+        rs.positive_roots
+
+
+def test_128_roots_fit():
+    rs = RootSystem.from_matrix(type_a_rows(15))
+    assert len(rs.positive_roots) == 120 and len(rs.roots) == 240
+    highest = rs.positive_roots[-1]
+    assert highest.coeffs == (1,) * 15
+    s = rs.reflection(highest)
+    assert rs.length(s) == 2 * highest.height - 1
+    assert s.apply_root_coeffs(highest.coeffs) == (-1,) * 15
+    assert s * s == rs.identity_element()
 
 
 def test_infinite_root_system_aborts():

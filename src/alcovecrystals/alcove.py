@@ -24,15 +24,17 @@ to compute them.
 Each element is folded once (``AlcoveElement.fold``): the folded roots as
 root indices (one byte per position, see ``RootSystem.roots``), the end
 product of the folding reflections and whether every folding was a Bruhat
-cover.  ``_walk`` is the only loop that multiplies Weyl elements, over the
-folding positions only.  An element built by :func:`element` or directly
-translates each run of the chain's root indices between the foldings by
-the product before it; an operator's result derives its folded roots from
-its parent's, since a step changes the folded chain only by s_i between
-the positions that move (``_child``).  Operators, signatures, weights and
-the profile all read the fold, and every element built by :func:`element`
-or by an operator is checked to be admissible.  The weight and the string
-statistics are computed once per element and kept.
+cover.  One step builds every fold: toggling the folding at p translates
+every root after p in walk order by the reflection through the folded root
+at p (``_toggle``), as P s_beta = s_{P(beta)} P.  An element built by
+:func:`element` or directly toggles each of its foldings on the chain's
+root indices; an operator's result toggles the one or two positions that
+move on its parent's folded roots (``_child``).  ``_covers`` is the only
+loop that multiplies Weyl elements: it reads the end product and the cover
+check off the folded roots at the foldings.  Operators, signatures, weights
+and the profile all read the fold, and every element built by
+:func:`element` or by an operator is checked to be admissible.  The weight
+and the string statistics are computed once per element and kept.
 """
 
 from __future__ import annotations
@@ -91,21 +93,29 @@ class Fold(NamedTuple):
     admissible: bool
 
 
-def _walk(el: AlcoveElement) -> tuple[list[WeylElement], bool]:
-    """The products of the foldings in walk order, one per prefix from the
-    identity to the end product, and whether each folding was a Bruhat
-    cover.  After k covers the product has length k, so each folding is
-    checked with one length."""
+def _toggle(rs: RootSystem, roots: bytes, p: int, dual: bool) -> bytes:
+    """The folded roots after toggling the folding at ``p``: every prefix
+    product P after p in walk order becomes s_gamma P, gamma = roots[p] the
+    folded root there (P s_beta = s_{P(beta)} P), so every later root is
+    translated by the permutation of s_gamma."""
+    s = rs.reflection(rs.roots[roots[p]]).perm
+    if dual:
+        return roots[:p].translate(s) + roots[p:]
+    return roots[: p + 1] + roots[p + 1 :].translate(s)
+
+
+def _covers(el: AlcoveElement, roots: bytes) -> tuple[WeylElement, bool]:
+    """The end product of the element's foldings, given its folded roots, and
+    whether every folding was a Bruhat cover.  Each folding on gamma turns
+    the product w so far into s_gamma w; after k covers it has length k, so
+    each folding is checked with one length."""
     rs = el.rs
-    entries = el.chain.entries
     w = rs.identity_element()
-    prefixes = [w]
     admissible = True
     for count, p in enumerate(reversed(el.positions) if el.is_dual else el.positions, 1):
-        w = w * rs.reflection(entries[p].root)
-        prefixes.append(w)
+        w = rs.reflection(rs.roots[roots[p]]) * w
         admissible = admissible and rs.length(w) == count
-    return prefixes, admissible
+    return w, admissible
 
 
 @dataclass(frozen=True)
@@ -131,16 +141,15 @@ class AlcoveElement:
     def fold(self) -> Fold:
         """The folded chain, walked left to right primally, right to left dually.
 
-        Each run of the chain up to and including a folding reads its roots
-        under the product of the foldings walked before it: one translate of
-        the run's root indices by that product's permutation.
+        Starting from the chain's root indices, each folding is toggled in
+        walk order (``_toggle``); ``_covers`` then reads the end product and
+        the cover check off the folded roots.
         """
-        prefixes, admissible = _walk(self)
-        ids = self.chain.root_ids
-        cuts = (0, *(p + (not self.is_dual) for p in self.positions), len(ids))
-        runs = zip(cuts, cuts[1:], reversed(prefixes) if self.is_dual else prefixes)
-        roots = b"".join(ids[a:b].translate(w.perm) for a, b, w in runs)
-        return Fold(roots, prefixes[-1], admissible)
+        rs, dual = self.rs, self.is_dual
+        roots = self.chain.root_ids
+        for p in reversed(self.positions) if dual else self.positions:
+            roots = _toggle(rs, roots, p, dual)
+        return Fold(roots, *_covers(self, roots))
 
     @cached_property
     def wt(self) -> tuple[int, ...]:
@@ -366,28 +375,22 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
 def _child(el: AlcoveElement, i: int, changed: set[int]) -> AlcoveElement:
     """The element whose foldings differ from ``el``'s at ``changed``, letters
     of direction ``i``, on its canonical window, with its fold derived from
-    ``el``'s instead of walked.
+    ``el``'s instead of folded afresh.
 
-    Toggling a folding where the folded chain passes through plus or minus
-    alpha_i turns every later prefix product P into s_i P, since
-    P s_beta = s_{P(beta)} P; a second toggle cancels it again.  So the
-    child's roots are the parent's, with s_i applied wherever an odd number
-    of changed positions come strictly before in walk order.  Blocks a
-    window gains or loses hold no folding and are walked first, so gained
-    ones read the plain chain roots.  The end product and admissibility come
-    from one walk over the child's positions.
+    The changed positions are toggled on the parent's folded roots in walk
+    order (``_toggle``): both pass through plus or minus alpha_i, so s_i
+    lands on every root after one changed position and cancels after two.
+    Blocks a window gains or loses hold no folding and are walked first, so
+    gained ones read the plain chain roots.  ``_covers`` gives the end
+    product and checks that the result is admissible.
     """
     rs = el.rs
     roots = el.fold.roots
-    s_i = rs.simple_reflection(i).perm
     alpha = rs.simple_index(i)
-    assert len(changed) in (1, 2) and all(roots[p] in (alpha, s_i[alpha]) for p in changed)
-    lo, hi = min(changed), max(changed)
-    if len(changed) == 2:
-        a, b = (lo, hi) if el.is_dual else (lo + 1, hi + 1)
-    else:
-        a, b = (0, lo) if el.is_dual else (lo + 1, len(roots))
-    roots = roots[:a] + roots[a:b].translate(s_i) + roots[b:]
+    letter = (alpha, alpha + len(rs.positive_roots))
+    assert len(changed) in (1, 2) and all(roots[p] in letter for p in changed)
+    for p in sorted(changed, reverse=el.is_dual):
+        roots = _toggle(rs, roots, p, el.is_dual)
     positions = tuple(sorted(set(el.positions).symmetric_difference(changed)))
     out = _canonical(AlcoveElement(el.chain, positions))
     ids = out.chain.root_ids
@@ -396,10 +399,10 @@ def _child(el: AlcoveElement, i: int, changed: set[int]) -> AlcoveElement:
         roots = roots[: len(ids)] + ids[len(roots) :]
     elif grown:
         roots = ids[: max(grown, 0)] + roots[max(-grown, 0) :]
-    prefixes, admissible = _walk(out)
+    end, admissible = _covers(out, roots)
     if not admissible:
         raise ValueError(f"positions {list(out.positions)} are not admissible: {out!r}")
-    out.__dict__["fold"] = Fold(roots, prefixes[-1], True)
+    out.__dict__["fold"] = Fold(roots, end, True)
     return out
 
 
@@ -471,6 +474,7 @@ def project_Spr(el: AlcoveElement, k: int) -> AlcoveElement | None:
     if not el.is_window or el.is_dual:
         raise ValueError("project_Spr expects an element of the primal limit model")
     rs = el.rs
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if el.chain.deepest_block(el.positions) > k:

@@ -221,8 +221,10 @@ def validate_chain(chain: LambdaChain) -> bool:
     the positional level bookkeeping intact, and the interlacing condition
     relating the prefix counts of any coroot triple
     ``gamma^vee = alpha^vee + p beta^vee`` holds at every occurrence of
-    ``beta``.  Dual chains are checked with suffix counts instead.
+    ``beta``.  A dual chain is checked as the primal chain it reverses.
     """
+    if chain.dual:
+        return validate_chain(dual_chain(chain))
     rs = chain.rs
     lam = chain.lam
     seq = chain.entries
@@ -230,9 +232,8 @@ def validate_chain(chain: LambdaChain) -> bool:
     counts: dict[Root, int] = {}
     for e in seq:
         seen = counts.get(e.root, 0)
-        # k-th occurrence from the front: level k-1 primally, k dually
-        expected = seen + 1 if chain.dual else seen
-        if e.level != expected:
+        # the k-th occurrence from the front sits at level k - 1
+        if e.level != seen:
             return False
         counts[e.root] = seen + 1
     for beta in rs.positive_roots:
@@ -243,26 +244,14 @@ def validate_chain(chain: LambdaChain) -> bool:
     for alpha, beta, gamma, p in _coroot_triples(rs):
         n_alpha = n_beta = n_gamma = 0
         for r in roots_only:
-            # the dual convention counts the current entry too (it reverses a
-            # suffix count taken in the unreversed order)
-            if chain.dual:
-                if r == alpha:
-                    n_alpha += 1
-                elif r == beta:
-                    n_beta += 1
-                elif r == gamma:
-                    n_gamma += 1
-                if r == beta and n_gamma != n_alpha + p * n_beta:
-                    return False
-            else:
-                if r == beta and n_gamma != n_alpha + p * n_beta:
-                    return False
-                if r == alpha:
-                    n_alpha += 1
-                elif r == beta:
-                    n_beta += 1
-                elif r == gamma:
-                    n_gamma += 1
+            if r == beta and n_gamma != n_alpha + p * n_beta:
+                return False
+            if r == alpha:
+                n_alpha += 1
+            elif r == beta:
+                n_beta += 1
+            elif r == gamma:
+                n_gamma += 1
     return True
 
 

@@ -3,10 +3,11 @@
 The finite transport ``varpi`` reads the folding times of an alcove element
 off its chain and the directions off its folded chain, and produces a
 piecewise linear path; it swaps raising with lowering and negates weights.
-``varpi_dual`` is the same construction threaded through the order-reversing identification of the dual chain.  The
-``*_infinity`` variants lift both to the unbounded models by projecting onto
-a finite crystal first and letting the canonical straightening of rho-rays
-erase the choice made there.
+The dual transports go through their primal twins: ``varpi_dual`` and
+``varpi_dual_infinity`` mirror the element into the primal model and
+dualize the path image.  ``varpi_infinity`` lifts ``varpi`` to the
+unbounded model by projecting onto a finite crystal first and letting the
+canonical straightening of rho-rays erase the choice made there.
 
 ``verify_dual_iso`` is the audit harness: it replays every defining identity
 of a dual isomorphism over an enumerated set of elements and returns a
@@ -18,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .alcove import element, minimal_projection, mirror, project_Spr
-from .chains import _rho_multiple
+from .alcove import minimal_projection, mirror, project_Spr
+from .chains import _integer
 from .crystalgraph import Check
 from .littelmann import PLPath, dualize, xi_infinity
 from .rootsys import pairing
@@ -97,14 +98,13 @@ def varpi_infinity(el, copies: int | None = None) -> PLPath:
     rs = el.rs
     if copies is None:
         copies, image = minimal_projection(el)
-        if copies == 0:
-            return xi_infinity(rs)
     else:
-        if copies == 0 and not el.positions:
-            return xi_infinity(rs)
+        copies = _integer(copies, "copies")
         image = project_Spr(el, copies)
         if image is None:
             raise ValueError(f"no projection onto {copies} copies")
+    if copies == 0:
+        return xi_infinity(rs)
     # slowed down by ``copies`` and negated, the finite path ends at time 0
     # and starts where the incoming ray is at time -copies
     finite = varpi(image)
@@ -121,28 +121,13 @@ def varpi_infinity(el, copies: int | None = None) -> PLPath:
 def varpi_dual_infinity(el, copies: int | None = None) -> PLPath:
     """Extended path image of an element of the unbounded dual model.
 
-    The window entries agree verbatim with the dual chain of a large enough
-    multiple of the dominant-sum weight, so the element restricts to a finite
-    dual crystal; its path image, slowed down by the number of copies, merges
-    into the outgoing rho-ray independently of that number.
+    The element's mirror in the primal window is transported by
+    ``varpi_infinity`` onto the incoming rho-ray; dualizing that path gives
+    the image, which merges into the outgoing rho-ray.
     """
     if not el.chain.is_window or not el.is_dual:
         raise ValueError("varpi_dual_infinity expects an element over the dual window")
-    rs = el.rs
-    needed = max(1, el.chain.deepest_block(el.positions))
-    if copies is None:
-        copies = needed
-    elif copies < needed:
-        raise ValueError(f"need at least {needed} copies")
-    # the dual chain of k * rho mirrors the cached k * rho chain, so the
-    # element is read off that chain at the mirrored positions, as
-    # ``varpi_dual`` would after ``mirror``
-    chain = _rho_multiple(rs, copies)
-    size = len(chain.entries)
-    finite = dualize(varpi(element(chain, [size - 1 - p for p in el.positions])))
-    return PLPath.from_vertices(
-        rs, "extended", finite.den, [copies * t for t in finite.times], finite.points
-    )
+    return dualize(varpi_infinity(mirror(el), copies))
 
 
 def verify_dual_iso(elements, mapping, source_ops, target_ops) -> Check:

@@ -212,9 +212,11 @@ def test_fold_matches_reference_walks(chain):
 )
 def test_derived_folds_match_fresh_walks(type_string, depth):
     """Operator results derive their fold from the parent's; it must equal a
-    fresh walk on window pools of both models, on finite primal and dual
-    crystals, and on pool elements widened by two and three blocks (as the
-    limits suite widens them), whose steps drop blocks again."""
+    fresh fold and the reference walk on window pools of both models, on
+    finite primal and dual crystals, and on pool elements widened by two and
+    three blocks (as the limits suite widens them), whose steps drop blocks
+    again.  Fresh and derived folds share ``_toggle``, so the reference walk
+    is the oracle that shares nothing with them."""
     rs = RootSystem.from_type(type_string)
     sweep = Sweep(rs, depth)
     pool = sweep.pool(depth) + sweep.pool(depth, dual=True)
@@ -231,6 +233,8 @@ def test_derived_folds_match_fresh_walks(type_string, depth):
     assert len(children) > 1000 and shrunk > 500
     for c in children:
         assert c.fold == al.AlcoveElement(c.chain, c.positions).fold, c
+        ok, folded, end, wt = reference_walk(c.chain, c.positions)
+        assert (ok, al.folded_roots(c), c.fold.end, c.wt) == (True, folded, end, wt), c
 
 
 def test_derived_child_checks_admissibility():

@@ -109,6 +109,9 @@ def test_validate_rejects_wrong_occurrence_count():
     chain = lex_chain(rs, (1, 1))
     extra = chain.entries + (ChainEntry(rs.root_from_coeffs((1, 0)), 1),)
     assert not validate_chain(LambdaChain(rs, (1, 1), extra))
+    dual = dual_chain(chain)
+    extra = dual.entries + (ChainEntry(rs.root_from_coeffs((1, 0)), 2),)
+    assert not validate_chain(LambdaChain(rs, (1, 1), extra, dual=True))
 
 
 def brute_force_condition(rs, roots, dual=False):
@@ -171,7 +174,13 @@ def test_validator_agrees_with_brute_force_on_all_rho_orderings_a2():
             entries.append(ChainEntry(r, counts.get(r, 0)))
             counts[r] = counts.get(r, 0) + 1
         chain = LambdaChain(rs, (1, 1), tuple(entries))
-        assert validate_chain(chain) == brute_force_condition(rs, list(perm))
+        expected = brute_force_condition(rs, list(perm))
+        assert validate_chain(chain) == expected
+        # the dual chain walks the same roots backwards; the brute force
+        # reads it in the unreversed order with suffix counts
+        dual = dual_chain(chain)
+        unreversed = [e.root for e in reversed(dual.entries)]
+        assert validate_chain(dual) == brute_force_condition(rs, unreversed, dual=True) == expected
 
 
 def test_concat_doubles_rho_chain_a2():

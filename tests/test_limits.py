@@ -11,7 +11,7 @@ import pytest
 from alcovecrystals import alcove as al
 from alcovecrystals import crystalgraph as cg
 from alcovecrystals import littelmann as lp
-from alcovecrystals.chains import LambdaChain, dual_chain, lex_chain, window
+from alcovecrystals.chains import LambdaChain, _rho_multiple, dual_chain, lex_chain, window
 from alcovecrystals.limits import (
     varpi,
     varpi_dual,
@@ -267,11 +267,63 @@ def test_dual_single_fold_image_is_a_lowered_ray():
     assert path.segments == (((-1, 2), Fraction(1)),)
 
 
-def test_dual_unbounded_agrees_with_the_composite_route():
-    for el in window_elements(A2, 3, dual=True):
-        direct = varpi_dual_infinity(el)
-        composite = lp.dualize(varpi_infinity(al.mirror(el)))
-        assert direct == composite
+def reference_varpi_dual_infinity(el, copies=None) -> lp.PLPath:
+    """The unbounded dual transport read off the dual chain of copies * rho
+    directly: the window entries agree verbatim with that dual chain, so the
+    element restricts to a finite dual crystal, whose path image, slowed down
+    by the number of copies, merges into the outgoing rho-ray."""
+    rs = el.rs
+    needed = max(1, el.chain.deepest_block(el.positions))
+    if copies is None:
+        copies = needed
+    elif copies < needed:
+        raise ValueError(f"need at least {needed} copies")
+    # the dual chain of k * rho mirrors the k * rho chain
+    chain = _rho_multiple(rs, copies)
+    size = len(chain.entries)
+    finite = lp.dualize(varpi(al.element(chain, [size - 1 - p for p in el.positions])))
+    return lp.PLPath.from_vertices(
+        rs, "extended", finite.den, [copies * t for t in finite.times], finite.points
+    )
+
+
+@pytest.mark.parametrize("type_string", ["A2", "B2", "G2"])
+def test_dual_unbounded_matches_the_dual_chain_reference(type_string):
+    """The dual transport, routed through the primal one, agrees path for
+    path with the reference, with the default and with explicit copies."""
+    rs = RootSystem.from_type(type_string)
+    pool = window_elements(rs, 4, dual=True)
+    assert len(pool) > 20
+    for el in pool:
+        assert same_path(varpi_dual_infinity(el), reference_varpi_dual_infinity(el)), el
+        needed = max(1, el.chain.deepest_block(el.positions))
+        for copies in range(needed, needed + 3):
+            direct = varpi_dual_infinity(el, copies=copies)
+            assert same_path(direct, reference_varpi_dual_infinity(el, copies)), (el, copies)
+
+
+def test_dual_unbounded_copies_edges():
+    empty = al.element(window(A2, 1, dual=True), [])
+    assert varpi_dual_infinity(empty, copies=0) == lp.pi_infinity(A2)
+    deep = al.element_from_pairs(window(A2, 2, dual=True), [((1, 0), 2)])
+    assert deep.chain.deepest_block(deep.positions) == 2
+    with pytest.raises(ValueError, match="no projection onto 1 copies"):
+        varpi_dual_infinity(deep, copies=1)
+
+
+def test_non_integer_copies_are_refused():
+    primal = al.element_from_pairs(window(A2, 1), [((1, 0), -1)])
+    dual = al.mirror(primal)
+    empty = al.element(window(A2, 1), [])
+    for bad in (2.0, "2", 1.5):
+        with pytest.raises(ValueError, match="must be an integer"):
+            al.project_Spr(primal, bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            varpi_infinity(primal, copies=bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            varpi_dual_infinity(dual, copies=bad)
+    with pytest.raises(ValueError, match="must be an integer"):
+        varpi_infinity(empty, copies=0.0)
 
 
 def test_dual_unbounded_transport_is_a_dual_isomorphism():

@@ -13,10 +13,14 @@ Every element is read in its walk order: chain order primally, reversed
 dually.  One signature step (``_step``) gives all four operators: lowering a
 primal element or raising a dual one reads the letters of the folded chain in
 walk order, the other two read them backwards with negated signs, as
-``mirror`` (the dual isomorphism that swaps f_i and e_i) reads them.  Weights
-are read off the folded chain.  A second, independent formulation of the same
-operators through a piecewise linear profile is their oracle (``profile_f``
-/ ``profile_e``).  The string statistics are read off that profile in closed
+``mirror`` (the dual isomorphism that swaps f_i and e_i) reads them.  The
+letters are found by one C-level scan (``_scan``): translating the folded
+roots by a mask of plus and minus alpha_i and compressing the positions by
+it, so the step, the signature and the profile do Python work per letter,
+not per position of the window, and the step reduces its signature in one
+pass over those positions.  Weights are read off the folded chain.  A
+second, independent formulation of the same operators through a piecewise
+linear profile is their oracle (``profile_f`` / ``profile_e``).  The string statistics are read off that profile in closed
 form: how far it falls from its peak to its end gives epsilon (phi in the
 dual models), and the weight gives the other one, so no operator is applied
 to compute them.
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 from .chains import (
@@ -282,20 +287,35 @@ def folded_roots(el: AlcoveElement) -> tuple[tuple[int, ...], ...]:
     return tuple(roots[k].coeffs for k in el.fold.roots)
 
 
-def _letters(el: AlcoveElement, i: int, up: bool = False) -> list[tuple[int, int, bool]]:
-    """(position, sign, folded) wherever the folded chain passes through plus
-    or minus the i-th simple root, in walk order: chain order for a primal
-    element, reversed for a dual one, as :meth:`AlcoveElement.fold` walks.
-    Read ``up``, they come backwards with their signs negated."""
-    rs = el.rs
-    alpha = rs.simple_index(i)
-    sign = -1 if up else 1
-    signs = {alpha: sign, alpha + len(rs.positive_roots): -sign}
-    jset = set(el.positions)
-    out = [(ind, signs[c], ind in jset) for ind, c in enumerate(el.fold.roots) if c in signs]
+def _scan(el: AlcoveElement, i: int, up: bool) -> list[int]:
+    """The positions where the folded chain passes through plus or minus the
+    i-th simple root, in walk order: chain order for a primal element,
+    reversed for a dual one, as :meth:`AlcoveElement.fold` walks; read
+    ``up``, backwards.  One ``translate`` by ``RootSystem.letter_masks``
+    marks them and ``compress`` picks them out, so the Python work is one
+    step per letter, not per position."""
+    roots = el.fold.roots
+    spots = list(compress(range(len(roots)), roots.translate(el.rs.letter_masks[i])))
     if el.is_dual != up:
-        out.reverse()
-    return out
+        spots.reverse()
+    return spots
+
+
+def _plus(rs: RootSystem, i: int, up: bool) -> int:
+    """The root index read as a plus: alpha_i in walk order, -alpha_i read
+    ``up``, where every sign is negated."""
+    alpha = rs.simple_index(i)
+    return alpha + len(rs.positive_roots) if up else alpha
+
+
+def _letters(el: AlcoveElement, i: int, up: bool = False) -> list[tuple[int, int, bool]]:
+    """(position, sign, folded) at each position of ``_scan``, in its order:
+    the letters of direction ``i`` in walk order, or read ``up``, backwards
+    with their signs negated."""
+    roots = el.fold.roots
+    plus = _plus(el.rs, i, up)
+    jset = set(el.positions)
+    return [(p, 1 if roots[p] == plus else -1, p in jset) for p in _scan(el, i, up)]
 
 
 def _turns_away(el: AlcoveElement, i: int) -> bool:
@@ -353,22 +373,35 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
     step up: the same rule on the letters read backwards with negated signs.
     The last unmatched plus is folded and the next folding read after it, if
     any, unfolded.  With no plus left, a step up drops the first folding read
-    when the walk's end product turns rho away from the i-th wall.
+    when the walk's end product turns rho away from the i-th wall.  One pass
+    over the positions of ``_scan`` does it: a plus cancels the latest
+    unmatched minus before it or becomes the last unmatched plus so far, and
+    ``after`` is the first folding read since that plus, or since the start
+    while there is none.
     """
-    letters = _letters(el, i, up)
-    word = [(n, sign) for n, (_, sign, folded) in enumerate(letters) if not folded]
-    pluses, _ = reduce_signature(word)
-    if pluses:
-        n = pluses[-1]
-        later = [ind for ind, _, folded in letters[n + 1 :] if folded]
-        return _child(el, i, {letters[n][0], *later[:1]})
+    roots = el.fold.roots
+    plus = _plus(el.rs, i, up)
+    jset = set(el.positions)
+    minuses = 0
+    last = after = None
+    for p in _scan(el, i, up):
+        if p in jset:
+            if after is None:
+                after = p
+        elif roots[p] != plus:
+            minuses += 1
+        elif minuses:
+            minuses -= 1
+        else:
+            last, after = p, None
+    if last is not None:
+        return _child(el, i, {last} if after is None else {last, after})
     if not up:
         if el.is_window:
             raise AssertionError("the limit models always admit a step down")
         return None
     if _turns_away(el, i):
-        first = next(ind for ind, _, folded in letters if folded)
-        return _child(el, i, {first})
+        return _child(el, i, {after})
     return None
 
 

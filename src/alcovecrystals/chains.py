@@ -37,9 +37,11 @@ __all__ = [
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int, refusing floats, strings and other non-integers
-    instead of truncating them."""
+    """``value`` as an int, refusing booleans, floats, strings and other
+    non-integers instead of truncating them."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None

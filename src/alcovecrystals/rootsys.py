@@ -412,6 +412,19 @@ class RootSystem:
         """The translate table sending negative root indices to 1, others to 0."""
         return bytes(k >= len(self.positive_roots) for k in range(256))
 
+    @cached_property
+    def letter_masks(self) -> dict[int, bytes]:
+        """For each i in ``index_set``, the translate table sending the indices
+        of plus and minus the i-th simple root to 1 and every other index to
+        0, so one ``translate`` marks where a chain of root indices passes
+        through them."""
+        npos = len(self.positive_roots)
+        masks = {}
+        for i in self.index_set:
+            alpha = self.simple_index(i)
+            masks[i] = bytes(k in (alpha, alpha + npos) for k in range(256))
+        return masks
+
     def length(self, w: WeylElement) -> int:
         """Coxeter length: the number of positive roots sent to negatives."""
         return w.perm[: len(self.positive_roots)].translate(self._negative).count(1)

@@ -73,6 +73,16 @@ def test_positions_validated():
     assert al.element_from_pairs(chain, [((1, 0), 0)]).positions == (2,)
 
 
+def test_boolean_positions_and_levels_are_refused():
+    # True and False would pass for positions 1 and 0 and level 0
+    chain = lex_chain(A2, (1, 1))
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="must be an integer"):
+            al.element(chain, [bad])
+        with pytest.raises(ValueError, match="must be an integer"):
+            al.element_from_pairs(chain, [((1, 0), bad)])
+
+
 def test_admissible_sets_for_doubled_first_fundamental_a3():
     chain = lex_chain(A3, (2, 0, 0))
     expected = [
@@ -207,6 +217,59 @@ def test_fold_matches_reference_walks(chain):
     assert admissible > 1
 
 
+def reference_letters(el, i, up):
+    """(position, sign, folded) wherever the folded chain passes through plus
+    or minus the i-th simple root, found by comparing every position, in walk
+    order; read ``up``, backwards with their signs negated."""
+    rs = el.rs
+    alpha = rs.simple_index(i)
+    sign = -1 if up else 1
+    signs = {alpha: sign, alpha + len(rs.positive_roots): -sign}
+    jset = set(el.positions)
+    out = [(ind, signs[c], ind in jset) for ind, c in enumerate(el.fold.roots) if c in signs]
+    if el.is_dual != up:
+        out.reverse()
+    return out
+
+
+def reference_step(el, i, up):
+    """The signature step spelled out: the reduced word of the unfolded
+    letters, its last unmatched plus folded and the next folding read after
+    it unfolded; with no plus, a step up drops the first folding read when
+    the end product turns rho away from the i-th wall."""
+    letters = reference_letters(el, i, up)
+    word = [(n, sign) for n, (_, sign, folded) in enumerate(letters) if not folded]
+    pluses, _ = al.reduce_signature(word)
+    if pluses:
+        n = pluses[-1]
+        later = [ind for ind, _, folded in letters[n + 1 :] if folded]
+        return al._child(el, i, {letters[n][0], *later[:1]})
+    if not up:
+        assert not el.is_window
+        return None
+    if al._turns_away(el, i):
+        first = next(ind for ind, _, folded in letters if folded)
+        return al._child(el, i, {first})
+    return None
+
+
+# finite weights whose primal and dual crystals join the window pools
+POOL_WEIGHTS = {"A2": (2, 1), "B2": (1, 1), "G2": (0, 1)}
+
+
+def widened_pool(type_string, depth):
+    """The window pools of both models to ``depth``, the finite primal and
+    dual crystals of ``POOL_WEIGHTS``, and every window element widened by
+    two and three blocks, as the limits suite widens them."""
+    rs = RootSystem.from_type(type_string)
+    sweep = Sweep(rs, depth)
+    pool = sweep.pool(depth) + sweep.pool(depth, dual=True)
+    for dual in (False, True) if type_string in POOL_WEIGHTS else ():
+        pool += sweep.finite(POOL_WEIGHTS[type_string], dual).elements.values()
+    wide = [verify._widen(b, copies) for b in pool if b.is_window for copies in (2, 3)]
+    return pool, wide
+
+
 @pytest.mark.parametrize(
     "type_string, depth", [("A2", 6), ("B2", 6), ("G2", 6), ("A3", 5)], ids=["a2", "b2", "g2", "a3"]
 )
@@ -218,14 +281,10 @@ def test_derived_folds_match_fresh_walks(type_string, depth):
     again.  Fresh and derived folds share ``_toggle``, so the reference walk
     is the oracle that shares nothing with them."""
     rs = RootSystem.from_type(type_string)
-    sweep = Sweep(rs, depth)
-    pool = sweep.pool(depth) + sweep.pool(depth, dual=True)
-    lam = {"A2": (2, 1), "B2": (1, 1), "G2": (0, 1)}.get(type_string)
-    for dual in (False, True) if lam else ():
-        pool += sweep.finite(lam, dual).elements.values()
+    pool, widened = widened_pool(type_string, depth)
     children = [op(b, i) for b in pool for i in rs.index_set for op in (al.f_op, al.e_op)]
     shrunk = 0
-    for wide in (verify._widen(b, copies) for b in pool if b.is_window for copies in (2, 3)):
+    for wide in widened:
         steps = [al._step(wide, i, up) for i in rs.index_set for up in (False, True)]
         shrunk += sum(c is not None and c.chain.copies < wide.chain.copies for c in steps)
         children += steps
@@ -235,6 +294,22 @@ def test_derived_folds_match_fresh_walks(type_string, depth):
         assert c.fold == al.AlcoveElement(c.chain, c.positions).fold, c
         ok, folded, end, wt = reference_walk(c.chain, c.positions)
         assert (ok, al.folded_roots(c), c.fold.end, c.wt) == (True, folded, end, wt), c
+
+
+@pytest.mark.parametrize(
+    "type_string, depth",
+    [("A2", 6), ("B2", 6), ("G2", 6), ("A3", 5), ("C3", 4), ("D4", 4), ("F4", 3), ("E6", 3)],
+    ids=["a2", "b2", "g2", "a3", "c3", "d4", "f4", "e6"],
+)
+def test_steps_match_reference_step(type_string, depth):
+    """The one-pass step against the reduced word, both ways, on the pools of
+    the derived-fold test and on the few letters of long higher-rank
+    windows."""
+    pool, wide = widened_pool(type_string, depth)
+    for b in pool + wide:
+        for i in b.rs.index_set:
+            for up in (False, True):
+                assert al._step(b, i, up) == reference_step(b, i, up), (b, i, up)
 
 
 def test_derived_child_checks_admissibility():
@@ -732,6 +807,29 @@ def test_random_window_words_roundtrip_through_projection(type_string, word):
         b = al.f_op(b, i)
     k, img = al.minimal_projection(b)
     assert al.include_Sin(img, k).pairs() == b.pairs() if k else b.positions == ()
+
+
+@given(
+    st.sampled_from(["C3", "D4", "F4", "E6"]),
+    st.booleans(),
+    st.lists(st.integers(1, 6), max_size=8),
+)
+@settings(max_examples=100, deadline=None)
+def test_random_window_words_beyond_rank_three(type_string, dual, word):
+    """Both window models of C3, D4, F4 and E6, walked along a random word
+    (lowering primally, raising dually, indices taken mod the rank): each
+    step is undone by the other operator, and at every element passed the
+    signature operators agree with the profile operators."""
+    rs = RootSystem.from_type(type_string)
+    step, back = (al.e_op, al.f_op) if dual else (al.f_op, al.e_op)
+    b = el(window(rs, 1, dual=dual))
+    for i in [1 + (j - 1) % rs.rank for j in word]:
+        for k in rs.index_set:
+            assert al.f_op(b, k) == al.profile_f(b, k), (b, k)
+            assert al.e_op(b, k) == al.profile_e(b, k), (b, k)
+        nxt = step(b, i)
+        assert nxt is not None and back(nxt, i) == b, (b, i)
+        b = nxt
 
 
 def test_json_shape():

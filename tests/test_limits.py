@@ -326,6 +326,20 @@ def test_non_integer_copies_are_refused():
         varpi_infinity(empty, copies=0.0)
 
 
+def test_boolean_copies_are_refused():
+    # operator.index(True) is 1: a boolean must not pass for one copy
+    primal = al.element_from_pairs(window(A2, 1), [((1, 0), -1)])
+    dual = al.mirror(primal)
+    with pytest.raises(ValueError, match="must be an integer"):
+        al.project_Spr(primal, True)
+    with pytest.raises(ValueError, match="must be an integer"):
+        varpi_infinity(primal, copies=True)
+    with pytest.raises(ValueError, match="must be an integer"):
+        varpi_dual_infinity(dual, copies=False)
+    with pytest.raises(ValueError, match="must be an integer"):
+        window(A2, True)
+
+
 def test_dual_unbounded_transport_is_a_dual_isomorphism():
     report = verify_dual_iso(
         window_elements(A2, 3, dual=True),

@@ -20,23 +20,23 @@ it, so the step, the signature and the profile do Python work per letter,
 not per position of the window, and the step reduces its signature in one
 pass over those positions.  Weights are read off the folded chain.  A
 second, independent formulation of the same operators through a piecewise
-linear profile is their oracle (``profile_f`` / ``profile_e``).  The string statistics are read off that profile in closed
-form: how far it falls from its peak to its end gives epsilon (phi in the
-dual models), and the weight gives the other one, so no operator is applied
-to compute them.
+linear profile is their oracle (``profile_f`` / ``profile_e``).  The string
+statistics are read off that profile in closed form: how far it falls from
+its peak to its end gives epsilon (phi in the dual models), and the weight
+gives the other one, so no operator is applied to compute them.
 
 Each element is folded once (``AlcoveElement.fold``): the folded roots as
 root indices (one byte per position, see ``RootSystem.roots``), the end
 product of the folding reflections and whether every folding was a Bruhat
-cover.  One step builds every fold: toggling the folding at p translates
-every root after p in walk order by the reflection through the folded root
-at p (``_toggle``), as P s_beta = s_{P(beta)} P.  An element built by
-:func:`element` or directly toggles each of its foldings on the chain's
-root indices; an operator's result toggles the one or two positions that
-move on its parent's folded roots (``_child``).  ``_covers`` is the only
-loop that multiplies Weyl elements: it reads the end product and the cover
-check off the folded roots at the foldings.  Operators, signatures, weights
-and the profile all read the fold, and every element built by
+cover.  Toggling the folding at p translates every root after p in walk
+order by the reflection through the folded root at p (``_toggle``), as
+P s_beta = s_{P(beta)} P.  An element built by :func:`element` or directly
+toggles each of its foldings on the chain's root indices; an operator's
+result toggles the one or two positions that move on its parent's folded
+roots (``_child``).  Both read the reflection's permutation from
+``RootSystem.reflections`` at the folded root's byte, and ``_covers``
+composes those raw permutations at the foldings into the end product,
+checking the length at every folding, so every element built by
 :func:`element` or by an operator is checked to be admissible.  The weight
 and the string statistics are computed once per element and kept.
 """
@@ -53,6 +53,7 @@ from .chains import (
     LambdaChain,
     _integer,
     _rho_multiple,
+    chain_to_json,
     concat,
     dual_chain,
     lex_chain,
@@ -90,20 +91,20 @@ class Fold(NamedTuple):
     """One walk along an element's chain: the index of the folded root at each
     position, one byte per position, the product of the folding reflections
     in walk order (tau primally, iota dually) and whether every folding was a
-    Bruhat cover.  The weight and the path image are read off the folded
-    roots."""
+    Bruhat cover, the last two from ``_covers``'s walk on raw permutations.
+    The weight and the path image are read off the folded roots."""
 
     roots: bytes
     end: WeylElement
     admissible: bool
 
 
-def _toggle(rs: RootSystem, roots: bytes, p: int, dual: bool) -> bytes:
+def _toggle(refl: tuple[bytes, ...], roots: bytes, p: int, dual: bool) -> bytes:
     """The folded roots after toggling the folding at ``p``: every prefix
     product P after p in walk order becomes s_gamma P, gamma = roots[p] the
     folded root there (P s_beta = s_{P(beta)} P), so every later root is
-    translated by the permutation of s_gamma."""
-    s = rs.reflection(rs.roots[roots[p]]).perm
+    translated by the permutation of s_gamma, ``refl[roots[p]]``."""
+    s = refl[roots[p]]
     if dual:
         return roots[:p].translate(s) + roots[p:]
     return roots[: p + 1] + roots[p + 1 :].translate(s)
@@ -112,15 +113,16 @@ def _toggle(rs: RootSystem, roots: bytes, p: int, dual: bool) -> bytes:
 def _covers(el: AlcoveElement, roots: bytes) -> tuple[WeylElement, bool]:
     """The end product of the element's foldings, given its folded roots, and
     whether every folding was a Bruhat cover.  Each folding on gamma turns
-    the product w so far into s_gamma w; after k covers it has length k, so
-    each folding is checked with one length."""
+    the raw permutation w so far into s_gamma w; after k covers it has length
+    k, so each folding is checked.  Only the end becomes a WeylElement."""
     rs = el.rs
-    w = rs.identity_element()
+    refl, negative, npos = rs.reflections, rs._negative, len(rs.positive_roots)
+    w = rs.identity_element().perm
     admissible = True
     for count, p in enumerate(reversed(el.positions) if el.is_dual else el.positions, 1):
-        w = rs.reflection(rs.roots[roots[p]]) * w
-        admissible = admissible and rs.length(w) == count
-    return w, admissible
+        w = w.translate(refl[roots[p]])
+        admissible = admissible and w[:npos].translate(negative).count(1) == count
+    return WeylElement(w, rs), admissible
 
 
 @dataclass(frozen=True)
@@ -150,10 +152,10 @@ class AlcoveElement:
         walk order (``_toggle``); ``_covers`` then reads the end product and
         the cover check off the folded roots.
         """
-        rs, dual = self.rs, self.is_dual
+        refl, dual = self.rs.reflections, self.is_dual
         roots = self.chain.root_ids
         for p in reversed(self.positions) if dual else self.positions:
-            roots = _toggle(rs, roots, p, dual)
+            roots = _toggle(refl, roots, p, dual)
         return Fold(roots, *_covers(self, roots))
 
     @cached_property
@@ -214,22 +216,22 @@ def render_element(el: AlcoveElement) -> str:
 # construction and window canonicalization
 
 
-def _canonical(el: AlcoveElement) -> AlcoveElement:
-    """Renormalize a window element to its canonical number of copies.
+def _canonical_window(chain, positions) -> tuple[LambdaChain | InfChainWindow, tuple[int, ...]]:
+    """A window and foldings moved to the canonical window: one fresh block
+    beyond the deepest folding, so every operator sees the letters it needs."""
+    if not chain.is_window:
+        return chain, positions
+    wanted = chain.deepest_block(positions) + 1
+    if wanted == chain.copies:
+        return chain, positions
+    shift = chain.offset(wanted)
+    return window(chain.rs, wanted, dual=chain.dual), tuple(p + shift for p in positions)
 
-    The canonical window keeps one fresh block beyond the deepest folding so
-    every operator sees the letters it needs.  Finite-chain elements are
-    returned unchanged.
-    """
-    if not el.is_window:
-        return el
-    w: InfChainWindow = el.chain
-    wanted = w.deepest_block(el.positions) + 1
-    if wanted == w.copies:
-        return el
-    shift = w.offset(wanted)
-    fresh = window(el.rs, wanted, dual=w.dual)
-    return AlcoveElement(fresh, tuple(p + shift for p in el.positions))
+
+def _canonical(el: AlcoveElement) -> AlcoveElement:
+    """The element on its canonical window (``_canonical_window``)."""
+    chain, positions = _canonical_window(el.chain, el.positions)
+    return el if chain is el.chain else AlcoveElement(chain, positions)
 
 
 def element(chain, positions) -> AlcoveElement:
@@ -301,10 +303,9 @@ def _scan(el: AlcoveElement, i: int, up: bool) -> list[int]:
     return spots
 
 
-def _plus(rs: RootSystem, i: int, up: bool) -> int:
-    """The root index read as a plus: alpha_i in walk order, -alpha_i read
-    ``up``, where every sign is negated."""
-    alpha = rs.simple_index(i)
+def _plus(rs: RootSystem, alpha: int, up: bool) -> int:
+    """The root index read as a plus, ``alpha`` the index of alpha_i: alpha_i
+    in walk order, -alpha_i read ``up``, where every sign is negated."""
     return alpha + len(rs.positive_roots) if up else alpha
 
 
@@ -313,17 +314,17 @@ def _letters(el: AlcoveElement, i: int, up: bool = False) -> list[tuple[int, int
     the letters of direction ``i`` in walk order, or read ``up``, backwards
     with their signs negated."""
     roots = el.fold.roots
-    plus = _plus(el.rs, i, up)
+    plus = _plus(el.rs, el.rs.simple_index(i), up)
     jset = set(el.positions)
     return [(p, 1 if roots[p] == plus else -1, p in jset) for p in _scan(el, i, up)]
 
 
-def _turns_away(el: AlcoveElement, i: int) -> bool:
+def _turns_away(el: AlcoveElement, i: int, alpha: int | None = None) -> bool:
     """Whether the end product w of the element's walk turns rho away from the
     i-th wall.  As <w(rho), alpha_i^vee> = <rho, w^-1(alpha_i)^vee>, that is
-    exactly when w^-1(alpha_i) is a negative root."""
-    rs = el.rs
-    return el.fold.end.perm.index(rs.simple_index(i)) >= len(rs.positive_roots)
+    exactly when w^-1(alpha_i) is a negative root (``alpha``, its index)."""
+    alpha = el.rs.simple_index(i) if alpha is None else alpha
+    return el.fold.end.perm.index(alpha) >= len(el.rs.positive_roots)
 
 
 def i_signature(el: AlcoveElement, i: int) -> tuple[tuple[int, int], ...]:
@@ -377,10 +378,11 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
     over the positions of ``_scan`` does it: a plus cancels the latest
     unmatched minus before it or becomes the last unmatched plus so far, and
     ``after`` is the first folding read since that plus, or since the start
-    while there is none.
+    while there is none.  ``i`` is checked and alpha_i looked up just once.
     """
+    alpha = el.rs.simple_index(i)
     roots = el.fold.roots
-    plus = _plus(el.rs, i, up)
+    plus = _plus(el.rs, alpha, up)
     jset = set(el.positions)
     minuses = 0
     last = after = None
@@ -400,7 +402,7 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
         if el.is_window:
             raise AssertionError("the limit models always admit a step down")
         return None
-    if _turns_away(el, i):
+    if _turns_away(el, i, alpha):
         return _child(el, i, {after})
     return None
 
@@ -417,24 +419,23 @@ def _child(el: AlcoveElement, i: int, changed: set[int]) -> AlcoveElement:
     gained ones read the plain chain roots.  ``_covers`` gives the end
     product and checks that the result is admissible.
     """
-    rs = el.rs
+    chain, rs, dual = el.chain, el.chain.rs, el.chain.dual
     roots = el.fold.roots
-    alpha = rs.simple_index(i)
-    letter = (alpha, alpha + len(rs.positive_roots))
-    assert len(changed) in (1, 2) and all(roots[p] in letter for p in changed)
-    for p in sorted(changed, reverse=el.is_dual):
-        roots = _toggle(rs, roots, p, el.is_dual)
+    assert len(changed) in (1, 2) and all(rs.letter_masks[i][roots[p]] for p in changed)
+    for p in sorted(changed, reverse=dual):
+        roots = _toggle(rs.reflections, roots, p, dual)
     positions = tuple(sorted(set(el.positions).symmetric_difference(changed)))
-    out = _canonical(AlcoveElement(el.chain, positions))
-    ids = out.chain.root_ids
+    chain, positions = _canonical_window(chain, positions)
+    ids = chain.root_ids
     grown = len(ids) - len(roots)
-    if el.is_dual and grown:
+    if dual and grown:
         roots = roots[: len(ids)] + ids[len(roots) :]
     elif grown:
         roots = ids[: max(grown, 0)] + roots[max(-grown, 0) :]
+    out = AlcoveElement(chain, positions)
     end, admissible = _covers(out, roots)
     if not admissible:
-        raise ValueError(f"positions {list(out.positions)} are not admissible: {out!r}")
+        raise ValueError(f"positions {list(positions)} are not admissible: {out!r}")
     out.__dict__["fold"] = Fold(roots, end, True)
     return out
 
@@ -451,12 +452,14 @@ def weight(el: AlcoveElement):
 def epsilon(el: AlcoveElement, i: int) -> int:
     """How many times the raising operator applies; in the dual limit model it
     is defined through the weight identity and may be negative."""
+    el.rs._check_index(i)
     return el.strings[i][0]
 
 
 def phi(el: AlcoveElement, i: int) -> int:
     """How many times the lowering operator applies; in the limit model it is
     defined through the weight identity and may be negative."""
+    el.rs._check_index(i)
     return el.strings[i][1]
 
 
@@ -473,11 +476,7 @@ def shift_S(el: AlcoveElement, mu) -> AlcoveElement | None:
     """
     if el.is_window or el.is_dual:
         raise ValueError("shift_S expects an element over a finite primal chain")
-    mu = tuple(mu)
-    rs = el.rs
-    if any((not isinstance(c, int)) or c < 0 for c in mu):
-        raise ValueError(f"weight {mu} is not dominant integral")
-    head = lex_chain(rs, mu)
+    head = lex_chain(el.rs, mu)  # refuses a weight that is not dominant integral
     combined = concat(head, el.chain)
     moved = AlcoveElement(combined, tuple(p + len(head) for p in el.positions))
     return moved if is_admissible(moved) else None
@@ -668,15 +667,9 @@ def element_to_json(el: AlcoveElement) -> dict:
     entries = el.chain.entries
     return {
         "model": _model_name(el),
-        "chain": [
-            {"root": list(e.root.coeffs), "level": e.level} for e in entries
-        ],
+        "chain": chain_to_json(el.chain),
         "positions": [
-            {
-                "root": list(entries[p].root.coeffs),
-                "level": entries[p].level,
-                "index": p,
-            }
+            {"root": list(entries[p].root.coeffs), "level": entries[p].level, "index": p}
             for p in el.positions
         ],
     }

@@ -19,6 +19,10 @@ or one index, and the length counts the positive roots sent to negatives
 (Humphreys, *Reflection Groups and Coxeter Groups*, 1.6-1.7).  Every root
 index has to fit in a byte, so a root system may have at most 128 positive
 roots; every named type does.
+
+The reflections' permutations sit in one tuple indexed by root index
+(:attr:`RootSystem.reflections`), built on first use from the simple
+reflections by conjugation, s_{s_j beta} = s_j s_beta s_j.
 """
 
 from __future__ import annotations
@@ -250,8 +254,6 @@ class RootSystem:
         self.rank = cartan.rank
         #: operator/reflection indices accepted by the public API (1-based)
         self.index_set = tuple(range(1, self.rank + 1))
-        # root coordinates -> the reflection through that root, built on first use
-        self._reflections: dict[IVec, WeylElement] = {}
 
     @classmethod
     def from_type(cls, type_string: str) -> "RootSystem":
@@ -284,8 +286,9 @@ class RootSystem:
         return self.simple_root_list[i - 1]
 
     def _check_index(self, i: int) -> None:
-        if i not in self.index_set:
-            raise ValueError(f"index {i} outside index set {self.index_set}")
+        # booleans and floats compare equal to integers, so test the type first
+        if isinstance(i, bool) or not isinstance(i, int) or i not in self.index_set:
+            raise ValueError(f"index {i!r} outside index set {self.index_set}")
 
     def _reflect_pair(self, i0: int, coeffs: IVec, cocoeffs: IVec) -> tuple[IVec, IVec]:
         # simple reflection s_{i0} (0-based index) on a (root, coroot) pair
@@ -369,9 +372,7 @@ class RootSystem:
 
     def reflect(self, root: Root, weight):
         """Apply the reflection through ``root`` to a weight."""
-        rw = self.root_in_weight_coords(root)
-        k = pairing(weight, root)
-        return tuple(w - k * x for w, x in zip(weight, rw, strict=True))
+        return self.affine_reflect(root, 0, weight)
 
     def affine_reflect(self, root: Root, level: int, weight):
         """Reflection through the hyperplane ``<., root^vee> = level``."""
@@ -388,24 +389,30 @@ class RootSystem:
     def _identity_element(self) -> WeylElement:
         return WeylElement(bytes(range(256)), self)
 
+    @cached_property
+    def reflections(self) -> tuple[bytes, ...]:
+        """The permutation of the reflection through each root, at the root's
+        index (gamma -> gamma - <gamma, beta^vee> beta).  Each positive root
+        beta past the simple ones, which come first, has a simple s_j taking
+        it to a lower root, and s_beta = s_j s_{s_j beta} s_j."""
+        simple = [
+            bytes(self._index[self._reflect_pair(i0, g.coeffs, g.cocoeffs)[0]] for g in self.roots)
+            + bytes(range(len(self.roots), 256))
+            for i0 in range(self.rank)
+        ]
+        table = [simple[self.roots[k].coeffs.index(1)] for k in range(self.rank)]
+        for k in range(self.rank, len(self.positive_roots)):
+            s = next(s for s in simple if s[k] < k)
+            table.append(s.translate(table[s[k]]).translate(s))
+        return tuple(table) * 2  # -beta has the reflection of beta
+
     def reflection(self, root: Root) -> WeylElement:
         """The Weyl element of the reflection through ``root``: it sends each
         root gamma to gamma - <gamma, root^vee> root."""
-        w = self._reflections.get(root.coeffs)
-        if w is None:
-            images = []
-            for gamma in self.roots:
-                k = pairing(self._weight_coords(gamma.coeffs), root)
-                images.append(
-                    self._index[tuple(c - k * b for c, b in zip(gamma.coeffs, root.coeffs))]
-                )
-            w = WeylElement(bytes(images) + bytes(range(len(images), 256)), self)
-            self._reflections[root.coeffs] = w
-        return w
+        return WeylElement(self.reflections[self._index[root.coeffs]], self)
 
     def simple_reflection(self, i: int) -> WeylElement:
-        self._check_index(i)
-        return self.reflection(self.simple_root_list[i - 1])
+        return WeylElement(self.reflections[self.simple_index(i)], self)
 
     @cached_property
     def _negative(self) -> bytes:

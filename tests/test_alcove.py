@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import combinations, product
 
@@ -81,6 +82,19 @@ def test_boolean_positions_and_levels_are_refused():
             al.element(chain, [bad])
         with pytest.raises(ValueError, match="must be an integer"):
             al.element_from_pairs(chain, [((1, 0), bad)])
+
+
+@pytest.mark.parametrize("bad", [0, 3, "1", True, 1.0], ids=repr)
+def test_direction_index_is_checked(bad):
+    # True and 1.0 compare equal to 1, so a bare lookup would read them as
+    # direction 1; operators, statistics, signatures and profiles refuse them
+    rho = lex_chain(A2, (1, 1))
+    for chain in (rho, dual_chain(rho), window(A2, 1), window(A2, 1, dual=True)):
+        b = el(chain)
+        ops = (al.f_op, al.e_op, al.epsilon, al.phi, al.i_signature, al.profile_f, al.profile_e)
+        for fn in ops:
+            with pytest.raises(ValueError, match="outside index set"):
+                fn(b, bad)
 
 
 def test_admissible_sets_for_doubled_first_fundamental_a3():
@@ -215,6 +229,49 @@ def test_fold_matches_reference_walks(chain):
             assert al.weight(b) == wt, combo
             admissible += ok
     assert admissible > 1
+
+
+def random_position_sets(chain, rng, count):
+    """``count`` random position sets, most of them not admissible, and
+    ``count`` admissible ones grown in walk order by folding wherever
+    ``is_cover`` allows it, with probability one half."""
+    rs, entries = chain.rs, chain.entries
+    n = len(entries)
+    sets = [tuple(sorted(rng.sample(range(n), rng.randint(1, 5)))) for _ in range(count)]
+    walk = range(n - 1, -1, -1) if chain.dual else range(n)
+    for _ in range(count):
+        w, chosen = rs.identity_element(), []
+        for p in walk:
+            if rng.random() < 0.5 and rs.is_cover(w, entries[p].root):
+                chosen.append(p)
+                w = w * rs.reflection(entries[p].root)
+        sets.append(tuple(sorted(chosen)))
+    return sets
+
+
+@pytest.mark.parametrize("type_string", ["C3", "D4", "F4", "E6"])
+def test_fold_matches_reference_walks_beyond_rank_three(type_string):
+    """Fresh folds against the reference walk on seeded random position sets,
+    admissible and not, over the rho-chains and the one- and two-block
+    windows, primal and dual: the cover walk on raw permutations must reject
+    exactly the sets the reference walk rejects."""
+    rs = RootSystem.from_type(type_string)
+    rng = random.Random(f"folds-{type_string}")
+    rho = lex_chain(rs, rs.rho)
+    chains = [rho, dual_chain(rho)] + [
+        window(rs, copies, dual) for copies in (1, 2) for dual in (False, True)
+    ]
+    for chain in chains:
+        verdicts = Counter()
+        for combo in random_position_sets(chain, rng, 30):
+            b = al.AlcoveElement(chain, combo)
+            ok, folded, end, wt = reference_walk(chain, combo)
+            assert al.is_admissible(b) == ok, combo
+            assert al.folded_roots(b) == folded, combo
+            assert b.fold.end == end, combo
+            assert al.weight(b) == wt, combo
+            verdicts[ok, len(combo) >= 3] += 1
+        assert verdicts[True, True] and verdicts[False, True], verdicts
 
 
 def reference_letters(el, i, up):

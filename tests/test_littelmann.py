@@ -126,6 +126,15 @@ def test_lowering_the_first_fundamental_a2():
     assert back == p
 
 
+@pytest.mark.parametrize("bad", [0, 3, "1", True, 1.0], ids=repr)
+def test_direction_index_is_checked(bad):
+    # True and 1.0 compare equal to 1; neither may act as direction 1
+    for p in (lp.straight_path(A2, (1, 1)), lp.pi_infinity(A2), lp.xi_infinity(A2)):
+        for fn in (lp.f_op, lp.e_op, lp.epsilon, lp.phi, lp.h_extremum):
+            with pytest.raises(ValueError, match="outside index set"):
+                fn(p, bad)
+
+
 def test_first_fundamental_closure_has_three_paths():
     seen = {lp.straight_path(A2, (1, 0))}
     frontier = list(seen)

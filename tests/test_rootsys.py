@@ -30,15 +30,39 @@ def expected_count(family: str, n: int) -> int:
     raise AssertionError(family)
 
 
-@pytest.mark.parametrize(
-    "type_string",
-    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "D3", "D4", "G2", "F4"]
-    + ["E6", "E7", "E8"],
+EVERY_TYPE = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{family}{n}" for family in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
 )
+
+
+@pytest.mark.parametrize("type_string", EVERY_TYPE)
 def test_positive_root_counts_match_family_formula(type_string):
+    """The closure's root count, and the reflection table against
+    gamma -> gamma - <gamma, beta^vee> beta from the Cartan matrix: each
+    entry is an involution sending beta to -beta, and ``reflection`` reads
+    it."""
     rs = RootSystem.from_type(type_string)
     family, n = type_string[0], int(type_string[1:])
-    assert len(rs.positive_roots) == expected_count(family, n)
+    npos = len(rs.positive_roots)
+    assert npos == expected_count(family, n)
+    a = rs.cartan.matrix
+    index = {r.coeffs: k for k, r in enumerate(rs.roots)}
+    assert len(rs.reflections) == len(rs.roots) == 2 * npos
+    for k, beta in enumerate(rs.roots):
+        perm = rs.reflections[k]
+        # <alpha_j, beta^vee> for each simple root alpha_j
+        ad = [sum(a[j][m] * beta.cocoeffs[m] for m in range(n)) for j in range(n)]
+        images = []
+        for gamma in rs.roots:
+            c = sum(g * x for g, x in zip(gamma.coeffs, ad))
+            images.append(index[tuple(g - c * b for g, b in zip(gamma.coeffs, beta.coeffs))])
+        assert perm == bytes(images) + bytes(range(2 * npos, 256)), (k, beta)
+        assert perm.translate(perm) == bytes(range(256))
+        assert perm[k] == index[(-beta).coeffs] == (k + npos) % (2 * npos)
+        assert rs.reflection(beta).perm is perm
 
 
 def test_a2_positive_roots():

@@ -70,7 +70,6 @@ __all__ = [
     "e_op",
     "epsilon",
     "f_op",
-    "folded_roots",
     "i_signature",
     "include_Sin",
     "is_admissible",
@@ -80,7 +79,6 @@ __all__ = [
     "profile_e",
     "profile_f",
     "project_Spr",
-    "reduce_signature",
     "render_element",
     "shift_S",
     "weight",
@@ -277,18 +275,6 @@ def is_admissible(el: AlcoveElement) -> bool:
     return el.fold.admissible
 
 
-def folded_roots(el: AlcoveElement) -> tuple[tuple[int, ...], ...]:
-    """Root coordinates of the folded chain, one tuple per chain position.
-
-    At each position the accumulated product of folding reflections is applied
-    to the chain root; primal elements accumulate left to right, dual elements
-    right to left, in both cases excluding the position itself.  This is the
-    coordinate view of ``el.fold.roots``, which holds root indices.
-    """
-    roots = el.rs.roots
-    return tuple(roots[k].coeffs for k in el.fold.roots)
-
-
 def _scan(el: AlcoveElement, i: int, up: bool) -> list[int]:
     """The positions where the folded chain passes through plus or minus the
     i-th simple root, in walk order: chain order for a primal element,
@@ -319,11 +305,11 @@ def _letters(el: AlcoveElement, i: int, up: bool = False) -> list[tuple[int, int
     return [(p, 1 if roots[p] == plus else -1, p in jset) for p in _scan(el, i, up)]
 
 
-def _turns_away(el: AlcoveElement, i: int, alpha: int | None = None) -> bool:
+def _turns_away(el: AlcoveElement, alpha: int) -> bool:
     """Whether the end product w of the element's walk turns rho away from the
-    i-th wall.  As <w(rho), alpha_i^vee> = <rho, w^-1(alpha_i)^vee>, that is
-    exactly when w^-1(alpha_i) is a negative root (``alpha``, its index)."""
-    alpha = el.rs.simple_index(i) if alpha is None else alpha
+    i-th wall, ``alpha`` the index of alpha_i.  As <w(rho), alpha_i^vee> =
+    <rho, w^-1(alpha_i)^vee>, that is exactly when w^-1(alpha_i) is a
+    negative root."""
     return el.fold.end.perm.index(alpha) >= len(el.rs.positive_roots)
 
 
@@ -336,20 +322,6 @@ def i_signature(el: AlcoveElement, i: int) -> tuple[tuple[int, int], ...]:
     """
     el = _canonical(el)
     return tuple((ind, sign) for ind, sign, folded in _letters(el, i, up=el.is_dual) if not folded)
-
-
-def reduce_signature(word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Cancel minus-then-plus pairs; return surviving plus and minus positions."""
-    pluses: list[int] = []
-    minus_stack: list[int] = []
-    for pos, sign in word:
-        if sign < 0:
-            minus_stack.append(pos)
-        elif minus_stack:
-            minus_stack.pop()
-        else:
-            pluses.append(pos)
-    return tuple(pluses), tuple(minus_stack)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +374,7 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
         if el.is_window:
             raise AssertionError("the limit models always admit a step down")
         return None
-    if _turns_away(el, i, alpha):
+    if _turns_away(el, alpha):
         return _child(el, i, {after})
     return None
 
@@ -527,14 +499,16 @@ def project_Spr(el: AlcoveElement, k: int) -> AlcoveElement | None:
 def minimal_projection(el: AlcoveElement) -> tuple[int, AlcoveElement]:
     """The smallest k whose projection exists, with its image.
 
+    Admissibility reads only the roots between foldings, which do not depend
+    on k, so the projection exists at the deepest block holding a folding if
+    it exists at all; otherwise the element is not admissible (ValueError).
     The empty element projects at k = 0 onto the empty chain.
     """
     k = el.chain.deepest_block(el.positions) if el.is_window else 0
-    while True:
-        image = project_Spr(el, k)
-        if image is not None:
-            return k, image
-        k += 1
+    image = project_Spr(el, k)
+    if image is None:
+        raise ValueError(f"{el!r} has no projection: its foldings are not admissible")
+    return k, image
 
 
 def mirror(el: AlcoveElement) -> AlcoveElement:
@@ -583,7 +557,7 @@ def _profile_data(el: AlcoveElement, i: int):
         peak = max(peak, g)
         g += mark * sgn
         peak = max(peak, g)
-    sgn_inf = -1 if _turns_away(el, i) else 1
+    sgn_inf = -1 if _turns_away(el, el.rs.simple_index(i)) else 1
     if prev_pair == (1, 1):
         assert sgn_inf == 1, "profile slopes violate the structure conditions"
     h_inf = g + sgn_inf

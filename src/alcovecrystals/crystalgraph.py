@@ -1,11 +1,12 @@
 """Enumerate crystals into explicit graphs and audit their structure.
 
 Everything here works through a :class:`CrystalOps` bundle, so the alcove
-model, the path model, single-node weight twists and tensor products all feed
-the same machinery.  Enumeration is a deterministic breadth-first walk along
-both raising and lowering operators that computes each edge once; the
-resulting graph keeps per-node statistics, so the checks call no operator
-except the one the axiom check applies to each edge's other end.
+model, the path model and any bundle derived from them with
+``dataclasses.replace`` feed the same machinery.  Enumeration is a
+deterministic breadth-first walk along both raising and lowering operators
+that computes each edge once; the resulting graph keeps per-node
+statistics, so the checks call no operator except the one the axiom check
+applies to each edge's other end.
 
 Graphs truncated at a depth remember which nodes had neighbors suppressed
 (``boundary``); structural checks skip existence assertions exactly there.
@@ -30,7 +31,6 @@ __all__ = [
     "CrystalGraph",
     "CrystalOps",
     "NodeData",
-    "TensorElement",
     "alcove_ops",
     "check_axioms",
     "check_stembridge",
@@ -41,48 +41,8 @@ __all__ = [
     "highest_weight_keys",
     "is_isomorphic",
     "path_ops",
-    "t_weight_ops",
-    "tensor_ops",
     "weyl_dimension",
 ]
-
-
-class _MinusInfinity:
-    """The string statistic of an element no operator moves: exact, below
-    every integer and unchanged by adding or subtracting one, so tensor
-    products compare, shift and ``max`` it like any other statistic."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "MINUS_INF"
-
-    def __eq__(self, other) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash(_MinusInfinity)
-
-    def __lt__(self, other) -> bool:
-        return other is not self
-
-    def __le__(self, other) -> bool:
-        return True
-
-    def __gt__(self, other) -> bool:
-        return False
-
-    def __ge__(self, other) -> bool:
-        return other is self
-
-    def __add__(self, other):
-        return self if isinstance(other, int) else NotImplemented
-
-    __radd__ = __add__
-    __sub__ = __add__
-
-
-MINUS_INF = _MinusInfinity()
 
 
 @dataclass(frozen=True)
@@ -144,85 +104,6 @@ def path_ops(rs: RootSystem, kind: str = "finite") -> CrystalOps:
         key=key,
         render=_paths.render_path,
         finite=kind == "finite",
-    )
-
-
-def t_weight_ops(rs: RootSystem, lam) -> CrystalOps:
-    """The one-element crystal carrying only a weight.
-
-    Both statistics are minus infinity, so in tensor products this factor is
-    transparent to the operators and only shifts weights.
-    """
-    lam = tuple(int(c) for c in lam)
-
-    return CrystalOps(
-        rs=rs,
-        f=lambda x, i: None,
-        e=lambda x, i: None,
-        epsilon=lambda x, i: MINUS_INF,
-        phi=lambda x, i: MINUS_INF,
-        weight=lambda x: x,
-        key=lambda x: ("T", x),
-        render=lambda x: f"T{x}",
-        finite=True,
-    )
-
-
-@dataclass(frozen=True)
-class TensorElement:
-    left: Any
-    right: Any
-
-
-def tensor_ops(left: CrystalOps, right: CrystalOps) -> CrystalOps:
-    """The tensor product crystal, left factor written first.
-
-    The convention is the reversed one: statistics compare the left factor's
-    raising budget against the right factor's lowering budget.
-    """
-    if left.rs != right.rs:
-        raise ValueError("tensor factors live over different root systems")
-    rs = left.rs
-
-    def f(x, i):
-        if left.epsilon(x.left, i) >= right.phi(x.right, i):
-            down = left.f(x.left, i)
-            return None if down is None else TensorElement(down, x.right)
-        down = right.f(x.right, i)
-        return None if down is None else TensorElement(x.left, down)
-
-    def e(x, i):
-        if left.epsilon(x.left, i) > right.phi(x.right, i):
-            up = left.e(x.left, i)
-            return None if up is None else TensorElement(up, x.right)
-        up = right.e(x.right, i)
-        return None if up is None else TensorElement(x.left, up)
-
-    def epsilon(x, i):
-        a = right.epsilon(x.right, i)
-        b = left.epsilon(x.left, i) - pairing(right.weight(x.right), rs.simple_root(i))
-        return max(a, b)
-
-    def phi(x, i):
-        a = left.phi(x.left, i)
-        b = right.phi(x.right, i) + pairing(left.weight(x.left), rs.simple_root(i))
-        return max(a, b)
-
-    def weight(x):
-        return tuple(
-            a + b for a, b in zip(left.weight(x.left), right.weight(x.right))
-        )
-
-    return CrystalOps(
-        rs=rs,
-        f=f,
-        e=e,
-        epsilon=epsilon,
-        phi=phi,
-        weight=weight,
-        key=lambda x: (left.key(x.left), right.key(x.right)),
-        render=lambda x: f"{left.render(x.left)} ⊗ {right.render(x.right)}",
-        finite=left.finite and right.finite,
     )
 
 
@@ -382,10 +263,9 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
     """Audit the defining identities of a crystal on an enumerated graph;
     ``checked`` counts the nodes.
 
-    Per node: phi - eps equals the weight paired with the coroot, and a node
-    with both statistics at minus infinity carries no edge.  Per edge: the
-    weight drops by the root, the statistics step by one, and no node has
-    two edges out or two edges in along one direction.
+    Per node: phi - eps equals the weight paired with the coroot.  Per edge:
+    the weight drops by the root, the statistics step by one, and no node
+    has two edges out or two edges in along one direction.
 
     On a graph that carries its ops, each edge is also checked against the
     operator enumeration did not apply to it: an edge found by f_i needs
@@ -429,10 +309,6 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
             gap = pairing(data.weight, rs.simple_root(i))
             if data.phi[pos] != data.eps[pos] + gap:
                 failures.append(f"{data.label}: phi - eps != <wt, coroot> in direction {i}")
-            if data.phi[pos] == MINUS_INF:
-                if (k, i) in out_edge or (k, i) in in_edge:
-                    failures.append(f"{data.label}: edges on a minus-infinity string {i}")
-                continue
             if not seminormal or k in graph.boundary:
                 continue
             if (data.phi[pos] > 0) != ((k, i) in out_edge):
@@ -642,10 +518,6 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
 # export
 
 
-def _stat(value):
-    return "-inf" if value == MINUS_INF else value
-
-
 def graph_to_json(graph: CrystalGraph) -> dict:
     """JSON document for the graph: nodes, edges, and truncation status."""
     order = {k: n for n, k in enumerate(graph.nodes)}
@@ -655,8 +527,8 @@ def graph_to_json(graph: CrystalGraph) -> dict:
                 "id": f"n{n}",
                 "label": data.label,
                 "wt": list(data.weight),
-                "eps": [_stat(v) for v in data.eps],
-                "phi": [_stat(v) for v in data.phi],
+                "eps": list(data.eps),
+                "phi": list(data.phi),
             }
             for n, data in enumerate(graph.nodes.values())
         ],

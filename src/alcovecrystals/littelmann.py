@@ -34,10 +34,9 @@ through :func:`dualize`, which reverses the vertices and also couples the two
 unbounded kinds to each other.
 
 ``PLPath(rs, kind, segments)`` builds a path from exact (velocity, duration)
-segments; ``segments``, ``duration``, :func:`evaluate`, :func:`endpoint`,
-:func:`h_extremum`, :func:`render_path` and :func:`path_to_json` are
-``Fraction`` views of the integer form.  Floats are rejected: they are not
-exact.
+segments; ``segments``, ``duration``, :func:`render_path` and
+:func:`path_to_json` are ``Fraction`` views of the integer form.  Floats are
+rejected: they are not exact.
 """
 
 from __future__ import annotations
@@ -54,11 +53,8 @@ __all__ = [
     "concat",
     "dualize",
     "e_op",
-    "endpoint",
     "epsilon",
-    "evaluate",
     "f_op",
-    "h_extremum",
     "path_to_json",
     "phi",
     "pi_infinity",
@@ -250,40 +246,6 @@ def xi_infinity(rs: RootSystem) -> PLPath:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-
-def endpoint(path: PLPath) -> tuple[Fraction, ...]:
-    """Value at the end of the explicit part (t=1, the ray start, or t=0)."""
-    return tuple(Fraction(c, path.den) for c in path.points[-1])
-
-
-def evaluate(path: PLPath, t) -> tuple[Fraction, ...]:
-    """The point reached at time ``t`` (exact)."""
-    t = _exact(t, "time")
-    den, times, points = path.den, path.times, path.points
-    s = t * den
-    if path.kind == "finite":
-        if not 0 <= t <= 1:
-            raise ValueError("a finite path is defined on [0, 1]")
-    elif path.kind == "extended":
-        if t < 0:
-            raise ValueError("an extended path is defined on [0, infinity)")
-        if s > times[-1]:
-            return tuple((c + s - times[-1]) / den for c in points[-1])
-    else:
-        if t > 0:
-            raise ValueError("a co-extended path is defined on (-infinity, 0]")
-        if s <= times[0]:
-            return (t,) * path.rs.rank
-    for (ta, pa), (tb, pb) in pairwise(zip(times, points)):
-        if s <= tb:
-            u = (s - ta) / (tb - ta)
-            return tuple((a + (b - a) * u) / den for a, b in zip(pa, pb))
-    return endpoint(path)
-
-
-# ---------------------------------------------------------------------------
 # the height profile along a simple coroot
 
 
@@ -299,17 +261,6 @@ def _require_integral(h: int, den: int, what: str) -> int:
     if r:
         raise ValueError(f"{what} is not an integer; not a crystal path")
     return q
-
-
-def h_extremum(path: PLPath, i: int) -> tuple[Fraction, Fraction]:
-    """Extreme height along direction ``i`` with its first attainment time.
-
-    Minimum for the finite and extended kinds, maximum for the co-extended
-    kind (where the incoming ray makes the height unbounded below).
-    """
-    h = _heights(path, i)
-    best = max(h) if path.kind == "co-extended" else min(h)
-    return Fraction(best, path.den), Fraction(path.times[h.index(best)], path.den)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +393,7 @@ def phi(path: PLPath, i: int) -> int:
 def dualize(path: PLPath) -> PLPath:
     """The contragredient path: an involution swapping raising and lowering.
 
-    Finite paths run backwards from their endpoint (reversed segments with
+    Finite paths run backwards from where they end (reversed segments with
     negated velocities); the two unbounded kinds swap into each other keeping
     velocities, so the implicit ray changes ends.  On vertices this is time
     reversal and a point reflection, which keep the form canonical.

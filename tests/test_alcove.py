@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcovecrystals import alcove as al
-from alcovecrystals import verify
+from alcovecrystals import limits, verify
 from alcovecrystals.chains import dual_chain, lex_chain, window
 from alcovecrystals.rootsys import RootSystem, cartan_matrix, pairing, weight_neg
 from alcovecrystals.verify import Sweep
@@ -27,6 +27,25 @@ def el(chain, *positions):
 
 def pairs(elem):
     return tuple(((r.coeffs), lvl) for r, lvl in elem.pairs())
+
+
+def folded_roots(elem):
+    """The folded chain as root coefficient tuples, one per position."""
+    roots = elem.rs.roots
+    return tuple(roots[k].coeffs for k in elem.fold.roots)
+
+
+def reduce_signature(word):
+    """Cancel minus-then-plus pairs; return surviving plus and minus positions."""
+    pluses, minus_stack = [], []
+    for pos, sign in word:
+        if sign < 0:
+            minus_stack.append(pos)
+        elif minus_stack:
+            minus_stack.pop()
+        else:
+            pluses.append(pos)
+    return tuple(pluses), tuple(minus_stack)
 
 
 def all_admissible(chain):
@@ -224,7 +243,7 @@ def test_fold_matches_reference_walks(chain):
             b = al.AlcoveElement(chain, combo)
             ok, folded, end, wt = reference_walk(chain, combo)
             assert al.is_admissible(b) == ok, combo
-            assert al.folded_roots(b) == folded, combo
+            assert folded_roots(b) == folded, combo
             assert b.fold.end == end, combo
             assert al.weight(b) == wt, combo
             admissible += ok
@@ -267,7 +286,7 @@ def test_fold_matches_reference_walks_beyond_rank_three(type_string):
             b = al.AlcoveElement(chain, combo)
             ok, folded, end, wt = reference_walk(chain, combo)
             assert al.is_admissible(b) == ok, combo
-            assert al.folded_roots(b) == folded, combo
+            assert folded_roots(b) == folded, combo
             assert b.fold.end == end, combo
             assert al.weight(b) == wt, combo
             verdicts[ok, len(combo) >= 3] += 1
@@ -296,7 +315,7 @@ def reference_step(el, i, up):
     the end product turns rho away from the i-th wall."""
     letters = reference_letters(el, i, up)
     word = [(n, sign) for n, (_, sign, folded) in enumerate(letters) if not folded]
-    pluses, _ = al.reduce_signature(word)
+    pluses, _ = reduce_signature(word)
     if pluses:
         n = pluses[-1]
         later = [ind for ind, _, folded in letters[n + 1 :] if folded]
@@ -304,7 +323,7 @@ def reference_step(el, i, up):
     if not up:
         assert not el.is_window
         return None
-    if al._turns_away(el, i):
+    if al._turns_away(el, el.rs.simple_index(i)):
         first = next(ind for ind, _, folded in letters if folded)
         return al._child(el, i, {first})
     return None
@@ -350,7 +369,7 @@ def test_derived_folds_match_fresh_walks(type_string, depth):
     for c in children:
         assert c.fold == al.AlcoveElement(c.chain, c.positions).fold, c
         ok, folded, end, wt = reference_walk(c.chain, c.positions)
-        assert (ok, al.folded_roots(c), c.fold.end, c.wt) == (True, folded, end, wt), c
+        assert (ok, folded_roots(c), c.fold.end, c.wt) == (True, folded, end, wt), c
 
 
 @pytest.mark.parametrize(
@@ -382,7 +401,7 @@ def test_derived_child_checks_admissibility():
 
 def test_folded_chain_single_fold():
     chain = lex_chain(A2, (1, 1))
-    folded = al.folded_roots(el(chain, 2))
+    folded = folded_roots(el(chain, 2))
     assert folded == ((0, 1), (1, 1), (1, 0), (0, 1))
 
 
@@ -397,9 +416,9 @@ def test_signature_on_window():
 
 
 def test_reduction_cancels_minus_then_plus():
-    assert al.reduce_signature([(0, -1), (1, 1)]) == ((), ())
-    assert al.reduce_signature([(0, 1), (1, -1)]) == ((0,), (1,))
-    assert al.reduce_signature([(0, 1), (1, -1), (2, -1), (3, 1), (4, -1)]) == (
+    assert reduce_signature([(0, -1), (1, 1)]) == ((), ())
+    assert reduce_signature([(0, 1), (1, -1)]) == ((0,), (1,))
+    assert reduce_signature([(0, 1), (1, -1), (2, -1), (3, 1), (4, -1)]) == (
         (0,),
         (1, 4),
     )
@@ -677,6 +696,18 @@ def test_minimal_projection():
     k, img = al.minimal_projection(el(window(A2, 1), 2))
     assert k == 1
     assert pairs(img) == (((1, 0), 0),)
+
+
+def test_projection_of_an_inadmissible_element_is_refused():
+    # the lone folding sits in the first of two blocks: no k admits it, so
+    # the projection is refused at once instead of searched for
+    bad = al.AlcoveElement(window(A2, 2), (1,))
+    assert not al.is_admissible(bad)
+    with pytest.raises(ValueError, match="not admissible"):
+        al.minimal_projection(bad)
+    for copies in (None, 3):
+        with pytest.raises(ValueError):
+            limits.varpi_infinity(bad, copies)
 
 
 def test_projection_commutes_with_lowering():

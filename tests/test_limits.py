@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -220,7 +221,7 @@ def test_single_fold_window_image_matches_the_ray_raise():
     path = varpi_infinity(el)
     assert path == lp.e_op(lp.xi_infinity(A2), 1)
     assert path.segments == (((-1, 2), Fraction(1)),)
-    assert lp.evaluate(path, 0) == (-2, 1)
+    assert (path.den, path.times[-1], path.points[-1]) == (1, 0, (-2, 1))
     assert lp.weight(path) == (2, -1)
 
 
@@ -355,6 +356,55 @@ def test_dual_unbounded_is_copy_independent():
     for el in window_elements(A2, 2, dual=True):
         base = varpi_dual_infinity(el)
         assert varpi_dual_infinity(el, copies=4).segments == base.segments
+
+
+# ---------------------------------------------------------------------------
+# Kashiwara's direct limit
+
+
+def twisted_paths(rs, k):
+    """T_{-k rho} (x) B(k rho) on finite paths: the path operators and
+    epsilon unchanged, weights shifted by -k rho and phi by -k, as
+    <k rho, alpha_i^vee> = k."""
+    shift = tuple(k * c for c in rs.rho)
+    return replace(
+        cg.path_ops(rs),
+        weight=lambda p: tuple(a - b for a, b in zip(lp.weight(p), shift)),
+        phi=lambda p, i: lp.phi(p, i) - k,
+    )
+
+
+def twisted_truncation(rs, k, depth):
+    top = lp.straight_path(rs, tuple(k * c for c in rs.rho))
+    return cg.enumerate_crystal(twisted_paths(rs, k), [top], depth=depth)
+
+
+def window_truncation(rs, depth, dual=False):
+    win = window(rs, 1, dual=dual)
+    return cg.enumerate_crystal(cg.alcove_ops(win), [al.element(win, [])], depth=depth)
+
+
+@pytest.mark.parametrize(
+    "type_string, depth",
+    [("A2", 6), ("B2", 6), ("G2", 6), ("A3", 5), ("C3", 4), ("D4", 4), ("F4", 3), ("E6", 3)],
+)
+def test_twisted_path_crystals_give_the_window_models(type_string, depth):
+    """B(infinity) is the direct limit of T_{-lambda} (x) B(lambda) over the
+    k rho (Kashiwara, Duke Math. J. 71 (1993), section 8).  With k = depth
+    the twisted path crystal of k rho, truncated at that depth, must be
+    the primal window truncation and the dualized dual one, weights and
+    statistics included.  The path side shares no code with the alcove
+    model."""
+    rs = RootSystem.from_type(type_string)
+    limit = twisted_truncation(rs, depth, depth)
+    assert cg.is_isomorphic(limit, window_truncation(rs, depth))
+    assert cg.is_isomorphic(limit, cg.dualize_graph(window_truncation(rs, depth, dual=True)))
+
+
+def test_twisted_path_crystals_of_too_small_k_differ():
+    primal = window_truncation(A2, 6)
+    for k in (1, 2, 3):
+        assert not cg.is_isomorphic(twisted_truncation(A2, k, 6), primal), k
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_ray_runs_are_absorbed():
 def test_integer_form():
     r = lp.f_op(lp.f_op(lp.straight_path(A2, (1, 1)), 1), 2)
     assert (r.den, r.times, r.points) == (2, (0, 1, 2), ((0, 0), (1, -2), (0, 0)))
-    assert lp.h_extremum(r, 2) == (Q(-1), Q(1, 2))
+    assert (lp.epsilon(r, 2), lp.phi(r, 2)) == (1, 1)
     co = lp.e_op(lp.xi_infinity(A2), 1)
     assert (co.den, co.times, co.points) == (1, (-1, 0), ((-1, -1), (-2, 1)))
     with pytest.raises(AttributeError):
@@ -86,28 +86,16 @@ def test_from_vertices_canonicalizes_and_validates():
 
 
 def test_floats_are_rejected():
-    p = lp.straight_path(A2, (1, 0))
     with pytest.raises(ValueError, match="float"):
-        lp.evaluate(p, 0.1)
+        lp.PLPath(A2, "extended", (((1, 0), 0.1),))
     with pytest.raises(ValueError, match="float"):
         lp.PLPath(A2, "finite", (((1.5, 0), 1),))
     with pytest.raises(ValueError, match="float"):
         lp.PLPath(A2, "finite", (((1, 0), 1.0),))
     with pytest.raises(ValueError, match="float"):
         lp.straight_path(A2, (0.5, 0))
-    assert lp.evaluate(p, Q(1, 10)) == (Q(1, 10), 0)
-
-
-def test_evaluate_on_each_kind():
-    p = lp.straight_path(A2, (0, 2))
-    assert lp.evaluate(p, Q(1, 2)) == (0, 1)
-    ext = lp.PLPath(A2, "extended", (((0, 1), 1),))
-    assert lp.evaluate(ext, 3) == (2, 3)
-    co = lp.PLPath(A2, "co-extended", (((-1, 2), 1),))
-    assert lp.evaluate(co, -5) == (-5, -5)
-    assert lp.evaluate(co, 0) == (-2, 1)
-    with pytest.raises(ValueError):
-        lp.evaluate(p, 2)
+    p = lp.PLPath(A2, "extended", (((1, 0), Q(1, 10)),))
+    assert (p.den, p.times, p.points) == (10, (0, 1), ((0, 0), (1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +106,7 @@ def test_lowering_the_first_fundamental_a2():
     p = lp.straight_path(A2, (1, 0))
     down = lp.f_op(p, 1)
     assert segs(down) == (((-1, 1), 1),)
-    assert lp.h_extremum(down, 1) == (-1, 1)
+    assert (lp.epsilon(down, 1), lp.phi(down, 1)) == (1, 0)
     assert lp.e_op(p, 1) is None
     assert lp.e_op(p, 2) is None
     assert lp.f_op(p, 2) is None
@@ -130,7 +118,7 @@ def test_lowering_the_first_fundamental_a2():
 def test_direction_index_is_checked(bad):
     # True and 1.0 compare equal to 1; neither may act as direction 1
     for p in (lp.straight_path(A2, (1, 1)), lp.pi_infinity(A2), lp.xi_infinity(A2)):
-        for fn in (lp.f_op, lp.e_op, lp.epsilon, lp.phi, lp.h_extremum):
+        for fn in (lp.f_op, lp.e_op, lp.epsilon, lp.phi):
             with pytest.raises(ValueError, match="outside index set"):
                 fn(p, bad)
 

@@ -6,8 +6,8 @@ minimum, crossings, a split and reflected segment list, and the same
 normalization (zero durations dropped, equal neighbours merged, rho runs at
 the ray absorbed).  It reads a path only through its ``segments`` view and
 shares no code with ``littelmann``.  Every path of the enumerated path
-crystals is checked against it for every operator, statistic and
-evaluation.
+crystals is checked against it for every operator and statistic, and its
+integer vertices against the reference's points at the vertex times.
 """
 
 from __future__ import annotations
@@ -218,18 +218,6 @@ def paths_of(name):
     return out
 
 
-def times_checked(rs, kind, segs):
-    """Every vertex time, every midpoint, and a time on each implicit ray."""
-    bps = ref_breakpoints(rs, kind, segs, 1)
-    times = [t for t, _ in bps]
-    times += [(a + b) / 2 for a, b in zip(times, times[1:])]
-    if kind == "extended":
-        times.append(times[-1] + Q(3, 2))
-    elif kind == "co-extended":
-        times.append(times[0] - Q(5, 3))
-    return times
-
-
 @pytest.mark.parametrize("name", SIZES)
 def test_operators_and_statistics_match_the_fraction_model(name):
     paths = paths_of(name)
@@ -238,8 +226,9 @@ def test_operators_and_statistics_match_the_fraction_model(name):
         segs = p.segments
         assert ref_normalize(rs, p.kind, segs) == segs, p
         assert lp.weight(p) == ref_weight(rs, p.kind, segs), p
-        for t in times_checked(rs, p.kind, segs):
-            assert lp.evaluate(p, t) == ref_evaluate(rs, p.kind, segs, t), (p, t)
+        for t, point in zip(p.times, p.points):
+            vertex = tuple(Q(c, p.den) for c in point)
+            assert vertex == ref_evaluate(rs, p.kind, segs, Q(t, p.den)), (p, t)
         for i in rs.index_set:
             assert lp.epsilon(p, i) == ref_epsilon(rs, p.kind, segs, i), (p, i)
             assert lp.phi(p, i) == ref_phi(rs, p.kind, segs, i), (p, i)

@@ -36,9 +36,10 @@ result toggles the one or two positions that move on its parent's folded
 roots (``_child``).  Both read the reflection's permutation from
 ``RootSystem.reflections`` at the folded root's byte, and ``_covers``
 composes those raw permutations at the foldings into the end product,
-checking the length at every folding, so every element built by
-:func:`element` or by an operator is checked to be admissible.  The weight
-and the string statistics are computed once per element and kept.
+checking the length at every folding.  Every operator and statistic reads
+its argument through ``_canonical``, which refuses an element that is not
+admissible, and every operator checks its result.  The weight and the
+string statistics are computed once per element and kept.
 """
 
 from __future__ import annotations
@@ -125,10 +126,16 @@ def _covers(el: AlcoveElement, roots: bytes) -> tuple[WeylElement, bool]:
 
 @dataclass(frozen=True)
 class AlcoveElement:
-    """A set of folding positions (0-based, strictly increasing) in a chain."""
+    """A set of folding positions (0-based, strictly increasing) in a chain.
+
+    Equal elements have the same chain and positions; the hash reads only
+    the positions, so a lookup does not hash the chain's entries."""
 
     chain: LambdaChain | InfChainWindow
     positions: tuple[int, ...]
+
+    def __hash__(self) -> int:
+        return hash(self.positions)
 
     @property
     def rs(self) -> RootSystem:
@@ -227,9 +234,14 @@ def _canonical_window(chain, positions) -> tuple[LambdaChain | InfChainWindow, t
 
 
 def _canonical(el: AlcoveElement) -> AlcoveElement:
-    """The element on its canonical window (``_canonical_window``)."""
+    """The element on its canonical window (``_canonical_window``); ValueError
+    if its positions are not admissible.  Every operator and statistic reads
+    its argument through here."""
     chain, positions = _canonical_window(el.chain, el.positions)
-    return el if chain is el.chain else AlcoveElement(chain, positions)
+    out = el if chain is el.chain else AlcoveElement(chain, positions)
+    if not out.fold.admissible:
+        raise ValueError(f"positions {list(el.positions)} are not admissible: {out!r}")
+    return out
 
 
 def element(chain, positions) -> AlcoveElement:
@@ -243,10 +255,7 @@ def element(chain, positions) -> AlcoveElement:
         raise ValueError(f"duplicate positions in {positions}")
     if pos and (pos[0] < 0 or pos[-1] >= len(chain.entries)):
         raise ValueError(f"position out of range for a chain of length {len(chain.entries)}")
-    out = _canonical(AlcoveElement(chain, pos))
-    if not out.fold.admissible:
-        raise ValueError(f"positions {list(pos)} are not admissible: {out!r}")
-    return out
+    return _canonical(AlcoveElement(chain, pos))
 
 
 def element_from_pairs(chain, pairs) -> AlcoveElement:

@@ -24,6 +24,10 @@ from .verify import SUITES as _SUITES, Sweep
 __all__ = ["main", "run"]
 
 
+#: the most nodes ``crystal`` and ``export`` enumerate in a finite crystal
+MAX_NODES = 100_000
+
+
 class UsageError(Exception):
     pass
 
@@ -146,6 +150,10 @@ def _cmd_chain(args) -> int:
 
 
 def _crystal_graph(chain, depth=None):
+    """The crystal of ``chain`` to ``depth``; a whole finite crystal of more
+    than ``MAX_NODES`` nodes is refused before it is enumerated."""
+    if depth is None and (dim := cg.weyl_dimension(chain.rs, chain.lam)) > MAX_NODES:
+        raise UsageError(f"the crystal has {dim} nodes; at most {MAX_NODES} are enumerated")
     gen = al.element(chain, [])
     return cg.enumerate_crystal(cg.alcove_ops(chain), [gen], depth=depth)
 
@@ -155,12 +163,7 @@ def _cmd_crystal(args) -> int:
     chain = _finite_chain(rs, _weight(args, rs), args.dual)
     graph = _crystal_graph(chain)
     if args.list_vertices:
-        index = {(e.root.coeffs, e.level): i for i, e in enumerate(chain.entries)}
-        vertex_sets = sorted(
-            (tuple(index[pair] for pair in key) for key in graph.nodes),
-            key=lambda s: (len(s), s),
-        )
-        for s in vertex_sets:
+        for s in sorted((el.positions for el in graph.nodes), key=lambda s: (len(s), s)):
             print("[" + ", ".join(str(p) for p in s) + "]")
         return 0
     print(f"vertices: {len(graph.nodes)}")

@@ -2,7 +2,10 @@
 
 Everything here works through a :class:`CrystalOps` bundle, so the alcove
 model, the path model and any bundle derived from them with
-``dataclasses.replace`` feed the same machinery.  Enumeration is a
+``dataclasses.replace`` feed the same machinery.  Each element is its own
+key: a graph's ``nodes`` map the elements to their statistics and its
+edges join elements, so an alcove element (its chain and positions) and a
+path (its canonical integer form) are never re-encoded.  Enumeration is a
 deterministic breadth-first walk along both raising and lowering operators
 that computes each edge once; the resulting graph keeps per-node
 statistics, so the checks call no operator except the one the axiom check
@@ -47,7 +50,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CrystalOps:
-    """Operator bundle: everything the graph machinery needs about a model."""
+    """Operator bundle: everything the graph machinery needs about a model.
+
+    ``kind`` names the elements the ops take: alcove elements over a finite
+    ``"chain"`` or a ``"window"``, or paths of that kind (``littelmann.KINDS``)."""
 
     rs: RootSystem
     f: Callable[[Any, int], Any]
@@ -55,21 +61,12 @@ class CrystalOps:
     epsilon: Callable[[Any, int], Any]
     phi: Callable[[Any, int], Any]
     weight: Callable[[Any], tuple]
-    key: Callable[[Any], Any]
     render: Callable[[Any], str]
-    finite: bool
+    kind: str
 
 
 def alcove_ops(chain) -> CrystalOps:
-    """Ops for the alcove model over the given chain or window; an element
-    of the other kind (window against finite chain) has no key."""
-    is_window = chain.is_window
-
-    def key(x):
-        if x.is_window != is_window:
-            raise ValueError(f"{x!r} is not over a {'window' if is_window else 'finite chain'}")
-        return tuple((r.coeffs, lvl) for r, lvl in x.pairs())
-
+    """Ops for the alcove model over the given chain or window."""
     return CrystalOps(
         rs=chain.rs,
         f=_alcove.f_op,
@@ -77,23 +74,15 @@ def alcove_ops(chain) -> CrystalOps:
         epsilon=_alcove.epsilon,
         phi=_alcove.phi,
         weight=_alcove.weight,
-        key=key,
         render=_alcove.render_element,
-        finite=not chain.is_window,
+        kind="window" if chain.is_window else "chain",
     )
 
 
 def path_ops(rs: RootSystem, kind: str = "finite") -> CrystalOps:
-    """Ops for the piecewise linear path model of the given kind; a path of
-    another kind has no key."""
+    """Ops for the piecewise linear path model of the given kind."""
     if kind not in _paths.KINDS:
         raise ValueError(f"unknown path kind {kind!r}")
-
-    def key(p):
-        if p.kind != kind:
-            raise ValueError(f"a {p.kind} path is not a {kind} path")
-        return (p.kind, p.den, p.times, p.points)
-
     return CrystalOps(
         rs=rs,
         f=_paths.f_op,
@@ -101,9 +90,8 @@ def path_ops(rs: RootSystem, kind: str = "finite") -> CrystalOps:
         epsilon=_paths.epsilon,
         phi=_paths.phi,
         weight=_paths.weight,
-        key=key,
         render=_paths.render_path,
-        finite=kind == "finite",
+        kind=kind,
     )
 
 
@@ -121,8 +109,8 @@ class NodeData:
 
 @dataclass
 class CrystalGraph:
-    """An enumerated crystal: ``nodes`` maps each key to its statistics and
-    ``elements`` maps it to the model element it was read from.
+    """An enumerated crystal: ``nodes`` maps each element of the model, its
+    own key, to its statistics.
 
     An enumerated graph also keeps the ``ops`` it was read with and the
     edges it found by raising (``raised``); every other edge was found by
@@ -132,7 +120,6 @@ class CrystalGraph:
 
     rs: RootSystem
     nodes: dict = field(default_factory=dict)
-    elements: dict = field(default_factory=dict)
     edges: list = field(default_factory=list)
     generators: list = field(default_factory=list)
     boundary: frozenset = frozenset()
@@ -149,12 +136,27 @@ class CrystalGraph:
         return not self.boundary
 
 
+def _generator(ops: CrystalOps, x):
+    """``x`` as a node of the crystal of ``ops``: an alcove element on its
+    canonical window, so that it equals the operators' results, and a path
+    as it is; ValueError for an element of another kind."""
+    if isinstance(x, _alcove.AlcoveElement):
+        kind, x = "window" if x.is_window else "chain", _alcove._canonical(x)
+    else:
+        kind = x.kind
+    if kind != ops.kind:
+        raise ValueError(f"{x!r} is a {kind} element, not a {ops.kind} one")
+    return x
+
+
 def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> CrystalGraph:
     """Breadth-first closure of the generators under raising and lowering.
 
-    ``depth`` bounds the walk distance from the generators; it is required
-    when the ops describe an infinite crystal.  Edges always point along the
-    lowering operator and connect only enumerated nodes.
+    Each element is its own key in the graph; each generator is first made
+    a node of the crystal of ``ops`` (``_generator``).  ``depth`` bounds the
+    walk distance from the generators; it is required when the ops describe
+    an infinite crystal.  Edges always point along the lowering operator
+    and connect only enumerated nodes.
 
     Each edge is computed once, from the end that reaches it first: f_i is
     skipped at a node whose i-edge out is known, e_i at a node whose i-edge
@@ -163,11 +165,10 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
     mutually inverse is not read off the graph; ``check_axioms`` computes
     the other direction of every edge.
     """
-    if depth is None and not ops.finite:
+    if depth is None and ops.kind not in ("chain", "finite"):
         raise ValueError("an infinite crystal can only be enumerated to a finite depth")
     index_set = ops.rs.index_set
     nodes: dict = {}
-    elements: dict = {}
     edges = []
     raised = []
     has_out = set()
@@ -176,59 +177,55 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
     queue = deque()
 
     def admit(x, d):
-        k = ops.key(x)
-        if k not in nodes:
-            nodes[k] = NodeData(
+        if x not in nodes:
+            nodes[x] = NodeData(
                 weight=tuple(ops.weight(x)),
                 eps=tuple(ops.epsilon(x, i) for i in index_set),
                 phi=tuple(ops.phi(x, i) for i in index_set),
                 label=ops.render(x),
             )
-            elements[k] = x
-            queue.append((x, k, d))
-        return k
+            queue.append((x, d))
+        return x
 
-    def reach(other, kx, d):
-        """The key of a neighbor of the node ``kx`` at depth ``d``, admitted
+    def reach(other, x, d):
+        """The neighbor ``other`` of the node ``x`` at depth ``d``, admitted
         if new, or None if the depth bound keeps it out."""
-        ko = ops.key(other)
-        if ko not in nodes:
+        if other not in nodes:
             if depth is not None and d >= depth:
-                boundary.add(kx)
+                boundary.add(x)
                 return None
             admit(other, d + 1)
-        return ko
+        return other
 
-    gen_keys = [admit(g, 0) for g in generators]
+    gens = [admit(_generator(ops, g), 0) for g in generators]
 
     while queue:
-        x, kx, d = queue.popleft()
+        x, d = queue.popleft()
         for i in index_set:
-            if (kx, i) not in has_out:
+            if (x, i) not in has_out:
                 below = ops.f(x, i)
-                ko = None if below is None else reach(below, kx, d)
-                if ko is not None:
-                    edges.append((kx, i, ko))
-                    has_out.add((kx, i))
-                    has_in.add((ko, i))
-            if (kx, i) not in has_in:
+                y = None if below is None else reach(below, x, d)
+                if y is not None:
+                    edges.append((x, i, y))
+                    has_out.add((x, i))
+                    has_in.add((y, i))
+            if (x, i) not in has_in:
                 above = ops.e(x, i)
-                ko = None if above is None else reach(above, kx, d)
-                if ko is not None:
-                    edge = (ko, i, kx)
+                y = None if above is None else reach(above, x, d)
+                if y is not None:
+                    edge = (y, i, x)
                     edges.append(edge)
                     raised.append(edge)
-                    has_out.add((ko, i))
-                    has_in.add((kx, i))
+                    has_out.add((y, i))
+                    has_in.add((x, i))
 
     order = {k: n for n, k in enumerate(nodes)}
     edges.sort(key=lambda t: (order[t[0]], t[1], order[t[2]]))
     return CrystalGraph(
         rs=ops.rs,
         nodes=nodes,
-        elements=elements,
         edges=edges,
-        generators=gen_keys,
+        generators=gens,
         boundary=frozenset(boundary),
         ops=ops,
         raised=frozenset(raised),
@@ -298,10 +295,10 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
         for edge in graph.edges:
             src, i, dst = edge
             if edge in graph.raised:
-                at, want, back = src, dst, ops.f(graph.elements[src], i)
+                at, want, back = src, dst, ops.f(src, i)
             else:
-                at, want, back = dst, src, ops.e(graph.elements[dst], i)
-            if back is None or ops.key(back) != want:
+                at, want, back = dst, src, ops.e(dst, i)
+            if back != want:
                 failures.append(f"{graph.nodes[at].label}: operators not inverse in direction {i}")
 
     for k, data in graph.nodes.items():
@@ -490,7 +487,6 @@ def dualize_graph(graph: CrystalGraph) -> CrystalGraph:
     return CrystalGraph(
         rs=graph.rs,
         nodes=nodes,
-        elements=graph.elements,
         edges=edges,
         generators=list(graph.generators),
         boundary=graph.boundary,

@@ -17,6 +17,7 @@ of a dual isomorphism over an enumerated set of elements and returns a
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .alcove import minimal_projection, mirror, project_Spr
@@ -143,14 +144,7 @@ def verify_dual_iso(elements, mapping, source_ops, target_ops) -> Check:
         raise ValueError("source and target live over different root systems")
     elements = list(elements)
     failures = []
-    images: dict = {}
-
-    def image_of(b):
-        """The image of ``b``, mapped once per call however often it is met."""
-        key = source_ops.key(b)
-        if key not in images:
-            images[key] = mapping(b)
-        return images[key]
+    image_of = cache(mapping)  # each element is mapped once however often it is met
 
     for b in elements:
         name = source_ops.render(b)
@@ -167,12 +161,12 @@ def verify_dual_iso(elements, mapping, source_ops, target_ops) -> Check:
             up = target_ops.e(image, i)
             if (down is None) != (up is None):
                 failures.append(f"{name}: lowering nullity at {i}")
-            elif down is not None and target_ops.key(image_of(down)) != target_ops.key(up):
+            elif down is not None and image_of(down) != up:
                 failures.append(f"{name}: lowering transport at {i}")
             down = target_ops.f(image, i)
             up = source_ops.e(b, i)
             if (down is None) != (up is None):
                 failures.append(f"{name}: raising nullity at {i}")
-            elif up is not None and target_ops.key(image_of(up)) != target_ops.key(down):
+            elif up is not None and image_of(up) != down:
                 failures.append(f"{name}: raising transport at {i}")
     return Check("dual-iso", len(elements), failures)

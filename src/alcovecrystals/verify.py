@@ -6,8 +6,9 @@ same suites.  A :class:`Sweep` keeps every crystal it builds, so suites run
 on one sweep enumerate each crystal once.  Library functions are reached
 through their modules (``cg.enumerate_crystal``, not an imported name), so
 replacing a module attribute, as a test or a profiler does, reaches the
-suites too.  Every suite reports through :class:`crystalgraph.Check`, the
-record the checkers return, relabeled for the crystal it ran on.
+suites too.  Elements key graphs and pools and are compared with ``==``.
+Every suite reports through :class:`crystalgraph.Check`, the record the
+checkers return, relabeled for the crystal it ran on.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ def _window_pool(rs, depth, dual):
     enumerated graph this needs no string statistics."""
     op = al.e_op if dual else al.f_op
     start = al.element(chains.window(rs, 1, dual), [])
-    pool = {start.pairs(): start}
+    pool = {start: start}
     layer = [start]
     for _ in range(depth):
         layer = [c for b in layer for i in rs.index_set if (c := op(b, i)) is not None]
         # keep the first of each element not met before
-        layer = [pool.setdefault(c.pairs(), c) for c in layer if c.pairs() not in pool]
-    return list(pool.values())
+        layer = [pool.setdefault(c, c) for c in layer if c not in pool]
+    return list(pool)
 
 
 class Sweep:
@@ -101,13 +102,6 @@ class Sweep:
 
 
 _INF = {False: "Al(inf)", True: "Al-dual(inf)"}
-
-
-def _same(a, b) -> bool:
-    """Whether two operator results agree: both undefined or the same foldings."""
-    if a is None or b is None:
-        return a is b
-    return a.pairs() == b.pairs()
 
 
 def _axioms(sweep) -> list[Check]:
@@ -154,8 +148,8 @@ def _dual_iso(sweep) -> list[Check]:
     out = []
     for lam in sweep.weights:
         graph = sweep.finite(lam)
-        ops = cg.alcove_ops(graph.elements[graph.generators[0]].chain), cg.path_ops(rs)
-        check = limits.verify_dual_iso(graph.elements.values(), limits.varpi, *ops)
+        ops = cg.alcove_ops(graph.generators[0].chain), cg.path_ops(rs)
+        check = limits.verify_dual_iso(graph.nodes, limits.varpi, *ops)
         out.append(replace(check, name=f"dual-iso Al{lam} -> paths checked {check.checked}"))
     bound = min(sweep.depth, 4)
     for dual, mapping, kind in (
@@ -186,7 +180,7 @@ def _limits(sweep) -> list[Check]:
             if image is None:
                 continue
             checks += 1
-            if al.include_Sin(image, k).pairs() != el.pairs():
+            if al.include_Sin(image, k) != el:
                 failures.append(f"{name}: inclusion does not invert projection at k={k}")
             for i in rs.index_set:
                 for op in (al.f_op, al.e_op):
@@ -195,7 +189,7 @@ def _limits(sweep) -> list[Check]:
                         continue
                     checks += 1
                     proj = al.project_Spr(big, k)
-                    if proj is not None and proj.pairs() != small.pairs():
+                    if proj is not None and proj != small:
                         failures.append(f"{name}: projection does not intertwine at k={k}, i={i}")
     for el in sweep.pool(sweep.depth) + sweep.pool(sweep.depth, dual=True):
         name = f"{_INF[el.is_dual]} {al.render_element(el)}"
@@ -204,7 +198,7 @@ def _limits(sweep) -> list[Check]:
             for i in rs.index_set:
                 for op, up in ((al.f_op, el.is_dual), (al.e_op, not el.is_dual)):
                     checks += 1
-                    if not _same(op(el, i), al._step(wider, i, up)):
+                    if op(el, i) != al._step(wider, i, up):
                         failures.append(f"{name}: +{copies} copies changed {op.__name__} at i={i}")
     return [Check(f"limits coherence checks {checks}", checks, failures)]
 
@@ -221,7 +215,7 @@ def _widen(el, copies):
 def _profile(sweep) -> list[Check]:
     """The profile operators agree with the signature operators on every
     element of every Al(lam) and of Al(infinity) and its dual to ``depth``."""
-    pools = [(f"Al{lam}", sweep.finite(lam).elements.values()) for lam in sweep.weights]
+    pools = [(f"Al{lam}", sweep.finite(lam).nodes) for lam in sweep.weights]
     for dual, model in _INF.items():
         pools.append((f"{model} depth {sweep.depth}", sweep.pool(sweep.depth, dual)))
     checks = 0
@@ -231,7 +225,7 @@ def _profile(sweep) -> list[Check]:
             for i in sweep.rs.index_set:
                 for x, op, prof in (("f", al.f_op, al.profile_f), ("e", al.e_op, al.profile_e)):
                     checks += 1
-                    if not _same(op(el, i), prof(el, i)):
+                    if op(el, i) != prof(el, i):
                         name = al.render_element(el)
                         failures.append(f"{source}: profile_{x} disagrees at {name}, i={i}")
     return [Check(f"profile operators checks {checks}", checks, failures)]

@@ -41,6 +41,11 @@ def pair_list(el):
     return [(r.coeffs, lvl) for r, lvl in el.pairs()]
 
 
+def pair_key(el):
+    """The foldings of ``el`` as (root coefficients, level) pairs."""
+    return tuple(pair_list(el))
+
+
 def test_criterion_01_golden_lowering_walk_in_type_a3():
     """A pinned eight step walk down from the empty element and back."""
     rs = sweep("A3").rs
@@ -87,12 +92,8 @@ def test_criterion_01_golden_lowering_walk_in_type_a3():
 
 
 def test_criterion_02_vertex_lists_for_small_a3_weights():
-    chain, graph = lex_chain(sweep("A3").rs, (2, 0, 0)), sweep("A3").finite((2, 0, 0))
-    index = {(e.root.coeffs, e.level): i for i, e in enumerate(chain.entries)}
-    found = sorted(
-        (sorted(index[p] for p in key) for key in graph.nodes),
-        key=lambda s: (len(s), s),
-    )
+    graph = sweep("A3").finite((2, 0, 0))
+    found = sorted((list(el.positions) for el in graph.nodes), key=lambda s: (len(s), s))
     assert found == [
         [],
         [0],
@@ -107,11 +108,7 @@ def test_criterion_02_vertex_lists_for_small_a3_weights():
     ]
 
     chain1, graph1 = lex_chain(sweep("A3").rs, (1, 0, 0)), sweep("A3").finite((1, 0, 0))
-    index1 = {(e.root.coeffs, e.level): i for i, e in enumerate(chain1.entries)}
-    found1 = sorted(
-        (sorted(index1[p] for p in key) for key in graph1.nodes),
-        key=lambda s: (len(s), s),
-    )
+    found1 = sorted((list(el.positions) for el in graph1.nodes), key=lambda s: (len(s), s))
     assert found1 == [[], [0], [0, 1], [0, 1, 2]]
 
     assert not al.is_admissible(al.AlcoveElement(chain1, (1, 2)))
@@ -180,9 +177,9 @@ def test_criterion_03_depth_four_window_figure_in_a2():
     """The depth 4 slice of the unbounded A2 crystal, node by node."""
     graph = Sweep(sweep("A2").rs, 4).truncation()
     assert len(DEPTH4_NODES) == len(set(DEPTH4_NODES)) == 22
-    assert set(graph.nodes) == set(DEPTH4_NODES)
+    assert {pair_key(el) for el in graph.nodes} == set(DEPTH4_NODES)
     assert len(graph.edges) == len(DEPTH4_EDGES) == 26
-    assert set(graph.edges) == set(DEPTH4_EDGES)
+    assert {(pair_key(a), i, pair_key(b)) for a, i, b in graph.edges} == set(DEPTH4_EDGES)
 
     # sliding each element into Al(4 rho) shifts simple-root levels by 4
     # and height two levels by 8
@@ -282,7 +279,7 @@ def test_criterion_10_duality_of_models_and_paths():
         assert cg.is_isomorphic(cg.dualize_graph(mirror_model), primal)
 
     rs = sweep("A2").rs
-    samples = list(sweep("A2").paths((1, 1)).elements.values())
+    samples = list(sweep("A2").paths((1, 1)).nodes)
     samples.append(lp.xi_infinity(rs))
     samples.append(lp.pi_infinity(rs))
     samples.append(lp.e_op(lp.xi_infinity(rs), 1))

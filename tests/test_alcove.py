@@ -341,7 +341,7 @@ def widened_pool(type_string, depth):
     sweep = Sweep(rs, depth)
     pool = sweep.pool(depth) + sweep.pool(depth, dual=True)
     for dual in (False, True) if type_string in POOL_WEIGHTS else ():
-        pool += sweep.finite(POOL_WEIGHTS[type_string], dual).elements.values()
+        pool += sweep.finite(POOL_WEIGHTS[type_string], dual).nodes
     wide = [verify._widen(b, copies) for b in pool if b.is_window for copies in (2, 3)]
     return pool, wide
 
@@ -535,7 +535,7 @@ def test_string_statistics_match_string_walks(type_string, top, depth):
     sweep = Sweep(RootSystem.from_type(type_string), depth)
     rs = sweep.rs
     pools = [
-        sweep.finite(lam, dual).elements.values()
+        sweep.finite(lam, dual).nodes
         for lam in product(range(top + 1), repeat=rs.rank)
         for dual in (False, True)
     ]
@@ -710,6 +710,19 @@ def test_projection_of_an_inadmissible_element_is_refused():
             limits.varpi_infinity(bad, copies)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [al.AlcoveElement(window(A2, 2), (1,)), al.AlcoveElement(lex_chain(A2, (1, 1)), (1, 2))],
+    ids=["window", "finite-chain"],
+)
+def test_operators_and_statistics_refuse_an_inadmissible_element(bad):
+    assert not al.is_admissible(bad)
+    for i in A2.index_set:
+        for fn in (al.f_op, al.e_op, al.epsilon, al.phi, al.profile_f, al.profile_e, al.i_signature):
+            with pytest.raises(ValueError, match="not admissible"):
+                fn(bad, i)
+
+
 def test_projection_commutes_with_lowering():
     b = el(window(A2, 1))
     for word in ([1], [1, 2], [1, 2, 1], [2, 1, 1, 2]):
@@ -770,7 +783,7 @@ def mirror_elements(type_string):
         b
         for lam in ((1,) * rank, (2, 1) + (0,) * (rank - 2))
         for dual in (False, True)
-        for b in sweep.finite(lam, dual).elements.values()
+        for b in sweep.finite(lam, dual).nodes
     ]
     return out + sweep.pool(4) + sweep.pool(4, dual=True)
 

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from alcovecrystals import alcove, chains, limits, verify
+from alcovecrystals import alcove, chains, cli, limits, verify
 from alcovecrystals import littelmann as lp
 from alcovecrystals.cli import run
 from alcovecrystals.rootsys import RootSystem
 
 A2 = RootSystem.from_type("A2")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def out_of(capsys):
@@ -302,6 +307,34 @@ def test_matrix_past_128_positive_roots_is_a_usage_error(capsys):
     assert capsys.readouterr().err == "error: 136 positive roots: at most 128 are supported\n"
     assert run(["chain", "--matrix", type_a(15), "--weight", "1" + ",0" * 14]) == 0
     assert out_of(capsys).count(", 0)") == 15
+
+
+@pytest.mark.parametrize("cmd", ["crystal", "export"])
+def test_a_crystal_past_the_node_limit_is_refused(cmd):
+    # 2^120 nodes: a run in a child process, so a regression that starts
+    # enumerating fails on the timeout instead of hanging the suite
+    done = subprocess.run(
+        [sys.executable, "-m", "alcovecrystals.cli", cmd, "--type", "E8", "--weight", "1,1,1,1,1,1,1,1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: the crystal has {2 ** 120} nodes; at most {cli.MAX_NODES} are enumerated\n"
+
+
+def test_the_node_limit_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_NODES", 8)
+    assert run(["crystal", "--type", "A2", "--weight", "1,1"]) == 0
+    assert run(["export", "--type", "A2", "--weight", "2,0"]) == 0
+    monkeypatch.setattr(cli, "MAX_NODES", 7)
+    for cmd in ("crystal", "export"):
+        assert run([cmd, "--type", "A2", "--weight", "1,1"]) == 2
+    # a depth bounds the walk, so no limit applies
+    assert run(["export", "--type", "A2", "--weight", "1,1", "--depth", "1"]) == 0
+    assert capsys.readouterr().err.count("at most 7 are enumerated") == 2
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

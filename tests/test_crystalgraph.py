@@ -46,7 +46,7 @@ def test_rho_crystal_has_eight_nodes():
     assert len(g.nodes) == 8
     assert len(g.edges) == 8
     assert g.complete
-    assert cg.highest_weight_keys(g) == [()]
+    assert cg.highest_weight_keys(g) == [al.element(lex_chain(A2, (1, 1)), [])]
 
 
 def test_truncated_window_layers():
@@ -60,13 +60,20 @@ def test_truncated_window_layers():
 
 
 def test_graphs_keep_their_elements():
-    for ops, g in (
-        (cg.alcove_ops(lex_chain(A2, (2, 1))), alcove_graph(A2, (2, 1))),
-        (cg.alcove_ops(window(A2, 1)), window_graph(A2, 3)),
-    ):
-        assert set(g.elements) == set(g.nodes)
-        assert all(ops.key(el) == k for k, el in g.elements.items())
-        assert cg.dualize_graph(g).elements == g.elements
+    for g in (alcove_graph(A2, (2, 1)), window_graph(A2, 3)):
+        assert all(type(el) is al.AlcoveElement for el in g.nodes)
+        assert all(g.nodes[el].label == al.render_element(el) for el in g.nodes)
+        assert list(cg.dualize_graph(g).nodes) == list(g.nodes)
+
+
+def test_a_generator_on_a_wider_window_gives_the_same_graph():
+    """A window generator is moved to its canonical window first, so it is
+    the node the operators return when they come back to it."""
+    g = window_graph(A2, 3)
+    seed = al.AlcoveElement(window(A2, 3), ())
+    wide = cg.enumerate_crystal(cg.alcove_ops(window(A2, 1)), [seed], depth=3)
+    assert (list(wide.nodes), wide.edges) == (list(g.nodes), g.edges)
+    assert cg.check_axioms(wide).ok
 
 
 def test_unbounded_enumeration_of_infinite_model_fails():
@@ -83,17 +90,19 @@ def test_unbounded_enumeration_of_infinite_model_fails():
         (cg.path_ops(A2, "co-extended"), lp.straight_path(A2, (1, 1))),
         (cg.alcove_ops(lex_chain(A2, (1, 1))), al.element(window(A2, 1), [])),
         (cg.alcove_ops(window(A2, 1)), al.element(lex_chain(A2, (1, 1)), [])),
+        (cg.path_ops(A2), al.element(lex_chain(A2, (1, 1)), [])),
+        (cg.alcove_ops(lex_chain(A2, (1, 1))), lp.straight_path(A2, (1, 1))),
     ],
     ids=["finite-ops-infinite-path", "co-extended-ops-finite-path",
-         "finite-ops-window", "window-ops-finite-chain"],
+         "finite-ops-window", "window-ops-finite-chain",
+         "path-ops-alcove-element", "alcove-ops-path"],
 )
 def test_ops_reject_elements_of_another_kind(ops, seed):
     # finite ops on an element of an infinite crystal would walk it forever
-    # without a depth; the depth only keeps this test finite if keys pass
+    # without a depth; the depth only keeps this test finite if the kind
+    # check passes
     with pytest.raises(ValueError):
         cg.enumerate_crystal(ops, [seed], depth=2)
-    with pytest.raises(ValueError):
-        ops.key(seed)
 
 
 def test_enumeration_is_deterministic():
@@ -117,26 +126,24 @@ def reference_closure(ops, generators, depth=None):
     queue = deque()
 
     def admit(x, d):
-        k = ops.key(x)
-        if k not in nodes:
-            nodes[k] = x
-            queue.append((x, k, d))
+        if x not in nodes:
+            nodes[x] = x
+            queue.append((x, d))
 
     for g in generators:
         admit(g, 0)
     while queue:
-        x, kx, d = queue.popleft()
+        x, d = queue.popleft()
         for i in ops.rs.index_set:
             for other, forward in ((ops.f(x, i), True), (ops.e(x, i), False)):
                 if other is None:
                     continue
-                ko = ops.key(other)
-                if ko not in nodes:
+                if other not in nodes:
                     if depth is not None and d >= depth:
-                        boundary.add(kx)
+                        boundary.add(x)
                         continue
                     admit(other, d + 1)
-                edge = (kx, i, ko) if forward else (ko, i, kx)
+                edge = (x, i, other) if forward else (other, i, x)
                 if edge not in edge_set:
                     edge_set.add(edge)
                     edges.append(edge)
@@ -276,17 +283,16 @@ def _tampered(chain, i, bad):
     """Enumerate the alcove crystal of ``chain`` with e_i replaced by ``bad``
     at the target of the first edge found by f_i; ``bad`` gets that target
     and the edge's source and returns e_i's tampered value.  Also returns
-    the target's key."""
+    the target."""
     ops = cg.alcove_ops(chain)
     g = cg.enumerate_crystal(ops, [al.element(chain, [])])
     src, _, dst = next(
         edge for edge in g.edges if edge[1] == i and edge not in g.raised
     )
-    target, source = g.elements[dst], g.elements[src]
 
     def e(x, j):
-        if j == i and ops.key(x) == dst:
-            return bad(target, source)
+        if j == i and x == dst:
+            return bad(dst, src)
         return al.e_op(x, j)
 
     return cg.enumerate_crystal(replace(ops, e=e), [al.element(chain, [])]), dst
@@ -377,7 +383,7 @@ def test_stembridge_edge_deletion_control():
 def test_checkers_share_one_record():
     g = alcove_graph(A2, (1, 1))
     ops = cg.alcove_ops(lex_chain(A2, (1, 1)))
-    elements = list(g.elements.values())
+    elements = list(g.nodes)
     for check in (
         cg.check_axioms(g),
         cg.check_stembridge(g),

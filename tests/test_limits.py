@@ -386,7 +386,10 @@ def window_truncation(rs, depth, dual=False):
 
 @pytest.mark.parametrize(
     "type_string, depth",
-    [("A2", 6), ("B2", 6), ("G2", 6), ("A3", 5), ("C3", 4), ("D4", 4), ("F4", 3), ("E6", 3)],
+    [
+        ("A2", 6), ("B2", 6), ("G2", 6), ("A3", 5), ("C3", 4), ("D4", 4), ("F4", 3), ("E6", 3),
+        ("E7", 3), ("E8", 2), ("E8", 3),
+    ],
 )
 def test_twisted_path_crystals_give_the_window_models(type_string, depth):
     """B(infinity) is the direct limit of T_{-lambda} (x) B(lambda) over the

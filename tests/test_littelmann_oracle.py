@@ -203,7 +203,7 @@ def finite_paths(name):
     out = []
     for lam in itertools.product(range(SIZES[name][0] + 1), repeat=rs.rank):
         graph = cg.enumerate_crystal(cg.path_ops(rs), [lp.straight_path(rs, lam)])
-        out += [(lam, p) for p in graph.elements.values()]
+        out += [(lam, p) for p in graph.nodes]
     return out
 
 
@@ -214,7 +214,7 @@ def paths_of(name):
     rs = out[0].rs
     for seed in (lp.pi_infinity(rs), lp.xi_infinity(rs)):
         ops = cg.path_ops(rs, seed.kind)
-        out += cg.enumerate_crystal(ops, [seed], depth=SIZES[name][1]).elements.values()
+        out += cg.enumerate_crystal(ops, [seed], depth=SIZES[name][1]).nodes
     return out
 
 

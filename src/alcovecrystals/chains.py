@@ -47,6 +47,16 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _dominant(rs: RootSystem, lam) -> tuple:
+    """``lam`` as a tuple, or ValueError unless it is a dominant integral
+    weight of ``rs``: one non-negative int per simple root, booleans
+    refused."""
+    lam = tuple(lam)
+    if len(lam) != rs.rank or any(type(c) is bool or not isinstance(c, int) or c < 0 for c in lam):
+        raise ValueError(f"weight {lam} is not dominant integral")
+    return lam
+
+
 @dataclass(frozen=True)
 class ChainEntry:
     root: Root
@@ -151,9 +161,7 @@ def lex_chain(rs: RootSystem, lam) -> LambdaChain:
     coordinates of ``beta``.  Roots pairing to zero with ``lam`` contribute
     nothing.  Raises ValueError on a non-dominant weight.
     """
-    lam = tuple(lam)
-    if len(lam) != rs.rank or any((not isinstance(c, int)) or c < 0 for c in lam):
-        raise ValueError(f"weight {lam} is not dominant integral")
+    lam = _dominant(rs, lam)
     keyed = []
     for beta in rs.positive_roots:
         m = pairing(lam, beta)

@@ -15,7 +15,8 @@ Graphs truncated at a depth remember which nodes had neighbors suppressed
 (``boundary``); structural checks skip existence assertions exactly there.
 Every checker, here and in ``limits`` and ``verify``, returns a
 :class:`Check`: a name, how much it covered, and failures as strings that
-start with the label of the failing element.
+start with the failing element's ``repr``.  Elements print themselves, so
+text is made only where a failure or an export line needs it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Any, Callable
 
 from . import alcove as _alcove
 from . import littelmann as _paths
+from .chains import _dominant, _integer
 from .rootsys import RootSystem, pairing
 
 __all__ = [
@@ -61,7 +63,6 @@ class CrystalOps:
     epsilon: Callable[[Any, int], Any]
     phi: Callable[[Any, int], Any]
     weight: Callable[[Any], tuple]
-    render: Callable[[Any], str]
     kind: str
 
 
@@ -74,7 +75,6 @@ def alcove_ops(chain) -> CrystalOps:
         epsilon=_alcove.epsilon,
         phi=_alcove.phi,
         weight=_alcove.weight,
-        render=_alcove.render_element,
         kind="window" if chain.is_window else "chain",
     )
 
@@ -90,7 +90,6 @@ def path_ops(rs: RootSystem, kind: str = "finite") -> CrystalOps:
         epsilon=_paths.epsilon,
         phi=_paths.phi,
         weight=_paths.weight,
-        render=_paths.render_path,
         kind=kind,
     )
 
@@ -104,7 +103,6 @@ class NodeData:
     weight: tuple
     eps: tuple
     phi: tuple
-    label: str
 
 
 @dataclass
@@ -125,10 +123,6 @@ class CrystalGraph:
     boundary: frozenset = frozenset()
     ops: CrystalOps | None = field(default=None, compare=False, repr=False)
     raised: frozenset = frozenset()
-
-    @property
-    def index_set(self):
-        return self.rs.index_set
 
     @property
     def complete(self) -> bool:
@@ -153,10 +147,10 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
     """Breadth-first closure of the generators under raising and lowering.
 
     Each element is its own key in the graph; each generator is first made
-    a node of the crystal of ``ops`` (``_generator``).  ``depth`` bounds the
-    walk distance from the generators; it is required when the ops describe
-    an infinite crystal.  Edges always point along the lowering operator
-    and connect only enumerated nodes.
+    a node of the crystal of ``ops`` (``_generator``).  ``depth``, a
+    non-negative integer, bounds the walk distance from the generators; it
+    is required when the ops describe an infinite crystal.  Edges always
+    point along the lowering operator and connect only enumerated nodes.
 
     Each edge is computed once, from the end that reaches it first: f_i is
     skipped at a node whose i-edge out is known, e_i at a node whose i-edge
@@ -165,8 +159,11 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
     mutually inverse is not read off the graph; ``check_axioms`` computes
     the other direction of every edge.
     """
-    if depth is None and ops.kind not in ("chain", "finite"):
-        raise ValueError("an infinite crystal can only be enumerated to a finite depth")
+    if depth is None:
+        if ops.kind not in ("chain", "finite"):
+            raise ValueError("an infinite crystal can only be enumerated to a finite depth")
+    elif _integer(depth, "depth") < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     index_set = ops.rs.index_set
     nodes: dict = {}
     edges = []
@@ -182,7 +179,6 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
                 weight=tuple(ops.weight(x)),
                 eps=tuple(ops.epsilon(x, i) for i in index_set),
                 phi=tuple(ops.phi(x, i) for i in index_set),
-                label=ops.render(x),
             )
             queue.append((x, d))
         return x
@@ -245,7 +241,8 @@ def highest_weight_keys(graph: CrystalGraph) -> list:
 class Check:
     """One identity checked on one crystal or pool: how many nodes, pairs or
     elements it covered, and what failed.  Each failure is a string that
-    starts with the label of the element, or the crystal, it is about."""
+    starts with the ``repr`` of the element, or the name of the crystal, it
+    is about."""
 
     name: str
     checked: int
@@ -284,9 +281,9 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
     in_edge = {}
     for src, i, dst in graph.edges:
         if (src, i) in out_edge:
-            failures.append(f"{graph.nodes[src].label}: two lowering edges in direction {i}")
+            failures.append(f"{src!r}: two lowering edges in direction {i}")
         if (dst, i) in in_edge:
-            failures.append(f"{graph.nodes[dst].label}: two raising edges in direction {i}")
+            failures.append(f"{dst!r}: two raising edges in direction {i}")
         out_edge[(src, i)] = dst
         in_edge[(dst, i)] = src
 
@@ -299,19 +296,19 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
             else:
                 at, want, back = dst, src, ops.e(dst, i)
             if back != want:
-                failures.append(f"{graph.nodes[at].label}: operators not inverse in direction {i}")
+                failures.append(f"{at!r}: operators not inverse in direction {i}")
 
     for k, data in graph.nodes.items():
         for pos, i in enumerate(index_set):
             gap = pairing(data.weight, rs.simple_root(i))
             if data.phi[pos] != data.eps[pos] + gap:
-                failures.append(f"{data.label}: phi - eps != <wt, coroot> in direction {i}")
+                failures.append(f"{k!r}: phi - eps != <wt, coroot> in direction {i}")
             if not seminormal or k in graph.boundary:
                 continue
             if (data.phi[pos] > 0) != ((k, i) in out_edge):
-                failures.append(f"{data.label}: phi and lowering disagree in direction {i}")
+                failures.append(f"{k!r}: phi and lowering disagree in direction {i}")
             if (data.eps[pos] > 0) != ((k, i) in in_edge):
-                failures.append(f"{data.label}: eps and raising disagree in direction {i}")
+                failures.append(f"{k!r}: eps and raising disagree in direction {i}")
 
     for src, i, dst in graph.edges:
         pos = index_set.index(i)
@@ -319,9 +316,9 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
         b = graph.nodes[dst]
         alpha = rs.root_in_weight_coords(rs.simple_root(i))
         if b.weight != tuple(w - c for w, c in zip(a.weight, alpha)):
-            failures.append(f"{a.label}: weight step wrong on the edge -{i}-> {b.label}")
+            failures.append(f"{src!r}: weight step wrong on the edge -{i}-> {dst!r}")
         if b.eps[pos] != a.eps[pos] + 1 or b.phi[pos] != a.phi[pos] - 1:
-            failures.append(f"{a.label}: statistic step wrong on the edge -{i}-> {b.label}")
+            failures.append(f"{src!r}: statistic step wrong on the edge -{i}-> {dst!r}")
     return Check("axioms", len(graph.nodes), failures)
 
 
@@ -358,12 +355,11 @@ def check_stembridge(graph: CrystalGraph) -> Check:
         off the graph fails a complete graph and is skipped otherwise."""
         a_end = chase(k, first)
         b_end = chase(k, second)
-        label = graph.nodes[k].label
         if a_end is None or b_end is None:
             if graph.complete:
-                failures.append(f"{label}: {off_graph}")
+                failures.append(f"{k!r}: {off_graph}")
         elif a_end != b_end:
-            failures.append(f"{label}: {differ}")
+            failures.append(f"{k!r}: {differ}")
 
     index_set = rs.index_set
     for k in graph.nodes:
@@ -382,13 +378,13 @@ def check_stembridge(graph: CrystalGraph) -> Check:
                 d_phi_i = graph.nodes[yj].phi[ai] - node.phi[ai]
                 if A[ai][aj] == 0:
                     if (d_eps_j, d_phi_j) != (0, 0) or (d_eps_i, d_phi_i) != (0, 0):
-                        failures.append(f"{node.label}: orthogonal directions {i},{j} interact")
+                        failures.append(f"{k!r}: orthogonal directions {i},{j} interact")
                         continue
                     square = True
                 else:
                     for diff in ((d_eps_j, d_phi_j), (d_eps_i, d_phi_i)):
                         if diff not in ((0, -1), (1, 0)):
-                            failures.append(f"{node.label}: statistic change {diff} along {i},{j}")
+                            failures.append(f"{k!r}: statistic change {diff} along {i},{j}")
                     square = d_eps_j == 0 and d_eps_i == 0
                     if d_eps_j == 1 and d_eps_i == 1:
                         meet(
@@ -413,7 +409,7 @@ def check_stembridge(graph: CrystalGraph) -> Check:
 # comparisons and transforms
 
 
-def _canonical_signature(graph: CrystalGraph, weights: bool) -> tuple:
+def _canonical_signature(graph: CrystalGraph) -> tuple:
     tops = highest_weight_keys(graph)
     if len(tops) != 1:
         raise ValueError(f"need a unique highest weight node, found {len(tops)}")
@@ -424,7 +420,7 @@ def _canonical_signature(graph: CrystalGraph, weights: bool) -> tuple:
     while queue:
         k = queue.popleft()
         children = []
-        for i in graph.index_set:
+        for i in graph.rs.index_set:
             child = out_edge.get((k, i))
             if child is None:
                 children.append(None)
@@ -433,22 +429,19 @@ def _canonical_signature(graph: CrystalGraph, weights: bool) -> tuple:
                 order[child] = len(order)
                 queue.append(child)
             children.append(order[child])
-        if weights:
-            data = graph.nodes[k]
-            lines.append((data.weight, data.eps, data.phi, tuple(children)))
-        else:
-            lines.append(tuple(children))
+        data = graph.nodes[k]
+        lines.append((data.weight, data.eps, data.phi, tuple(children)))
     return (len(graph.nodes), tuple(lines))
 
 
-def is_isomorphic(a: CrystalGraph, b: CrystalGraph, weights: bool = True) -> bool:
+def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> bool:
     """Whether two enumerated crystals agree up to relabeling.
 
     Both must have a unique highest weight node (ValueError otherwise); the
-    comparison walks both graphs in the canonical order and, with ``weights``
-    set, also matches node weights and statistics.
+    comparison walks both graphs in the canonical order and also matches
+    node weights and statistics.
     """
-    return _canonical_signature(a, weights) == _canonical_signature(b, weights)
+    return _canonical_signature(a) == _canonical_signature(b)
 
 
 def _dual_ops(ops: CrystalOps) -> CrystalOps:
@@ -466,17 +459,12 @@ def _dual_ops(ops: CrystalOps) -> CrystalOps:
 
 def dualize_graph(graph: CrystalGraph) -> CrystalGraph:
     """The contragredient graph: arrows reversed, statistics swapped, weights
-    negated.  Labels carry over from the original nodes.  Ops carry over
+    negated.  The nodes are the original elements.  Ops carry over
     swapped the same way, and an edge found by lowering becomes one found
     by raising, so ``check_axioms`` still checks each edge's other
     direction."""
     nodes = {
-        k: NodeData(
-            weight=tuple(-c for c in data.weight),
-            eps=data.phi,
-            phi=data.eps,
-            label=data.label,
-        )
+        k: NodeData(weight=tuple(-c for c in data.weight), eps=data.phi, phi=data.eps)
         for k, data in graph.nodes.items()
     }
     order = {k: n for n, k in enumerate(nodes)}
@@ -498,8 +486,9 @@ def dualize_graph(graph: CrystalGraph) -> CrystalGraph:
 
 
 def weyl_dimension(rs: RootSystem, lam) -> int:
-    """Product formula for the dimension of the highest weight module."""
-    lam = tuple(lam)
+    """Product formula for the dimension of the highest weight module;
+    ValueError unless ``lam`` is dominant integral."""
+    lam = _dominant(rs, lam)
     rho = rs.rho
     total = Fraction(1)
     for beta in rs.positive_roots:
@@ -515,18 +504,19 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
 
 
 def graph_to_json(graph: CrystalGraph) -> dict:
-    """JSON document for the graph: nodes, edges, and truncation status."""
+    """JSON document for the graph: nodes labeled by their ``repr``, edges,
+    and truncation status."""
     order = {k: n for n, k in enumerate(graph.nodes)}
     return {
         "nodes": [
             {
                 "id": f"n{n}",
-                "label": data.label,
+                "label": repr(el),
                 "wt": list(data.weight),
                 "eps": list(data.eps),
                 "phi": list(data.phi),
             }
-            for n, data in enumerate(graph.nodes.values())
+            for n, (el, data) in enumerate(graph.nodes.items())
         ],
         "edges": [
             {"src": f"n{order[src]}", "i": i, "dst": f"n{order[dst]}"}
@@ -540,8 +530,8 @@ def graph_to_json(graph: CrystalGraph) -> dict:
 def graph_to_dot(graph: CrystalGraph) -> str:
     order = {k: n for n, k in enumerate(graph.nodes)}
     lines = ["digraph crystal {", "  rankdir=TB;"]
-    for n, data in enumerate(graph.nodes.values()):
-        label = data.label.replace('"', '\\"')
+    for n, el in enumerate(graph.nodes):
+        label = repr(el).replace('"', '\\"')
         lines.append(f'  n{n} [label="{label}"];')
     for src, i, dst in graph.edges:
         lines.append(f'  n{order[src]} -> n{order[dst]} [label="{i}"];')

@@ -138,7 +138,7 @@ def verify_dual_iso(elements, mapping, source_ops, target_ops) -> Check:
     For every element and every direction: lowering must transport to
     raising and vice versa (with undefined matching undefined), the two
     string statistics must trade places, and the weight must flip sign.
-    Failures read ``"rendered element: property"``.
+    Failures read ``"element: property"``, the element as its ``repr``.
     """
     if source_ops.rs != target_ops.rs:
         raise ValueError("source and target live over different root systems")
@@ -147,26 +147,25 @@ def verify_dual_iso(elements, mapping, source_ops, target_ops) -> Check:
     image_of = cache(mapping)  # each element is mapped once however often it is met
 
     for b in elements:
-        name = source_ops.render(b)
         image = image_of(b)
         wt = source_ops.weight(b)
         if tuple(target_ops.weight(image)) != tuple(-c for c in wt):
-            failures.append(f"{name}: weight negation")
+            failures.append(f"{b!r}: weight negation")
         for i in source_ops.rs.index_set:
             if target_ops.epsilon(image, i) != source_ops.phi(b, i):
-                failures.append(f"{name}: eps/phi swap at {i}")
+                failures.append(f"{b!r}: eps/phi swap at {i}")
             if target_ops.phi(image, i) != source_ops.epsilon(b, i):
-                failures.append(f"{name}: phi/eps swap at {i}")
+                failures.append(f"{b!r}: phi/eps swap at {i}")
             down = source_ops.f(b, i)
             up = target_ops.e(image, i)
             if (down is None) != (up is None):
-                failures.append(f"{name}: lowering nullity at {i}")
+                failures.append(f"{b!r}: lowering nullity at {i}")
             elif down is not None and image_of(down) != up:
-                failures.append(f"{name}: lowering transport at {i}")
+                failures.append(f"{b!r}: lowering transport at {i}")
             down = target_ops.f(image, i)
             up = source_ops.e(b, i)
             if (down is None) != (up is None):
-                failures.append(f"{name}: raising nullity at {i}")
+                failures.append(f"{b!r}: raising nullity at {i}")
             elif up is not None and image_of(up) != down:
-                failures.append(f"{name}: raising transport at {i}")
+                failures.append(f"{b!r}: raising transport at {i}")
     return Check("dual-iso", len(elements), failures)

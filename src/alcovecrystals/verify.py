@@ -173,7 +173,6 @@ def _limits(sweep) -> list[Check]:
     checks = 0
     failures = []
     for el in sweep.pool(sweep.depth):
-        name = al.render_element(el)
         k0, _ = al.minimal_projection(el)
         for k in range(max(k0, 1), max(k0, 1) + 3):
             image = al.project_Spr(el, k)
@@ -181,7 +180,7 @@ def _limits(sweep) -> list[Check]:
                 continue
             checks += 1
             if al.include_Sin(image, k) != el:
-                failures.append(f"{name}: inclusion does not invert projection at k={k}")
+                failures.append(f"{el!r}: inclusion does not invert projection at k={k}")
             for i in rs.index_set:
                 for op in (al.f_op, al.e_op):
                     big, small = op(el, i), op(image, i)
@@ -190,16 +189,16 @@ def _limits(sweep) -> list[Check]:
                     checks += 1
                     proj = al.project_Spr(big, k)
                     if proj is not None and proj != small:
-                        failures.append(f"{name}: projection does not intertwine at k={k}, i={i}")
+                        failures.append(f"{el!r}: projection does not intertwine at k={k}, i={i}")
     for el in sweep.pool(sweep.depth) + sweep.pool(sweep.depth, dual=True):
-        name = f"{_INF[el.is_dual]} {al.render_element(el)}"
+        model = _INF[el.is_dual]
         for copies in (1, 2):
             wider = _widen(el, copies)
             for i in rs.index_set:
                 for op, up in ((al.f_op, el.is_dual), (al.e_op, not el.is_dual)):
                     checks += 1
                     if op(el, i) != al._step(wider, i, up):
-                        failures.append(f"{name}: +{copies} copies changed {op.__name__} at i={i}")
+                        failures.append(f"{model} {el!r}: +{copies} copies changed {op.__name__} at i={i}")
     return [Check(f"limits coherence checks {checks}", checks, failures)]
 
 
@@ -226,8 +225,7 @@ def _profile(sweep) -> list[Check]:
                 for x, op, prof in (("f", al.f_op, al.profile_f), ("e", al.e_op, al.profile_e)):
                     checks += 1
                     if op(el, i) != prof(el, i):
-                        name = al.render_element(el)
-                        failures.append(f"{source}: profile_{x} disagrees at {name}, i={i}")
+                        failures.append(f"{source}: profile_{x} disagrees at {el!r}, i={i}")
     return [Check(f"profile operators checks {checks}", checks, failures)]
 
 

@@ -14,6 +14,7 @@ from alcovecrystals import limits
 from alcovecrystals import littelmann as lp
 from alcovecrystals import verify
 from alcovecrystals.chains import dual_chain, lex_chain, window
+from alcovecrystals.cli import run
 from alcovecrystals.rootsys import RootSystem
 
 A2 = RootSystem.from_type("A2")
@@ -51,7 +52,7 @@ def test_rho_crystal_has_eight_nodes():
 
 def test_truncated_window_layers():
     g = window_graph(A2, 2)
-    labels = {data.label for data in g.nodes.values()}
+    labels = {repr(el) for el in g.nodes}
     assert len(g.nodes) == 7
     assert "((α1, -2))" in labels
     assert "((α1, -1), (α1+α2, -1))" in labels
@@ -62,7 +63,7 @@ def test_truncated_window_layers():
 def test_graphs_keep_their_elements():
     for g in (alcove_graph(A2, (2, 1)), window_graph(A2, 3)):
         assert all(type(el) is al.AlcoveElement for el in g.nodes)
-        assert all(g.nodes[el].label == al.render_element(el) for el in g.nodes)
+        assert all(repr(el) == al.render_element(el) for el in g.nodes)
         assert list(cg.dualize_graph(g).nodes) == list(g.nodes)
 
 
@@ -103,6 +104,13 @@ def test_ops_reject_elements_of_another_kind(ops, seed):
     # check passes
     with pytest.raises(ValueError):
         cg.enumerate_crystal(ops, [seed], depth=2)
+
+
+@pytest.mark.parametrize("depth", [-1, True, 1.5, "2"])
+def test_depth_must_be_a_non_negative_integer(depth):
+    win = window(A2, 1)
+    with pytest.raises(ValueError, match="depth"):
+        cg.enumerate_crystal(cg.alcove_ops(win), [al.element(win, [])], depth=depth)
 
 
 def test_enumeration_is_deterministic():
@@ -249,6 +257,17 @@ def test_weyl_dimension_values():
     assert cg.weyl_dimension(B2, (1, 0)) == 5
 
 
+@pytest.mark.parametrize(
+    "lam",
+    [(-3, 0), (2, -1), (1,), (1, 1, 1), (True, 0), (1.0, 0), ("1", 0)],
+    ids=["negative", "negative-second", "short", "long", "boolean", "float", "string"],
+)
+@pytest.mark.parametrize("build", [cg.weyl_dimension, lex_chain], ids=["dimension", "chain"])
+def test_weights_that_are_not_dominant_integral_are_refused(build, lam):
+    with pytest.raises(ValueError, match="not dominant integral"):
+        build(A2, lam)
+
+
 # ---------------------------------------------------------------------------
 # axioms
 
@@ -311,7 +330,7 @@ def test_axioms_catch_operators_that_are_not_inverse(i, bad):
     assert (list(g.nodes), g.edges) == (list(clean.nodes), clean.edges)
     assert cg.check_axioms(replace(g, ops=None), seminormal=True).ok
     report = cg.check_axioms(g, seminormal=True)
-    label = g.nodes[dst].label
+    label = repr(dst)
     assert report.failures == [f"{label}: operators not inverse in direction {i}"]
     # the dual graph carries the swapped ops and still applies the tampered
     # operator, now as its lowering
@@ -335,12 +354,7 @@ def test_axioms_catch_corrupt_statistics():
     g = alcove_graph(A2, (1, 1))
     key = next(iter(g.nodes))
     data = g.nodes[key]
-    g.nodes[key] = cg.NodeData(
-        weight=data.weight,
-        eps=tuple(v + 1 for v in data.eps),
-        phi=data.phi,
-        label=data.label,
-    )
+    g.nodes[key] = cg.NodeData(weight=data.weight, eps=tuple(v + 1 for v in data.eps), phi=data.phi)
     assert not cg.check_axioms(g).ok
 
 
@@ -442,6 +456,36 @@ def test_json_export_roundtrips_and_is_deterministic():
     assert [n["id"] for n in doc["nodes"]] == ["n0", "n1", "n2"]
     assert doc["edges"][0] == {"src": "n0", "i": 1, "dst": "n1"}
     assert doc["nodes"][0]["wt"] == [1, 0]
+
+
+def test_path_graph_exports_label_nodes_by_their_text():
+    g = cg.enumerate_crystal(cg.path_ops(A2), [lp.straight_path(A2, (1, 1))])
+    labels = [lp.render_path(path) for path in g.nodes]
+    assert [n["label"] for n in cg.graph_to_json(g)["nodes"]] == labels
+    dot = cg.graph_to_dot(g)
+    assert all(f'  n{n} [label="{label}"];' in dot for n, label in enumerate(labels))
+
+
+def test_nothing_is_rendered_while_every_check_passes(monkeypatch):
+    """Elements print themselves, and only a failure or an export line asks
+    them to: enumeration, the checkers, the dual isomorphism check and the
+    limits suite make no text on correct crystals."""
+
+    def refuse(x):
+        raise RuntimeError("rendered")
+
+    monkeypatch.setattr(al, "render_element", refuse)
+    monkeypatch.setattr(lp, "render_path", refuse)
+    primal = alcove_graph(A2, (1, 1))
+    paths = cg.enumerate_crystal(cg.path_ops(A2), [lp.straight_path(A2, (1, 1))])
+    for g in (primal, alcove_graph(A2, (1, 1), dual=True), paths):
+        assert len(g.nodes) == 8
+        assert cg.check_axioms(g, seminormal=True).ok
+        assert cg.check_stembridge(g).ok
+    ops = cg.alcove_ops(lex_chain(A2, (1, 1))), cg.path_ops(A2)
+    check = limits.verify_dual_iso(primal.nodes, limits.varpi, *ops)
+    assert check.ok and check.checked == 8
+    assert run(["verify", "--type", "A2", "--suite", "limits"]) == 0
 
 
 def test_dot_export_shape():

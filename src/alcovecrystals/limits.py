@@ -1,13 +1,22 @@
 """Transports between the alcove model and the path model.
 
-The finite transport ``varpi`` reads the folding times of an alcove element
-off its chain and the directions off its folded chain, and produces a
-piecewise linear path; it swaps raising with lowering and negates weights.
-The dual transports go through their primal twins: ``varpi_dual`` and
-``varpi_dual_infinity`` mirror the element into the primal model and
-dualize the path image.  ``varpi_infinity`` lifts ``varpi`` to the
-unbounded model by projecting onto a finite crystal first and letting the
-canonical straightening of rho-rays erase the choice made there.
+All four transports read an element through one walk over its own fold
+(``_transport``).  The walk visits the foldings in primal walk order, which
+for a dual element means its positions reversed: a dual element's folded
+roots are those of its mirror in the primal model, reversed, so no mirror is
+built.  Starting from the velocity v = v0, v0 = lam on a finite chain and
+v0 = rho on a window, each folding on beta at level l is crossed at the time
+l / <v0, beta^vee> primally and ``end`` - l / <v0, beta^vee> dually, where
+``end`` is 1 on a finite chain and 0 on a window, and crossing it drops v by
+<v0, beta^vee> gamma, gamma the folded root there.
+
+``varpi`` is minus the integral of v over [0, 1], a path whose raising and
+lowering swap with the element's and whose weight is the element's negated.
+``varpi_infinity`` starts on the incoming rho-ray at the first crossing and
+follows plus the integral of v up to time 0: the path every projection of
+the element onto a finite crystal of k rho gives once slowed down by k, for
+every admissible k.  ``varpi_dual`` and ``varpi_dual_infinity`` dualize the
+primal result, which lands the image among paths of the opposite sign.
 
 ``verify_dual_iso`` is the audit harness: it replays every defining identity
 of a dual isomorphism over an enumerated set of elements and returns a
@@ -20,10 +29,9 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .alcove import minimal_projection, mirror, project_Spr
-from .chains import _integer
+from .alcove import _canonical
 from .crystalgraph import Check
-from .littelmann import PLPath, dualize, xi_infinity
+from .littelmann import PLPath, dualize
 from .rootsys import pairing
 
 __all__ = [
@@ -35,100 +43,82 @@ __all__ = [
 ]
 
 
-def varpi(el) -> PLPath:
-    """Path image of a finite alcove element.
-
-    Each selected hyperplane is crossed at the time given by its level over
-    the pairing of the chain weight lam with its coroot.  The direction
-    between crossing times is -w(lam), w the product of the reflections
-    crossed so far: crossing beta_p drops w(lam) by <lam, beta_p^vee> gamma_p,
-    gamma_p the folded root there.  The path is built in integer form over
-    the lcm of the crossing-time denominators.
-    """
-    chain = el.chain
-    if chain.is_window or el.is_dual:
-        raise ValueError("varpi expects an element over a finite primal chain")
-    rs = el.rs
-    lam = tuple(chain.lam)
+def _transport(el) -> PLPath:
+    """The primal path image of an element: finite on a chain, co-extended on
+    a window, the foldings walked in primal walk order (see the module
+    docstring).  ValueError if the element is not admissible or its
+    crossing times decrease.  The path is built in integer form over the
+    lcm of the crossing-time denominators."""
+    el = _canonical(el)
+    chain, rs, dual = el.chain, el.rs, el.is_dual
+    v0 = rs.rho if chain.is_window else tuple(chain.lam)
+    end = 0 if chain.is_window else 1
     folded = el.fold.roots
     crossings, drops = [], []
-    for p in el.positions:
+    for p in reversed(el.positions) if dual else el.positions:
         entry = chain.entries[p]
-        gap = pairing(lam, entry.root)
-        crossings.append(Fraction(entry.level, gap))
+        gap = pairing(v0, entry.root)
+        crossings.append(end - Fraction(entry.level, gap) if dual else Fraction(entry.level, gap))
         drops.append(rs._weight_coords([gap * c for c in rs.roots[folded[p]].coeffs]))
     if any(a > b for a, b in zip(crossings, crossings[1:])):
         raise ValueError("chain entries are not in crossing-time order")
     den = lcm(*(t.denominator for t in crossings))
-    ticks = [t.numerator * (den // t.denominator) for t in crossings] + [den]
+    ticks = [t.numerator * (den // t.denominator) for t in crossings]
 
-    times, points = [0], [(0,) * rs.rank]
-    v = lam
+    if chain.is_window:
+        # on the incoming ray up to the first crossing, then +v up to time 0
+        kind, sign, start = "co-extended", 1, ticks[0] if ticks else 0
+        ticks.append(0)
+    else:
+        kind, sign, start = "finite", -1, 0
+        ticks.append(den)
+    times, points, v = [start], [(start,) * rs.rank], v0
     for j, tick in enumerate(ticks):
         if tick > times[-1]:
-            dt = tick - times[-1]
-            points.append(tuple(c - x * dt for c, x in zip(points[-1], v)))
+            dt = sign * (tick - times[-1])
+            points.append(tuple(c + x * dt for c, x in zip(points[-1], v)))
             times.append(tick)
         if j < len(drops):
             v = tuple(x - d for x, d in zip(v, drops[j]))
-    return PLPath.from_vertices(rs, "finite", den, times, points)
+    return PLPath.from_vertices(rs, kind, den, times, points)
+
+
+def varpi(el) -> PLPath:
+    """Path image of a finite alcove element: minus the integral of the
+    velocity, which starts at the chain weight lam and drops at each
+    folding's crossing time (``_transport``)."""
+    if el.is_window or el.is_dual:
+        raise ValueError("varpi expects an element over a finite primal chain")
+    return _transport(el)
 
 
 def varpi_dual(el) -> PLPath:
-    """Path image of a finite dual alcove element.
-
-    The dual chain lists the same hyperplanes in reversed order, so the
-    element transfers verbatim to the primal chain; the finite transport and
-    a path dualization then land it among paths of the opposite sign.
-    """
-    if el.chain.is_window or not el.is_dual:
+    """Path image of a finite dual alcove element: the dual chain lists the
+    same hyperplanes in reversed order, so the walk reads the foldings
+    backwards, and dualizing its path lands the image among paths of the
+    opposite sign."""
+    if el.is_window or not el.is_dual:
         raise ValueError("varpi_dual expects an element over a finite dual chain")
-    return dualize(varpi(mirror(el)))
+    return dualize(_transport(el))
 
 
-def varpi_infinity(el, copies: int | None = None) -> PLPath:
-    """Co-extended path image of an element of the unbounded model.
-
-    The element is projected onto a finite crystal with ``copies`` times the
-    dominant-sum weight, transported there, and grafted onto the incoming
-    rho-ray.  Any admissible number of copies gives the same canonical path
-    because the leading run in the rho direction is absorbed by the ray.
-    """
-    if not el.chain.is_window or el.is_dual:
+def varpi_infinity(el) -> PLPath:
+    """Co-extended path image of an element of the unbounded model: the
+    incoming rho-ray up to the first crossing, then the integral of the
+    velocity up to time 0 (``_transport``)."""
+    if not el.is_window or el.is_dual:
         raise ValueError("varpi_infinity expects an element over the primal window")
-    rs = el.rs
-    if copies is None:
-        copies, image = minimal_projection(el)
-    else:
-        copies = _integer(copies, "copies")
-        image = project_Spr(el, copies)
-        if image is None:
-            raise ValueError(f"no projection onto {copies} copies")
-    if copies == 0:
-        return xi_infinity(rs)
-    # slowed down by ``copies`` and negated, the finite path ends at time 0
-    # and starts where the incoming ray is at time -copies
-    finite = varpi(image)
-    start = copies * finite.den
-    return PLPath.from_vertices(
-        rs,
-        "co-extended",
-        finite.den,
-        [copies * t - start for t in finite.times],
-        [tuple(-start - c for c in p) for p in finite.points],
-    )
+    return _transport(el)
 
 
-def varpi_dual_infinity(el, copies: int | None = None) -> PLPath:
-    """Extended path image of an element of the unbounded dual model.
-
-    The element's mirror in the primal window is transported by
-    ``varpi_infinity`` onto the incoming rho-ray; dualizing that path gives
-    the image, which merges into the outgoing rho-ray.
-    """
-    if not el.chain.is_window or not el.is_dual:
+def varpi_dual_infinity(el) -> PLPath:
+    """Extended path image of an element of the unbounded dual model: the
+    walk reads the foldings backwards onto the incoming rho-ray, and
+    dualizing that path gives the image, which merges into the outgoing
+    rho-ray."""
+    if not el.is_window or not el.is_dual:
         raise ValueError("varpi_dual_infinity expects an element over the dual window")
-    return dualize(varpi_infinity(mirror(el), copies))
+    return dualize(_transport(el))
 
 
 def verify_dual_iso(elements, mapping, source_ops, target_ops) -> Check:

@@ -34,9 +34,9 @@ through :func:`dualize`, which reverses the vertices and also couples the two
 unbounded kinds to each other.
 
 ``PLPath(rs, kind, segments)`` builds a path from exact (velocity, duration)
-segments; ``segments``, ``duration``, :func:`render_path` and
-:func:`path_to_json` are ``Fraction`` views of the integer form.  Floats are
-rejected: they are not exact.
+segments; ``segments``, :func:`render_path` and :func:`path_to_json` are
+``Fraction`` views of the integer form.  Floats are rejected: they are not
+exact.
 """
 
 from __future__ import annotations
@@ -150,11 +150,6 @@ class PLPath:
             (tuple(Fraction(b - a, u - t) for a, b in zip(p, q)), Fraction(u - t, den))
             for (t, p), (u, q) in pairwise(zip(self.times, self.points))
         )
-
-    @property
-    def duration(self) -> Fraction:
-        """Total duration of the explicit segments."""
-        return Fraction(self.times[-1] - self.times[0], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PLPath):

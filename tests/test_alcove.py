@@ -686,6 +686,10 @@ def test_projection_levels_shift():
     assert al.project_Spr(b, 0) is None
     img2 = al.project_Spr(b, 2)
     assert pairs(img2) == (((1, 0), 1),)
+    # True would pass for one copy, and 2.0 or "2" for two
+    for bad in (2.0, "2", 1.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            al.project_Spr(b, bad)
 
 
 def test_minimal_projection():
@@ -705,22 +709,27 @@ def test_projection_of_an_inadmissible_element_is_refused():
     assert not al.is_admissible(bad)
     with pytest.raises(ValueError, match="not admissible"):
         al.minimal_projection(bad)
-    for copies in (None, 3):
-        with pytest.raises(ValueError):
-            limits.varpi_infinity(bad, copies)
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [al.AlcoveElement(window(A2, 2), (1,)), al.AlcoveElement(lex_chain(A2, (1, 1)), (1, 2))],
-    ids=["window", "finite-chain"],
+    "bad, transport",
+    [
+        (al.AlcoveElement(window(A2, 2), (1,)), limits.varpi_infinity),
+        (al.AlcoveElement(lex_chain(A2, (1, 1)), (1, 2)), limits.varpi),
+        # the mirrors of the two: reversed chains, positions counted from the end
+        (al.AlcoveElement(window(A2, 2, dual=True), (6,)), limits.varpi_dual_infinity),
+        (al.AlcoveElement(dual_chain(lex_chain(A2, (1, 1))), (1, 2)), limits.varpi_dual),
+    ],
+    ids=["window", "finite-chain", "dual-window", "dual-finite-chain"],
 )
-def test_operators_and_statistics_refuse_an_inadmissible_element(bad):
+def test_operators_and_statistics_refuse_an_inadmissible_element(bad, transport):
     assert not al.is_admissible(bad)
     for i in A2.index_set:
         for fn in (al.f_op, al.e_op, al.epsilon, al.phi, al.profile_f, al.profile_e, al.i_signature):
             with pytest.raises(ValueError, match="not admissible"):
                 fn(bad, i)
+    with pytest.raises(ValueError, match="not admissible"):
+        transport(bad)
 
 
 def test_projection_commutes_with_lowering():

@@ -397,7 +397,7 @@ def test_window_layout_matches_levels(type_string, dual):
 def test_window_rejects_bad_copies():
     rs = RootSystem.from_type("A2")
     assert window(rs, 3).copies == 3
-    for bad in (0, 1.5, 3.0, "3"):
+    for bad in (0, 1.5, 3.0, "3", True):
         with pytest.raises(ValueError):
             window(rs, bad)
     copies = window(rs, 3).copies

@@ -225,20 +225,43 @@ def test_single_fold_window_image_matches_the_ray_raise():
     assert lp.weight(path) == (2, -1)
 
 
+def reference_varpi_infinity(el, k) -> lp.PLPath:
+    """The unbounded transport through a finite crystal: the element is
+    projected onto the chain of k * rho and transported there by ``varpi``;
+    slowed down by k and negated, that path ends at time 0 and starts where
+    the incoming rho-ray is at time -k."""
+    image = al.project_Spr(el, k)
+    if image is None:
+        raise ValueError(f"no projection onto {k} copies")
+    finite = varpi(image)
+    start = k * finite.den
+    return lp.PLPath.from_vertices(
+        el.rs,
+        "co-extended",
+        finite.den,
+        [k * t - start for t in finite.times],
+        [tuple(-start - c for c in p) for p in finite.points],
+    )
+
+
+def least_copies(el) -> int:
+    """The fewest copies of rho a window element projects onto, at least one."""
+    return max(1, el.chain.deepest_block(el.positions))
+
+
+# window pools, as depths, on which the unbounded transports meet their references
+REFERENCE_DEPTHS = {"A2": 4, "B2": 4, "G2": 4, "C3": 4, "D4": 3, "F4": 3}
+
+
 def test_unbounded_transport_is_copy_independent():
-    for el in window_elements(A2, 3):
-        k, _ = al.minimal_projection(el)
-        base = varpi_infinity(el)
-        for extra in (1, 2):
-            again = varpi_infinity(el, copies=max(k, 1) + extra)
-            assert again.segments == base.segments
-            assert again.kind == base.kind
-
-
-def test_unbounded_transport_rejects_too_few_copies():
-    el = al.element_from_pairs(window(A2, 2), [((1, 0), -2)])
-    with pytest.raises(ValueError):
-        varpi_infinity(el, copies=1)
+    """The direct transport agrees with the projection route for every
+    number of copies from the least one to two more."""
+    for type_string, depth in REFERENCE_DEPTHS.items():
+        for el in window_elements(RootSystem.from_type(type_string), depth):
+            base = varpi_infinity(el)
+            k = least_copies(el)
+            for copies in range(k, k + 3):
+                assert reference_varpi_infinity(el, copies) == base, (el, copies)
 
 
 def test_unbounded_transport_is_a_dual_isomorphism():
@@ -268,17 +291,14 @@ def test_dual_single_fold_image_is_a_lowered_ray():
     assert path.segments == (((-1, 2), Fraction(1)),)
 
 
-def reference_varpi_dual_infinity(el, copies=None) -> lp.PLPath:
+def reference_varpi_dual_infinity(el, copies) -> lp.PLPath:
     """The unbounded dual transport read off the dual chain of copies * rho
     directly: the window entries agree verbatim with that dual chain, so the
     element restricts to a finite dual crystal, whose path image, slowed down
     by the number of copies, merges into the outgoing rho-ray."""
     rs = el.rs
-    needed = max(1, el.chain.deepest_block(el.positions))
-    if copies is None:
-        copies = needed
-    elif copies < needed:
-        raise ValueError(f"need at least {needed} copies")
+    if copies < least_copies(el):
+        raise ValueError(f"need at least {least_copies(el)} copies")
     # the dual chain of k * rho mirrors the k * rho chain
     chain = _rho_multiple(rs, copies)
     size = len(chain.entries)
@@ -288,57 +308,19 @@ def reference_varpi_dual_infinity(el, copies=None) -> lp.PLPath:
     )
 
 
-@pytest.mark.parametrize("type_string", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("type_string", list(REFERENCE_DEPTHS))
 def test_dual_unbounded_matches_the_dual_chain_reference(type_string):
-    """The dual transport, routed through the primal one, agrees path for
-    path with the reference, with the default and with explicit copies."""
+    """The dual transport, which walks the element's own fold, agrees path
+    for path with the dual chain reference for every number of copies from
+    the least one to two more."""
     rs = RootSystem.from_type(type_string)
-    pool = window_elements(rs, 4, dual=True)
+    pool = window_elements(rs, REFERENCE_DEPTHS[type_string], dual=True)
     assert len(pool) > 20
     for el in pool:
-        assert same_path(varpi_dual_infinity(el), reference_varpi_dual_infinity(el)), el
-        needed = max(1, el.chain.deepest_block(el.positions))
-        for copies in range(needed, needed + 3):
-            direct = varpi_dual_infinity(el, copies=copies)
+        direct = varpi_dual_infinity(el)
+        k = least_copies(el)
+        for copies in range(k, k + 3):
             assert same_path(direct, reference_varpi_dual_infinity(el, copies)), (el, copies)
-
-
-def test_dual_unbounded_copies_edges():
-    empty = al.element(window(A2, 1, dual=True), [])
-    assert varpi_dual_infinity(empty, copies=0) == lp.pi_infinity(A2)
-    deep = al.element_from_pairs(window(A2, 2, dual=True), [((1, 0), 2)])
-    assert deep.chain.deepest_block(deep.positions) == 2
-    with pytest.raises(ValueError, match="no projection onto 1 copies"):
-        varpi_dual_infinity(deep, copies=1)
-
-
-def test_non_integer_copies_are_refused():
-    primal = al.element_from_pairs(window(A2, 1), [((1, 0), -1)])
-    dual = al.mirror(primal)
-    empty = al.element(window(A2, 1), [])
-    for bad in (2.0, "2", 1.5):
-        with pytest.raises(ValueError, match="must be an integer"):
-            al.project_Spr(primal, bad)
-        with pytest.raises(ValueError, match="must be an integer"):
-            varpi_infinity(primal, copies=bad)
-        with pytest.raises(ValueError, match="must be an integer"):
-            varpi_dual_infinity(dual, copies=bad)
-    with pytest.raises(ValueError, match="must be an integer"):
-        varpi_infinity(empty, copies=0.0)
-
-
-def test_boolean_copies_are_refused():
-    # operator.index(True) is 1: a boolean must not pass for one copy
-    primal = al.element_from_pairs(window(A2, 1), [((1, 0), -1)])
-    dual = al.mirror(primal)
-    with pytest.raises(ValueError, match="must be an integer"):
-        al.project_Spr(primal, True)
-    with pytest.raises(ValueError, match="must be an integer"):
-        varpi_infinity(primal, copies=True)
-    with pytest.raises(ValueError, match="must be an integer"):
-        varpi_dual_infinity(dual, copies=False)
-    with pytest.raises(ValueError, match="must be an integer"):
-        window(A2, True)
 
 
 def test_dual_unbounded_transport_is_a_dual_isomorphism():
@@ -353,9 +335,16 @@ def test_dual_unbounded_transport_is_a_dual_isomorphism():
 
 
 def test_dual_unbounded_is_copy_independent():
-    for el in window_elements(A2, 2, dual=True):
-        base = varpi_dual_infinity(el)
-        assert varpi_dual_infinity(el, copies=4).segments == base.segments
+    """The dual transport agrees with the primal projection route applied to
+    the element's mirror and dualized, for every number of copies from the
+    least one to two more."""
+    for type_string in ("A2", "B2", "G2"):
+        for el in window_elements(RootSystem.from_type(type_string), 4, dual=True):
+            base = varpi_dual_infinity(el)
+            mirrored = al.mirror(el)
+            k = least_copies(el)
+            for copies in range(k, k + 3):
+                assert lp.dualize(reference_varpi_infinity(mirrored, copies)) == base, (el, copies)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,16 @@ walk order, the other two read them backwards with negated signs, as
 letters are found by one C-level scan (``_scan``): translating the folded
 roots by a mask of plus and minus alpha_i and compressing the positions by
 it, so the step, the signature and the profile do Python work per letter,
-not per position of the window, and the step reduces its signature in one
-pass over those positions.  Weights are read off the folded chain.  A
-second, independent formulation of the same operators through a piecewise
-linear profile is their oracle (``profile_f`` / ``profile_e``).  The string
-statistics are read off that profile in closed form: how far it falls from
-its peak to its end gives epsilon (phi in the dual models), and the weight
-gives the other one, so no operator is applied to compute them.
+not per position of the window, and one pass over those positions
+(``_reduce``) reduces the signature.  Weights are read off the folded chain.
+The string statistics come from the same pass, so no operator is applied to
+compute them: stepping up applies once per unmatched plus of the upward
+reading and once more when the end product turns rho away from the i-th
+wall, which gives epsilon (phi in the dual models), and the weight gives the
+other one.  A second, independent formulation of the operators through a
+piecewise linear profile is their oracle (``profile_f`` / ``profile_e``);
+how far that profile falls from its peak to its end is an oracle for the
+statistics.
 
 Each element is folded once (``AlcoveElement.fold``): the folded roots as
 root indices (one byte per position, see ``RootSystem.roots``), the end
@@ -55,9 +58,7 @@ from .chains import (
     _integer,
     _rho_multiple,
     chain_to_json,
-    concat,
     dual_chain,
-    lex_chain,
     window,
 )
 from .rootsys import Root, RootSystem, WeylElement, pairing, root_string, weight_neg
@@ -66,7 +67,6 @@ __all__ = [
     "AlcoveElement",
     "Fold",
     "element",
-    "element_from_pairs",
     "element_to_json",
     "e_op",
     "epsilon",
@@ -81,7 +81,6 @@ __all__ = [
     "profile_f",
     "project_Spr",
     "render_element",
-    "shift_S",
     "weight",
 ]
 
@@ -184,22 +183,24 @@ class AlcoveElement:
 
     @cached_property
     def strings(self) -> dict[int, tuple[int, int]]:
-        """(epsilon, phi) in every direction i, read off the profile.
+        """(epsilon, phi) in every direction i, from the signature count.
 
-        The profile of a primal element falls from its peak to its end by
-        twice epsilon (its heights are doubled); a dual element reads its
-        mirror's profile, where the same fall is twice phi.  The other
-        statistic follows from phi - epsilon = <wt, alpha_i^vee>, which in
-        the limit models defines it and lets it be negative.
+        Stepping up applies once per unmatched plus of the reading ``_step``
+        makes upwards, and once more when the end product turns rho away
+        from the i-th wall (``_turns_away``); that count is epsilon for a
+        primal element and phi for a dual one.  The other statistic follows
+        from phi - epsilon = <wt, alpha_i^vee>, which in the limit models
+        defines it and lets it be negative.
         """
         el = _canonical(self)
+        rs = self.rs
         out = {}
-        for i in self.rs.index_set:
-            _, _, h_inf, peak = _profile_data(el, i)
-            fall, odd = divmod(peak - h_inf, 2)
-            assert not odd, "a profile falls from its peak by whole steps"
-            gap = pairing(self.wt, self.rs.simple_root(i))
-            out[i] = (fall - gap, fall) if self.is_dual else (fall, fall + gap)
+        for i in rs.index_set:
+            alpha = rs.simple_index(i)
+            pluses, _, _ = _reduce(el, i, alpha, True)
+            steps = pluses + _turns_away(el, alpha)
+            gap = pairing(self.wt, rs.simple_root(i))
+            out[i] = (steps - gap, steps) if self.is_dual else (steps, steps + gap)
         return out
 
     def pairs(self) -> tuple[tuple[Root, int], ...]:
@@ -256,20 +257,6 @@ def element(chain, positions) -> AlcoveElement:
     if pos and (pos[0] < 0 or pos[-1] >= len(chain.entries)):
         raise ValueError(f"position out of range for a chain of length {len(chain.entries)}")
     return _canonical(AlcoveElement(chain, pos))
-
-
-def element_from_pairs(chain, pairs) -> AlcoveElement:
-    """Build an element from (root coefficients, level) pairs."""
-    wanted = [(tuple(c), _integer(lvl, "a level")) for c, lvl in pairs]
-    index = {
-        (e.root.coeffs, e.level): i for i, e in enumerate(chain.entries)
-    }
-    positions = []
-    for key in wanted:
-        if key not in index:
-            raise ValueError(f"{key} does not occur in the chain")
-        positions.append(index[key])
-    return element(chain, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +342,32 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
     step up: the same rule on the letters read backwards with negated signs.
     The last unmatched plus is folded and the next folding read after it, if
     any, unfolded.  With no plus left, a step up drops the first folding read
-    when the walk's end product turns rho away from the i-th wall.  One pass
-    over the positions of ``_scan`` does it: a plus cancels the latest
-    unmatched minus before it or becomes the last unmatched plus so far, and
-    ``after`` is the first folding read since that plus, or since the start
-    while there is none.  ``i`` is checked and alpha_i looked up just once.
+    when the walk's end product turns rho away from the i-th wall.  ``i`` is
+    checked and alpha_i looked up just once.
     """
     alpha = el.rs.simple_index(i)
+    _, last, after = _reduce(el, i, alpha, up)
+    if last is not None:
+        return _child(el, i, {last} if after is None else {last, after})
+    if not up:
+        if el.is_window:
+            raise AssertionError("the limit models always admit a step down")
+        return None
+    if _turns_away(el, alpha):
+        return _child(el, i, {after})
+    return None
+
+
+def _reduce(el: AlcoveElement, i: int, alpha: int, up: bool) -> tuple[int, int | None, int | None]:
+    """The signature rule of direction ``i`` in one pass over the positions of
+    ``_scan``, ``alpha`` the index of alpha_i: a plus cancels the latest
+    unmatched minus before it or stays unmatched.  Returns how many pluses
+    stay unmatched, the last of them (``last``) and the first folding read
+    after it, or since the start while there is none (``after``)."""
     roots = el.fold.roots
     plus = _plus(el.rs, alpha, up)
     jset = set(el.positions)
-    minuses = 0
+    minuses = pluses = 0
     last = after = None
     for p in _scan(el, i, up):
         if p in jset:
@@ -376,16 +378,9 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
         elif minuses:
             minuses -= 1
         else:
+            pluses += 1
             last, after = p, None
-    if last is not None:
-        return _child(el, i, {last} if after is None else {last, after})
-    if not up:
-        if el.is_window:
-            raise AssertionError("the limit models always admit a step down")
-        return None
-    if _turns_away(el, alpha):
-        return _child(el, i, {after})
-    return None
+    return pluses, last, after
 
 
 def _child(el: AlcoveElement, i: int, changed: set[int]) -> AlcoveElement:
@@ -446,21 +441,6 @@ def phi(el: AlcoveElement, i: int) -> int:
 
 # ---------------------------------------------------------------------------
 # shifts between the finite models and the limit
-
-
-def shift_S(el: AlcoveElement, mu) -> AlcoveElement | None:
-    """Push an element across a chain concatenation by a dominant weight.
-
-    The foldings keep their roots, levels grow by the pairing with ``mu``, and
-    positions move past the prepended chain.  Returns None if the image fails
-    the admissibility walk.
-    """
-    if el.is_window or el.is_dual:
-        raise ValueError("shift_S expects an element over a finite primal chain")
-    head = lex_chain(el.rs, mu)  # refuses a weight that is not dominant integral
-    combined = concat(head, el.chain)
-    moved = AlcoveElement(combined, tuple(p + len(head) for p in el.positions))
-    return moved if is_admissible(moved) else None
 
 
 def include_Sin(el: AlcoveElement, k: int) -> AlcoveElement:
@@ -546,7 +526,9 @@ def _profile_data(el: AlcoveElement, i: int):
     maximum of the whole profile), every height twice the profile's so that
     all of them are integers.  The letters are read in walk order, so a dual
     element reads the profile of its mirror, and the fold ends at the product
-    of the foldings in the order read.
+    of the foldings in the order read.  Only the profile operators and the
+    oracles of the string statistics (the fall from the maximum to the end
+    is twice epsilon, twice phi dually) read it.
     """
     letters = _letters(el, i)
     spots = [ind for ind, _, _ in letters]

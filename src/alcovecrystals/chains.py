@@ -3,8 +3,8 @@
 A chain for a dominant weight ``lam`` lists every pair ``(beta, h)`` with
 ``0 <= h < <lam, beta^vee>`` in some admissible total order.  The reversed
 ("dual") variant stores levels ``l~ = <lam, beta^vee> - l`` instead and walks
-the sequence back to front; both variants share the entry type and the
-concatenation rule so downstream code can handle them uniformly.
+the sequence back to front; both variants share the entry type so
+downstream code can handle them uniformly.
 
 Windows truncate the one-sided infinite chain built from copies of the
 ``rho`` chain; all window levels are negative (primal) or positive (dual).
@@ -28,10 +28,8 @@ __all__ = [
     "InfChainWindow",
     "LambdaChain",
     "chain_to_json",
-    "concat",
     "dual_chain",
     "lex_chain",
-    "validate_chain",
     "window",
 ]
 
@@ -200,89 +198,6 @@ def _rho_multiple(rs: RootSystem, k: int) -> LambdaChain:
     (root system, k) from the shared blocks, without sorting."""
     entries = tuple(e for j in range(k) for e in _block(rs, -j, False))
     return LambdaChain(rs, tuple(k * c for c in rs.rho), entries)
-
-
-def _coroot_triples(rs: RootSystem):
-    """All (alpha, beta, gamma, p) with gamma^vee = alpha^vee + p beta^vee,
-    alpha != beta, p a nonzero integer, all three positive roots."""
-    by_cocoeffs = {r.cocoeffs: r for r in rs.positive_roots}
-    height = max(sum(d) for d in by_cocoeffs)
-    triples = []
-    for alpha in rs.positive_roots:
-        for beta in rs.positive_roots:
-            if alpha == beta:
-                continue
-            for p in range(-height, height + 1):
-                if p == 0:
-                    continue
-                gvee = tuple(
-                    a + p * b for a, b in zip(alpha.cocoeffs, beta.cocoeffs)
-                )
-                gamma = by_cocoeffs.get(gvee)
-                if gamma is not None:
-                    triples.append((alpha, beta, gamma, p))
-    return triples
-
-
-def validate_chain(chain: LambdaChain) -> bool:
-    """Check that ``chain`` really is a chain for its weight.
-
-    Two things are verified: every pair ``(beta, h)`` occurs exactly once with
-    the positional level bookkeeping intact, and the interlacing condition
-    relating the prefix counts of any coroot triple
-    ``gamma^vee = alpha^vee + p beta^vee`` holds at every occurrence of
-    ``beta``.  A dual chain is checked as the primal chain it reverses.
-    """
-    if chain.dual:
-        return validate_chain(dual_chain(chain))
-    rs = chain.rs
-    lam = chain.lam
-    seq = chain.entries
-
-    counts: dict[Root, int] = {}
-    for e in seq:
-        seen = counts.get(e.root, 0)
-        # the k-th occurrence from the front sits at level k - 1
-        if e.level != seen:
-            return False
-        counts[e.root] = seen + 1
-    for beta in rs.positive_roots:
-        if counts.get(beta, 0) != pairing(lam, beta):
-            return False
-
-    roots_only = [e.root for e in seq]
-    for alpha, beta, gamma, p in _coroot_triples(rs):
-        n_alpha = n_beta = n_gamma = 0
-        for r in roots_only:
-            if r == beta and n_gamma != n_alpha + p * n_beta:
-                return False
-            if r == alpha:
-                n_alpha += 1
-            elif r == beta:
-                n_beta += 1
-            elif r == gamma:
-                n_gamma += 1
-    return True
-
-
-def concat(first: LambdaChain, second: LambdaChain) -> LambdaChain:
-    """Concatenate two chains over the same root system.
-
-    The second chain's levels are shifted by ``<lam_first, beta^vee>`` so the
-    occurrence bookkeeping continues across the seam.  The same shift rule
-    serves the dual convention (there the roles of the summands swap, which is
-    exactly what storing transformed levels requires).
-    """
-    if first.rs != second.rs:
-        raise ValueError("cannot concatenate chains over different root systems")
-    if first.dual != second.dual:
-        raise ValueError("cannot concatenate a primal chain with a dual chain")
-    lam1 = first.lam
-    shifted = tuple(
-        ChainEntry(e.root, e.level + pairing(lam1, e.root)) for e in second.entries
-    )
-    total = tuple(a + b for a, b in zip(lam1, second.lam, strict=True))
-    return LambdaChain(first.rs, total, first.entries + shifted, first.dual)
 
 
 def dual_chain(chain: LambdaChain) -> LambdaChain:

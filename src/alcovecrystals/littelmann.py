@@ -50,7 +50,6 @@ from .rootsys import RootSystem
 
 __all__ = [
     "PLPath",
-    "concat",
     "dualize",
     "e_op",
     "epsilon",
@@ -407,28 +406,6 @@ def dualize(path: PLPath) -> PLPath:
         points = tuple(tuple(b - a for a, b in zip(p, end)) for p in reversed(points))
     times = tuple(offset - t for t in reversed(times))
     return _init(object.__new__(PLPath), path.rs, kind, den, times, points)
-
-
-def concat(first: PLPath, second: PLPath) -> PLPath:
-    """Join two paths end to start.
-
-    Two finite paths are each compressed into half the unit interval; a finite
-    prefix to an extended path (or a finite suffix after a co-extended one)
-    attaches without compression.  Other combinations have no meaning here.
-    """
-    if first.rs != second.rs:
-        raise ValueError("paths live over different root systems")
-    if first.kind == "finite" and second.kind == "finite":
-        segs = [
-            (tuple(2 * c for c in v), d / 2)
-            for v, d in first.segments + second.segments
-        ]
-        return PLPath(first.rs, "finite", tuple(segs))
-    if first.kind == "finite" and second.kind == "extended":
-        return PLPath(first.rs, "extended", first.segments + second.segments)
-    if first.kind == "co-extended" and second.kind == "finite":
-        return PLPath(first.rs, "co-extended", first.segments + second.segments)
-    raise ValueError(f"cannot concatenate {first.kind} with {second.kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -213,20 +213,32 @@ def _widen(el, copies):
 
 def _profile(sweep) -> list[Check]:
     """The profile operators agree with the signature operators on every
-    element of every Al(lam) and of Al(infinity) and its dual to ``depth``."""
+    element of every Al(lam) and of Al(infinity) and its dual to ``depth``.
+    On the same elements the profile falls from its peak to its end by twice
+    epsilon primally and twice phi dually: a check of the string statistics
+    that shares no code with the signature reduction (``_reduce``) they come
+    from, and that runs the profile's structure conditions on every element."""
     pools = [(f"Al{lam}", sweep.finite(lam).nodes) for lam in sweep.weights]
     for dual, model in _INF.items():
         pools.append((f"{model} depth {sweep.depth}", sweep.pool(sweep.depth, dual)))
-    checks = 0
-    failures = []
+    checks = stats = 0
+    failures, stat_failures = [], []
     for source, pool in pools:
         for el in pool:
+            name, stat = ("phi", al.phi) if el.is_dual else ("epsilon", al.epsilon)
             for i in sweep.rs.index_set:
                 for x, op, prof in (("f", al.f_op, al.profile_f), ("e", al.e_op, al.profile_e)):
                     checks += 1
                     if op(el, i) != prof(el, i):
                         failures.append(f"{source}: profile_{x} disagrees at {el!r}, i={i}")
-    return [Check(f"profile operators checks {checks}", checks, failures)]
+                _, _, h_inf, peak = al._profile_data(el, i)
+                stats += 1
+                if peak - h_inf != 2 * stat(el, i):
+                    stat_failures.append(f"{source}: {name} disagrees with the profile at {el!r}, i={i}")
+    return [
+        Check(f"profile operators checks {checks}", checks, failures),
+        Check(f"profile statistics checks {stats}", stats, stat_failures),
+    ]
 
 
 def _duality(sweep) -> list[Check]:

@@ -20,6 +20,7 @@ from alcovecrystals.limits import varpi_dual_infinity, varpi_infinity
 from alcovecrystals.rootsys import RootSystem
 from alcovecrystals.verify import SUITES, Sweep
 
+from test_alcove import element_from_pairs
 from test_limits import least_copies, reference_varpi_dual_infinity, reference_varpi_infinity
 
 SWEEP_TYPES = ("A2", "A3", "B2", "G2")
@@ -188,7 +189,7 @@ def test_criterion_03_depth_four_window_figure_in_a2():
     rs = sweep("A2").rs
     big = window(rs, 5)
     for key in DEPTH4_NODES:
-        el = al.element_from_pairs(big, key)
+        el = element_from_pairs(big, key)
         image = al.project_Spr(el, 4)
         assert image is not None
         assert image.chain.lam == (4, 4)

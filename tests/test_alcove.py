@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from alcovecrystals import alcove as al
 from alcovecrystals import limits, verify
-from alcovecrystals.chains import dual_chain, lex_chain, window
+from alcovecrystals.chains import _integer, dual_chain, lex_chain, window
 from alcovecrystals.rootsys import RootSystem, cartan_matrix, pairing, weight_neg
 from alcovecrystals.verify import Sweep
+
+from test_chains import concat
 
 A1 = RootSystem.from_type("A1")
 A2 = RootSystem.from_type("A2")
@@ -27,6 +29,20 @@ def el(chain, *positions):
 
 def pairs(elem):
     return tuple(((r.coeffs), lvl) for r, lvl in elem.pairs())
+
+
+def element_from_pairs(chain, pairs) -> al.AlcoveElement:
+    """The element of ``chain`` folded at the given (root coefficients,
+    level) pairs; ValueError for a level that is not an integer or a pair
+    the chain does not hold."""
+    index = {(e.root.coeffs, e.level): p for p, e in enumerate(chain.entries)}
+    positions = []
+    for coeffs, level in pairs:
+        key = (tuple(coeffs), _integer(level, "a level"))
+        if key not in index:
+            raise ValueError(f"{key} does not occur in the chain")
+        positions.append(index[key])
+    return al.element(chain, positions)
 
 
 def folded_roots(elem):
@@ -87,10 +103,10 @@ def test_positions_validated():
         with pytest.raises(ValueError):
             al.element(chain, [bad])
     with pytest.raises(ValueError):
-        al.element_from_pairs(chain, [((1, 0), 0.5)])
+        element_from_pairs(chain, [((1, 0), 0.5)])
     with pytest.raises(ValueError):
-        al.element_from_pairs(chain, [((1, 0), "0")])
-    assert al.element_from_pairs(chain, [((1, 0), 0)]).positions == (2,)
+        element_from_pairs(chain, [((1, 0), "0")])
+    assert element_from_pairs(chain, [((1, 0), 0)]).positions == (2,)
 
 
 def test_boolean_positions_and_levels_are_refused():
@@ -100,7 +116,7 @@ def test_boolean_positions_and_levels_are_refused():
         with pytest.raises(ValueError, match="must be an integer"):
             al.element(chain, [bad])
         with pytest.raises(ValueError, match="must be an integer"):
-            al.element_from_pairs(chain, [((1, 0), bad)])
+            element_from_pairs(chain, [((1, 0), bad)])
 
 
 @pytest.mark.parametrize("bad", [0, 3, "1", True, 1.0], ids=repr)
@@ -528,6 +544,31 @@ def walked_strings(b, i):
     return walk(al.e_op), walk(al.f_op)
 
 
+def profile_strings(b, i):
+    """(epsilon, phi) in the profile's closed form: the profile falls from its
+    peak to its end by twice epsilon primally and twice phi dually (its
+    heights are doubled), and the weight gives the other statistic."""
+    _, _, h_inf, peak = al._profile_data(b, i)
+    fall, odd = divmod(peak - h_inf, 2)
+    assert not odd, "a profile falls from its peak by whole steps"
+    gap = pairing(al.weight(b), b.rs.simple_root(i))
+    return (fall - gap, fall) if b.is_dual else (fall, fall + gap)
+
+
+def compare_string_statistics(rs, pools):
+    """Check epsilon and phi against both oracles on every element of
+    ``pools`` and in every direction; returns how many were compared."""
+    compared = 0
+    for pool in pools:
+        for b in pool:
+            for i in rs.index_set:
+                eps, phi = al.epsilon(b, i), al.phi(b, i)
+                assert (eps, phi) == profile_strings(b, i) == walked_strings(b, i), (b, i)
+                assert phi - eps == pairing(al.weight(b), rs.simple_root(i))
+                compared += 1
+    return compared
+
+
 @pytest.mark.parametrize(("type_string", "top", "depth"), [
     ("A2", 2, 5), ("B2", 2, 5), ("G2", 2, 5), ("A3", 1, 4),
 ])
@@ -540,15 +581,22 @@ def test_string_statistics_match_string_walks(type_string, top, depth):
         for dual in (False, True)
     ]
     pools += [sweep.pool(depth, dual) for dual in (False, True)]
-    compared = 0
-    for pool in pools:
-        for b in pool:
-            for i in rs.index_set:
-                eps, phi = al.epsilon(b, i), al.phi(b, i)
-                assert (eps, phi) == walked_strings(b, i), (b, i)
-                assert phi - eps == pairing(al.weight(b), rs.simple_root(i))
-                compared += 1
-    assert compared > 400
+    assert compare_string_statistics(rs, pools) > 400
+
+
+@pytest.mark.parametrize(("type_string", "lam", "depth"), [
+    ("C3", (1, 1, 1), 4),
+    ("D4", (1, 0, 1, 1), 3),
+    ("F4", (1, 0, 0, 0), 0),
+    ("E6", (1, 0, 0, 0, 0, 0), 0),
+], ids=["C3", "D4", "F4", "E6"])
+def test_string_statistics_match_string_walks_beyond_rank_three(type_string, lam, depth):
+    # the finite crystal of lam in both models, and the window pools to depth
+    sweep = Sweep(RootSystem.from_type(type_string), depth)
+    pools = [sweep.finite(lam, dual).nodes for dual in (False, True)]
+    if depth:
+        pools += [sweep.pool(depth, dual) for dual in (False, True)]
+    assert compare_string_statistics(sweep.rs, pools) >= 2 * len(pools[0]) * sweep.rs.rank
 
 
 # ---------------------------------------------------------------------------
@@ -646,20 +694,32 @@ def test_dual_finite_rank_one():
 # shifts, inclusion, projection
 
 
+def shift_S(b, mu):
+    """Push an element across a chain concatenation by the dominant weight
+    ``mu``: the foldings keep their roots, levels grow by the pairing with
+    ``mu`` and positions move past the prepended chain.  None if the image
+    is not admissible."""
+    if b.is_window or b.is_dual:
+        raise ValueError("shift_S expects an element over a finite primal chain")
+    head = lex_chain(b.rs, mu)  # refuses a weight that is not dominant integral
+    moved = al.AlcoveElement(concat(head, b.chain), tuple(p + len(head) for p in b.positions))
+    return moved if al.is_admissible(moved) else None
+
+
 def test_shift_by_rho_on_rho_crystal():
     chain = lex_chain(A2, (1, 1))
-    moved = al.shift_S(el(chain, 2), (1, 1))
+    moved = shift_S(el(chain, 2), (1, 1))
     assert pairs(moved) == (((1, 0), 1),)
-    folded_all = al.shift_S(el(chain, 0, 1, 2), (1, 1))
+    folded_all = shift_S(el(chain, 0, 1, 2), (1, 1))
     assert pairs(folded_all) == (((0, 1), 1), ((1, 1), 2), ((1, 0), 1))
 
 
 def test_shift_rejects_bad_inputs():
     chain = lex_chain(A2, (1, 1))
     with pytest.raises(ValueError):
-        al.shift_S(el(chain), (1, -1))
+        shift_S(el(chain), (1, -1))
     with pytest.raises(ValueError):
-        al.shift_S(el(window(A2, 1)), (1, 1))
+        shift_S(el(window(A2, 1)), (1, 1))
 
 
 def test_inclusion_into_the_window():

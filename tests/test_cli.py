@@ -193,11 +193,32 @@ def test_verify_reports_a_failing_identity(monkeypatch, capsys):
     lines = out_of(capsys).splitlines()
     assert lines[0].startswith("FAIL profile operators checks")
     assert "     Al(0, 1): profile_f disagrees at (), i=2" in lines
-    assert lines[-1] == "passed 0/1 checks"
+    assert lines[-1] == "passed 1/2 checks"
 
     assert run([*argv, "--format", "json"]) == 1
-    (record,) = json.loads(out_of(capsys))
+    record, stats = json.loads(out_of(capsys))
     assert "Al(0, 1): profile_f disagrees at (), i=2" in record["failures"]
+    assert stats["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "stat, line",
+    [
+        ("epsilon", "Al(0, 0): epsilon disagrees with the profile at (), i=1"),
+        ("phi", "Al-dual(inf) depth 2: phi disagrees with the profile at (), i=1"),
+    ],
+)
+def test_profile_suite_checks_the_string_statistics(monkeypatch, capsys, stat, line):
+    # epsilon is read primally and phi dually; off by one, each must fail
+    # the profile's closed form, on the element named in the failure
+    exact = getattr(alcove, stat)
+    monkeypatch.setattr(alcove, stat, lambda el, i: exact(el, i) + 1)
+    assert run(["verify", "--type", "A2", "--suite", "profile", "--depth", "2"]) == 1
+    lines = out_of(capsys).splitlines()
+    assert lines[0].startswith("ok profile operators checks")
+    assert lines[1].startswith("FAIL profile statistics checks")
+    assert f"     {line}" in lines
+    assert lines[-1] == "passed 1/2 checks"
 
 
 def test_dual_iso_failures_print_like_every_other_failure(monkeypatch, capsys):
@@ -323,6 +344,42 @@ def test_a_crystal_past_the_node_limit_is_refused(cmd):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == f"error: the crystal has {2 ** 120} nodes; at most {cli.MAX_NODES} are enumerated\n"
+
+
+@pytest.mark.parametrize("type_string", ["D4", "F4"])
+def test_verify_refuses_a_sweep_past_the_node_limit(type_string):
+    # D4's sweep reaches Al(2, 2, 2, 2) of 3^12 nodes: refused before any
+    # suite runs, in a child process so that a regression fails on the timeout
+    done = subprocess.run(
+        [sys.executable, "-m", "alcovecrystals.cli", "verify", "--type", type_string],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    dim = {"D4": 3 ** 12, "F4": 3 ** 24}[type_string]
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: the sweep's largest crystal has {dim} nodes; at most {cli.MAX_NODES} are enumerated\n"
+    )
+
+
+@pytest.mark.parametrize("type_string", ["A2", "A3", "B2", "G2", "B3", "C3"])
+def test_verify_accepts_the_sweeps_within_the_node_limit(type_string, capsys):
+    # the limits suite at depth 0 builds no finite crystal, so this is quick
+    assert run(["verify", "--type", type_string, "--suite", "limits", "--depth", "0"]) == 0
+    assert out_of(capsys).splitlines()[-1] == "passed 1/1 checks"
+
+
+def test_the_verify_node_limit_is_inclusive(monkeypatch, capsys):
+    # the A2 sweep's largest crystal is Al(2, 2), of 27 nodes
+    argv = ["verify", "--type", "A2", "--suite", "limits", "--depth", "0"]
+    monkeypatch.setattr(cli, "MAX_NODES", 27)
+    assert run(argv) == 0
+    monkeypatch.setattr(cli, "MAX_NODES", 26)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: the sweep's largest crystal has 27 nodes; at most 26 are enumerated\n"
 
 
 def test_the_node_limit_is_inclusive(monkeypatch, capsys):

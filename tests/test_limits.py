@@ -22,6 +22,8 @@ from alcovecrystals.limits import (
 )
 from alcovecrystals.rootsys import RootSystem, pairing
 
+from test_alcove import element_from_pairs
+
 A2 = RootSystem.from_type("A2")
 A3 = RootSystem.from_type("A3")
 B2 = RootSystem.from_type("B2")
@@ -79,7 +81,7 @@ def test_empty_element_maps_to_the_straight_path():
 
 def test_single_zero_level_fold_reflects_the_whole_path():
     chain = lex_chain(A2, (1, 1))
-    el = al.element_from_pairs(chain, [(((1, 0)), 0)])
+    el = element_from_pairs(chain, [(((1, 0)), 0)])
     path = varpi(el)
     assert path.segments == (((1, -2), Fraction(1)),)
 
@@ -217,7 +219,7 @@ def test_empty_window_element_maps_to_the_incoming_ray():
 
 
 def test_single_fold_window_image_matches_the_ray_raise():
-    el = al.element_from_pairs(window(A2, 1), [((1, 0), -1)])
+    el = element_from_pairs(window(A2, 1), [((1, 0), -1)])
     path = varpi_infinity(el)
     assert path == lp.e_op(lp.xi_infinity(A2), 1)
     assert path.segments == (((-1, 2), Fraction(1)),)
@@ -285,7 +287,7 @@ def test_empty_dual_window_element_maps_to_the_outgoing_ray():
 
 
 def test_dual_single_fold_image_is_a_lowered_ray():
-    el = al.element_from_pairs(window(A2, 1, dual=True), [((1, 0), 1)])
+    el = element_from_pairs(window(A2, 1, dual=True), [((1, 0), 1)])
     path = varpi_dual_infinity(el)
     assert path == lp.f_op(lp.pi_infinity(A2), 1)
     assert path.segments == (((-1, 2), Fraction(1)),)

@@ -24,7 +24,8 @@ from .verify import SUITES as _SUITES, Sweep
 __all__ = ["main", "run"]
 
 
-#: the most nodes ``crystal``, ``export`` and ``verify`` enumerate in a finite crystal
+#: the most nodes ``crystal`` and ``export`` enumerate in a finite crystal, and
+#: ``verify`` in the crystals Al(lam) of its sweep
 MAX_NODES = 100_000
 
 
@@ -274,10 +275,10 @@ def _cmd_export(args) -> int:
 
 def _cmd_verify(args) -> int:
     rs = _root_system(args)
-    # the sweep's largest crystal is Al(2, ..., 2); refuse it before any suite runs
-    if (dim := cg.weyl_dimension(rs, (2,) * rs.rank)) > MAX_NODES:
-        raise UsageError(f"the sweep's largest crystal has {dim} nodes; at most {MAX_NODES} are enumerated")
     sweep = Sweep(rs, args.depth)
+    # refuse a sweep whose crystals Al(lam) hold too many nodes in all before any suite runs
+    if (total := sum(cg.weyl_dimension(rs, lam) for lam in sweep.weights)) > MAX_NODES:
+        raise UsageError(f"the sweep's crystals have {total} nodes; at most {MAX_NODES} are enumerated")
     checks = []
     for name in list(_SUITES) if args.suite == "all" else [args.suite]:
         done = _SUITES[name](sweep)

@@ -8,12 +8,12 @@ edges join elements, so an alcove element (its chain and positions) and a
 path (its canonical integer form) are never re-encoded.  Enumeration is a
 deterministic breadth-first walk along both raising and lowering operators
 that computes each edge once; the resulting graph keeps per-node
-statistics, so the checks call no operator except the one the axiom check
-applies to each edge's other end.
+statistics, so the checks call no operator except the one applied to each
+edge's other end; ``check_dual_iso`` compares two graphs through a transport.
 
 Graphs truncated at a depth remember which nodes had neighbors suppressed
 (``boundary``); structural checks skip existence assertions exactly there.
-Every checker, here and in ``limits`` and ``verify``, returns a
+Every checker, here and in ``verify``, returns a
 :class:`Check`: a name, how much it covered, and failures as strings that
 start with the failing element's ``repr``.  Elements print themselves, so
 text is made only where a failure or an export line needs it.
@@ -38,6 +38,7 @@ __all__ = [
     "NodeData",
     "alcove_ops",
     "check_axioms",
+    "check_dual_iso",
     "check_stembridge",
     "dualize_graph",
     "enumerate_crystal",
@@ -287,16 +288,7 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
         out_edge[(src, i)] = dst
         in_edge[(dst, i)] = src
 
-    ops = graph.ops
-    if ops is not None:
-        for edge in graph.edges:
-            src, i, dst = edge
-            if edge in graph.raised:
-                at, want, back = src, dst, ops.f(src, i)
-            else:
-                at, want, back = dst, src, ops.e(dst, i)
-            if back != want:
-                failures.append(f"{at!r}: operators not inverse in direction {i}")
+    failures += _inverse_failures(graph)
 
     for k, data in graph.nodes.items():
         for pos, i in enumerate(index_set):
@@ -320,6 +312,70 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
         if b.eps[pos] != a.eps[pos] + 1 or b.phi[pos] != a.phi[pos] - 1:
             failures.append(f"{src!r}: statistic step wrong on the edge -{i}-> {dst!r}")
     return Check("axioms", len(graph.nodes), failures)
+
+
+def _inverse_failures(graph: CrystalGraph) -> list:
+    """Every edge checked against the operator enumeration did not apply to
+    it (see ``check_axioms``); a graph built by hand has no ops to check."""
+    ops = graph.ops
+    if ops is None:
+        return []
+    failures = []
+    for edge in graph.edges:
+        src, i, dst = edge
+        if edge in graph.raised:
+            at, want, back = src, dst, ops.f(src, i)
+        else:
+            at, want, back = dst, src, ops.e(dst, i)
+        if back != want:
+            failures.append(f"{at!r}: operators not inverse in direction {i}")
+    return failures
+
+
+def check_dual_iso(source: CrystalGraph, mapping: Callable, target: CrystalGraph) -> Check:
+    """Check that ``mapping`` is a dual isomorphism from the enumerated graph
+    ``source`` onto the enumerated graph ``target``; ``checked`` counts the
+    source nodes, each mapped once.
+
+    Each image must have the negated weight (read through the target's ops,
+    so that an image outside the target reports it too) and be a target
+    node with eps and phi swapped; the images must be the target's nodes,
+    one each, and the reversed source edges its edges.  Both graphs also get
+    ``check_axioms``' inverse check, so an operator wrong only in the
+    direction enumeration skipped fails here too.  ValueError if the graphs
+    live over different root systems.
+    """
+    if source.rs != target.rs:
+        raise ValueError("source and target live over different root systems")
+    failures = []
+    image, preimage = {}, {}
+    for x, data in source.nodes.items():
+        y = image[x] = mapping(x)
+        if tuple(target.ops.weight(y)) != tuple(-c for c in data.weight):
+            failures.append(f"{x!r}: weight negation")
+        if y in preimage:
+            failures.append(f"{x!r}: same image as {preimage[y]!r}")
+        preimage.setdefault(y, x)
+        found = target.nodes.get(y)
+        if found is None:
+            failures.append(f"{x!r}: image is not a target node")
+        elif (found.eps, found.phi) != (data.phi, data.eps):
+            failures.append(f"{x!r}: eps/phi swap")
+    failures += [f"{y!r}: target node is not an image" for y in target.nodes if y not in preimage]
+    reversed_edges = {(image[y], i, image[x]): x for x, i, y in source.edges}
+    target_edges = set(target.edges)
+    failures += [
+        f"{x!r}: lowering transport at {edge[1]}"
+        for edge, x in reversed_edges.items()
+        if edge not in target_edges
+    ]
+    failures += [
+        f"{edge[0]!r}: target edge along {edge[1]} is not a reversed source edge"
+        for edge in target.edges
+        if edge not in reversed_edges
+    ]
+    failures += _inverse_failures(source) + _inverse_failures(target)
+    return Check("dual-iso", len(source.nodes), failures)
 
 
 def check_stembridge(graph: CrystalGraph) -> Check:

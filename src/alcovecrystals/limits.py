@@ -17,20 +17,16 @@ follows plus the integral of v up to time 0: the path every projection of
 the element onto a finite crystal of k rho gives once slowed down by k, for
 every admissible k.  ``varpi_dual`` and ``varpi_dual_infinity`` dualize the
 primal result, which lands the image among paths of the opposite sign.
-
-``verify_dual_iso`` is the audit harness: it replays every defining identity
-of a dual isomorphism over an enumerated set of elements and returns a
-:class:`~alcovecrystals.crystalgraph.Check`.
+``crystalgraph.check_dual_iso`` checks that a transport is a dual
+isomorphism between two enumerated crystal graphs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import lcm
 
 from .alcove import _canonical
-from .crystalgraph import Check
 from .littelmann import PLPath, dualize
 from .rootsys import pairing
 
@@ -39,7 +35,6 @@ __all__ = [
     "varpi_dual",
     "varpi_dual_infinity",
     "varpi_infinity",
-    "verify_dual_iso",
 ]
 
 
@@ -120,42 +115,3 @@ def varpi_dual_infinity(el) -> PLPath:
         raise ValueError("varpi_dual_infinity expects an element over the dual window")
     return dualize(_transport(el))
 
-
-def verify_dual_iso(elements, mapping, source_ops, target_ops) -> Check:
-    """Check that ``mapping`` is a dual isomorphism on the given elements;
-    ``checked`` counts the elements.
-
-    For every element and every direction: lowering must transport to
-    raising and vice versa (with undefined matching undefined), the two
-    string statistics must trade places, and the weight must flip sign.
-    Failures read ``"element: property"``, the element as its ``repr``.
-    """
-    if source_ops.rs != target_ops.rs:
-        raise ValueError("source and target live over different root systems")
-    elements = list(elements)
-    failures = []
-    image_of = cache(mapping)  # each element is mapped once however often it is met
-
-    for b in elements:
-        image = image_of(b)
-        wt = source_ops.weight(b)
-        if tuple(target_ops.weight(image)) != tuple(-c for c in wt):
-            failures.append(f"{b!r}: weight negation")
-        for i in source_ops.rs.index_set:
-            if target_ops.epsilon(image, i) != source_ops.phi(b, i):
-                failures.append(f"{b!r}: eps/phi swap at {i}")
-            if target_ops.phi(image, i) != source_ops.epsilon(b, i):
-                failures.append(f"{b!r}: phi/eps swap at {i}")
-            down = source_ops.f(b, i)
-            up = target_ops.e(image, i)
-            if (down is None) != (up is None):
-                failures.append(f"{b!r}: lowering nullity at {i}")
-            elif down is not None and image_of(down) != up:
-                failures.append(f"{b!r}: lowering transport at {i}")
-            down = target_ops.f(image, i)
-            up = source_ops.e(b, i)
-            if (down is None) != (up is None):
-                failures.append(f"{b!r}: raising nullity at {i}")
-            elif up is not None and image_of(up) != down:
-                failures.append(f"{b!r}: raising transport at {i}")
-    return Check("dual-iso", len(elements), failures)

@@ -6,7 +6,7 @@ same suites.  A :class:`Sweep` keeps every crystal it builds, so suites run
 on one sweep enumerate each crystal once.  Library functions are reached
 through their modules (``cg.enumerate_crystal``, not an imported name), so
 replacing a module attribute, as a test or a profiler does, reaches the
-suites too.  Elements key graphs and pools and are compared with ``==``.
+suites too.  Elements key graphs and are compared with ``==``.
 Every suite reports through :class:`crystalgraph.Check`, the record the
 checkers return, relabeled for the crystal it ran on.
 """
@@ -47,21 +47,6 @@ def _path_truncation(rs, depth, kind):
     return cg.enumerate_crystal(cg.path_ops(rs, kind), [seed], depth=depth)
 
 
-def _window_pool(rs, depth, dual):
-    """The elements of Al(infinity) within ``depth`` lowerings of the empty
-    element (raisings in the dual model), breadth first.  Unlike an
-    enumerated graph this needs no string statistics."""
-    op = al.e_op if dual else al.f_op
-    start = al.element(chains.window(rs, 1, dual), [])
-    pool = {start: start}
-    layer = [start]
-    for _ in range(depth):
-        layer = [c for b in layer for i in rs.index_set if (c := op(b, i)) is not None]
-        # keep the first of each element not met before
-        layer = [pool.setdefault(c, c) for c in layer if c not in pool]
-    return list(pool)
-
-
 class Sweep:
     """The crystals of one root system that the suites check, built on first
     use and kept: Al(lam), its dual model and the path crystal for every
@@ -95,10 +80,6 @@ class Sweep:
     def path_truncation(self, kind) -> cg.CrystalGraph:
         """The extended or co-extended path model enumerated to ``depth``."""
         return self._keep(_path_truncation, self.depth, kind)
-
-    def pool(self, depth, dual=False) -> list:
-        """The elements of Al(infinity), or its dual, to ``depth``."""
-        return self._keep(_window_pool, depth, dual)
 
 
 _INF = {False: "Al(inf)", True: "Al-dual(inf)"}
@@ -141,24 +122,24 @@ def _stembridge(sweep) -> list[Check]:
 
 
 def _dual_iso(sweep) -> list[Check]:
-    """varpi is a dual isomorphism from Al(lam) onto the path crystal, and the
-    unbounded transports are dual isomorphisms onto the co-extended and
-    extended path models (checked on elements to depth at most 4)."""
-    rs = sweep.rs
+    """varpi is a dual isomorphism from Al(lam) onto the path crystal of
+    lam* = -w0 lam, the negated weight of Al(lam)'s lowest node, and the
+    unbounded transports are dual isomorphisms from Al(infinity) and its
+    dual onto the co-extended and extended path models, all truncated at
+    ``depth``.  Each compares two enumerated graphs."""
     out = []
     for lam in sweep.weights:
         graph = sweep.finite(lam)
-        ops = cg.alcove_ops(graph.generators[0].chain), cg.path_ops(rs)
-        check = limits.verify_dual_iso(graph.nodes, limits.varpi, *ops)
+        lowest = next(data for data in graph.nodes.values() if not any(data.phi))
+        paths = sweep.paths(tuple(-c for c in lowest.weight))
+        check = cg.check_dual_iso(graph, limits.varpi, paths)
         out.append(replace(check, name=f"dual-iso Al{lam} -> paths checked {check.checked}"))
-    bound = min(sweep.depth, 4)
     for dual, mapping, kind in (
         (False, limits.varpi_infinity, "co-extended"),
         (True, limits.varpi_dual_infinity, "extended"),
     ):
-        ops = cg.alcove_ops(chains.window(rs, 1, dual)), cg.path_ops(rs, kind)
-        check = limits.verify_dual_iso(sweep.pool(bound, dual), mapping, *ops)
-        source = f"{_INF[dual]} depth {bound} -> {kind} paths"
+        check = cg.check_dual_iso(sweep.truncation(dual), mapping, sweep.path_truncation(kind))
+        source = f"{_INF[dual]} depth {sweep.depth} -> {kind} paths"
         out.append(replace(check, name=f"dual-iso {source} checked {check.checked}"))
     return out
 
@@ -172,7 +153,7 @@ def _limits(sweep) -> list[Check]:
     rs = sweep.rs
     checks = 0
     failures = []
-    for el in sweep.pool(sweep.depth):
+    for el in sweep.truncation().nodes:
         k0, _ = al.minimal_projection(el)
         for k in range(max(k0, 1), max(k0, 1) + 3):
             image = al.project_Spr(el, k)
@@ -190,7 +171,7 @@ def _limits(sweep) -> list[Check]:
                     proj = al.project_Spr(big, k)
                     if proj is not None and proj != small:
                         failures.append(f"{el!r}: projection does not intertwine at k={k}, i={i}")
-    for el in sweep.pool(sweep.depth) + sweep.pool(sweep.depth, dual=True):
+    for el in [*sweep.truncation().nodes, *sweep.truncation(dual=True).nodes]:
         model = _INF[el.is_dual]
         for copies in (1, 2):
             wider = _widen(el, copies)
@@ -220,7 +201,7 @@ def _profile(sweep) -> list[Check]:
     from, and that runs the profile's structure conditions on every element."""
     pools = [(f"Al{lam}", sweep.finite(lam).nodes) for lam in sweep.weights]
     for dual, model in _INF.items():
-        pools.append((f"{model} depth {sweep.depth}", sweep.pool(sweep.depth, dual)))
+        pools.append((f"{model} depth {sweep.depth}", sweep.truncation(dual).nodes))
     checks = stats = 0
     failures, stat_failures = [], []
     for source, pool in pools:

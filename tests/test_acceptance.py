@@ -229,6 +229,13 @@ def test_criterion_06_finite_dual_isomorphism_sweep():
             assert check.name.startswith(f"dual-iso Al{lam} -> paths"), check.name
             assert check.checked == cg.weyl_dimension(s.rs, lam)
             total += check.checked
+        assert len(checks) == len(s.weights) + 2
+        if name == "A2":
+            # the unbounded isomorphisms at the sweep's depth, 5
+            assert [check.name for check in checks[-2:]] == [
+                "dual-iso Al(inf) depth 5 -> co-extended paths checked 34",
+                "dual-iso Al-dual(inf) depth 5 -> extended paths checked 34",
+            ]
     assert total > 100
 
 
@@ -238,12 +245,15 @@ def test_criterion_07_direct_limit_coherence():
 
 
 def test_criterion_08_unbounded_dual_isomorphisms_in_a2():
-    primal = sweep("A2").pool(4)
-    dual = sweep("A2").pool(4, dual=True)
+    depth4 = Sweep(sweep("A2").rs, 4)
+    primal = depth4.truncation().nodes
+    dual = depth4.truncation(dual=True).nodes
     assert len(primal) == len(dual) == 22
 
-    # the suite's last two checks transport these two pools
-    unbounded = passing("dual-iso", "A2")[-2:]
+    # the suite's last two checks transport these two truncations
+    checks = SUITES["dual-iso"](depth4)
+    assert all(check.ok for check in checks), [check.failures[:3] for check in checks]
+    unbounded = checks[-2:]
     assert [check.name for check in unbounded] == [
         "dual-iso Al(inf) depth 4 -> co-extended paths checked 22",
         "dual-iso Al-dual(inf) depth 4 -> extended paths checked 22",
@@ -288,6 +298,6 @@ def test_criterion_10_duality_of_models_and_paths():
     samples.append(lp.pi_infinity(rs))
     samples.append(lp.e_op(lp.xi_infinity(rs), 1))
     samples.append(lp.f_op(lp.pi_infinity(rs), 2))
-    samples.append(varpi_infinity(sweep("A2").pool(3)[5]))
+    samples.append(varpi_infinity(list(Sweep(rs, 3).truncation().nodes)[5]))
     for p in samples:
         assert lp.dualize(lp.dualize(p)) == p

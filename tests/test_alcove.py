@@ -345,17 +345,17 @@ def reference_step(el, i, up):
     return None
 
 
-# finite weights whose primal and dual crystals join the window pools
+# finite weights whose primal and dual crystals join the window truncations
 POOL_WEIGHTS = {"A2": (2, 1), "B2": (1, 1), "G2": (0, 1)}
 
 
 def widened_pool(type_string, depth):
-    """The window pools of both models to ``depth``, the finite primal and
-    dual crystals of ``POOL_WEIGHTS``, and every window element widened by
-    two and three blocks, as the limits suite widens them."""
+    """The window truncations of both models to ``depth``, the finite
+    primal and dual crystals of ``POOL_WEIGHTS``, and every window element
+    widened by two and three blocks, as the limits suite widens them."""
     rs = RootSystem.from_type(type_string)
     sweep = Sweep(rs, depth)
-    pool = sweep.pool(depth) + sweep.pool(depth, dual=True)
+    pool = [*sweep.truncation().nodes, *sweep.truncation(dual=True).nodes]
     for dual in (False, True) if type_string in POOL_WEIGHTS else ():
         pool += sweep.finite(POOL_WEIGHTS[type_string], dual).nodes
     wide = [verify._widen(b, copies) for b in pool if b.is_window for copies in (2, 3)]
@@ -367,10 +367,10 @@ def widened_pool(type_string, depth):
 )
 def test_derived_folds_match_fresh_walks(type_string, depth):
     """Operator results derive their fold from the parent's; it must equal a
-    fresh fold and the reference walk on window pools of both models, on
-    finite primal and dual crystals, and on pool elements widened by two and
-    three blocks (as the limits suite widens them), whose steps drop blocks
-    again.  Fresh and derived folds share ``_toggle``, so the reference walk
+    fresh fold and the reference walk on window truncations of both models,
+    on finite primal and dual crystals, and on pool elements widened by two
+    and three blocks (as the limits suite widens them), whose steps drop
+    blocks again.  Fresh and derived folds share ``_toggle``, so the reference walk
     is the oracle that shares nothing with them."""
     rs = RootSystem.from_type(type_string)
     pool, widened = widened_pool(type_string, depth)
@@ -580,7 +580,7 @@ def test_string_statistics_match_string_walks(type_string, top, depth):
         for lam in product(range(top + 1), repeat=rs.rank)
         for dual in (False, True)
     ]
-    pools += [sweep.pool(depth, dual) for dual in (False, True)]
+    pools += [sweep.truncation(dual).nodes for dual in (False, True)]
     assert compare_string_statistics(rs, pools) > 400
 
 
@@ -591,11 +591,11 @@ def test_string_statistics_match_string_walks(type_string, top, depth):
     ("E6", (1, 0, 0, 0, 0, 0), 0),
 ], ids=["C3", "D4", "F4", "E6"])
 def test_string_statistics_match_string_walks_beyond_rank_three(type_string, lam, depth):
-    # the finite crystal of lam in both models, and the window pools to depth
+    # the finite crystal of lam in both models, and the window truncations to depth
     sweep = Sweep(RootSystem.from_type(type_string), depth)
     pools = [sweep.finite(lam, dual).nodes for dual in (False, True)]
     if depth:
-        pools += [sweep.pool(depth, dual) for dual in (False, True)]
+        pools += [sweep.truncation(dual).nodes for dual in (False, True)]
     assert compare_string_statistics(sweep.rs, pools) >= 2 * len(pools[0]) * sweep.rs.rank
 
 
@@ -675,7 +675,7 @@ def test_window_truncations_match_kostant_partition_counts(type_string, depth):
             tuple(sign * sum(b * row[i] for b, row in zip(beta, a)) for i in range(rs.rank)): ways
             for beta, ways in kostant_counts(rs, depth).items()
         }
-        assert Counter(al.weight(b) for b in sweep.pool(depth, dual)) == want
+        assert Counter(al.weight(b) for b in sweep.truncation(dual).nodes) == want
 
 
 def test_dual_finite_rank_one():
@@ -854,7 +854,7 @@ def mirror_elements(type_string):
         for dual in (False, True)
         for b in sweep.finite(lam, dual).nodes
     ]
-    return out + sweep.pool(4) + sweep.pool(4, dual=True)
+    return [*out, *sweep.truncation().nodes, *sweep.truncation(dual=True).nodes]
 
 
 def test_mirror_intertwines_the_operators():

@@ -164,7 +164,7 @@ def test_verify_all_suites_at_depth_four(capsys):
     assert text.rstrip().endswith("checks")
 
 
-def test_verify_dual_iso_json(capsys):
+def test_dual_iso_suite_prints_json(capsys):
     assert run(
         ["verify", "--type", "A2", "--suite", "dual-iso", "--depth", "3", "--format", "json"]
     ) == 0
@@ -240,6 +240,16 @@ def test_dual_iso_failures_print_like_every_other_failure(monkeypatch, capsys):
     doc = json.loads(out_of(capsys))
     assert all(type(f) is str for record in doc for f in record["failures"])
     assert "(): weight negation" in doc[1]["failures"]
+
+
+def test_dual_iso_catches_an_operator_wrong_only_where_enumeration_skips_it(monkeypatch, capsys):
+    # Al(lam) is enumerated by lowering from its top, so e_i is never applied
+    # while it is built; only the inverse check of each edge calls it
+    monkeypatch.setattr(alcove, "e_op", lambda el, i: None)
+    assert run(["verify", "--type", "A2", "--suite", "dual-iso"]) == 1
+    lines = out_of(capsys).splitlines()
+    assert "FAIL dual-iso Al(1, 0) -> paths checked 3" in lines
+    assert "     ((α1, 0)): operators not inverse in direction 1" in lines
 
 
 def test_limits_suite_fails_on_a_wrongly_grown_window(monkeypatch, capsys):
@@ -346,10 +356,12 @@ def test_a_crystal_past_the_node_limit_is_refused(cmd):
     assert done.stderr == f"error: the crystal has {2 ** 120} nodes; at most {cli.MAX_NODES} are enumerated\n"
 
 
-@pytest.mark.parametrize("type_string", ["D4", "F4"])
+@pytest.mark.parametrize("type_string", ["A4", "D4", "F4"])
 def test_verify_refuses_a_sweep_past_the_node_limit(type_string):
-    # D4's sweep reaches Al(2, 2, 2, 2) of 3^12 nodes: refused before any
-    # suite runs, in a child process so that a regression fails on the timeout
+    # the crystals Al(lam) of D4's sweep hold 2,034,152 nodes in all, and
+    # Al(2, 2, 2, 2) alone 3^12; A4's largest crystal fits, but its 81 hold
+    # 286,928.  Refused before any suite runs, in a child process so that a
+    # regression fails on the timeout
     done = subprocess.run(
         [sys.executable, "-m", "alcovecrystals.cli", "verify", "--type", type_string],
         capture_output=True,
@@ -357,11 +369,11 @@ def test_verify_refuses_a_sweep_past_the_node_limit(type_string):
         timeout=60,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
-    dim = {"D4": 3 ** 12, "F4": 3 ** 24}[type_string]
+    total = {"A4": 286_928, "D4": 2_034_152, "F4": 492_651_162_355}[type_string]
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == (
-        f"error: the sweep's largest crystal has {dim} nodes; at most {cli.MAX_NODES} are enumerated\n"
+        f"error: the sweep's crystals have {total} nodes; at most {cli.MAX_NODES} are enumerated\n"
     )
 
 
@@ -373,13 +385,13 @@ def test_verify_accepts_the_sweeps_within_the_node_limit(type_string, capsys):
 
 
 def test_the_verify_node_limit_is_inclusive(monkeypatch, capsys):
-    # the A2 sweep's largest crystal is Al(2, 2), of 27 nodes
+    # the crystals Al(lam) of the A2 sweep hold 84 nodes in all
     argv = ["verify", "--type", "A2", "--suite", "limits", "--depth", "0"]
-    monkeypatch.setattr(cli, "MAX_NODES", 27)
+    monkeypatch.setattr(cli, "MAX_NODES", 84)
     assert run(argv) == 0
-    monkeypatch.setattr(cli, "MAX_NODES", 26)
+    monkeypatch.setattr(cli, "MAX_NODES", 83)
     assert run(argv) == 2
-    assert capsys.readouterr().err == "error: the sweep's largest crystal has 27 nodes; at most 26 are enumerated\n"
+    assert capsys.readouterr().err == "error: the sweep's crystals have 84 nodes; at most 83 are enumerated\n"
 
 
 def test_the_node_limit_is_inclusive(monkeypatch, capsys):

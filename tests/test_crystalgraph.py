@@ -396,12 +396,11 @@ def test_stembridge_edge_deletion_control():
 
 def test_checkers_share_one_record():
     g = alcove_graph(A2, (1, 1))
-    ops = cg.alcove_ops(lex_chain(A2, (1, 1)))
-    elements = list(g.nodes)
+    paths = cg.enumerate_crystal(cg.path_ops(A2), [lp.straight_path(A2, (1, 1))])
     for check in (
         cg.check_axioms(g),
         cg.check_stembridge(g),
-        limits.verify_dual_iso(elements, limits.varpi, ops, cg.path_ops(A2)),
+        cg.check_dual_iso(g, limits.varpi, paths),
     ):
         assert type(check) is cg.Check
         assert check.ok and check.checked > 0
@@ -482,8 +481,7 @@ def test_nothing_is_rendered_while_every_check_passes(monkeypatch):
         assert len(g.nodes) == 8
         assert cg.check_axioms(g, seminormal=True).ok
         assert cg.check_stembridge(g).ok
-    ops = cg.alcove_ops(lex_chain(A2, (1, 1))), cg.path_ops(A2)
-    check = limits.verify_dual_iso(primal.nodes, limits.varpi, *ops)
+    check = cg.check_dual_iso(primal, limits.varpi, paths)
     assert check.ok and check.checked == 8
     assert run(["verify", "--type", "A2", "--suite", "limits"]) == 0
 

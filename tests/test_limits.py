@@ -1,4 +1,4 @@
-"""Alcove-to-path transports and the dual isomorphism audit."""
+"""Alcove-to-path transports and the dual isomorphism check."""
 
 from __future__ import annotations
 
@@ -13,13 +13,7 @@ from alcovecrystals import alcove as al
 from alcovecrystals import crystalgraph as cg
 from alcovecrystals import littelmann as lp
 from alcovecrystals.chains import LambdaChain, _rho_multiple, dual_chain, lex_chain, window
-from alcovecrystals.limits import (
-    varpi,
-    varpi_dual,
-    varpi_dual_infinity,
-    varpi_infinity,
-    verify_dual_iso,
-)
+from alcovecrystals.limits import varpi, varpi_dual, varpi_dual_infinity, varpi_infinity
 from alcovecrystals.rootsys import RootSystem, pairing
 
 from test_alcove import element_from_pairs
@@ -29,43 +23,22 @@ A3 = RootSystem.from_type("A3")
 B2 = RootSystem.from_type("B2")
 
 
-def closure(chain):
-    """All elements reachable from the empty one by lowering."""
-    start = al.element(chain, [])
-    out = [start]
-    seen = {start.positions}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for i in chain.rs.index_set:
-                c = al.f_op(b, i)
-                if c is not None and c.positions not in seen:
-                    seen.add(c.positions)
-                    out.append(c)
-                    nxt.append(c)
-        frontier = nxt
-    return out
+def crystal(chain, depth=None):
+    """The crystal of a chain or window, enumerated from its empty element."""
+    return cg.enumerate_crystal(cg.alcove_ops(chain), [al.element(chain, [])], depth=depth)
 
 
-def window_elements(rs, depth, dual=False):
-    win = window(rs, 1, dual=dual)
-    start = al.element(win, [])
-    op = al.e_op if dual else al.f_op
-    out = [start]
-    seen = {(start.chain.copies, start.positions)}
-    frontier = [start]
-    for _ in range(depth):
-        nxt = []
-        for b in frontier:
-            for i in rs.index_set:
-                c = op(b, i)
-                if c is not None and (c.chain.copies, c.positions) not in seen:
-                    seen.add((c.chain.copies, c.positions))
-                    out.append(c)
-                    nxt.append(c)
-        frontier = nxt
-    return out
+def window_truncation(rs, depth, dual=False):
+    return crystal(window(rs, 1, dual=dual), depth)
+
+
+def path_crystal(rs, lam):
+    return cg.enumerate_crystal(cg.path_ops(rs), [lp.straight_path(rs, lam)])
+
+
+def path_truncation(rs, depth, kind):
+    seed = lp.pi_infinity(rs) if kind == "extended" else lp.xi_infinity(rs)
+    return cg.enumerate_crystal(cg.path_ops(rs, kind), [seed], depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +61,7 @@ def test_single_zero_level_fold_reflects_the_whole_path():
 
 def test_weights_negate_across_the_transport():
     chain = lex_chain(A2, (1, 1))
-    for el in closure(chain):
+    for el in crystal(chain).nodes:
         assert lp.weight(varpi(el)) == tuple(-c for c in al.weight(el))
 
 
@@ -140,7 +113,7 @@ VARPI_CRYSTALS = [
 def test_varpi_matches_the_reflection_product_reference(type_string, lam):
     """varpi and varpi_dual agree path for path with the reference on every
     element of Al(lam) and of its dual."""
-    elements = closure(lex_chain(RootSystem.from_type(type_string), lam))
+    elements = crystal(lex_chain(RootSystem.from_type(type_string), lam)).nodes
     for el in elements:
         assert same_path(varpi(el), reference_varpi(el)), el
         dual = al.mirror(el)
@@ -167,19 +140,13 @@ def test_varpi_rejects_out_of_order_chains():
 
 
 def test_finite_transport_is_a_dual_isomorphism():
-    chain = lex_chain(A2, (1, 1))
-    report = verify_dual_iso(
-        closure(chain), varpi, cg.alcove_ops(chain), cg.path_ops(A2)
-    )
+    report = cg.check_dual_iso(crystal(lex_chain(A2, (1, 1))), varpi, path_crystal(A2, (1, 1)))
     assert report.checked == 8
     assert report.ok, report.failures
 
 
 def test_finite_transport_dual_iso_beyond_type_a():
-    chain = lex_chain(B2, (1, 1))
-    report = verify_dual_iso(
-        closure(chain), varpi, cg.alcove_ops(chain), cg.path_ops(B2)
-    )
+    report = cg.check_dual_iso(crystal(lex_chain(B2, (1, 1))), varpi, path_crystal(B2, (1, 1)))
     assert report.checked == 16
     assert report.ok, report.failures
 
@@ -195,11 +162,8 @@ def test_dual_empty_element_maps_to_the_dominant_path():
 
 
 def test_dual_transport_is_a_dual_isomorphism():
-    chain = dual_chain(lex_chain(A3, (1, 0, 0)))
-    elements = [al.mirror(el) for el in closure(lex_chain(A3, (1, 0, 0)))]
-    report = verify_dual_iso(
-        elements, varpi_dual, cg.alcove_ops(chain), cg.path_ops(A3)
-    )
+    source = crystal(dual_chain(lex_chain(A3, (1, 0, 0))))
+    report = cg.check_dual_iso(source, varpi_dual, path_crystal(A3, (1, 0, 0)))
     assert report.checked == 4
     assert report.ok, report.failures
 
@@ -259,7 +223,7 @@ def test_unbounded_transport_is_copy_independent():
     """The direct transport agrees with the projection route for every
     number of copies from the least one to two more."""
     for type_string, depth in REFERENCE_DEPTHS.items():
-        for el in window_elements(RootSystem.from_type(type_string), depth):
+        for el in window_truncation(RootSystem.from_type(type_string), depth).nodes:
             base = varpi_infinity(el)
             k = least_copies(el)
             for copies in range(k, k + 3):
@@ -267,11 +231,8 @@ def test_unbounded_transport_is_copy_independent():
 
 
 def test_unbounded_transport_is_a_dual_isomorphism():
-    report = verify_dual_iso(
-        window_elements(A2, 3),
-        varpi_infinity,
-        cg.alcove_ops(window(A2, 1)),
-        cg.path_ops(A2, "co-extended"),
+    report = cg.check_dual_iso(
+        window_truncation(A2, 3), varpi_infinity, path_truncation(A2, 3, "co-extended")
     )
     assert report.checked == 13
     assert report.ok, report.failures
@@ -316,7 +277,7 @@ def test_dual_unbounded_matches_the_dual_chain_reference(type_string):
     for path with the dual chain reference for every number of copies from
     the least one to two more."""
     rs = RootSystem.from_type(type_string)
-    pool = window_elements(rs, REFERENCE_DEPTHS[type_string], dual=True)
+    pool = window_truncation(rs, REFERENCE_DEPTHS[type_string], dual=True).nodes
     assert len(pool) > 20
     for el in pool:
         direct = varpi_dual_infinity(el)
@@ -326,11 +287,8 @@ def test_dual_unbounded_matches_the_dual_chain_reference(type_string):
 
 
 def test_dual_unbounded_transport_is_a_dual_isomorphism():
-    report = verify_dual_iso(
-        window_elements(A2, 3, dual=True),
-        varpi_dual_infinity,
-        cg.alcove_ops(window(A2, 1, dual=True)),
-        cg.path_ops(A2, "extended"),
+    report = cg.check_dual_iso(
+        window_truncation(A2, 3, dual=True), varpi_dual_infinity, path_truncation(A2, 3, "extended")
     )
     assert report.checked == 13
     assert report.ok, report.failures
@@ -341,7 +299,7 @@ def test_dual_unbounded_is_copy_independent():
     the element's mirror and dualized, for every number of copies from the
     least one to two more."""
     for type_string in ("A2", "B2", "G2"):
-        for el in window_elements(RootSystem.from_type(type_string), 4, dual=True):
+        for el in window_truncation(RootSystem.from_type(type_string), 4, dual=True).nodes:
             base = varpi_dual_infinity(el)
             mirrored = al.mirror(el)
             k = least_copies(el)
@@ -368,11 +326,6 @@ def twisted_paths(rs, k):
 def twisted_truncation(rs, k, depth):
     top = lp.straight_path(rs, tuple(k * c for c in rs.rho))
     return cg.enumerate_crystal(twisted_paths(rs, k), [top], depth=depth)
-
-
-def window_truncation(rs, depth, dual=False):
-    win = window(rs, 1, dual=dual)
-    return cg.enumerate_crystal(cg.alcove_ops(win), [al.element(win, [])], depth=depth)
 
 
 @pytest.mark.parametrize(
@@ -402,25 +355,75 @@ def test_twisted_path_crystals_of_too_small_k_differ():
 
 
 # ---------------------------------------------------------------------------
-# the audit harness itself
+# the dual isomorphism check itself
 
 
 def test_identity_map_fails_weight_negation():
-    chain = lex_chain(A2, (1, 1))
-    ops = cg.alcove_ops(chain)
-    report = verify_dual_iso(closure(chain), lambda b: b, ops, ops)
+    graph = crystal(lex_chain(A2, (1, 1)))
+    report = cg.check_dual_iso(graph, lambda b: b, graph)
     assert not report.ok
     assert any(f.endswith(": weight negation") for f in report.failures)
 
 
 def test_identity_map_passes_on_the_trivial_crystal():
-    chain = lex_chain(A2, (0, 0))
-    ops = cg.alcove_ops(chain)
-    report = verify_dual_iso(closure(chain), lambda b: b, ops, ops)
+    graph = crystal(lex_chain(A2, (0, 0)))
+    report = cg.check_dual_iso(graph, lambda b: b, graph)
     assert report.checked == 1
     assert report.ok, report.failures
 
 
 def test_mismatched_root_systems_are_rejected():
     with pytest.raises(ValueError):
-        verify_dual_iso([], lambda b: b, cg.alcove_ops(lex_chain(A2, (1, 1))), cg.path_ops(A3))
+        cg.check_dual_iso(crystal(lex_chain(A2, (1, 1))), varpi, path_crystal(A3, (1, 1, 0)))
+
+
+def test_a_map_onto_one_path_is_not_one_to_one():
+    source, target = crystal(lex_chain(A2, (1, 1))), path_crystal(A2, (1, 1))
+    top = lp.straight_path(A2, (1, 1))
+    report = cg.check_dual_iso(source, lambda b: top, target)
+    assert report.checked == 8
+    empty = source.generators[0]
+    assert f"{empty!r}: weight negation" in report.failures
+    others = [b for b in source.nodes if b != empty]
+    assert all(f"{b!r}: same image as {empty!r}" in report.failures for b in others)
+    assert all(f"{p!r}: target node is not an image" in report.failures for p in target.nodes if p != top)
+
+
+def test_a_target_without_one_node_fails_there():
+    source, target = crystal(lex_chain(A2, (1, 1))), path_crystal(A2, (1, 1))
+    el = list(source.nodes)[3]
+    gone = varpi(el)
+    smaller = replace(target, nodes={p: data for p, data in target.nodes.items() if p != gone})
+    report = cg.check_dual_iso(source, varpi, smaller)
+    assert report.failures == [f"{el!r}: image is not a target node"]
+
+
+def test_a_missing_edge_fails_on_either_side():
+    source, target = crystal(lex_chain(A2, (1, 1))), path_crystal(A2, (1, 1))
+    x, i, y = source.edges[2]
+    cut = (varpi(y), i, varpi(x))
+    report = cg.check_dual_iso(source, varpi, replace(target, edges=[e for e in target.edges if e != cut]))
+    assert report.failures == [f"{x!r}: lowering transport at {i}"]
+    report = cg.check_dual_iso(replace(source, edges=[e for e in source.edges if e != (x, i, y)]), varpi, target)
+    assert report.failures == [f"{varpi(y)!r}: target edge along {i} is not a reversed source edge"]
+
+
+def test_swapped_statistics_must_match_the_target_nodes():
+    source, target = crystal(lex_chain(A2, (1, 1))), path_crystal(A2, (1, 1))
+    el = list(source.nodes)[1]
+    data = target.nodes[varpi(el)]
+    nodes = {**target.nodes, varpi(el): replace(data, eps=data.phi, phi=data.eps)}
+    report = cg.check_dual_iso(source, varpi, replace(target, nodes=nodes))
+    assert report.failures == [f"{el!r}: eps/phi swap"]
+
+
+def test_an_operator_wrong_only_in_the_skipped_direction_fails():
+    # Al(lam) is enumerated by lowering from its top, so no edge of it was
+    # found by raising; only the inverse check applies e_i
+    source, target = crystal(lex_chain(A2, (1, 1))), path_crystal(A2, (1, 1))
+    assert not source.raised
+    broken = replace(source, ops=replace(source.ops, e=lambda b, i: None))
+    report = cg.check_dual_iso(broken, varpi, target)
+    x, i, y = source.edges[0]
+    assert f"{y!r}: operators not inverse in direction {i}" in report.failures
+    assert all(": operators not inverse in direction " in f for f in report.failures)

@@ -51,7 +51,7 @@ TRANSCRIPTS = transcripts()
 
 
 def test_the_readme_has_examples():
-    assert len(LIBRARY) == 5 and len(TRANSCRIPTS) == 6
+    assert len(LIBRARY) == 5 and len(TRANSCRIPTS) == 7
 
 
 @pytest.mark.parametrize("before, expr, value", LIBRARY, ids=[c[1] for c in LIBRARY])

@@ -18,13 +18,16 @@ letters are found by one C-level scan (``_scan``): translating the folded
 roots by a mask of plus and minus alpha_i and compressing the positions by
 it, so the step, the signature and the profile do Python work per letter,
 not per position of the window, and one pass over those positions
-(``_reduce``) reduces the signature.  Weights are read off the folded chain.
-The string statistics come from the same pass, so no operator is applied to
-compute them: stepping up applies once per unmatched plus of the upward
-reading and once more when the end product turns rho away from the i-th
-wall, which gives epsilon (phi in the dual models), and the weight gives the
-other one.  A second, independent formulation of the operators through a
-piecewise linear profile is their oracle (``profile_f`` / ``profile_e``);
+(``_reduce``) reduces the signature.  Weights are read off the folded chain
+through two tables built once: each folding adds its fold level (the
+chain's ``fold_levels``) times its folded root's row of
+``RootSystem.root_weights``.  The string statistics come from the same pass
+as the step, so no operator is applied to compute them: stepping up applies
+once per unmatched plus of the upward reading and once more when the end
+product turns rho away from the i-th wall, which gives epsilon (phi in the
+dual models), and the weight's i-th coordinate gives the other one.  A
+second, independent formulation of the operators through a piecewise linear
+profile is their oracle (``profile_f`` / ``profile_e``);
 how far that profile falls from its peak to its end is an oracle for the
 statistics.
 
@@ -166,20 +169,18 @@ class AlcoveElement:
     def wt(self) -> tuple[int, ...]:
         """The weight, in fundamental-weight coordinates, read off the fold:
         with gamma_p the folded root at the folding on beta_p at level l_p, it
-        is lam - sum_p (<lam, beta_p^vee> - l_p) gamma_p primally (Lenart and
-        Postnikov's -r_{j1}...r_{js}(-lam) expanded) and -lam + sum_p l_p
-        gamma_p dually, lam the chain weight (0 on windows)."""
-        entries = self.chain.entries
-        folded = self.fold.roots
-        roots = self.rs.roots
+        is lam + sum_p k_p gamma_p, lam the chain weight (0 on windows) and
+        k_p = l_p - <lam, beta_p^vee> primally (Lenart and Postnikov's
+        -r_{j1}...r_{js}(-lam) expanded), and -lam + sum_p l_p gamma_p dually.
+        The multipliers k_p are the chain's ``fold_levels`` and each gamma_p
+        a row of ``RootSystem.root_weights``, both tables built once."""
+        rows, levels, folded = self.rs.root_weights, self.chain.fold_levels, self.fold.roots
         lam = self.chain.weight_for_ops()
-        total = [0] * self.rs.rank
+        total = weight_neg(lam) if self.is_dual else lam
         for p in self.positions:
-            e = entries[p]
-            k = e.level if self.is_dual else e.level - pairing(lam, e.root)
-            total = [t + k * c for t, c in zip(total, roots[folded[p]].coeffs)]
-        base = weight_neg(lam) if self.is_dual else lam
-        return tuple(x + y for x, y in zip(base, self.rs._weight_coords(total)))
+            k = levels[p]
+            total = [t + k * c for t, c in zip(total, rows[folded[p]])]
+        return tuple(total)
 
     @cached_property
     def strings(self) -> dict[int, tuple[int, int]]:
@@ -189,17 +190,17 @@ class AlcoveElement:
         makes upwards, and once more when the end product turns rho away
         from the i-th wall (``_turns_away``); that count is epsilon for a
         primal element and phi for a dual one.  The other statistic follows
-        from phi - epsilon = <wt, alpha_i^vee>, which in the limit models
-        defines it and lets it be negative.
+        from phi - epsilon = <wt, alpha_i^vee>, the i-th coordinate of the
+        weight, which in the limit models defines it and lets it be negative.
         """
         el = _canonical(self)
-        rs = self.rs
+        rs, wt = self.rs, self.wt
         out = {}
         for i in rs.index_set:
             alpha = rs.simple_index(i)
             pluses, _, _ = _reduce(el, i, alpha, True)
             steps = pluses + _turns_away(el, alpha)
-            gap = pairing(self.wt, rs.simple_root(i))
+            gap = wt[i - 1]  # <wt, alpha_i^vee>, as <Lambda_j, alpha_i^vee> = delta_ij
             out[i] = (steps - gap, steps) if self.is_dual else (steps, steps + gap)
         return out
 

@@ -62,7 +62,8 @@ class ChainEntry:
 
 
 class _RootIds:
-    """What chains and windows share: their roots as root indices."""
+    """What chains and windows share: their roots as root indices, and the
+    multiplier each entry's folded root carries in a weight."""
 
     @cached_property
     def root_ids(self) -> bytes:
@@ -70,6 +71,17 @@ class _RootIds:
         per entry, in chain order."""
         index = self.rs.root_index
         return bytes(index(e.root.coeffs) for e in self.entries)
+
+    @cached_property
+    def fold_levels(self) -> tuple[int, ...]:
+        """The fold level of each entry, in chain order: ``l - <lam, beta^vee>``
+        on a primal chain, ``l`` on a dual chain and on windows (whose weight
+        is 0).  A folding at the entry adds that multiple of its folded root
+        to the element's weight (``AlcoveElement.wt``)."""
+        if self.dual:
+            return tuple(e.level for e in self.entries)
+        lam = self.weight_for_ops()
+        return tuple(e.level - pairing(lam, e.root) for e in self.entries)
 
 
 @dataclass(frozen=True)

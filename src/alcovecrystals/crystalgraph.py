@@ -292,8 +292,8 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
 
     for k, data in graph.nodes.items():
         for pos, i in enumerate(index_set):
-            gap = pairing(data.weight, rs.simple_root(i))
-            if data.phi[pos] != data.eps[pos] + gap:
+            # <wt, alpha_i^vee> is the weight's i-th fundamental-weight coordinate
+            if data.phi[pos] != data.eps[pos] + data.weight[pos]:
                 failures.append(f"{k!r}: phi - eps != <wt, coroot> in direction {i}")
             if not seminormal or k in graph.boundary:
                 continue
@@ -302,11 +302,12 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
             if (data.eps[pos] > 0) != ((k, i) in in_edge):
                 failures.append(f"{k!r}: eps and raising disagree in direction {i}")
 
+    alphas = {i: rs.root_weights[rs.simple_index(i)] for i in index_set}
     for src, i, dst in graph.edges:
         pos = index_set.index(i)
         a = graph.nodes[src]
         b = graph.nodes[dst]
-        alpha = rs.root_in_weight_coords(rs.simple_root(i))
+        alpha = alphas[i]
         if b.weight != tuple(w - c for w, c in zip(a.weight, alpha)):
             failures.append(f"{src!r}: weight step wrong on the edge -{i}-> {dst!r}")
         if b.eps[pos] != a.eps[pos] + 1 or b.phi[pos] != a.phi[pos] - 1:

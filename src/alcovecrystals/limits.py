@@ -54,7 +54,7 @@ def _transport(el) -> PLPath:
         entry = chain.entries[p]
         gap = pairing(v0, entry.root)
         crossings.append(end - Fraction(entry.level, gap) if dual else Fraction(entry.level, gap))
-        drops.append(rs._weight_coords([gap * c for c in rs.roots[folded[p]].coeffs]))
+        drops.append(tuple(gap * c for c in rs.root_weights[folded[p]]))
     if any(a > b for a, b in zip(crossings, crossings[1:])):
         raise ValueError("chain entries are not in crossing-time order")
     den = lcm(*(t.denominator for t in crossings))

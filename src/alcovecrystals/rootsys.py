@@ -23,6 +23,13 @@ roots; every named type does.
 The reflections' permutations sit in one tuple indexed by root index
 (:attr:`RootSystem.reflections`), built on first use from the simple
 reflections by conjugation, s_{s_j beta} = s_j s_beta s_j.
+
+Each root's fundamental-weight coordinates (A^T c, c its simple-root
+coordinates) sit in a second tuple indexed the same way
+(:attr:`RootSystem.root_weights`), built on first use, so a weight summed
+over folded roots or stepped along an edge adds rows of that table instead
+of converting coordinates per root.  The simple roots' indices sit in a
+third, so :meth:`RootSystem.simple_index` is an index check and a lookup.
 """
 
 from __future__ import annotations
@@ -352,21 +359,32 @@ class RootSystem:
         """Look up the root with the given simple-root coordinates."""
         return self.roots[self.root_index(coeffs)]
 
+    @cached_property
+    def _simple_indices(self) -> tuple[int, ...]:
+        return tuple(self._index[r.coeffs] for r in self.simple_root_list)
+
     def simple_index(self, i: int) -> int:
         """The index of the i-th simple root, ``i`` running through ``index_set``."""
-        return self._index[self.simple_root(i).coeffs]
+        # checked first: True would index the table as 1
+        self._check_index(i)
+        return self._simple_indices[i - 1]
 
     @property
     def rho(self) -> IVec:
         return (1,) * self.rank
 
     def root_in_weight_coords(self, root: Root):
-        """Coordinates of a root in the fundamental-weight basis (A^T c)."""
-        return self._weight_coords(root.coeffs)
+        """Coordinates of a root in the fundamental-weight basis (A^T c), read
+        from :attr:`root_weights`."""
+        return self.root_weights[self.root_index(root.coeffs)]
 
-    def _weight_coords(self, coeffs) -> IVec:
-        """A^T c: simple-root coordinates in the fundamental-weight basis."""
-        return tuple(sum(map(mul, col, coeffs)) for col in zip(*self.cartan.matrix))
+    @cached_property
+    def root_weights(self) -> tuple[IVec, ...]:
+        """Each root in fundamental-weight coordinates, at the root's index:
+        A^T c for the simple-root coordinates c, so the i-th coordinate is
+        <root, alpha_i^vee>."""
+        cols = tuple(zip(*self.cartan.matrix))
+        return tuple(tuple(sum(map(mul, col, r.coeffs)) for col in cols) for r in self.roots)
 
     # -- reflections ---------------------------------------------------------
 

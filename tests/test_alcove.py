@@ -17,6 +17,7 @@ from alcovecrystals.rootsys import RootSystem, cartan_matrix, pairing, weight_ne
 from alcovecrystals.verify import Sweep
 
 from test_chains import concat
+from test_rootsys import cartan_weight_coords
 
 A1 = RootSystem.from_type("A1")
 A2 = RootSystem.from_type("A2")
@@ -202,6 +203,14 @@ B2 = RootSystem.from_type("B2")
 G2 = RootSystem.from_type("G2")
 
 
+def affine_reflect(rs, root, level, weight):
+    """The reflection of ``weight`` through ``<., root^vee> = level``, the
+    root converted to weight coordinates by the Cartan matrix here, so the
+    weight oracle shares no code with ``RootSystem.root_weights``."""
+    k = pairing(weight, root) - level
+    return tuple(w - k * x for w, x in zip(weight, cartan_weight_coords(rs, root.coeffs)))
+
+
 def reference_walk(chain, positions):
     """Admissibility, folded roots, end product and weight of a position set,
     each from its own loop of plain reflection products."""
@@ -224,7 +233,7 @@ def reference_walk(chain, positions):
     sign = 1 if chain.dual else -1
     wt = lam if chain.dual else weight_neg(lam)
     for p in reversed(positions):
-        wt = rs.affine_reflect(entries[p].root, sign * entries[p].level, wt)
+        wt = affine_reflect(rs, entries[p].root, sign * entries[p].level, wt)
     if chain.dual:
         wt = w.apply_weight(wt)
     return admissible, tuple(folded), w, weight_neg(wt)
@@ -284,7 +293,7 @@ def random_position_sets(chain, rng, count):
     return sets
 
 
-@pytest.mark.parametrize("type_string", ["C3", "D4", "F4", "E6"])
+@pytest.mark.parametrize("type_string", ["B3", "B4", "C3", "D4", "F4", "E6", "E7", "E8"])
 def test_fold_matches_reference_walks_beyond_rank_three(type_string):
     """Fresh folds against the reference walk on seeded random position sets,
     admissible and not, over the rho-chains and the one- and two-block
@@ -589,7 +598,10 @@ def test_string_statistics_match_string_walks(type_string, top, depth):
     ("D4", (1, 0, 1, 1), 3),
     ("F4", (1, 0, 0, 0), 0),
     ("E6", (1, 0, 0, 0, 0, 0), 0),
-], ids=["C3", "D4", "F4", "E6"])
+    ("B3", (1, 0, 1), 3),
+    ("E7", (0, 0, 0, 0, 0, 0, 1), 0),
+    ("E8", (0, 0, 0, 0, 0, 0, 0, 1), 0),
+], ids=["C3", "D4", "F4", "E6", "B3", "E7", "E8"])
 def test_string_statistics_match_string_walks_beyond_rank_three(type_string, lam, depth):
     # the finite crystal of lam in both models, and the window truncations to depth
     sweep = Sweep(RootSystem.from_type(type_string), depth)

@@ -476,6 +476,19 @@ def test_window_layout_matches_levels(type_string, dual):
                 assert (moved.root, moved.level) == (e.root, e.level + lift)
 
 
+@pytest.mark.parametrize("type_string", ["A2", "B2", "G2", "C3"])
+def test_fold_levels(type_string):
+    """A folding's multiplier in the weight: level - <lam, beta^vee> on a
+    primal chain, the level itself on its dual chain and on windows."""
+    rs = RootSystem.from_type(type_string)
+    lam = tuple(range(1, rs.rank + 1))
+    chain = lex_chain(rs, lam)
+    assert chain.fold_levels == tuple(e.level - pairing(lam, e.root) for e in chain.entries)
+    others = [dual_chain(chain)] + [window(rs, k, dual) for k in (1, 2) for dual in (False, True)]
+    for other in others:
+        assert other.fold_levels == tuple(e.level for e in other.entries)
+
+
 def test_window_rejects_bad_copies():
     rs = RootSystem.from_type("A2")
     assert window(rs, 3).copies == 3

@@ -110,6 +110,32 @@ def test_root_in_weight_coords_uses_cartan_rows():
     assert rs.root_in_weight_coords(rs.simple_root(2)) == (-1, 2)
 
 
+def cartan_weight_coords(rs, coeffs):
+    """A^T c from the Cartan matrix: simple-root coordinates ``coeffs`` in the
+    fundamental-weight basis, computed here, not through the library."""
+    a = rs.cartan.matrix
+    return tuple(sum(c * a[j][i] for j, c in enumerate(coeffs)) for i in range(rs.rank))
+
+
+@pytest.mark.parametrize("type_string", EVERY_TYPE)
+def test_root_weight_table_is_the_cartan_transpose(type_string):
+    rs = RootSystem.from_type(type_string)
+    assert len(rs.root_weights) == len(rs.roots)
+    for k, root in enumerate(rs.roots):
+        assert rs.root_weights[k] == cartan_weight_coords(rs, root.coeffs), root
+        assert rs.root_in_weight_coords(root) == rs.root_weights[k]
+
+
+def test_simple_index_refuses_what_is_not_an_index():
+    rs = RootSystem.from_type("A3")
+    for i in rs.index_set:
+        assert rs.roots[rs.simple_index(i)] == rs.simple_root(i)
+    # True hashes and compares as 1, so the check has to come before the lookup
+    for bad in (0, rs.rank + 1, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="outside index set"):
+            rs.simple_index(bad)
+
+
 @given(
     st.sampled_from(["A2", "A3", "B2", "C2", "G2"]),
     st.data(),

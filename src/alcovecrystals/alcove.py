@@ -29,7 +29,10 @@ dual models), and the weight's i-th coordinate gives the other one.  A
 second, independent formulation of the operators through a piecewise linear
 profile is their oracle (``profile_f`` / ``profile_e``);
 how far that profile falls from its peak to its end is an oracle for the
-statistics.
+statistics.  Each element keeps the profile of each direction once read
+(``AlcoveElement.profiles``), so both profile operators and that oracle
+share it; a profile whose letters break its structure conditions raises
+:class:`ProfileError`.
 
 Each element is folded once (``AlcoveElement.fold``): the folded roots as
 root indices (one byte per position, see ``RootSystem.roots``), the end
@@ -69,6 +72,7 @@ from .rootsys import Root, RootSystem, WeylElement, pairing, root_string, weight
 __all__ = [
     "AlcoveElement",
     "Fold",
+    "ProfileError",
     "element",
     "element_to_json",
     "e_op",
@@ -203,6 +207,12 @@ class AlcoveElement:
             gap = wt[i - 1]  # <wt, alpha_i^vee>, as <Lambda_j, alpha_i^vee> = delta_ij
             out[i] = (steps - gap, steps) if self.is_dual else (steps, steps + gap)
         return out
+
+    @cached_property
+    def profiles(self) -> dict[int, tuple]:
+        """The profile of each direction read so far, kept by
+        ``_profile_data``."""
+        return {}
 
     def pairs(self) -> tuple[tuple[Root, int], ...]:
         """The foldings as (root, level) pairs in chain order."""
@@ -520,7 +530,29 @@ def mirror(el: AlcoveElement) -> AlcoveElement:
 # independent operator formulation through a piecewise linear profile
 
 
-def _profile_data(el: AlcoveElement, i: int):
+class ProfileError(ValueError):
+    """The letters a profile reads break its structure conditions."""
+
+
+def _require(holds: bool, condition: str) -> None:
+    """Raise :class:`ProfileError` naming ``condition`` unless it holds."""
+    if not holds:
+        raise ProfileError(f"the profile violates its structure conditions: {condition}")
+
+
+def _profile_data(el: AlcoveElement, i: int) -> tuple:
+    """The profile of direction ``i`` (``_read_profile``), read once per
+    element and direction and kept on the element, as its fold, weight and
+    string statistics are, so that ``profile_f``, ``profile_e`` and the
+    statistics oracle share it.  Only a profile that meets the structure
+    conditions is kept."""
+    kept = el.profiles
+    if i not in kept:
+        kept[i] = _read_profile(el, i)
+    return kept[i]
+
+
+def _read_profile(el: AlcoveElement, i: int) -> tuple:
     """Doubled heights of the profile for direction ``i``.
 
     Returns (positions, heights at marked half-points, height past the end,
@@ -529,10 +561,11 @@ def _profile_data(el: AlcoveElement, i: int):
     element reads the profile of its mirror, and the fold ends at the product
     of the foldings in the order read.  Only the profile operators and the
     oracles of the string statistics (the fall from the maximum to the end
-    is twice epsilon, twice phi dually) read it.
+    is twice epsilon, twice phi dually) read it.  :class:`ProfileError` if
+    the slopes break the structure conditions.
     """
     letters = _letters(el, i)
-    spots = [ind for ind, _, _ in letters]
+    spots = tuple(ind for ind, _, _ in letters)
     g = -1
     peak = g
     heights = []
@@ -540,9 +573,8 @@ def _profile_data(el: AlcoveElement, i: int):
     for _, sgn, folded in letters:
         mark = -1 if folded else 1
         pair = (sgn, mark * sgn)
-        assert pair != (-1, 1), "profile slopes violate the structure conditions"
-        if prev_pair == (1, 1):
-            assert pair != (-1, -1), "profile slopes violate the structure conditions"
+        _require(pair != (-1, 1), "a folded minus")
+        _require(prev_pair != (1, 1) or pair != (-1, -1), "an unfolded plus before an unfolded minus")
         prev_pair = pair
         g += sgn
         heights.append(g)
@@ -550,11 +582,10 @@ def _profile_data(el: AlcoveElement, i: int):
         g += mark * sgn
         peak = max(peak, g)
     sgn_inf = -1 if _turns_away(el, el.rs.simple_index(i)) else 1
-    if prev_pair == (1, 1):
-        assert sgn_inf == 1, "profile slopes violate the structure conditions"
+    _require(prev_pair != (1, 1) or sgn_inf == 1, "an unfolded plus before a falling end")
     h_inf = g + sgn_inf
     peak = max(peak, h_inf)
-    return spots, heights, h_inf, peak
+    return spots, tuple(heights), h_inf, peak
 
 
 def profile_f(el: AlcoveElement, i: int) -> AlcoveElement | None:
@@ -585,16 +616,16 @@ def _profile_down(el: AlcoveElement, i: int) -> AlcoveElement | None:
     if candidates:
         mu = candidates[0]
         idx = spots.index(mu)
-        assert mu in jset
-        assert idx > 0, "a maximal half-point needs a predecessor"
+        _require(mu in jset, "a maximal half-point is folded")
+        _require(idx > 0, "a maximal half-point has a predecessor")
         k = spots[idx - 1]
         new = (jset - {mu}) | {k}
     else:
-        assert h_inf == peak
-        assert spots, "an unbounded profile needs at least one marked point"
+        _require(h_inf == peak, "a maximum off the letters is at the end")
+        _require(bool(spots), "a profile peaking at its end has a letter")
         k = spots[-1]
         new = jset | {k}
-    assert k not in jset
+    _require(k not in jset, "the letter folded is unfolded")
     return element(el.chain, new)
 
 
@@ -606,13 +637,13 @@ def _profile_up(el: AlcoveElement, i: int) -> AlcoveElement | None:
         return None
     jset = set(el.positions)
     candidates = [pos for pos, h in zip(spots, heights) if h == peak]
-    assert candidates, "a strict interior maximum must be marked"
+    _require(bool(candidates), "a maximum above the end is at a half-point")
     k = candidates[-1]
-    assert k in jset
+    _require(k in jset, "a maximal half-point is folded")
     idx = spots.index(k)
     if idx + 1 < len(spots):
         mu = spots[idx + 1]
-        assert mu not in jset
+        _require(mu not in jset, "the letter after a maximal half-point is unfolded")
         new = (jset - {k}) | {mu}
     else:
         new = jset - {k}

@@ -24,8 +24,9 @@ from .verify import SUITES as _SUITES, Sweep
 __all__ = ["main", "run"]
 
 
-#: the most nodes ``crystal`` and ``export`` enumerate in a finite crystal, and
-#: ``verify`` in the crystals Al(lam) of its sweep
+#: the most nodes ``crystal`` and ``export`` enumerate in a crystal or a
+#: truncation, and ``verify`` in the crystals Al(lam) of its sweep and in each
+#: of its truncations
 MAX_NODES = 100_000
 
 
@@ -151,10 +152,20 @@ def _cmd_chain(args) -> int:
 
 
 def _crystal_graph(chain, depth=None):
-    """The crystal of ``chain`` to ``depth``; a whole finite crystal of more
-    than ``MAX_NODES`` nodes is refused before it is enumerated."""
-    if depth is None and (dim := cg.weyl_dimension(chain.rs, chain.lam)) > MAX_NODES:
-        raise UsageError(f"the crystal has {dim} nodes; at most {MAX_NODES} are enumerated")
+    """The crystal of ``chain`` to ``depth``, refused before it is enumerated
+    when it may hold more than ``MAX_NODES`` nodes: a whole finite crystal
+    has its Weyl dimension of nodes, a truncation of the unbounded model the
+    count of B(infinity) to ``depth``, and one of a finite crystal at most
+    the smaller of the two."""
+    if depth is None:
+        what, size = "the crystal has", cg.weyl_dimension(chain.rs, chain.lam)
+    elif chain.is_window:
+        what, size = f"the truncation at depth {depth} has", cg.infinity_size(chain.rs, depth)
+    else:
+        what = f"the truncation at depth {depth} has up to"
+        size = min(cg.infinity_size(chain.rs, depth), cg.weyl_dimension(chain.rs, chain.lam))
+    if size > MAX_NODES:
+        raise UsageError(f"{what} {size} nodes; at most {MAX_NODES} are enumerated")
     gen = al.element(chain, [])
     return cg.enumerate_crystal(cg.alcove_ops(chain), [gen], depth=depth)
 
@@ -279,6 +290,11 @@ def _cmd_verify(args) -> int:
     # refuse a sweep whose crystals Al(lam) hold too many nodes in all before any suite runs
     if (total := sum(cg.weyl_dimension(rs, lam) for lam in sweep.weights)) > MAX_NODES:
         raise UsageError(f"the sweep's crystals have {total} nodes; at most {MAX_NODES} are enumerated")
+    if (size := cg.infinity_size(rs, args.depth)) > MAX_NODES:
+        raise UsageError(
+            f"the sweep's truncations at depth {args.depth} have {size} nodes each; "
+            f"at most {MAX_NODES} are enumerated"
+        )
     checks = []
     for name in list(_SUITES) if args.suite == "all" else [args.suite]:
         done = _SUITES[name](sweep)

@@ -45,6 +45,7 @@ __all__ = [
     "graph_to_dot",
     "graph_to_json",
     "highest_weight_keys",
+    "infinity_size",
     "is_isomorphic",
     "path_ops",
     "weyl_dimension",
@@ -554,6 +555,20 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
         total *= Fraction(up, down)
     assert total.denominator == 1
     return int(total)
+
+
+def infinity_size(rs: RootSystem, depth: int) -> int:
+    """How many nodes B(infinity) has within ``depth`` of its highest weight
+    node, which is how many its truncations at ``depth`` hold: a node of
+    weight -beta lies at the height of beta, and Kostant's partition function
+    counts the nodes of each weight, so this sums the coefficients of x^n,
+    n <= depth, in prod_{beta > 0} 1 / (1 - x^{ht beta})."""
+    series = [1] + [0] * depth
+    for beta in rs.positive_roots:
+        height = sum(beta.coeffs)
+        for n in range(height, depth + 1):
+            series[n] += series[n - height]
+    return sum(series)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ through their modules (``cg.enumerate_crystal``, not an imported name), so
 replacing a module attribute, as a test or a profiler does, reaches the
 suites too.  Elements key graphs and are compared with ``==``.
 Every suite reports through :class:`crystalgraph.Check`, the record the
-checkers return, relabeled for the crystal it ran on.
+checkers return, relabeled for the crystal it ran on.  Suites read what the
+sweep already holds: the profile suite takes the signature operators'
+results from each graph's edges, computing them only on a truncation's
+boundary, and runs ``check_axioms``' inverse check on each graph so that
+an operator wrong only in the direction enumeration skipped still fails.
 """
 
 from __future__ import annotations
@@ -149,10 +153,22 @@ def _limits(sweep) -> list[Check]:
     k copies of rho (three values of k from the minimal one) is inverted by the
     inclusion and intertwines both operators; and on Al(infinity) and its
     dual, the operators do not change when the window grows by one or two
-    copies."""
+    copies.  Each public operator is applied once per element and direction
+    and its result read by both parts, with the way ``_step`` reads it
+    (``up``); the graph's edges are not read, so the suite checks the
+    operators themselves."""
     rs = sweep.rs
     checks = 0
     failures = []
+    nodes = [*sweep.truncation().nodes, *sweep.truncation(dual=True).nodes]
+    moves = {
+        el: [
+            (i, op, up, op(el, i))
+            for i in rs.index_set
+            for op, up in ((al.f_op, el.is_dual), (al.e_op, not el.is_dual))
+        ]
+        for el in nodes
+    }
     for el in sweep.truncation().nodes:
         k0, _ = al.minimal_projection(el)
         for k in range(max(k0, 1), max(k0, 1) + 3):
@@ -162,24 +178,22 @@ def _limits(sweep) -> list[Check]:
             checks += 1
             if al.include_Sin(image, k) != el:
                 failures.append(f"{el!r}: inclusion does not invert projection at k={k}")
-            for i in rs.index_set:
-                for op in (al.f_op, al.e_op):
-                    big, small = op(el, i), op(image, i)
-                    if big is None or small is None:
-                        continue
-                    checks += 1
-                    proj = al.project_Spr(big, k)
-                    if proj is not None and proj != small:
-                        failures.append(f"{el!r}: projection does not intertwine at k={k}, i={i}")
-    for el in [*sweep.truncation().nodes, *sweep.truncation(dual=True).nodes]:
+            for i, op, _, big in moves[el]:
+                small = op(image, i)
+                if big is None or small is None:
+                    continue
+                checks += 1
+                proj = al.project_Spr(big, k)
+                if proj is not None and proj != small:
+                    failures.append(f"{el!r}: projection does not intertwine at k={k}, i={i}")
+    for el in nodes:
         model = _INF[el.is_dual]
         for copies in (1, 2):
             wider = _widen(el, copies)
-            for i in rs.index_set:
-                for op, up in ((al.f_op, el.is_dual), (al.e_op, not el.is_dual)):
-                    checks += 1
-                    if op(el, i) != al._step(wider, i, up):
-                        failures.append(f"{model} {el!r}: +{copies} copies changed {op.__name__} at i={i}")
+            for i, op, up, result in moves[el]:
+                checks += 1
+                if result != al._step(wider, i, up):
+                    failures.append(f"{model} {el!r}: +{copies} copies changed {op.__name__} at i={i}")
     return [Check(f"limits coherence checks {checks}", checks, failures)]
 
 
@@ -198,24 +212,45 @@ def _profile(sweep) -> list[Check]:
     On the same elements the profile falls from its peak to its end by twice
     epsilon primally and twice phi dually: a check of the string statistics
     that shares no code with the signature reduction (``_reduce``) they come
-    from, and that runs the profile's structure conditions on every element."""
-    pools = [(f"Al{lam}", sweep.finite(lam).nodes) for lam in sweep.weights]
+    from, and that runs the profile's structure conditions on every element
+    and direction; a violation is a failure naming them.
+
+    The signature operators' results are read off each graph's edges, and
+    computed only at the nodes on a truncation's boundary, where edges were
+    left out.  The edges hold one direction of each operator: enumeration
+    computed each edge once, so an operator wrong only in the direction it
+    skipped reads right there.  Each graph therefore also gets
+    ``check_axioms``' inverse check, which computes every edge's other
+    direction."""
+    graphs = [(f"Al{lam}", sweep.finite(lam)) for lam in sweep.weights]
     for dual, model in _INF.items():
-        pools.append((f"{model} depth {sweep.depth}", sweep.truncation(dual).nodes))
+        graphs.append((f"{model} depth {sweep.depth}", sweep.truncation(dual)))
+    index_set = sweep.rs.index_set
     checks = stats = 0
     failures, stat_failures = [], []
-    for source, pool in pools:
-        for el in pool:
+    for source, graph in graphs:
+        below = {(src, i): dst for src, i, dst in graph.edges}
+        above = {(dst, i): src for src, i, dst in graph.edges}
+        for el in graph.nodes:
             name, stat = ("phi", al.phi) if el.is_dual else ("epsilon", al.epsilon)
-            for i in sweep.rs.index_set:
-                for x, op, prof in (("f", al.f_op, al.profile_f), ("e", al.e_op, al.profile_e)):
-                    checks += 1
-                    if op(el, i) != prof(el, i):
-                        failures.append(f"{source}: profile_{x} disagrees at {el!r}, i={i}")
-                _, _, h_inf, peak = al._profile_data(el, i)
+            cut = el in graph.boundary
+            for i in index_set:
+                checks += 2
                 stats += 1
+                try:
+                    for x, moved, op, prof in (
+                        ("f", below, al.f_op, al.profile_f),
+                        ("e", above, al.e_op, al.profile_e),
+                    ):
+                        if (op(el, i) if cut else moved.get((el, i))) != prof(el, i):
+                            failures.append(f"{source}: profile_{x} disagrees at {el!r}, i={i}")
+                    _, _, h_inf, peak = al._profile_data(el, i)
+                except al.ProfileError:
+                    failures.append(f"{source}: profile structure violated at {el!r}, i={i}")
+                    continue
                 if peak - h_inf != 2 * stat(el, i):
                     stat_failures.append(f"{source}: {name} disagrees with the profile at {el!r}, i={i}")
+        failures += [f"{source}: {failure}" for failure in cg._inverse_failures(graph)]
     return [
         Check(f"profile operators checks {checks}", checks, failures),
         Check(f"profile statistics checks {stats}", stats, stat_failures),

@@ -221,6 +221,81 @@ def test_profile_suite_checks_the_string_statistics(monkeypatch, capsys, stat, l
     assert lines[-1] == "passed 1/2 checks"
 
 
+def test_profile_suite_catches_an_operator_wrong_only_where_enumeration_skips_it(monkeypatch, capsys):
+    # Al(lam) is enumerated by lowering from its top, so its edges hold the
+    # right e_i although e_op is wrong on it; the suite reads e_i off the
+    # edges, and only the inverse check of each edge calls e_op there
+    e_op = alcove.e_op
+    wrong = lambda el, i: None if not (el.is_window or el.is_dual) else e_op(el, i)  # noqa: E731
+    monkeypatch.setattr(alcove, "e_op", wrong)
+    assert run(["verify", "--type", "A2", "--suite", "profile"]) == 1
+    lines = out_of(capsys).splitlines()
+    assert lines[0] == "FAIL profile operators checks 512"
+    assert "     Al(0, 1): ((α2, 0)): operators not inverse in direction 2" in lines
+    assert lines[-2:] == ["ok profile statistics checks 256", "passed 1/2 checks"]
+
+
+def test_profile_structure_violations_are_failures(monkeypatch, capsys):
+    # every letter read as a folded minus breaks the structure conditions:
+    # each (element, direction) with a letter fails by name, with no
+    # traceback, and every check is still counted
+    letters = alcove._letters
+    monkeypatch.setattr(
+        alcove, "_letters", lambda el, i, up=False: [(p, -1, True) for p, _, _ in letters(el, i, up)]
+    )
+    argv = ["verify", "--type", "A2", "--suite", "profile", "--depth", "2"]
+    assert run(argv) == 1
+    lines = out_of(capsys).splitlines()
+    assert lines[:3] == [
+        "FAIL profile operators checks 392",
+        "     Al(0, 1): profile structure violated at (), i=2",
+        "     Al(0, 1): profile structure violated at ((α2, 0)), i=1",
+    ]
+    assert lines[-2:] == ["ok profile statistics checks 196", "passed 1/2 checks"]
+    # a profile breaking its conditions is an error of its own, not an assertion
+    # that python -O drops
+    el = alcove.element(chains.lex_chain(A2, (0, 1)), [])
+    with pytest.raises(alcove.ProfileError, match="structure conditions"):
+        alcove.profile_f(el, 2)
+    assert 2 not in el.profiles
+
+
+def test_a_profile_is_read_once_per_element_and_direction(monkeypatch):
+    el = alcove.element(chains.lex_chain(A2, (1, 1)), [0])
+    reads = []
+    read = alcove._read_profile
+    monkeypatch.setattr(alcove, "_read_profile", lambda el, i: reads.append(i) or read(el, i))
+    for i in (1, 2):
+        assert alcove.profile_f(el, i) == alcove.f_op(el, i)
+        assert alcove.profile_e(el, i) == alcove.e_op(el, i)
+        assert alcove._profile_data(el, i) is el.profiles[i]
+    assert reads == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "type_string, depth, profile, limits_checked",
+    [
+        ("A2", 2, (392, 196), 187),
+        ("A2", 4, (512, 256), 606),
+        ("A2", 5, (608, 304), 950),
+        ("B2", 2, (880, 440), 188),
+        ("B2", 4, (1024, 512), 688),
+        ("B2", 5, (1152, 576), 1142),
+        ("G2", 2, (5632, 2816), 188),
+        ("G2", 4, (5784, 2892), 715),
+        ("G2", 5, (5936, 2968), 1249),
+    ],
+)
+def test_profile_and_limits_checked_counts(type_string, depth, profile, limits_checked, capsys):
+    # the profile suite computes operators only on a truncation's boundary
+    # and reads edges elsewhere; both ways count every (element, direction)
+    argv = ["verify", "--type", type_string, "--depth", str(depth), "--format", "json"]
+    assert run([*argv, "--suite", "profile"]) == 0
+    assert tuple(record["checked"] for record in json.loads(out_of(capsys))) == profile
+    assert run([*argv, "--suite", "limits"]) == 0
+    assert [record["checked"] for record in json.loads(out_of(capsys))] == [limits_checked]
+
+
 def test_dual_iso_failures_print_like_every_other_failure(monkeypatch, capsys):
     # map the empty element of each Al(lam) to the straight path of lam, whose
     # weight is lam, not -lam
@@ -272,6 +347,25 @@ def test_limits_suite_fails_on_a_wrongly_grown_window(monkeypatch, capsys):
     assert lines[0].startswith("FAIL limits coherence checks")
     assert "     Al(inf) ((α1, -1)): +1 copies changed f_op at i=1" in lines
     assert lines[-1] == "passed 0/1 checks"
+
+
+def test_limits_suite_applies_the_operators_themselves(monkeypatch, capsys):
+    # e_op wrong on the non-empty elements of Al(infinity): the suite applies
+    # each operator rather than reading the graph's edges, so every
+    # comparison still runs and fails where the operator does
+    e_op = alcove.e_op
+    wrong = lambda el, i: None if el.is_window and not el.is_dual and el.positions else e_op(el, i)  # noqa: E731
+    monkeypatch.setattr(alcove, "e_op", wrong)
+    assert run(["verify", "--type", "A2", "--suite", "limits", "--depth", "3"]) == 1
+    assert out_of(capsys).splitlines() == [
+        "FAIL limits coherence checks 313",
+        "     Al(inf) ((α1, -1)): +1 copies changed <lambda> at i=1",
+        "     Al(inf) ((α1, -1)): +2 copies changed <lambda> at i=1",
+        "     Al(inf) ((α2, -1)): +1 copies changed <lambda> at i=2",
+        "     Al(inf) ((α2, -1)): +2 copies changed <lambda> at i=2",
+        "     Al(inf) ((α1, -2)): +1 copies changed <lambda> at i=1",
+        "passed 0/1 checks",
+    ]
 
 
 def test_verify_reports_are_deterministic(capsys):
@@ -401,9 +495,70 @@ def test_the_node_limit_is_inclusive(monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_NODES", 7)
     for cmd in ("crystal", "export"):
         assert run([cmd, "--type", "A2", "--weight", "1,1"]) == 2
-    # a depth bounds the walk, so no limit applies
+    # a depth bounds the walk: A2's truncations at depth 1 have up to 3 nodes
     assert run(["export", "--type", "A2", "--weight", "1,1", "--depth", "1"]) == 0
     assert capsys.readouterr().err.count("at most 7 are enumerated") == 2
+
+
+@pytest.mark.parametrize(
+    "argv, what, size",
+    [
+        (["--infinity", "--depth", "4"], "the truncation at depth 4 has", 22),
+        (["--infinity", "--dual", "--depth", "4"], "the truncation at depth 4 has", 22),
+        (["--weight", "1,1", "--depth", "2"], "the truncation at depth 2 has up to", 7),
+        (["--weight", "1,1", "--depth", "3"], "the truncation at depth 3 has up to", 8),
+    ],
+)
+def test_truncations_meet_the_node_limit(monkeypatch, capsys, argv, what, size):
+    # the count of B(infinity) to the depth, or for a finite crystal the
+    # smaller of it and the Weyl dimension; the limit is inclusive
+    argv = ["export", "--type", "A2", *argv]
+    monkeypatch.setattr(cli, "MAX_NODES", size)
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(cli, "MAX_NODES", size - 1)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {what} {size} nodes; at most {size - 1} are enumerated\n"
+
+
+def test_the_verify_truncation_limit_is_inclusive(monkeypatch, capsys):
+    # B2's truncations at depth 10 have 256 nodes each, more than the 206 of
+    # its crystals Al(lam); the skipped stembridge suite enumerates nothing
+    argv = ["verify", "--type", "B2", "--suite", "stembridge", "--depth", "10"]
+    monkeypatch.setattr(cli, "MAX_NODES", 256)
+    assert run(argv) == 0
+    monkeypatch.setattr(cli, "MAX_NODES", 255)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the sweep's truncations at depth 10 have 256 nodes each; at most 255 are enumerated\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["export", "--type", "E8", "--infinity", "--depth", "10"], "the truncation at depth 10 has 537140"),
+        (
+            ["export", "--type", "E8", "--weight", "1,1,1,1,1,1,1,1", "--depth", "9"],
+            "the truncation at depth 9 has up to 212376",
+        ),
+        (["verify", "--type", "A3", "--depth", "30"], "the sweep's truncations at depth 30 have 226860"),
+    ],
+)
+def test_a_truncation_past_the_node_limit_is_refused(argv, message):
+    # a run in a child process, through the module's entry point, so a
+    # regression that starts enumerating fails on the timeout
+    done = subprocess.run(
+        [sys.executable, "-m", "alcovecrystals.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: {message} nodes")
+    assert done.stderr.endswith(f"; at most {cli.MAX_NODES} are enumerated\n")
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

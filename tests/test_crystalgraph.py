@@ -257,6 +257,36 @@ def test_weyl_dimension_values():
     assert cg.weyl_dimension(B2, (1, 0)) == 5
 
 
+@pytest.mark.parametrize("rs", [A2, B2, G2, A3], ids=["A2", "B2", "G2", "A3"])
+def test_infinity_size_counts_every_truncation(rs):
+    # Al(infinity), its dual and both unbounded path models, enumerated at
+    # each depth, against the partition count
+    models = [
+        (cg.alcove_ops(window(rs, 1, dual)), al.element(window(rs, 1, dual), []))
+        for dual in (False, True)
+    ]
+    models += [(cg.path_ops(rs, "extended"), lp.pi_infinity(rs))]
+    models += [(cg.path_ops(rs, "co-extended"), lp.xi_infinity(rs))]
+    for depth in range(7):
+        size = cg.infinity_size(rs, depth)
+        for ops, seed in models:
+            assert len(cg.enumerate_crystal(ops, [seed], depth=depth).nodes) == size, (ops.kind, depth)
+        assert size <= cg.infinity_size(rs, depth + 1)
+        for lam in ((1,) * rs.rank, (2,) * rs.rank):
+            for dual in (False, True):
+                bound = min(size, cg.weyl_dimension(rs, lam))
+                assert len(alcove_graph(rs, lam, dual, depth).nodes) <= bound
+
+
+def test_infinity_size_values():
+    # A2's series is 1 / ((1 - x)^2 (1 - x^2)); the larger values are pinned
+    # where the command line's node limit meets them
+    assert [cg.infinity_size(A2, d) for d in range(7)] == [1, 3, 7, 13, 22, 34, 50]
+    E8 = RootSystem.from_type("E8")
+    assert [cg.infinity_size(E8, d) for d in (8, 9, 10)] == [80_468, 212_376, 537_140]
+    assert cg.infinity_size(A3, 30) == 226_860
+
+
 @pytest.mark.parametrize(
     "lam",
     [(-3, 0), (2, -1), (1,), (1, 1, 1), (True, 0), (1.0, 0), ("1", 0)],

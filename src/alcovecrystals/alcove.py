@@ -44,11 +44,15 @@ toggles each of its foldings on the chain's root indices; an operator's
 result toggles the one or two positions that move on its parent's folded
 roots (``_child``).  Both read the reflection's permutation from
 ``RootSystem.reflections`` at the folded root's byte, and ``_covers``
-composes those raw permutations at the foldings into the end product,
-checking the length at every folding.  Every operator and statistic reads
-its argument through ``_canonical``, which refuses an element that is not
-admissible, and every operator checks its result.  The weight and the
-string statistics are computed once per element and kept.
+composes those permutations at the foldings into the end product, checking
+the length at every folding; it walks the root indices alone, the first
+2|Phi+| bytes, and pads only the end to a full table.  Every operator and
+statistic reads its argument through ``_canonical``, which refuses an
+element that is not admissible, and every operator checks its result.  The
+fold also records whether the element sits on its canonical window; an
+operator's result is built on that window, so it is born canonical and
+``_canonical`` hands it back as it is.  The weight and the string
+statistics are computed once per element and kept.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import NamedTuple
+from typing import Collection, Iterator, NamedTuple
 
 from .chains import (
     InfChainWindow,
@@ -96,12 +100,16 @@ class Fold(NamedTuple):
     """One walk along an element's chain: the index of the folded root at each
     position, one byte per position, the product of the folding reflections
     in walk order (tau primally, iota dually) and whether every folding was a
-    Bruhat cover, the last two from ``_covers``'s walk on raw permutations.
-    The weight and the path image are read off the folded roots."""
+    Bruhat cover, these two from ``_covers``'s walk on the root indices, and
+    whether the element sits on its canonical window (``_canonical_window``;
+    always on a finite chain), so that ``_canonical`` need not look again.
+    An operator's result is born canonical.  The weight and the path image
+    are read off the folded roots."""
 
     roots: bytes
     end: WeylElement
     admissible: bool
+    canonical: bool
 
 
 def _toggle(refl: tuple[bytes, ...], roots: bytes, p: int, dual: bool) -> bytes:
@@ -115,19 +123,22 @@ def _toggle(refl: tuple[bytes, ...], roots: bytes, p: int, dual: bool) -> bytes:
     return roots[: p + 1] + roots[p + 1 :].translate(s)
 
 
-def _covers(el: AlcoveElement, roots: bytes) -> tuple[WeylElement, bool]:
-    """The end product of the element's foldings, given its folded roots, and
-    whether every folding was a Bruhat cover.  Each folding on gamma turns
-    the raw permutation w so far into s_gamma w; after k covers it has length
-    k, so each folding is checked.  Only the end becomes a WeylElement."""
-    rs = el.rs
+def _covers(rs: RootSystem, positions, dual: bool, roots: bytes) -> tuple[WeylElement, bool]:
+    """The end product of the foldings at ``positions``, given the folded
+    roots, and whether every folding was a Bruhat cover.  Each folding on
+    gamma turns the permutation w so far into s_gamma w; after k covers it
+    has length k, so each folding is checked.  The walk runs on the root
+    indices alone, the first 2|Phi+| bytes of the identity, since no
+    reflection moves a byte past them; only the end is padded to the full
+    table and becomes a WeylElement."""
     refl, negative, npos = rs.reflections, rs._negative, len(rs.positive_roots)
-    w = rs.identity_element().perm
+    identity = rs.identity_element().perm
+    w = identity[: 2 * npos]
     admissible = True
-    for count, p in enumerate(reversed(el.positions) if el.is_dual else el.positions, 1):
+    for count, p in enumerate(reversed(positions) if dual else positions, 1):
         w = w.translate(refl[roots[p]])
         admissible = admissible and w[:npos].translate(negative).count(1) == count
-    return WeylElement(w, rs), admissible
+    return WeylElement(w + identity[2 * npos :], rs), admissible
 
 
 @dataclass(frozen=True)
@@ -161,13 +172,16 @@ class AlcoveElement:
 
         Starting from the chain's root indices, each folding is toggled in
         walk order (``_toggle``); ``_covers`` then reads the end product and
-        the cover check off the folded roots.
+        the cover check off the folded roots.  The element is canonical on a
+        finite chain, and on a window of one block past its deepest folding.
         """
-        refl, dual = self.rs.reflections, self.is_dual
-        roots = self.chain.root_ids
-        for p in reversed(self.positions) if dual else self.positions:
+        chain, positions = self.chain, self.positions
+        rs, dual = chain.rs, chain.dual
+        refl, roots = rs.reflections, chain.root_ids
+        for p in reversed(positions) if dual else positions:
             roots = _toggle(refl, roots, p, dual)
-        return Fold(roots, *_covers(self, roots))
+        canonical = not chain.is_window or chain.deepest_block(positions) + 1 == chain.copies
+        return Fold(roots, *_covers(rs, positions, dual, roots), canonical)
 
     @cached_property
     def wt(self) -> tuple[int, ...]:
@@ -198,14 +212,15 @@ class AlcoveElement:
         weight, which in the limit models defines it and lets it be negative.
         """
         el = _canonical(self)
-        rs, wt = self.rs, self.wt
+        chain, wt = self.chain, self.wt
+        rs, dual = chain.rs, chain.dual
         out = {}
         for i in rs.index_set:
             alpha = rs.simple_index(i)
             pluses, _, _ = _reduce(el, i, alpha, True)
             steps = pluses + _turns_away(el, alpha)
             gap = wt[i - 1]  # <wt, alpha_i^vee>, as <Lambda_j, alpha_i^vee> = delta_ij
-            out[i] = (steps - gap, steps) if self.is_dual else (steps, steps + gap)
+            out[i] = (steps - gap, steps) if dual else (steps, steps + gap)
         return out
 
     @cached_property
@@ -245,14 +260,33 @@ def _canonical_window(chain, positions) -> tuple[LambdaChain | InfChainWindow, t
     return window(chain.rs, wanted, dual=chain.dual), tuple(p + shift for p in positions)
 
 
+def _inadmissible(positions, out: AlcoveElement) -> ValueError:
+    return ValueError(f"positions {list(positions)} are not admissible: {out!r}")
+
+
 def _canonical(el: AlcoveElement) -> AlcoveElement:
     """The element on its canonical window (``_canonical_window``); ValueError
     if its positions are not admissible.  Every operator and statistic reads
-    its argument through here."""
+    its argument through here.  An element whose fold says it is canonical,
+    as every operator result's does, is returned as it is once it is found
+    admissible; any other is moved by ``_to_canonical``."""
+    fold = el.fold
+    if not fold.canonical:
+        return _to_canonical(el)
+    if not fold.admissible:
+        raise _inadmissible(el.positions, el)
+    return el
+
+
+def _to_canonical(el: AlcoveElement) -> AlcoveElement:
+    """``_canonical``'s route for an element that is not known to be
+    canonical: the window is looked up from the positions, and only the
+    element on it is folded, so ``element`` never folds the element it was
+    given on another window."""
     chain, positions = _canonical_window(el.chain, el.positions)
     out = el if chain is el.chain else AlcoveElement(chain, positions)
     if not out.fold.admissible:
-        raise ValueError(f"positions {list(el.positions)} are not admissible: {out!r}")
+        raise _inadmissible(el.positions, out)
     return out
 
 
@@ -267,7 +301,7 @@ def element(chain, positions) -> AlcoveElement:
         raise ValueError(f"duplicate positions in {positions}")
     if pos and (pos[0] < 0 or pos[-1] >= len(chain.entries)):
         raise ValueError(f"position out of range for a chain of length {len(chain.entries)}")
-    return _canonical(AlcoveElement(chain, pos))
+    return _to_canonical(AlcoveElement(chain, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +316,18 @@ def is_admissible(el: AlcoveElement) -> bool:
     return el.fold.admissible
 
 
-def _scan(el: AlcoveElement, i: int, up: bool) -> list[int]:
-    """The positions where the folded chain passes through plus or minus the
-    i-th simple root, in walk order: chain order for a primal element,
-    reversed for a dual one, as :meth:`AlcoveElement.fold` walks; read
-    ``up``, backwards.  One ``translate`` by ``RootSystem.letter_masks``
-    marks them and ``compress`` picks them out, so the Python work is one
-    step per letter, not per position."""
-    roots = el.fold.roots
-    spots = list(compress(range(len(roots)), roots.translate(el.rs.letter_masks[i])))
-    if el.is_dual != up:
-        spots.reverse()
-    return spots
+def _scan(roots: bytes, mask: bytes, backwards: bool) -> Iterator[int]:
+    """The positions where the folded chain ``roots`` passes through plus or
+    minus the i-th simple root, ``mask`` its ``RootSystem.letter_masks[i]``:
+    in chain order, or ``backwards``.  Walk order is chain order for a primal
+    element and reversed for a dual one, as :meth:`AlcoveElement.fold` walks,
+    and a reading ``up`` goes against it.  One ``translate`` marks the
+    letters and ``compress`` picks them out, so the Python work is one step
+    per letter, not per position."""
+    marks = roots.translate(mask)
+    if backwards:
+        return compress(range(len(roots) - 1, -1, -1), marks[::-1])
+    return compress(range(len(roots)), marks)
 
 
 def _plus(rs: RootSystem, alpha: int, up: bool) -> int:
@@ -306,10 +340,12 @@ def _letters(el: AlcoveElement, i: int, up: bool = False) -> list[tuple[int, int
     """(position, sign, folded) at each position of ``_scan``, in its order:
     the letters of direction ``i`` in walk order, or read ``up``, backwards
     with their signs negated."""
-    roots = el.fold.roots
-    plus = _plus(el.rs, el.rs.simple_index(i), up)
+    chain, roots = el.chain, el.fold.roots
+    rs = chain.rs
+    plus = _plus(rs, rs.simple_index(i), up)
     jset = set(el.positions)
-    return [(p, 1 if roots[p] == plus else -1, p in jset) for p in _scan(el, i, up)]
+    spots = _scan(roots, rs.letter_masks[i], chain.dual != up)
+    return [(p, 1 if roots[p] == plus else -1, p in jset) for p in spots]
 
 
 def _turns_away(el: AlcoveElement, alpha: int) -> bool:
@@ -317,7 +353,7 @@ def _turns_away(el: AlcoveElement, alpha: int) -> bool:
     i-th wall, ``alpha`` the index of alpha_i.  As <w(rho), alpha_i^vee> =
     <rho, w^-1(alpha_i)^vee>, that is exactly when w^-1(alpha_i) is a
     negative root."""
-    return el.fold.end.perm.index(alpha) >= len(el.rs.positive_roots)
+    return el.fold.end.perm.index(alpha) >= len(el.chain.rs.positive_roots)
 
 
 def i_signature(el: AlcoveElement, i: int) -> tuple[tuple[int, int], ...]:
@@ -337,12 +373,14 @@ def i_signature(el: AlcoveElement, i: int) -> tuple[tuple[int, int], ...]:
 
 def f_op(el: AlcoveElement, i: int) -> AlcoveElement | None:
     """Lowering operator in direction ``i`` (1-based), or None."""
-    return _step(_canonical(el), i, up=el.is_dual)
+    el = _canonical(el)
+    return _step(el, i, el.chain.dual)
 
 
 def e_op(el: AlcoveElement, i: int) -> AlcoveElement | None:
     """Raising operator in direction ``i`` (1-based), or None."""
-    return _step(_canonical(el), i, up=not el.is_dual)
+    el = _canonical(el)
+    return _step(el, i, not el.chain.dual)
 
 
 def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
@@ -356,16 +394,17 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
     when the walk's end product turns rho away from the i-th wall.  ``i`` is
     checked and alpha_i looked up just once.
     """
-    alpha = el.rs.simple_index(i)
+    chain = el.chain
+    alpha = chain.rs.simple_index(i)
     _, last, after = _reduce(el, i, alpha, up)
     if last is not None:
-        return _child(el, i, {last} if after is None else {last, after})
+        return _child(el, i, (last,) if after is None else (last, after))
     if not up:
-        if el.is_window:
+        if chain.is_window:
             raise AssertionError("the limit models always admit a step down")
         return None
     if _turns_away(el, alpha):
-        return _child(el, i, {after})
+        return _child(el, i, (after,))
     return None
 
 
@@ -375,12 +414,13 @@ def _reduce(el: AlcoveElement, i: int, alpha: int, up: bool) -> tuple[int, int |
     unmatched minus before it or stays unmatched.  Returns how many pluses
     stay unmatched, the last of them (``last``) and the first folding read
     after it, or since the start while there is none (``after``)."""
-    roots = el.fold.roots
-    plus = _plus(el.rs, alpha, up)
+    chain, roots = el.chain, el.fold.roots
+    rs = chain.rs
+    plus = _plus(rs, alpha, up)
     jset = set(el.positions)
     minuses = pluses = 0
     last = after = None
-    for p in _scan(el, i, up):
+    for p in _scan(roots, rs.letter_masks[i], chain.dual != up):
         if p in jset:
             if after is None:
                 after = p
@@ -394,7 +434,7 @@ def _reduce(el: AlcoveElement, i: int, alpha: int, up: bool) -> tuple[int, int |
     return pluses, last, after
 
 
-def _child(el: AlcoveElement, i: int, changed: set[int]) -> AlcoveElement:
+def _child(el: AlcoveElement, i: int, changed: Collection[int]) -> AlcoveElement:
     """The element whose foldings differ from ``el``'s at ``changed``, letters
     of direction ``i``, on its canonical window, with its fold derived from
     ``el``'s instead of folded afresh.
@@ -404,13 +444,16 @@ def _child(el: AlcoveElement, i: int, changed: set[int]) -> AlcoveElement:
     lands on every root after one changed position and cancels after two.
     Blocks a window gains or loses hold no folding and are walked first, so
     gained ones read the plain chain roots.  ``_covers`` gives the end
-    product and checks that the result is admissible.
+    product and checks that the result is admissible.  The result is built
+    directly, its fold marked canonical, as ``AlcoveElement.fold`` would
+    find it.
     """
-    chain, rs, dual = el.chain, el.chain.rs, el.chain.dual
-    roots = el.fold.roots
+    chain, roots = el.chain, el.fold.roots
+    rs, dual = chain.rs, chain.dual
     assert len(changed) in (1, 2) and all(rs.letter_masks[i][roots[p]] for p in changed)
+    refl = rs.reflections
     for p in sorted(changed, reverse=dual):
-        roots = _toggle(rs.reflections, roots, p, dual)
+        roots = _toggle(refl, roots, p, dual)
     positions = tuple(sorted(set(el.positions).symmetric_difference(changed)))
     chain, positions = _canonical_window(chain, positions)
     ids = chain.root_ids
@@ -419,11 +462,13 @@ def _child(el: AlcoveElement, i: int, changed: set[int]) -> AlcoveElement:
         roots = roots[: len(ids)] + ids[len(roots) :]
     elif grown:
         roots = ids[: max(grown, 0)] + roots[max(-grown, 0) :]
-    out = AlcoveElement(chain, positions)
-    end, admissible = _covers(out, roots)
+    out = object.__new__(AlcoveElement)
+    kept = out.__dict__
+    kept["chain"], kept["positions"] = chain, positions
+    end, admissible = _covers(rs, positions, dual, roots)
     if not admissible:
-        raise ValueError(f"positions {list(positions)} are not admissible: {out!r}")
-    out.__dict__["fold"] = Fold(roots, end, True)
+        raise _inadmissible(positions, out)
+    kept["fold"] = Fold(roots, end, True, True)
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import alcove as al
 from . import crystalgraph as cg
@@ -335,7 +336,10 @@ def _add_common(p, weight=False, seed=False, fmt=("text", "json")):
     p.add_argument("--format", choices=fmt, default=fmt[0])
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: ``parse_args``
+    keeps nothing between calls, each one filling a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="alcovecrystals",
         description="alcove model crystals, Littelmann paths, and their limits",

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable
 
 from . import alcove as _alcove
@@ -130,6 +131,27 @@ class CrystalGraph:
     def complete(self) -> bool:
         """Whether the enumeration suppressed no neighbor of any node."""
         return not self.boundary
+
+    @cached_property
+    def inverse_failures(self) -> tuple[str, ...]:
+        """Every edge checked against the operator enumeration did not apply
+        to it (see ``check_axioms``); a graph built by hand has no ops to
+        check.  Computed once per graph and kept, so ``check_axioms``,
+        ``check_dual_iso`` and the profile suite share one pass; a graph with
+        other edges or ops (``dataclasses.replace``) computes its own."""
+        ops = self.ops
+        if ops is None:
+            return ()
+        failures = []
+        for edge in self.edges:
+            src, i, dst = edge
+            if edge in self.raised:
+                at, want, back = src, dst, ops.f(src, i)
+            else:
+                at, want, back = dst, src, ops.e(dst, i)
+            if back != want:
+                failures.append(f"{at!r}: operators not inverse in direction {i}")
+        return tuple(failures)
 
 
 def _generator(ops: CrystalOps, x):
@@ -289,7 +311,7 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
         out_edge[(src, i)] = dst
         in_edge[(dst, i)] = src
 
-    failures += _inverse_failures(graph)
+    failures += graph.inverse_failures
 
     for k, data in graph.nodes.items():
         for pos, i in enumerate(index_set):
@@ -314,24 +336,6 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
         if b.eps[pos] != a.eps[pos] + 1 or b.phi[pos] != a.phi[pos] - 1:
             failures.append(f"{src!r}: statistic step wrong on the edge -{i}-> {dst!r}")
     return Check("axioms", len(graph.nodes), failures)
-
-
-def _inverse_failures(graph: CrystalGraph) -> list:
-    """Every edge checked against the operator enumeration did not apply to
-    it (see ``check_axioms``); a graph built by hand has no ops to check."""
-    ops = graph.ops
-    if ops is None:
-        return []
-    failures = []
-    for edge in graph.edges:
-        src, i, dst = edge
-        if edge in graph.raised:
-            at, want, back = src, dst, ops.f(src, i)
-        else:
-            at, want, back = dst, src, ops.e(dst, i)
-        if back != want:
-            failures.append(f"{at!r}: operators not inverse in direction {i}")
-    return failures
 
 
 def check_dual_iso(source: CrystalGraph, mapping: Callable, target: CrystalGraph) -> Check:
@@ -376,7 +380,7 @@ def check_dual_iso(source: CrystalGraph, mapping: Callable, target: CrystalGraph
         for edge in target.edges
         if edge not in reversed_edges
     ]
-    failures += _inverse_failures(source) + _inverse_failures(target)
+    failures += source.inverse_failures + target.inverse_failures
     return Check("dual-iso", len(source.nodes), failures)
 
 

@@ -250,7 +250,7 @@ def _profile(sweep) -> list[Check]:
                     continue
                 if peak - h_inf != 2 * stat(el, i):
                     stat_failures.append(f"{source}: {name} disagrees with the profile at {el!r}, i={i}")
-        failures += [f"{source}: {failure}" for failure in cg._inverse_failures(graph)]
+        failures += [f"{source}: {failure}" for failure in graph.inverse_failures]
     return [
         Check(f"profile operators checks {checks}", checks, failures),
         Check(f"profile statistics checks {stats}", stats, stat_failures),

@@ -424,6 +424,90 @@ def test_derived_child_checks_admissibility():
         al._child(al.AlcoveElement(chain, ()), 1, set(letters))
 
 
+def full_cover_walk(rs, positions, dual, roots):
+    """``_covers``'s walk on all 256 bytes of the identity permutation, with
+    the length counted by comparing every root index with the number of
+    positive roots: the end product and whether every folding was a
+    Bruhat cover."""
+    npos = len(rs.positive_roots)
+    w, covers = bytes(range(256)), True
+    for count, p in enumerate(reversed(positions) if dual else positions, 1):
+        w = w.translate(rs.reflections[roots[p]])
+        covers = covers and sum(k >= npos for k in w[:npos]) == count
+    return w, covers
+
+
+@pytest.mark.parametrize("type_string", ["F4", "E8"])
+def test_cover_walk_on_the_root_indices_matches_the_full_walk(type_string):
+    """``_covers`` walks the first 2|Phi+| bytes only (240 of 256 on E8, the
+    most roots a supported type has) and pads the end once; its end product
+    and cover verdict must equal the walk on the full 256-byte table, on
+    random position sets, admissible and not, and on operator results."""
+    rs = RootSystem.from_type(type_string)
+    rng = random.Random(f"covers-{type_string}")
+    rho = lex_chain(rs, rs.rho)
+    elements = []
+    for chain in (rho, dual_chain(rho), window(rs, 1), window(rs, 2, dual=True)):
+        elements += [al.AlcoveElement(chain, c) for c in random_position_sets(chain, rng, 10)]
+    for dual in (False, True):
+        b = al.element(window(rs, 1, dual=dual), [])
+        for _ in range(12):
+            b = al._step(b, rng.choice(rs.index_set), False)
+            elements.append(b)
+    verdicts = Counter()
+    for b in elements:
+        chain = b.chain
+        end, ok = al._covers(rs, b.positions, chain.dual, b.fold.roots)
+        assert (end.perm, ok) == full_cover_walk(rs, b.positions, chain.dual, b.fold.roots), b
+        assert (end, ok) == (b.fold.end, b.fold.admissible), b
+        verdicts[ok] += 1
+    assert verdicts[True] > 20 and verdicts[False] > 10, verdicts
+
+
+@pytest.mark.parametrize(
+    "type_string, depth", [("A2", 5), ("B2", 5), ("G2", 5), ("A3", 4)], ids=["a2", "b2", "g2", "a3"]
+)
+def test_fold_knows_whether_the_element_is_canonical(type_string, depth):
+    """The fold's ``canonical`` flag is whether ``_canonical_window`` keeps
+    the chain: on the pool (operator results, born canonical, and their
+    fresh folds), on its window elements widened by two and three blocks,
+    and on them narrowed to their deepest block."""
+    pool, wide = widened_pool(type_string, depth)
+    narrow = [verify._widen(b, -1) for b in pool if b.is_window and b.positions]
+    assert len(narrow) > 20
+    for b in pool + wide + narrow:
+        kept = al._canonical_window(b.chain, b.positions)[0] is b.chain
+        fresh = al.AlcoveElement(b.chain, b.positions)
+        assert b.fold.canonical == fresh.fold.canonical == kept, b
+        assert al._canonical(b) == al._canonical(fresh)
+        assert (al._canonical(b) is b) == kept, b
+    assert all(b.fold.canonical for b in pool)
+    assert not any(b.fold.canonical for b in wide + narrow)
+
+
+def test_canonical_refuses_an_inadmissible_element():
+    # two alpha_1 letters, in the two blocks nearest the fixed end of a
+    # three-block A2 window: s_1 s_1 is no chain of covers
+    chain = window(A2, 3)
+    letters = tuple(p for p, e in enumerate(chain.entries) if e.root.coeffs == (1, 0))[1:]
+    canonical = al.AlcoveElement(chain, letters)
+    assert canonical.fold.canonical and not canonical.fold.admissible
+    refused_as = "are not admissible: ((α1, -2), (α1, -1))"
+    wide, narrow = verify._widen(canonical, 2), verify._widen(canonical, -1)
+    assert not (wide.fold.canonical or narrow.fold.canonical)
+    cases = [
+        (canonical, f"positions [6, 10] {refused_as}"),
+        (wide, f"positions [14, 18] {refused_as}"),
+        (narrow, f"positions [2, 6] {refused_as}"),
+    ]
+    reads = (al._canonical, lambda x: al.f_op(x, 1), lambda x: al.e_op(x, 2), lambda x: x.strings)
+    for b, text in cases:
+        for read in reads:
+            with pytest.raises(ValueError) as refused:
+                read(b)
+            assert str(refused.value) == text
+
+
 def test_folded_chain_single_fold():
     chain = lex_chain(A2, (1, 1))
     folded = folded_roots(el(chain, 2))

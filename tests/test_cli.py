@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from alcovecrystals import alcove, chains, cli, limits, verify
+from alcovecrystals import crystalgraph as cg
 from alcovecrystals import littelmann as lp
 from alcovecrystals.cli import run
 from alcovecrystals.rootsys import RootSystem
@@ -327,6 +328,17 @@ def test_dual_iso_catches_an_operator_wrong_only_where_enumeration_skips_it(monk
     assert "     ((α1, 0)): operators not inverse in direction 1" in lines
 
 
+def test_verify_all_runs_each_inverse_check_once(monkeypatch, capsys):
+    # axioms, dual-iso and profile each need the inverse check of a graph;
+    # the graph computes it once and every suite reads it
+    prop = cg.CrystalGraph.__dict__["inverse_failures"]
+    body, computed = prop.func, []
+    monkeypatch.setattr(prop, "func", lambda graph: computed.append(id(graph)) or body(graph))
+    assert run(["verify", "--type", "B2", "--suite", "all"]) == 0
+    assert out_of(capsys).splitlines()[-1] == "passed 55/55 checks"
+    assert len(computed) == len(set(computed)) == 22
+
+
 def test_limits_suite_fails_on_a_wrongly_grown_window(monkeypatch, capsys):
     # the suite compares each operator with its step over a wider window
     # that is not renormalized back to the element itself
@@ -559,6 +571,23 @@ def test_a_truncation_past_the_node_limit_is_refused(argv, message):
     assert done.stdout == ""
     assert done.stderr.startswith(f"error: {message} nodes")
     assert done.stderr.endswith(f"; at most {cli.MAX_NODES} are enumerated\n")
+
+
+def test_runs_in_a_row_share_no_options(monkeypatch, capsys):
+    # the parser is built once per process; each run parses into a fresh
+    # namespace, so an option given once is not carried into the next run
+    seen = []
+    monkeypatch.setitem(cli._DISPATCH, "verify", lambda args: seen.append(vars(args)) or 0)
+    first = ["verify", "--type", "B2", "--suite", "limits", "--depth", "2", "--format", "json"]
+    assert run(first) == 0
+    assert run(["verify", "--depth", "-1"]) == 2
+    assert run(["verify", "--type", "A2"]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    common = {"cmd": "verify", "matrix": None}
+    assert seen == [
+        {**common, "type": "B2", "format": "json", "suite": "limits", "depth": 2},
+        {**common, "type": "A2", "format": "text", "suite": "all", "depth": 4},
+    ]
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

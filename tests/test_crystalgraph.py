@@ -380,6 +380,23 @@ def test_dualized_graphs_check_inverses():
         assert cg.dualize_graph(d).raised == g.raised
 
 
+def test_the_inverse_check_runs_once_per_graph():
+    """``check_axioms`` and ``check_dual_iso`` share each graph's inverse
+    check: every edge's other direction is computed once per graph, however
+    often the graph is checked, and a graph with other ops (``replace``)
+    checks them afresh."""
+    source = alcove_graph(A2, (1, 1))
+    target = cg.enumerate_crystal(cg.path_ops(A2), [lp.straight_path(A2, (1, 1))])
+    ops, calls = counted(source.ops)
+    source = replace(source, ops=ops)
+    for _ in range(2):
+        assert cg.check_axioms(source, seminormal=True).ok
+        assert cg.check_dual_iso(source, limits.varpi, target).ok
+    assert calls[0] == len(source.edges) > 0
+    assert cg.check_axioms(replace(source, ops=ops)).ok
+    assert calls[0] == 2 * len(source.edges)
+
+
 def test_axioms_catch_corrupt_statistics():
     g = alcove_graph(A2, (1, 1))
     key = next(iter(g.nodes))

@@ -21,11 +21,17 @@ not per position of the window, and one pass over those positions
 (``_reduce``) reduces the signature.  Weights are read off the folded chain
 through two tables built once: each folding adds its fold level (the
 chain's ``fold_levels``) times its folded root's row of
-``RootSystem.root_weights``.  The string statistics come from the same pass
-as the step, so no operator is applied to compute them: stepping up applies
-once per unmatched plus of the upward reading and once more when the end
-product turns rho away from the i-th wall, which gives epsilon (phi in the
-dual models), and the weight's i-th coordinate gives the other one.  A
+``RootSystem.root_weights``.  The string statistics come from the signature
+rule of the step, so no operator is applied to compute them: stepping up
+applies once per unmatched plus of the upward reading and once more when the
+end product turns rho away from the i-th wall, which gives epsilon (phi in
+the dual models), and the weight's i-th coordinate gives the other one.
+``AlcoveElement.strings`` reads every direction in one pass: one
+``translate`` through ``RootSystem.letter_directions`` marks the letters of
+all directions, one ``compress`` picks them out upwards, and each direction
+keeps its own counts, so an element's statistics cost one reading, not one
+per direction; ``strings`` hands back both tuples, and ``epsilon`` and
+``phi`` read one entry.  A
 second, independent formulation of the operators through a piecewise linear
 profile is their oracle (``profile_f`` / ``profile_e``);
 how far that profile falls from its peak to its end is an oracle for the
@@ -60,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import add, sub
 from typing import Collection, Iterator, NamedTuple
 
 from .chains import (
@@ -92,6 +99,7 @@ __all__ = [
     "profile_f",
     "project_Spr",
     "render_element",
+    "strings",
     "weight",
 ]
 
@@ -201,27 +209,47 @@ class AlcoveElement:
         return tuple(total)
 
     @cached_property
-    def strings(self) -> dict[int, tuple[int, int]]:
-        """(epsilon, phi) in every direction i, from the signature count.
+    def strings(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(epsilon, phi): two tuples with one entry per direction of
+        ``index_set``, from the signature count of every direction at once.
 
         Stepping up applies once per unmatched plus of the reading ``_step``
         makes upwards, and once more when the end product turns rho away
         from the i-th wall (``_turns_away``); that count is epsilon for a
-        primal element and phi for a dual one.  The other statistic follows
-        from phi - epsilon = <wt, alpha_i^vee>, the i-th coordinate of the
+        primal element and phi for a dual one.  One ``translate`` through
+        ``RootSystem.letter_directions`` marks the letters of every direction,
+        the foldings are unmarked, and one ``compress`` picks the letters'
+        roots out in the upward order, against the walk, as ``_scan`` reads
+        upwards; each direction keeps its own count of open minuses and
+        unmatched pluses.  The other statistic follows from
+        phi - epsilon = <wt, alpha_i^vee>, the i-th coordinate of the
         weight, which in the limit models defines it and lets it be negative.
         """
         el = _canonical(self)
-        chain, wt = self.chain, self.wt
+        chain, roots, wt = el.chain, el.fold.roots, self.wt
         rs, dual = chain.rs, chain.dual
-        out = {}
-        for i in rs.index_set:
-            alpha = rs.simple_index(i)
-            pluses, _, _ = _reduce(el, i, alpha, True)
-            steps = pluses + _turns_away(el, alpha)
-            gap = wt[i - 1]  # <wt, alpha_i^vee>, as <Lambda_j, alpha_i^vee> = delta_ij
-            out[i] = (steps - gap, steps) if dual else (steps, steps + gap)
-        return out
+        directions, npos = rs.letter_directions, len(rs.positive_roots)
+        marks = bytearray(roots.translate(directions))
+        for p in el.positions:
+            marks[p] = 0  # a folding is no letter of the signature
+        if not dual:  # primal walk order is chain order: read it backwards
+            roots, marks = roots[::-1], marks[::-1]
+        minuses = [0] * (rs.rank + 1)
+        pluses = [0] * (rs.rank + 1)
+        for root in compress(roots, marks):
+            j = directions[root]
+            if root < npos:  # alpha_j, a minus read upwards
+                minuses[j] += 1
+            elif minuses[j]:
+                minuses[j] -= 1
+            else:
+                pluses[j] += 1
+        steps = tuple(
+            pluses[i] + _turns_away(el, alpha) for i, alpha in zip(rs.index_set, rs._simple_indices)
+        )
+        # <wt, alpha_i^vee> is the i-th coordinate, as <Lambda_j, alpha_i^vee> = delta_ij
+        other = tuple(map(sub if dual else add, steps, wt))
+        return (other, steps) if dual else (steps, other)
 
     @cached_property
     def profiles(self) -> dict[int, tuple]:
@@ -481,18 +509,24 @@ def weight(el: AlcoveElement):
     return el.wt
 
 
+def strings(el: AlcoveElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(epsilon, phi) in every direction at once: two tuples in ``index_set``
+    order (``AlcoveElement.strings``)."""
+    return el.strings
+
+
 def epsilon(el: AlcoveElement, i: int) -> int:
     """How many times the raising operator applies; in the dual limit model it
     is defined through the weight identity and may be negative."""
     el.rs._check_index(i)
-    return el.strings[i][0]
+    return el.strings[0][i - 1]
 
 
 def phi(el: AlcoveElement, i: int) -> int:
     """How many times the lowering operator applies; in the limit model it is
     defined through the weight identity and may be negative."""
     el.rs._check_index(i)
-    return el.strings[i][1]
+    return el.strings[1][i - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@ key: a graph's ``nodes`` map the elements to their statistics and its
 edges join elements, so an alcove element (its chain and positions) and a
 path (its canonical integer form) are never re-encoded.  Enumeration is a
 deterministic breadth-first walk along both raising and lowering operators
-that computes each edge once; the resulting graph keeps per-node
-statistics, so the checks call no operator except the one applied to each
-edge's other end; ``check_dual_iso`` compares two graphs through a transport.
+that computes each edge once and reads each node's statistics in every
+direction with one ``strings`` call; inside the walk nodes are numbered in
+the order they are found, so the bookkeeping of which edges are known and
+the final sort of the edges work on small integers rather than hashing
+elements.  The resulting graph keeps per-node statistics, so the checks
+call no operator except the one applied to each edge's other end;
+``check_dual_iso`` compares two graphs through a transport.
 
 Graphs truncated at a depth remember which nodes had neighbors suppressed
 (``boundary``); structural checks skip existence assertions exactly there.
@@ -57,14 +61,19 @@ __all__ = [
 class CrystalOps:
     """Operator bundle: everything the graph machinery needs about a model.
 
-    ``kind`` names the elements the ops take: alcove elements over a finite
-    ``"chain"`` or a ``"window"``, or paths of that kind (``littelmann.KINDS``)."""
+    ``strings(x)`` gives (epsilon, phi) of ``x`` in every direction at once,
+    two tuples in ``index_set`` order; ``weight`` stays apart, as
+    ``check_dual_iso`` reads it on images.  A bundle derived with
+    ``dataclasses.replace`` that changes the statistics replaces
+    ``strings``; there is no per-direction field to fall back on.  ``kind``
+    names the elements the ops take: alcove elements over a finite
+    ``"chain"`` or a ``"window"``, or paths of that kind
+    (``littelmann.KINDS``)."""
 
     rs: RootSystem
     f: Callable[[Any, int], Any]
     e: Callable[[Any, int], Any]
-    epsilon: Callable[[Any, int], Any]
-    phi: Callable[[Any, int], Any]
+    strings: Callable[[Any], tuple[tuple, tuple]]
     weight: Callable[[Any], tuple]
     kind: str
 
@@ -75,8 +84,7 @@ def alcove_ops(chain) -> CrystalOps:
         rs=chain.rs,
         f=_alcove.f_op,
         e=_alcove.e_op,
-        epsilon=_alcove.epsilon,
-        phi=_alcove.phi,
+        strings=_alcove.strings,
         weight=_alcove.weight,
         kind="window" if chain.is_window else "chain",
     )
@@ -90,8 +98,7 @@ def path_ops(rs: RootSystem, kind: str = "finite") -> CrystalOps:
         rs=rs,
         f=_paths.f_op,
         e=_paths.e_op,
-        epsilon=_paths.epsilon,
-        phi=_paths.phi,
+        strings=_paths.strings,
         weight=_paths.weight,
         kind=kind,
     )
@@ -182,73 +189,88 @@ def enumerate_crystal(ops: CrystalOps, generators, depth: int | None = None) -> 
     how nodes above the generators are reached.  Whether the operators are
     mutually inverse is not read off the graph; ``check_axioms`` computes
     the other direction of every edge.
+
+    Each node is numbered as it is admitted, and its statistics are read
+    then: ``ops.weight`` and one ``ops.strings``.  The known edges out and
+    in are one bitmask per node, and each edge is recorded as (source id,
+    direction, target id, found by raising) and sorted as such, so nodes
+    keep the order they were found in and edges come sorted by source,
+    direction and target in that order.  A generator listed twice is one
+    node and stays twice in ``generators``.
     """
     if depth is None:
         if ops.kind not in ("chain", "finite"):
             raise ValueError("an infinite crystal can only be enumerated to a finite depth")
     elif _integer(depth, "depth") < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
-    index_set = ops.rs.index_set
-    nodes: dict = {}
-    edges = []
-    raised = []
-    has_out = set()
-    has_in = set()
+    f, e, strings, weight = ops.f, ops.e, ops.strings, ops.weight
+    directions = [(i, 1 << i) for i in ops.rs.index_set]
+    ids: dict = {}  # element -> node id, numbered in insertion order
+    elements = []  # node id -> element
+    stats = []  # node id -> NodeData
+    has_out = []  # node id -> bitmask of the directions with an edge out known
+    has_in = []  # node id -> bitmask of the directions with an edge in known
+    edges = []  # (source id, direction, target id, found by raising)
     boundary = set()
     queue = deque()
 
-    def admit(x, d):
-        if x not in nodes:
-            nodes[x] = NodeData(
-                weight=tuple(ops.weight(x)),
-                eps=tuple(ops.epsilon(x, i) for i in index_set),
-                phi=tuple(ops.phi(x, i) for i in index_set),
-            )
-            queue.append((x, d))
-        return x
+    def admit(x, d) -> int:
+        n = ids[x] = len(elements)
+        elements.append(x)
+        wt = tuple(weight(x))
+        eps, phi = strings(x)
+        stats.append(NodeData(weight=wt, eps=tuple(eps), phi=tuple(phi)))
+        has_out.append(0)
+        has_in.append(0)
+        queue.append((n, d))
+        return n
 
-    def reach(other, x, d):
-        """The neighbor ``other`` of the node ``x`` at depth ``d``, admitted
-        if new, or None if the depth bound keeps it out."""
-        if other not in nodes:
+    def reach(other, n, d) -> int | None:
+        """The id of the neighbor ``other`` of the node ``n`` at depth ``d``,
+        admitted if new, or None if the depth bound keeps it out."""
+        m = ids.get(other)
+        if m is None:
             if depth is not None and d >= depth:
-                boundary.add(x)
+                boundary.add(n)
                 return None
-            admit(other, d + 1)
-        return other
+            m = admit(other, d + 1)
+        return m
 
-    gens = [admit(_generator(ops, g), 0) for g in generators]
+    gens = []
+    for g in generators:
+        x = _generator(ops, g)
+        if x not in ids:
+            admit(x, 0)
+        gens.append(x)
 
     while queue:
-        x, d = queue.popleft()
-        for i in index_set:
-            if (x, i) not in has_out:
-                below = ops.f(x, i)
-                y = None if below is None else reach(below, x, d)
-                if y is not None:
-                    edges.append((x, i, y))
-                    has_out.add((x, i))
-                    has_in.add((y, i))
-            if (x, i) not in has_in:
-                above = ops.e(x, i)
-                y = None if above is None else reach(above, x, d)
-                if y is not None:
-                    edge = (y, i, x)
-                    edges.append(edge)
-                    raised.append(edge)
-                    has_out.add((y, i))
-                    has_in.add((x, i))
+        n, d = queue.popleft()
+        x = elements[n]
+        for i, bit in directions:
+            if not has_out[n] & bit:
+                below = f(x, i)
+                m = None if below is None else reach(below, n, d)
+                if m is not None:
+                    edges.append((n, i, m, False))
+                    has_out[n] |= bit
+                    has_in[m] |= bit
+            if not has_in[n] & bit:
+                above = e(x, i)
+                m = None if above is None else reach(above, n, d)
+                if m is not None:
+                    edges.append((m, i, n, True))
+                    has_out[m] |= bit
+                    has_in[n] |= bit
 
-    order = {k: n for n, k in enumerate(nodes)}
-    edges.sort(key=lambda t: (order[t[0]], t[1], order[t[2]]))
+    edges.sort()
     return CrystalGraph(
         rs=ops.rs,
-        nodes=nodes,
-        edges=edges,
+        nodes=dict(zip(elements, stats)),
+        edges=[(elements[s], i, elements[t]) for s, i, t, _ in edges],
         generators=gens,
-        boundary=frozenset(boundary),
+        boundary=frozenset(elements[n] for n in boundary),
         ops=ops,
-        raised=frozenset(raised),
+        raised=frozenset((elements[s], i, elements[t]) for s, i, t, up in edges if up),
     )
 
 
@@ -513,8 +535,7 @@ def _dual_ops(ops: CrystalOps) -> CrystalOps:
         ops,
         f=ops.e,
         e=ops.f,
-        epsilon=ops.phi,
-        phi=ops.epsilon,
+        strings=lambda x: ops.strings(x)[::-1],
         weight=lambda x: tuple(-c for c in ops.weight(x)),
     )
 

@@ -25,7 +25,9 @@ sigma * <lambda, beta^vee> in Z (Littelmann, *Paths and crystal bases*,
 In fundamental-weight coordinates the pairing with the simple coroot
 alpha_i^vee is coordinate ``i - 1``, so the height profile along direction i
 is that coordinate of each stored point, and the string statistics and the
-operators' minimum and crossings are integer scans.  Raising and lowering
+operators' minimum and crossings are integer scans; :func:`strings` reads
+every direction's statistics in one pass over the vertices.  Each public
+function checks the direction once.  Raising and lowering
 reflect a window of the path, where the height reaches its extreme value,
 through the Cartan row of i; they insert at most one vertex, at the crossing
 that bounds the window, rescaling the denominator when that crossing falls
@@ -44,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import pairwise
 from math import gcd, lcm
-from operator import index
+from operator import add, index
 
 from .rootsys import RootSystem
 
@@ -59,6 +61,7 @@ __all__ = [
     "pi_infinity",
     "render_path",
     "straight_path",
+    "strings",
     "weight",
     "xi_infinity",
 ]
@@ -244,8 +247,8 @@ def xi_infinity(rs: RootSystem) -> PLPath:
 
 
 def _heights(path: PLPath, i: int) -> list[int]:
-    """``den`` times the height along alpha_i^vee at each vertex."""
-    path.rs.simple_root(i)  # validates the index
+    """``den`` times the height along alpha_i^vee at each vertex; the public
+    functions check ``i`` once, before they read it."""
     k = i - 1
     return [p[k] for p in path.points]
 
@@ -307,9 +310,24 @@ def _reflect(path, den, times, points, i0, lo, hi) -> PLPath:
 
 def e_op(path: PLPath, i: int) -> PLPath | None:
     """Raising operator, or None when the height never dips to -1."""
+    path.rs._check_index(i)
     if path.kind == "co-extended":
-        out = f_op(dualize(path), i)
+        out = _lower(dualize(path), i)
         return None if out is None else dualize(out)
+    return _raise(path, i)
+
+
+def f_op(path: PLPath, i: int) -> PLPath | None:
+    """Lowering operator; never None on the unbounded kinds."""
+    path.rs._check_index(i)
+    if path.kind == "co-extended":
+        out = _raise(dualize(path), i)
+        return None if out is None else dualize(out)
+    return _lower(path, i)
+
+
+def _raise(path: PLPath, i: int) -> PLPath | None:
+    """``e_op`` on a finite or extended path, ``i`` already checked."""
     den = path.den
     h = _heights(path, i)
     m = min(h)
@@ -325,11 +343,8 @@ def e_op(path: PLPath, i: int) -> PLPath | None:
     return _reflect(path, den, times, points, i - 1, lo, first_min + len(times) - len(h))
 
 
-def f_op(path: PLPath, i: int) -> PLPath | None:
-    """Lowering operator; never None on the unbounded kinds."""
-    if path.kind == "co-extended":
-        out = e_op(dualize(path), i)
-        return None if out is None else dualize(out)
+def _lower(path: PLPath, i: int) -> PLPath | None:
+    """``f_op`` on a finite or extended path, ``i`` already checked."""
     den = path.den
     h = _heights(path, i)
     m = min(h)
@@ -366,18 +381,41 @@ def weight(path: PLPath) -> tuple[int, ...]:
     return tuple(_require_integral(c, path.den, "a weight coordinate") for c in end)
 
 
+def strings(path: PLPath) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(epsilon, phi): two tuples with one entry per direction of
+    ``index_set``, from one pass over the vertices.
+
+    The vertices' coordinates, taken per direction (``zip(*points)``), are
+    the height profiles of every direction.  Epsilon is minus the minimal
+    height, or on the co-extended kind the maximal one; phi is the fall
+    from the end to the minimum on a finite path and epsilon plus the
+    weight's coordinate on the unbounded kinds.  ValueError if a height or
+    the weight is not an integer."""
+    den, kind = path.den, path.kind
+    heights = tuple(zip(*path.points))
+    if kind == "co-extended":
+        eps = tuple(_require_integral(max(h), den, "the maximal height") for h in heights)
+    else:
+        lows = tuple(map(min, heights))
+        eps = tuple(-_require_integral(m, den, "the minimal height") for m in lows)
+    if kind != "finite":
+        return eps, tuple(map(add, eps, weight(path)))
+    ends = path.points[-1]
+    return eps, tuple(_require_integral(e - m, den, "the height gap") for e, m in zip(ends, lows))
+
+
 def epsilon(path: PLPath, i: int) -> int:
-    h = _heights(path, i)
-    if path.kind == "co-extended":
-        return _require_integral(max(h), path.den, "the maximal height")
-    return -_require_integral(min(h), path.den, "the minimal height")
+    """How many times the raising operator applies (``strings``); on the
+    co-extended kind it is the maximal height and may be negative."""
+    path.rs._check_index(i)
+    return strings(path)[0][i - 1]
 
 
 def phi(path: PLPath, i: int) -> int:
-    if path.kind == "finite":
-        h = _heights(path, i)
-        return _require_integral(h[-1] - min(h), path.den, "the height gap")
-    return epsilon(path, i) + weight(path)[i - 1]
+    """How many times the lowering operator applies (``strings``); on the
+    unbounded kinds it is defined through the weight and may be negative."""
+    path.rs._check_index(i)
+    return strings(path)[1][i - 1]
 
 
 # ---------------------------------------------------------------------------

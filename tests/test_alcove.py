@@ -695,6 +695,58 @@ def test_string_statistics_match_string_walks_beyond_rank_three(type_string, lam
     assert compare_string_statistics(sweep.rs, pools) >= 2 * len(pools[0]) * sweep.rs.rank
 
 
+def per_direction_strings(b):
+    """(epsilon, phi) read one direction at a time: the unmatched pluses of
+    the upward signature reduction of each direction, plus one when the end
+    product turns rho away from its wall, the count of one ``_reduce`` per
+    direction; the weight gives the other statistic."""
+    el = al._canonical(b)
+    rs = el.rs
+    out = []
+    for i in rs.index_set:
+        alpha = rs.simple_index(i)
+        pluses, _, _ = al._reduce(el, i, alpha, True)
+        steps = pluses + al._turns_away(el, alpha)
+        gap = b.wt[i - 1]
+        out.append((steps - gap, steps) if el.is_dual else (steps, steps + gap))
+    return out
+
+
+@pytest.mark.parametrize("type_string", ["A4", "B3", "C3", "D4", "F4", "E6", "E7", "E8", "G2"])
+def test_one_reading_statistics_match_the_per_direction_reading(type_string):
+    """``AlcoveElement.strings`` reads every direction in one pass; direction
+    by direction it must give what one reduction per direction gives, on
+    seeded random admissible elements of the rho-chain and of the one- and
+    two-block windows, primal and dual, and on random operator walks from
+    the empty element of both windows."""
+    rs = RootSystem.from_type(type_string)
+    rng = random.Random(f"strings-{type_string}")
+    rho = lex_chain(rs, rs.rho)
+    chains = [rho, dual_chain(rho)] + [
+        window(rs, copies, dual) for copies in (1, 2) for dual in (False, True)
+    ]
+    elements = []
+    for chain in chains:
+        for combo in random_position_sets(chain, rng, 8):
+            b = al.AlcoveElement(chain, combo)
+            if al.is_admissible(b):
+                elements.append(b)
+    for dual in (False, True):
+        b = al.element(window(rs, 1, dual=dual), [])
+        for _ in range(30):
+            # a step up from the top of a window is None: stay put
+            b = al._step(b, rng.choice(rs.index_set), rng.random() < 0.3) or b
+            elements.append(b)
+    moved = 0
+    for b in elements:
+        eps, phi = b.strings
+        for i, want in zip(rs.index_set, per_direction_strings(b)):
+            assert (eps[i - 1], phi[i - 1]) == want, (b, i)
+            assert (al.epsilon(b, i), al.phi(b, i)) == want, (b, i)
+        moved += any(eps) and any(phi)
+    assert len(elements) > 60 and moved > 30, (len(elements), moved)
+
+
 # ---------------------------------------------------------------------------
 # window model
 

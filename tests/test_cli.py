@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -143,6 +144,26 @@ def test_export_json_window(capsys):
     doc = json.loads(out_of(capsys))
     assert len(doc["nodes"]) == 7
     assert doc["complete"] is False
+
+
+# SHA-256 of the export JSON as the enumeration of the library gave it when
+# these digests were taken: any change to node order, labels, statistics or
+# edges changes them.
+EXPORT_DIGESTS = {
+    "--type G2 --weight 2,1": "8a77d097d018c4fe81de967ce45653b3e3ef9debd9f321e239c68b261e5b0df9",
+    "--type G2 --weight 2,1 --dual": "1419049c15f18780c83c2973333f308647b2a6c085fe7877f79e8a648bb5cc26",
+    "--type A3 --weight 1,1,1 --dual": "4900482ed9efd1be6e2794d1c7e57878e5fb52d1bba5353f54fd3ef05e85db2e",
+    "--type A2 --infinity --depth 4": "ebe5a8916eaabb657e9346332fe8b52fe680b3ca4baef8bcdcd8676f18aa1006",
+    "--type A2 --infinity --depth 4 --dual": "24206487b642205834d5a7e540956b72f0e798dc9bfd19406ce5a844a6390dba",
+    "--type G2 --infinity --depth 4": "3df5974165e52894934a1bea5b393019850aad12bf7113e9acff7ca8b6ea6ca0",
+    "--type G2 --infinity --depth 4 --dual": "de94a8b66f87edf72815a72a2a947edc4d12f3041e57b10d5b0d6e85f9c629bf",
+}
+
+
+@pytest.mark.parametrize("args", list(EXPORT_DIGESTS))
+def test_export_json_is_pinned_byte_for_byte(args, capsys):
+    assert run(["export", *args.split(), "--format", "json"]) == 0
+    assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == EXPORT_DIGESTS[args]
 
 
 def test_export_window_requires_depth(capsys):

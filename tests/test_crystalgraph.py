@@ -186,11 +186,17 @@ def _closure_cases():
             win = window(rs, 1, dual=dual)
             yield cg.alcove_ops(win), [al.element(win, [])], depth
     yield cg.path_ops(A2, "extended"), [lp.pi_infinity(A2)], 3
+    # a generator listed twice is one node, and the graph keeps both entries
+    yield cg.path_ops(A2, "co-extended"), [lp.xi_infinity(A2)] * 2, 3
 
 
 def test_enumeration_matches_the_two_sided_reference():
+    """Nodes, edges and boundary as the closure that computes every edge
+    from both ends finds them, each node's statistics as the public
+    per-direction functions of its model give them, and the generators as
+    listed."""
     cases = list(_closure_cases())
-    assert sum(depth is not None for _, _, depth in cases) == 5
+    assert sum(depth is not None for _, _, depth in cases) == 6
     for ops, gens, depth in cases:
         g = cg.enumerate_crystal(ops, gens, depth=depth)
         nodes, edges, boundary = reference_closure(ops, gens, depth=depth)
@@ -198,6 +204,15 @@ def test_enumeration_matches_the_two_sided_reference():
         assert g.edges == edges
         assert g.boundary == boundary
         assert (depth is None) == g.complete
+        assert g.generators == gens
+        model = al if ops.kind in ("chain", "window") else lp
+        for x, data in g.nodes.items():
+            want = cg.NodeData(
+                weight=tuple(model.weight(x)),
+                eps=tuple(model.epsilon(x, i) for i in ops.rs.index_set),
+                phi=tuple(model.phi(x, i) for i in ops.rs.index_set),
+            )
+            assert data == want, x
 
 
 def counted(ops):

@@ -316,10 +316,15 @@ def twisted_paths(rs, k):
     epsilon unchanged, weights shifted by -k rho and phi by -k, as
     <k rho, alpha_i^vee> = k."""
     shift = tuple(k * c for c in rs.rho)
+
+    def strings(p):
+        eps, phi = lp.strings(p)
+        return eps, tuple(c - k for c in phi)
+
     return replace(
         cg.path_ops(rs),
         weight=lambda p: tuple(a - b for a, b in zip(lp.weight(p), shift)),
-        phi=lambda p, i: lp.phi(p, i) - k,
+        strings=strings,
     )
 
 

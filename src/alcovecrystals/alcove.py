@@ -42,23 +42,23 @@ share it; a profile whose letters break its structure conditions raises
 
 Each element is folded once (``AlcoveElement.fold``): the folded roots as
 root indices (one byte per position, see ``RootSystem.roots``), the end
-product of the folding reflections and whether every folding was a Bruhat
-cover.  Toggling the folding at p translates every root after p in walk
-order by the reflection through the folded root at p (``_toggle``), as
-P s_beta = s_{P(beta)} P.  An element built by :func:`element` or directly
-toggles each of its foldings on the chain's root indices; an operator's
-result toggles the one or two positions that move on its parent's folded
-roots (``_child``).  Both read the reflection's permutation from
-``RootSystem.reflections`` at the folded root's byte, and ``_covers``
-composes those permutations at the foldings into the end product, checking
-the length at every folding; it walks the root indices alone, the first
-2|Phi+| bytes, and pads only the end to a full table.  Every operator and
-statistic reads its argument through ``_canonical``, which refuses an
-element that is not admissible, and every operator checks its result.  The
-fold also records whether the element sits on its canonical window; an
-operator's result is built on that window, so it is born canonical and
-``_canonical`` hands it back as it is.  The weight and the string
-statistics are computed once per element and kept.
+product of the folding reflections as the permutation it makes of the root
+indices, and whether every folding was a Bruhat cover.  Toggling the folding
+at p translates every root after p in walk order by the reflection through
+the folded root at p (``_toggle``), as P s_beta = s_{P(beta)} P.  An element
+built by :func:`element` or directly toggles each of its foldings on the
+chain's root indices; an operator's result toggles the one or two positions
+that move on its parent's folded roots (``_child``).  Both read the
+reflection's permutation from ``RootSystem.reflections`` at the folded
+root's byte, and ``_covers`` composes those permutations at the foldings
+into the end product, checking the length at every folding; it walks the
+root indices alone, the first 2|Phi+| bytes, and the end product stays those
+bytes; the Weyl elements of ``rootsys`` serve callers and tests.  Every
+operator and statistic reads its argument through ``_canonical``, which
+moves it to its canonical window and refuses an element that is not
+admissible, and every operator checks its result; an operator's result is
+built on its canonical window.  The weight and the string statistics are
+computed once per element and kept.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from .chains import (
     dual_chain,
     window,
 )
-from .rootsys import Root, RootSystem, WeylElement, pairing, root_string, weight_neg
+from .rootsys import Root, RootSystem, pairing, root_string, weight_neg
 
 __all__ = [
     "AlcoveElement",
@@ -89,7 +89,6 @@ __all__ = [
     "e_op",
     "epsilon",
     "f_op",
-    "i_signature",
     "include_Sin",
     "is_admissible",
     "minimal_projection",
@@ -107,17 +106,14 @@ __all__ = [
 class Fold(NamedTuple):
     """One walk along an element's chain: the index of the folded root at each
     position, one byte per position, the product of the folding reflections
-    in walk order (tau primally, iota dually) and whether every folding was a
-    Bruhat cover, these two from ``_covers``'s walk on the root indices, and
-    whether the element sits on its canonical window (``_canonical_window``;
-    always on a finite chain), so that ``_canonical`` need not look again.
-    An operator's result is born canonical.  The weight and the path image
-    are read off the folded roots."""
+    in walk order (tau primally, iota dually) as the 2|Phi+| bytes of the
+    permutation it makes of the root indices, and whether every folding was
+    a Bruhat cover, these two from ``_covers``'s walk on the root indices.
+    The weight and the path image are read off the folded roots."""
 
     roots: bytes
-    end: WeylElement
+    end: bytes
     admissible: bool
-    canonical: bool
 
 
 def _toggle(refl: tuple[bytes, ...], roots: bytes, p: int, dual: bool) -> bytes:
@@ -131,22 +127,20 @@ def _toggle(refl: tuple[bytes, ...], roots: bytes, p: int, dual: bool) -> bytes:
     return roots[: p + 1] + roots[p + 1 :].translate(s)
 
 
-def _covers(rs: RootSystem, positions, dual: bool, roots: bytes) -> tuple[WeylElement, bool]:
+def _covers(rs: RootSystem, positions, dual: bool, roots: bytes) -> tuple[bytes, bool]:
     """The end product of the foldings at ``positions``, given the folded
     roots, and whether every folding was a Bruhat cover.  Each folding on
     gamma turns the permutation w so far into s_gamma w; after k covers it
     has length k, so each folding is checked.  The walk runs on the root
     indices alone, the first 2|Phi+| bytes of the identity, since no
-    reflection moves a byte past them; only the end is padded to the full
-    table and becomes a WeylElement."""
+    reflection moves a byte past them, and the end product is those bytes."""
     refl, negative, npos = rs.reflections, rs._negative, len(rs.positive_roots)
-    identity = rs.identity_element().perm
-    w = identity[: 2 * npos]
+    w = rs.identity_element().perm[: 2 * npos]
     admissible = True
     for count, p in enumerate(reversed(positions) if dual else positions, 1):
         w = w.translate(refl[roots[p]])
         admissible = admissible and w[:npos].translate(negative).count(1) == count
-    return WeylElement(w + identity[2 * npos :], rs), admissible
+    return w, admissible
 
 
 @dataclass(frozen=True)
@@ -180,16 +174,14 @@ class AlcoveElement:
 
         Starting from the chain's root indices, each folding is toggled in
         walk order (``_toggle``); ``_covers`` then reads the end product and
-        the cover check off the folded roots.  The element is canonical on a
-        finite chain, and on a window of one block past its deepest folding.
+        the cover check off the folded roots.
         """
         chain, positions = self.chain, self.positions
         rs, dual = chain.rs, chain.dual
         refl, roots = rs.reflections, chain.root_ids
         for p in reversed(positions) if dual else positions:
             roots = _toggle(refl, roots, p, dual)
-        canonical = not chain.is_window or chain.deepest_block(positions) + 1 == chain.copies
-        return Fold(roots, *_covers(rs, positions, dual, roots), canonical)
+        return Fold(roots, *_covers(rs, positions, dual, roots))
 
     @cached_property
     def wt(self) -> tuple[int, ...]:
@@ -295,22 +287,9 @@ def _inadmissible(positions, out: AlcoveElement) -> ValueError:
 def _canonical(el: AlcoveElement) -> AlcoveElement:
     """The element on its canonical window (``_canonical_window``); ValueError
     if its positions are not admissible.  Every operator and statistic reads
-    its argument through here.  An element whose fold says it is canonical,
-    as every operator result's does, is returned as it is once it is found
-    admissible; any other is moved by ``_to_canonical``."""
-    fold = el.fold
-    if not fold.canonical:
-        return _to_canonical(el)
-    if not fold.admissible:
-        raise _inadmissible(el.positions, el)
-    return el
-
-
-def _to_canonical(el: AlcoveElement) -> AlcoveElement:
-    """``_canonical``'s route for an element that is not known to be
-    canonical: the window is looked up from the positions, and only the
-    element on it is folded, so ``element`` never folds the element it was
-    given on another window."""
+    its argument through here.  The window is looked up from the positions,
+    and only the element on it is folded, so an element given on another
+    window is never folded; an element already on it is returned as it is."""
     chain, positions = _canonical_window(el.chain, el.positions)
     out = el if chain is el.chain else AlcoveElement(chain, positions)
     if not out.fold.admissible:
@@ -329,7 +308,7 @@ def element(chain, positions) -> AlcoveElement:
         raise ValueError(f"duplicate positions in {positions}")
     if pos and (pos[0] < 0 or pos[-1] >= len(chain.entries)):
         raise ValueError(f"position out of range for a chain of length {len(chain.entries)}")
-    return _to_canonical(AlcoveElement(chain, pos))
+    return _canonical(AlcoveElement(chain, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +337,14 @@ def _scan(roots: bytes, mask: bytes, backwards: bool) -> Iterator[int]:
     return compress(range(len(roots)), marks)
 
 
-def _plus(rs: RootSystem, alpha: int, up: bool) -> int:
-    """The root index read as a plus, ``alpha`` the index of alpha_i: alpha_i
-    in walk order, -alpha_i read ``up``, where every sign is negated."""
-    return alpha + len(rs.positive_roots) if up else alpha
-
-
-def _letters(el: AlcoveElement, i: int, up: bool = False) -> list[tuple[int, int, bool]]:
-    """(position, sign, folded) at each position of ``_scan``, in its order:
-    the letters of direction ``i`` in walk order, or read ``up``, backwards
-    with their signs negated."""
+def _letters(el: AlcoveElement, i: int) -> list[tuple[int, int, bool]]:
+    """(position, sign, folded) at each position of ``_scan`` in walk order:
+    the letters of direction ``i``, alpha_i a plus and -alpha_i a minus."""
     chain, roots = el.chain, el.fold.roots
     rs = chain.rs
-    plus = _plus(rs, rs.simple_index(i), up)
+    plus = rs.simple_index(i)
     jset = set(el.positions)
-    spots = _scan(roots, rs.letter_masks[i], chain.dual != up)
+    spots = _scan(roots, rs.letter_masks[i], chain.dual)
     return [(p, 1 if roots[p] == plus else -1, p in jset) for p in spots]
 
 
@@ -381,18 +353,7 @@ def _turns_away(el: AlcoveElement, alpha: int) -> bool:
     i-th wall, ``alpha`` the index of alpha_i.  As <w(rho), alpha_i^vee> =
     <rho, w^-1(alpha_i)^vee>, that is exactly when w^-1(alpha_i) is a
     negative root."""
-    return el.fold.end.perm.index(alpha) >= len(el.chain.rs.positive_roots)
-
-
-def i_signature(el: AlcoveElement, i: int) -> tuple[tuple[int, int], ...]:
-    """The plus/minus word for direction ``i``: (position, sign) pairs.
-
-    Letters sit at unfolded positions where the folded chain passes through
-    the i-th simple root (either sign), as the lowering operator reads them:
-    in chain order, signs negated dually.
-    """
-    el = _canonical(el)
-    return tuple((ind, sign) for ind, sign, folded in _letters(el, i, up=el.is_dual) if not folded)
+    return el.fold.end.index(alpha) >= len(el.chain.rs.positive_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +400,14 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
 def _reduce(el: AlcoveElement, i: int, alpha: int, up: bool) -> tuple[int, int | None, int | None]:
     """The signature rule of direction ``i`` in one pass over the positions of
     ``_scan``, ``alpha`` the index of alpha_i: a plus cancels the latest
-    unmatched minus before it or stays unmatched.  Returns how many pluses
-    stay unmatched, the last of them (``last``) and the first folding read
-    after it, or since the start while there is none (``after``)."""
+    unmatched minus before it or stays unmatched.  A plus is alpha_i in walk
+    order and -alpha_i read ``up``, where every sign is negated.  Returns how
+    many pluses stay unmatched, the last of them (``last``) and the first
+    folding read after it, or since the start while there is none
+    (``after``)."""
     chain, roots = el.chain, el.fold.roots
     rs = chain.rs
-    plus = _plus(rs, alpha, up)
+    plus = alpha + len(rs.positive_roots) if up else alpha
     jset = set(el.positions)
     minuses = pluses = 0
     last = after = None
@@ -473,8 +436,7 @@ def _child(el: AlcoveElement, i: int, changed: Collection[int]) -> AlcoveElement
     Blocks a window gains or loses hold no folding and are walked first, so
     gained ones read the plain chain roots.  ``_covers`` gives the end
     product and checks that the result is admissible.  The result is built
-    directly, its fold marked canonical, as ``AlcoveElement.fold`` would
-    find it.
+    directly, with the fold ``AlcoveElement.fold`` would find.
     """
     chain, roots = el.chain, el.fold.roots
     rs, dual = chain.rs, chain.dual
@@ -496,7 +458,7 @@ def _child(el: AlcoveElement, i: int, changed: Collection[int]) -> AlcoveElement
     end, admissible = _covers(rs, positions, dual, roots)
     if not admissible:
         raise _inadmissible(positions, out)
-    kept["fold"] = Fold(roots, end, True, True)
+    kept["fold"] = Fold(roots, end, admissible)
     return out
 
 

@@ -349,6 +349,9 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
 
     alphas = {i: rs.root_weights[rs.simple_index(i)] for i in index_set}
     for src, i, dst in graph.edges:
+        if src not in graph.nodes or dst not in graph.nodes:
+            failures.append(f"{src!r}: the edge -{i}-> {dst!r} leaves the nodes")
+            continue
         pos = index_set.index(i)
         a = graph.nodes[src]
         b = graph.nodes[dst]
@@ -587,7 +590,10 @@ def infinity_size(rs: RootSystem, depth: int) -> int:
     node, which is how many its truncations at ``depth`` hold: a node of
     weight -beta lies at the height of beta, and Kostant's partition function
     counts the nodes of each weight, so this sums the coefficients of x^n,
-    n <= depth, in prod_{beta > 0} 1 / (1 - x^{ht beta})."""
+    n <= depth, in prod_{beta > 0} 1 / (1 - x^{ht beta}).  ``depth`` is a
+    non-negative integer, as for ``enumerate_crystal``."""
+    if _integer(depth, "depth") < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     series = [1] + [0] * depth
     for beta in rs.positive_roots:
         height = sum(beta.coeffs)

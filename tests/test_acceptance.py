@@ -23,7 +23,7 @@ from alcovecrystals.verify import SUITES, Sweep
 from test_alcove import element_from_pairs
 from test_limits import least_copies, reference_varpi_dual_infinity, reference_varpi_infinity
 
-SWEEP_TYPES = ("A2", "A3", "B2", "G2")
+SWEEP_TYPES = ("A2", "A3", "B2", "C2", "G2")
 
 
 @functools.cache

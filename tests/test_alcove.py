@@ -127,7 +127,7 @@ def test_direction_index_is_checked(bad):
     rho = lex_chain(A2, (1, 1))
     for chain in (rho, dual_chain(rho), window(A2, 1), window(A2, 1, dual=True)):
         b = el(chain)
-        ops = (al.f_op, al.e_op, al.epsilon, al.phi, al.i_signature, al.profile_f, al.profile_e)
+        ops = (al.f_op, al.e_op, al.epsilon, al.phi, al.profile_f, al.profile_e)
         for fn in ops:
             with pytest.raises(ValueError, match="outside index set"):
                 fn(b, bad)
@@ -269,7 +269,7 @@ def test_fold_matches_reference_walks(chain):
             ok, folded, end, wt = reference_walk(chain, combo)
             assert al.is_admissible(b) == ok, combo
             assert folded_roots(b) == folded, combo
-            assert b.fold.end == end, combo
+            assert b.fold.end == end.perm[: 2 * len(chain.rs.positive_roots)], combo
             assert al.weight(b) == wt, combo
             admissible += ok
     assert admissible > 1
@@ -312,7 +312,7 @@ def test_fold_matches_reference_walks_beyond_rank_three(type_string):
             ok, folded, end, wt = reference_walk(chain, combo)
             assert al.is_admissible(b) == ok, combo
             assert folded_roots(b) == folded, combo
-            assert b.fold.end == end, combo
+            assert b.fold.end == end.perm[: 2 * len(chain.rs.positive_roots)], combo
             assert al.weight(b) == wt, combo
             verdicts[ok, len(combo) >= 3] += 1
         assert verdicts[True, True] and verdicts[False, True], verdicts
@@ -331,6 +331,16 @@ def reference_letters(el, i, up):
     if el.is_dual != up:
         out.reverse()
     return out
+
+
+def i_signature(el, i):
+    """The plus/minus word for direction ``i``: (position, sign) pairs at the
+    unfolded positions where the folded chain passes through plus or minus
+    the i-th simple root, in chain order, signs negated dually, as the
+    lowering operator reads them; found by comparing every position."""
+    el = al._canonical(el)
+    letters = reference_letters(el, i, el.is_dual)
+    return tuple((p, sign) for p, sign, folded in letters if not folded)
 
 
 def reference_step(el, i, up):
@@ -394,6 +404,7 @@ def test_derived_folds_match_fresh_walks(type_string, depth):
     for c in children:
         assert c.fold == al.AlcoveElement(c.chain, c.positions).fold, c
         ok, folded, end, wt = reference_walk(c.chain, c.positions)
+        end = end.perm[: 2 * len(rs.positive_roots)]
         assert (ok, folded_roots(c), c.fold.end, c.wt) == (True, folded, end, wt), c
 
 
@@ -440,10 +451,12 @@ def full_cover_walk(rs, positions, dual, roots):
 @pytest.mark.parametrize("type_string", ["F4", "E8"])
 def test_cover_walk_on_the_root_indices_matches_the_full_walk(type_string):
     """``_covers`` walks the first 2|Phi+| bytes only (240 of 256 on E8, the
-    most roots a supported type has) and pads the end once; its end product
-    and cover verdict must equal the walk on the full 256-byte table, on
-    random position sets, admissible and not, and on operator results."""
+    most roots a supported type has) and keeps the end product as those
+    bytes; they and the cover verdict must equal the walk on the full
+    256-byte table, on random position sets, admissible and not, and on
+    operator results."""
     rs = RootSystem.from_type(type_string)
+    npos = len(rs.positive_roots)
     rng = random.Random(f"covers-{type_string}")
     rho = lex_chain(rs, rs.rho)
     elements = []
@@ -458,8 +471,10 @@ def test_cover_walk_on_the_root_indices_matches_the_full_walk(type_string):
     for b in elements:
         chain = b.chain
         end, ok = al._covers(rs, b.positions, chain.dual, b.fold.roots)
-        assert (end.perm, ok) == full_cover_walk(rs, b.positions, chain.dual, b.fold.roots), b
+        full, covers = full_cover_walk(rs, b.positions, chain.dual, b.fold.roots)
+        assert (end, ok) == (full[: 2 * npos], covers), b
         assert (end, ok) == (b.fold.end, b.fold.admissible), b
+        assert type(b.fold.end) is bytes and len(b.fold.end) == 2 * npos, b
         verdicts[ok] += 1
     assert verdicts[True] > 20 and verdicts[False] > 10, verdicts
 
@@ -467,22 +482,22 @@ def test_cover_walk_on_the_root_indices_matches_the_full_walk(type_string):
 @pytest.mark.parametrize(
     "type_string, depth", [("A2", 5), ("B2", 5), ("G2", 5), ("A3", 4)], ids=["a2", "b2", "g2", "a3"]
 )
-def test_fold_knows_whether_the_element_is_canonical(type_string, depth):
-    """The fold's ``canonical`` flag is whether ``_canonical_window`` keeps
-    the chain: on the pool (operator results, born canonical, and their
-    fresh folds), on its window elements widened by two and three blocks,
-    and on them narrowed to their deepest block."""
+def test_every_copy_canonicalizes_to_one_element(type_string, depth):
+    """``_canonical`` keeps an element exactly when ``_canonical_window``
+    keeps its chain, and an element and its fresh copy canonicalize alike:
+    on the pool (operator results, built on their canonical window, and
+    their fresh copies), on its window elements widened by two and three
+    blocks, and on them narrowed to their deepest block."""
     pool, wide = widened_pool(type_string, depth)
     narrow = [verify._widen(b, -1) for b in pool if b.is_window and b.positions]
     assert len(narrow) > 20
     for b in pool + wide + narrow:
         kept = al._canonical_window(b.chain, b.positions)[0] is b.chain
         fresh = al.AlcoveElement(b.chain, b.positions)
-        assert b.fold.canonical == fresh.fold.canonical == kept, b
         assert al._canonical(b) == al._canonical(fresh)
-        assert (al._canonical(b) is b) == kept, b
-    assert all(b.fold.canonical for b in pool)
-    assert not any(b.fold.canonical for b in wide + narrow)
+        assert (al._canonical(b) is b) == (al._canonical(fresh) is fresh) == kept, b
+    assert all(al._canonical(b) is b for b in pool)
+    assert not any(al._canonical(b) is b for b in wide + narrow)
 
 
 def test_canonical_refuses_an_inadmissible_element():
@@ -491,10 +506,9 @@ def test_canonical_refuses_an_inadmissible_element():
     chain = window(A2, 3)
     letters = tuple(p for p, e in enumerate(chain.entries) if e.root.coeffs == (1, 0))[1:]
     canonical = al.AlcoveElement(chain, letters)
-    assert canonical.fold.canonical and not canonical.fold.admissible
+    assert al._canonical_window(chain, letters)[0] is chain and not canonical.fold.admissible
     refused_as = "are not admissible: ((α1, -2), (α1, -1))"
     wide, narrow = verify._widen(canonical, 2), verify._widen(canonical, -1)
-    assert not (wide.fold.canonical or narrow.fold.canonical)
     cases = [
         (canonical, f"positions [6, 10] {refused_as}"),
         (wide, f"positions [14, 18] {refused_as}"),
@@ -516,12 +530,12 @@ def test_folded_chain_single_fold():
 
 def test_signature_of_empty_set():
     chain = lex_chain(A2, (1, 1))
-    assert al.i_signature(el(chain), 1) == ((2, 1),)
-    assert al.i_signature(el(chain), 2) == ((0, 1),)
+    assert i_signature(el(chain), 1) == ((2, 1),)
+    assert i_signature(el(chain), 2) == ((0, 1),)
 
 
 def test_signature_on_window():
-    assert al.i_signature(el(window(A2, 1)), 1) == ((2, 1),)
+    assert i_signature(el(window(A2, 1)), 1) == ((2, 1),)
 
 
 def test_reduction_cancels_minus_then_plus():
@@ -933,7 +947,7 @@ def test_projection_of_an_inadmissible_element_is_refused():
 def test_operators_and_statistics_refuse_an_inadmissible_element(bad, transport):
     assert not al.is_admissible(bad)
     for i in A2.index_set:
-        for fn in (al.f_op, al.e_op, al.epsilon, al.phi, al.profile_f, al.profile_e, al.i_signature):
+        for fn in (al.f_op, al.e_op, al.epsilon, al.phi, al.profile_f, al.profile_e):
             with pytest.raises(ValueError, match="not admissible"):
                 fn(bad, i)
     with pytest.raises(ValueError, match="not admissible"):
@@ -1022,8 +1036,8 @@ def test_mirror_intertwines_the_operators():
                     else:
                         assert pairs(lhs) == pairs(al.mirror(rhs))
                 assert al.epsilon(m, i) == al.phi(b, i)
-                assert al.i_signature(m, i) == tuple(
-                    (size - 1 - p, -sign) for p, sign in reversed(al.i_signature(b, i))
+                assert i_signature(m, i) == tuple(
+                    (size - 1 - p, -sign) for p, sign in reversed(i_signature(b, i))
                 )
 
 

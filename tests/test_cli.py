@@ -263,7 +263,7 @@ def test_profile_structure_violations_are_failures(monkeypatch, capsys):
     # traceback, and every check is still counted
     letters = alcove._letters
     monkeypatch.setattr(
-        alcove, "_letters", lambda el, i, up=False: [(p, -1, True) for p, _, _ in letters(el, i, up)]
+        alcove, "_letters", lambda el, i: [(p, -1, True) for p, _, _ in letters(el, i)]
     )
     argv = ["verify", "--type", "A2", "--suite", "profile", "--depth", "2"]
     assert run(argv) == 1

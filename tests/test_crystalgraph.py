@@ -111,6 +111,8 @@ def test_depth_must_be_a_non_negative_integer(depth):
     win = window(A2, 1)
     with pytest.raises(ValueError, match="depth"):
         cg.enumerate_crystal(cg.alcove_ops(win), [al.element(win, [])], depth=depth)
+    with pytest.raises(ValueError, match="depth"):
+        cg.infinity_size(A2, depth)
 
 
 def test_enumeration_is_deterministic():
@@ -341,6 +343,21 @@ def test_axioms_catch_a_missing_edge():
             boundary=frozenset(),
         )
         assert not cg.check_axioms(broken, seminormal=True).ok
+
+
+def test_axioms_report_an_edge_to_a_dropped_node():
+    # every edge into or out of the dropped node is named by its source
+    # instead of the audit failing on a missing key
+    g = alcove_graph(A2, (1, 1))
+    for gone in g.nodes:
+        nodes = {k: v for k, v in g.nodes.items() if k != gone}
+        report = cg.check_axioms(replace(g, nodes=nodes))
+        dangling = [
+            f"{s!r}: the edge -{i}-> {d!r} leaves the nodes"
+            for s, i, d in g.edges
+            if gone in (s, d)
+        ]
+        assert dangling and set(dangling) <= set(report.failures), gone
 
 
 def _tampered(chain, i, bad):

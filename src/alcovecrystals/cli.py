@@ -2,9 +2,13 @@
 
 Subcommands build chains, enumerate crystals, walk the unbounded model,
 move elements between finite and unbounded crystals, transport them to
-paths, run the verification suites, and export graphs.  All output is
-deterministic; exit status is 0 on success, 1 when a verification suite
-reports failures, and 2 on usage errors.
+paths, run the verification suites, and export graphs.  Every subcommand
+but ``crystal``, which has no JSON schema, takes ``--format``: each builds
+its JSON document and its text once and hands both to ``_output``, which
+prints one of them (``export``'s text is DOT, and ``verify`` prints its text
+suite by suite as the suites finish).  All output is deterministic; exit
+status is 0 on success, 1 when a verification suite reports failures, and 2
+on usage errors.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class UsageError(Exception):
 
 
 def _root_system(args) -> RootSystem:
-    if getattr(args, "matrix", None):
+    if args.matrix:
         try:
             rows = [
                 [int(x) for x in row.split(",")] for row in args.matrix.split(";")
@@ -53,7 +57,7 @@ def _root_system(args) -> RootSystem:
         except ValueError as exc:
             raise UsageError(str(exc))
         return rs
-    if not getattr(args, "type", None):
+    if not args.type:
         raise UsageError("one of --type or --matrix is required")
     try:
         return RootSystem.from_type(args.type)
@@ -73,7 +77,7 @@ def _weight(args, rs: RootSystem) -> tuple:
     return coeffs
 
 
-def _word(text: str, rs: RootSystem, flag: str) -> list[int]:
+def _word(text: str | None, rs: RootSystem, flag: str) -> list[int]:
     if not text:
         return []
     out = []
@@ -99,8 +103,8 @@ def _apply_word(el, word, op, name: str):
 
 def _seed_element(chain, args, rs):
     el = al.element(chain, [])
-    fw = _word(getattr(args, "fstring", None) or "", rs, "--fstring")
-    ew = _word(getattr(args, "estring", None) or "", rs, "--estring")
+    fw = _word(args.fstring, rs, "--fstring")
+    ew = _word(args.estring, rs, "--estring")
     if fw and ew:
         raise UsageError("--fstring and --estring are mutually exclusive")
     if fw:
@@ -131,8 +135,11 @@ def _raise_to_highest(el):
             return el, word
 
 
-def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2))
+def _output(args, doc, text: str) -> int:
+    """Print ``doc`` as JSON under ``--format json`` and ``text`` otherwise;
+    returns the exit status 0."""
+    print(json.dumps(doc, indent=2) if args.format == "json" else text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +149,8 @@ def _emit(doc) -> None:
 def _cmd_chain(args) -> int:
     rs = _root_system(args)
     chain = _finite_chain(rs, _weight(args, rs), args.dual)
-    if args.format == "json":
-        _emit(chain_to_json(chain))
-    else:
-        inner = ", ".join(
-            f"({root_string(e.root)}, {e.level})" for e in chain.entries
-        )
-        print(f"({inner})")
-    return 0
+    inner = ", ".join(f"({root_string(e.root)}, {e.level})" for e in chain.entries)
+    return _output(args, chain_to_json(chain), f"({inner})")
 
 
 def _crystal_graph(chain, depth=None):
@@ -173,16 +174,15 @@ def _crystal_graph(chain, depth=None):
 
 def _cmd_crystal(args) -> int:
     rs = _root_system(args)
-    chain = _finite_chain(rs, _weight(args, rs), args.dual)
-    graph = _crystal_graph(chain)
+    lam = _weight(args, rs)
+    graph = _crystal_graph(_finite_chain(rs, lam, args.dual))
     if args.list_vertices:
         for s in sorted((el.positions for el in graph.nodes), key=lambda s: (len(s), s)):
             print("[" + ", ".join(str(p) for p in s) + "]")
         return 0
     print(f"vertices: {len(graph.nodes)}")
     print(f"edges: {len(graph.edges)}")
-    dim = cg.weyl_dimension(rs, _weight(args, rs))
-    print(f"dimension: {dim}")
+    print(f"dimension: {cg.weyl_dimension(rs, lam)}")
     return 0
 
 
@@ -211,12 +211,7 @@ def _cmd_binf(args) -> int:
         _, word = _raise_to_highest(el)
         lines.append("hw-string: [" + ", ".join(str(i) for i in word) + "]")
         doc["hw_string"] = word
-    if args.format == "json":
-        _emit(doc)
-    else:
-        for line in lines:
-            print(line)
-    return 0
+    return _output(args, doc, "\n".join(lines))
 
 
 def _cmd_project(args) -> int:
@@ -228,13 +223,10 @@ def _cmd_project(args) -> int:
         k = args.k
         image = al.project_Spr(el, k)
     if image is None:
-        print("none")
-        return 0
-    if args.format == "json":
-        _emit({"k": k, "element": al.element_to_json(image)})
-    else:
-        print(f"k = {k}: {al.render_element(image)}")
-    return 0
+        return _output(args, {"k": k, "element": None}, "none")
+    return _output(
+        args, {"k": k, "element": al.element_to_json(image)}, f"k = {k}: {al.render_element(image)}"
+    )
 
 
 def _cmd_lift(args) -> int:
@@ -244,11 +236,7 @@ def _cmd_lift(args) -> int:
     lam = tuple(c * args.k for c in rs.rho)
     el = _seed_element(lex_chain(rs, lam), args, rs)
     lifted = al.include_Sin(el, args.k)
-    if args.format == "json":
-        _emit(al.element_to_json(lifted))
-    else:
-        print(al.render_element(lifted))
-    return 0
+    return _output(args, al.element_to_json(lifted), al.render_element(lifted))
 
 
 def _cmd_path_image(args) -> int:
@@ -261,11 +249,7 @@ def _cmd_path_image(args) -> int:
         chain = _finite_chain(rs, _weight(args, rs), args.dual)
         el = _seed_element(chain, args, rs)
         path = varpi_dual(el) if args.dual else varpi(el)
-    if args.format == "json":
-        _emit(lp.path_to_json(path))
-    else:
-        print(lp.render_path(path))
-    return 0
+    return _output(args, lp.path_to_json(path), lp.render_path(path))
 
 
 def _cmd_export(args) -> int:
@@ -278,11 +262,7 @@ def _cmd_export(args) -> int:
         graph = _crystal_graph(
             _finite_chain(rs, _weight(args, rs), args.dual), depth=args.depth
         )
-    if args.format == "json":
-        _emit(cg.graph_to_json(graph))
-    else:
-        print(cg.graph_to_dot(graph))
-    return 0
+    return _output(args, cg.graph_to_json(graph), cg.graph_to_dot(graph))
 
 
 def _cmd_verify(args) -> int:
@@ -306,10 +286,7 @@ def _cmd_verify(args) -> int:
                 for f in check.failures[:5]:
                     print(f"     {f}")
     passed = sum(check.ok for check in checks)
-    if args.format == "json":
-        _emit([vars(check) for check in checks])
-    else:
-        print(f"passed {passed}/{len(checks)} checks")
+    _output(args, [vars(check) for check in checks], f"passed {passed}/{len(checks)} checks")
     return 0 if passed == len(checks) else 1
 
 
@@ -325,6 +302,8 @@ def _nonnegative(text: str) -> int:
 
 
 def _add_common(p, weight=False, seed=False, fmt=("text", "json")):
+    """The options several subcommands share; ``--format`` takes ``fmt``,
+    the first its default, and is left out when ``fmt`` is empty."""
     p.add_argument("--type", help="Cartan type, e.g. A2, B2, G2")
     p.add_argument("--matrix", help="Cartan matrix, rows ; separated, entries , separated")
     if weight:
@@ -333,7 +312,8 @@ def _add_common(p, weight=False, seed=False, fmt=("text", "json")):
     if seed:
         p.add_argument("--fstring", help="lowering word, comma separated 1-based indices")
         p.add_argument("--estring", help="raising word, comma separated 1-based indices")
-    p.add_argument("--format", choices=fmt, default=fmt[0])
+    if fmt:
+        p.add_argument("--format", choices=fmt, default=fmt[0])
 
 
 @cache
@@ -350,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, weight=True)
 
     p = sub.add_parser("crystal", help="enumerate a finite crystal")
-    _add_common(p, weight=True)
+    _add_common(p, weight=True, fmt=())
     p.add_argument("--list-vertices", action="store_true", dest="list_vertices")
 
     p = sub.add_parser("binf", help="walk the unbounded alcove model")
@@ -370,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--infinity", action="store_true", help="use the unbounded model")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p, fmt=("text", "json"))
+    _add_common(p)
     p.add_argument("--suite", choices=["all", *sorted(_SUITES)], default="all")
     p.add_argument("--depth", type=_nonnegative, default=4)
 

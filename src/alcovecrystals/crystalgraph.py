@@ -299,6 +299,18 @@ class Check:
         return not self.failures
 
 
+def _edges_within(graph: CrystalGraph) -> tuple[list, list[str]]:
+    """The edges of ``graph`` with both ends among its nodes, and a failure
+    for each other edge."""
+    inside, stray = [], []
+    for src, i, dst in graph.edges:
+        if src in graph.nodes and dst in graph.nodes:
+            inside.append((src, i, dst))
+        else:
+            stray.append(f"{src!r}: the edge -{i}-> {dst!r} leaves the nodes")
+    return inside, stray
+
+
 def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
     """Audit the defining identities of a crystal on an enumerated graph;
     ``checked`` counts the nodes.
@@ -347,11 +359,10 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
             if (data.eps[pos] > 0) != ((k, i) in in_edge):
                 failures.append(f"{k!r}: eps and raising disagree in direction {i}")
 
+    edges, stray = _edges_within(graph)
+    failures += stray
     alphas = {i: rs.root_weights[rs.simple_index(i)] for i in index_set}
-    for src, i, dst in graph.edges:
-        if src not in graph.nodes or dst not in graph.nodes:
-            failures.append(f"{src!r}: the edge -{i}-> {dst!r} leaves the nodes")
-            continue
+    for src, i, dst in edges:
         pos = index_set.index(i)
         a = graph.nodes[src]
         b = graph.nodes[dst]
@@ -371,7 +382,8 @@ def check_dual_iso(source: CrystalGraph, mapping: Callable, target: CrystalGraph
     Each image must have the negated weight (read through the target's ops,
     so that an image outside the target reports it too) and be a target
     node with eps and phi swapped; the images must be the target's nodes,
-    one each, and the reversed source edges its edges.  Both graphs also get
+    one each, and the reversed source edges its edges; a source edge that
+    leaves the source's nodes fails as in ``check_axioms``.  Both graphs also get
     ``check_axioms``' inverse check, so an operator wrong only in the
     direction enumeration skipped fails here too.  ValueError if the graphs
     live over different root systems.
@@ -393,7 +405,9 @@ def check_dual_iso(source: CrystalGraph, mapping: Callable, target: CrystalGraph
         elif (found.eps, found.phi) != (data.phi, data.eps):
             failures.append(f"{x!r}: eps/phi swap")
     failures += [f"{y!r}: target node is not an image" for y in target.nodes if y not in preimage]
-    reversed_edges = {(image[y], i, image[x]): x for x, i, y in source.edges}
+    edges, stray = _edges_within(source)
+    failures += stray
+    reversed_edges = {(image[y], i, image[x]): x for x, i, y in edges}
     target_edges = set(target.edges)
     failures += [
         f"{x!r}: lowering transport at {edge[1]}"
@@ -416,7 +430,8 @@ def check_stembridge(graph: CrystalGraph) -> Check:
     Walking up along ``i``, the change of the ``j`` statistics must be (0, -1)
     or (+1, 0) for neighbors and (0, 0) for orthogonal pairs; two zero changes
     force a commuting square, two +1 changes force the degree-two braid.
-    Nodes with truncated surroundings are skipped rather than failed.
+    Nodes with truncated surroundings are skipped rather than failed; an
+    edge with an end that is not a node fails as in ``check_axioms``.
     """
     rs = graph.rs
     if not rs.cartan.simply_laced:
@@ -424,10 +439,8 @@ def check_stembridge(graph: CrystalGraph) -> Check:
     A = rs.cartan.matrix
     n = rs.rank
     pairs = 0
-    failures = []
-    e_map = {}
-    for src, i, dst in graph.edges:
-        e_map[(dst, i)] = src
+    edges, failures = _edges_within(graph)
+    e_map = {(dst, i): src for src, i, dst in edges}
 
     def chase(start, word):
         cur = start
@@ -497,6 +510,9 @@ def check_stembridge(graph: CrystalGraph) -> Check:
 
 
 def _canonical_signature(graph: CrystalGraph) -> tuple:
+    _, stray = _edges_within(graph)
+    if stray:
+        raise ValueError(stray[0])
     tops = highest_weight_keys(graph)
     if len(tops) != 1:
         raise ValueError(f"need a unique highest weight node, found {len(tops)}")
@@ -524,9 +540,9 @@ def _canonical_signature(graph: CrystalGraph) -> tuple:
 def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> bool:
     """Whether two enumerated crystals agree up to relabeling.
 
-    Both must have a unique highest weight node (ValueError otherwise); the
-    comparison walks both graphs in the canonical order and also matches
-    node weights and statistics.
+    Both must have a unique highest weight node and no edge that leaves the
+    nodes (ValueError otherwise); the comparison walks both graphs in the
+    canonical order and also matches node weights and statistics.
     """
     return _canonical_signature(a) == _canonical_signature(b)
 
@@ -631,12 +647,14 @@ def graph_to_json(graph: CrystalGraph) -> dict:
 
 
 def graph_to_dot(graph: CrystalGraph) -> str:
-    order = {k: n for n, k in enumerate(graph.nodes)}
+    """DOT for the graph, rendered from its ``graph_to_json`` document: the
+    same node ids and labels, each edge labeled by its direction."""
+    doc = graph_to_json(graph)
     lines = ["digraph crystal {", "  rankdir=TB;"]
-    for n, el in enumerate(graph.nodes):
-        label = repr(el).replace('"', '\\"')
-        lines.append(f'  n{n} [label="{label}"];')
-    for src, i, dst in graph.edges:
-        lines.append(f'  n{order[src]} -> n{order[dst]} [label="{i}"];')
+    for node in doc["nodes"]:
+        label = node["label"].replace('"', '\\"')
+        lines.append(f'  {node["id"]} [label="{label}"];')
+    for edge in doc["edges"]:
+        lines.append(f'  {edge["src"]} -> {edge["dst"]} [label="{edge["i"]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

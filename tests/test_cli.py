@@ -166,6 +166,46 @@ def test_export_json_is_pinned_byte_for_byte(args, capsys):
     assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == EXPORT_DIGESTS[args]
 
 
+# SHA-256 of each subcommand's output, in each --format it takes, as the
+# library gave it when these digests were taken: every command prints the
+# document or the text it built, and nothing else.
+OUTPUT_DIGESTS = {
+    ("chain --type G2 --weight 2,1 --dual", "text"): "18ddd2fe16446fc32f85d8e87040b37d1f47c32fde6f2889f5267c4099d9df5f",
+    ("chain --type G2 --weight 2,1 --dual", "json"): "e132e6d0a9f95cfac3df2bea0a2fac64d9644be152fe1c10bc7b12d4f3b08387",
+    ("binf --type A3 --fstring 2,1,3,2,2,1,3,2 --show positions,weight,projection,hw-string", "text"): "b0a9b99acde297bddd7001ef9c9f20cd32f186711d60c28ce996d2c45c6504a3",
+    ("binf --type A3 --fstring 2,1,3,2,2,1,3,2 --show positions,weight,projection,hw-string", "json"): "70c86d72e0f6b29ed15032e3d0efcfb660d02cfa788ffa184da58db6cdef2a15",
+    ("project --type G2 --fstring 1,2,2,1,2", "text"): "af4372e2be35f94e4d39b83775fcf71ee2d4429a41cbf9997d27ca2d33e0282a",
+    ("project --type G2 --fstring 1,2,2,1,2", "json"): "b33470743a05dea388b41f0a80b24998747dedd65da71d9885fe99541d62f0d0",
+    ("project --type G2 --fstring 1,2,2,1,2 --k 3", "text"): "7488185dfaeec2464036ed89e2ab10cab43142ed524498d5add32e2d9bf64ae8",
+    ("project --type G2 --fstring 1,2,2,1,2 --k 3", "json"): "90b443a9ebcb7806a5419176a246e8129f6cd44f7b08ebdc83df035ff6b84743",
+    ("lift --type B2 --k 2 --fstring 1,2,2", "text"): "a307f45d65c2ffe96670112f18672ef3178764586c9f9fb32a3028aec48033cc",
+    ("lift --type B2 --k 2 --fstring 1,2,2", "json"): "00f395858c39ed3fad2801f8709297f5006dfa623ed7ea5baf126016a0357c72",
+    ("path-image --type G2 --weight 1,1 --fstring 2,1", "text"): "4e256df95f4404eb5bc7355d1492393d7f590e078077db291a216a0712ae8a21",
+    ("path-image --type G2 --weight 1,1 --fstring 2,1", "json"): "da5a18a388dcdb90fb8aba22f4f297aa27cae5b17fd743e5e6b3bdde72b29bc1",
+    ("path-image --type A3 --infinity --dual --estring 2,1,3,2", "text"): "3327fd7883ea47a37b15a0fcd9f1f0ae281cfaad3009e3ea3a2366a3ba925840",
+    ("path-image --type A3 --infinity --dual --estring 2,1,3,2", "json"): "ce7cf1cc45b17e489f8176e18d3d847d3f697b5168f074ab54c4946817c4da45",
+    ("export --type G2 --weight 1,1 --dual", "dot"): "b08129613a901f7e3a228c6fba2859e57cda799547f6236d15dde46758be5ac1",
+    ("export --type A2 --infinity --depth 3", "dot"): "9060f9d32ff477db33d97ecfba0f0a15bf2a3fb06609984f3767d9dfc843b010",
+}
+
+
+@pytest.mark.parametrize("args, form", list(OUTPUT_DIGESTS), ids=[" ".join(k) for k in OUTPUT_DIGESTS])
+def test_every_subcommand_output_is_pinned_byte_for_byte(args, form, capsys):
+    assert run([*args.split(), "--format", form]) == 0
+    assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == OUTPUT_DIGESTS[(args, form)]
+
+
+def test_crystal_takes_no_format(capsys):
+    # crystal has no JSON schema; export --format json writes its graph
+    assert run(["crystal", "--type", "A2", "--weight", "1,1", "--format", "json"]) == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+def test_project_without_an_image_prints_a_null_element(capsys):
+    assert run(["project", "--type", "A2", "--fstring", "1", "--k", "0", "--format", "json"]) == 0
+    assert json.loads(out_of(capsys)) == {"k": 0, "element": None}
+
+
 def test_export_window_requires_depth(capsys):
     assert run(["export", "--type", "A2", "--infinity", "--format", "dot"]) == 2
 

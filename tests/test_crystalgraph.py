@@ -346,18 +346,28 @@ def test_axioms_catch_a_missing_edge():
 
 
 def test_axioms_report_an_edge_to_a_dropped_node():
-    # every edge into or out of the dropped node is named by its source
-    # instead of the audit failing on a missing key
+    # every edge into or out of the dropped node is named by its source, by
+    # check_axioms, check_dual_iso and check_stembridge alike, and
+    # is_isomorphic refuses the graph naming one, instead of failing on a
+    # missing key or passing the graph
     g = alcove_graph(A2, (1, 1))
+    target = cg.dualize_graph(g)
     for gone in g.nodes:
         nodes = {k: v for k, v in g.nodes.items() if k != gone}
-        report = cg.check_axioms(replace(g, nodes=nodes))
+        h = replace(g, nodes=nodes)
+        report = cg.check_axioms(h)
         dangling = [
             f"{s!r}: the edge -{i}-> {d!r} leaves the nodes"
             for s, i, d in g.edges
             if gone in (s, d)
         ]
         assert dangling and set(dangling) <= set(report.failures), gone
+        assert set(dangling) <= set(cg.check_dual_iso(h, al.mirror, target).failures), gone
+        assert set(dangling) <= set(cg.check_stembridge(h).failures), gone
+        for a, b in ((h, g), (g, h)):
+            with pytest.raises(ValueError) as exc:
+                cg.is_isomorphic(a, b)
+            assert str(exc.value) in dangling, gone
 
 
 def _tampered(chain, i, bad):

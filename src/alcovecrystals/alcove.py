@@ -147,11 +147,19 @@ def _covers(rs: RootSystem, positions, dual: bool, roots: bytes) -> tuple[bytes,
 class AlcoveElement:
     """A set of folding positions (0-based, strictly increasing) in a chain.
 
-    Equal elements have the same chain and positions; the hash reads only
-    the positions, so a lookup does not hash the chain's entries."""
+    Building one checks the positions (ValueError), the one check every
+    element passes but ``_child``'s, built from a checked parent;
+    ``_canonical`` checks admissibility.  The hash reads only the positions,
+    so a lookup does not hash the chain's entries."""
 
     chain: LambdaChain | InfChainWindow
     positions: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        pos, size = self.positions, len(self.chain.entries)
+        in_order = {int}.issuperset(map(type, pos)) and pos == tuple(sorted(set(pos)))
+        if not in_order or pos and not 0 <= pos[0] <= pos[-1] < size:
+            raise ValueError(f"positions {pos!r}: not a strictly increasing tuple of ints < {size}")
 
     def __hash__(self) -> int:
         return hash(self.positions)
@@ -298,16 +306,10 @@ def _canonical(el: AlcoveElement) -> AlcoveElement:
 
 
 def element(chain, positions) -> AlcoveElement:
-    """Build an element over ``chain``, validating and normalizing positions.
-
-    Positions must be distinct 0-based indices into the chain forming an
-    admissible set; window elements are renormalized to the canonical window.
-    """
+    """The element over ``chain`` folded at ``positions``, in any order, each
+    read as an integer (``chains._integer``); on a window, moved to the
+    canonical window (``_canonical``, which also checks admissibility)."""
     pos = tuple(sorted(_integer(p, "a position") for p in positions))
-    if len(set(pos)) != len(pos):
-        raise ValueError(f"duplicate positions in {positions}")
-    if pos and (pos[0] < 0 or pos[-1] >= len(chain.entries)):
-        raise ValueError(f"position out of range for a chain of length {len(chain.entries)}")
     return _canonical(AlcoveElement(chain, pos))
 
 

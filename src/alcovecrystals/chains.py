@@ -147,13 +147,13 @@ class InfChainWindow(_RootIds):
         return len(_rho_chain(self.rs))
 
     def deepest_block(self, positions) -> int:
-        """The farthest block holding any of ``positions``, or 0 for none:
-        blocks count from 1 at the window's fixed end."""
+        """The farthest block holding any of ``positions``, in increasing
+        order, or 0 for none: blocks count from 1 at the window's fixed end."""
         if not positions:
             return 0
         if self.dual:
-            return max(positions) // self._block_len + 1
-        return self.copies - min(positions) // self._block_len
+            return positions[-1] // self._block_len + 1
+        return self.copies - positions[0] // self._block_len
 
     def offset(self, k: int) -> int:
         """How far positions move when the same foldings are read in a window

@@ -55,8 +55,6 @@ def _transport(el) -> PLPath:
         gap = pairing(v0, entry.root)
         crossings.append(end - Fraction(entry.level, gap) if dual else Fraction(entry.level, gap))
         drops.append(tuple(gap * c for c in rs.root_weights[folded[p]]))
-    if any(a > b for a, b in zip(crossings, crossings[1:])):
-        raise ValueError("chain entries are not in crossing-time order")
     den = lcm(*(t.denominator for t in crossings))
     ticks = [t.numerator * (den // t.denominator) for t in crossings]
 
@@ -69,7 +67,7 @@ def _transport(el) -> PLPath:
         ticks.append(den)
     times, points, v = [start], [(start,) * rs.rank], v0
     for j, tick in enumerate(ticks):
-        if tick > times[-1]:
+        if tick != times[-1]:  # from_vertices refuses a tick earlier than the last
             dt = sign * (tick - times[-1])
             points.append(tuple(c + x * dt for c, x in zip(points[-1], v)))
             times.append(tick)

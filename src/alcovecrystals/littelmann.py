@@ -35,18 +35,19 @@ between integer times.  The co-extended kind gets its operators by transport
 through :func:`dualize`, which reverses the vertices and also couples the two
 unbounded kinds to each other.
 
-``PLPath(rs, kind, segments)`` builds a path from exact (velocity, duration)
-segments; ``segments``, :func:`render_path` and :func:`path_to_json` are
-``Fraction`` views of the integer form.  Floats are rejected: they are not
-exact.
+:meth:`PLPath.from_vertices` takes the integer form, and ``PLPath(rs, kind,
+segments)`` exact (velocity, duration) segments, turned into it; both check
+the vertices in one place (``_vertices``), and refuse floats and booleans.
+``segments``, :func:`render_path` and :func:`path_to_json` are ``Fraction``
+views of the integer form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import pairwise
+from itertools import chain, pairwise
 from math import gcd, lcm
-from operator import add, index
+from operator import add
 
 from .rootsys import RootSystem
 
@@ -72,8 +73,8 @@ _set = object.__setattr__
 
 
 def _exact(x, what: str) -> Fraction:
-    if isinstance(x, float):
-        raise ValueError(f"{what} {x!r} is a float; path data must be exact")
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"{what} {x!r} is a {type(x).__name__}, not an exact rational")
     return Fraction(x)
 
 
@@ -87,33 +88,22 @@ class PLPath:
     __slots__ = ("rs", "kind", "den", "times", "points")
 
     def __init__(self, rs: RootSystem, kind: str, segments):
-        if kind not in KINDS:
-            raise ValueError(f"unknown path kind {kind!r}")
-        segs = []
-        for velocity, duration in segments:
-            d = _exact(duration, "duration")
-            if d < 0:
-                raise ValueError("segment durations must be nonnegative")
-            v = tuple(_exact(c, "velocity coordinate") for c in velocity)
-            if len(v) != rs.rank:
-                raise ValueError("velocity has the wrong rank")
-            segs.append((v, d))
-        total = sum((d for _, d in segs), Fraction(0))
-        if kind == "finite" and total != 1:
-            raise ValueError(f"a finite path must have total duration 1, got {total}")
+        segs = [
+            (tuple(_exact(c, "velocity coordinate") for c in v), _exact(d, "duration"))
+            for v, d in segments
+        ]
+        if any(len(v) != rs.rank for v, _ in segs):
+            raise ValueError("velocity has the wrong rank")
         # every kind starts at t * rho: the origin, or the end of the ray
-        t = -total if kind == "co-extended" else Fraction(0)
-        point = (t,) * rs.rank
-        times, points = [t], [point]
+        t = -sum(d for _, d in segs) if kind == "co-extended" else Fraction(0)
+        times, points = [t], [(t,) * rs.rank]
         for v, d in segs:
-            t += d
-            point = tuple(p + c * d for p, c in zip(point, v))
-            times.append(t)
-            points.append(point)
+            times.append(times[-1] + d)
+            points.append(tuple(p + c * d for p, c in zip(points[-1], v)))
         den = lcm(*(q.denominator for q in times), *(c.denominator for p in points for c in p))
         times = [int(q * den) for q in times]
         points = [tuple(int(c * den) for c in p) for p in points]
-        _init(self, rs, kind, *_canonical(kind, den, times, points))
+        _init(self, rs, kind, *_vertices(rs, kind, den, times, points))
 
     @classmethod
     def from_vertices(cls, rs: RootSystem, kind: str, den: int, times, points) -> "PLPath":
@@ -122,27 +112,7 @@ class PLPath:
         The vertices need not be canonical: zero-length pieces, collinear
         neighbours, rho runs at the ray and common factors are removed.
         """
-        if kind not in KINDS:
-            raise ValueError(f"unknown path kind {kind!r}")
-        try:
-            den = index(den)
-            times = [index(t) for t in times]
-            points = [tuple(index(c) for c in p) for p in points]
-        except TypeError:
-            raise ValueError("the denominator, times and points must be integers") from None
-        if den <= 0 or not times or len(times) != len(points):
-            raise ValueError("need a positive denominator and one point per time")
-        if any(len(p) != rs.rank for p in points):
-            raise ValueError("a point has the wrong rank")
-        if any(a > b for a, b in pairwise(times)):
-            raise ValueError("vertex times must not decrease")
-        if points[0] != (times[0],) * rs.rank or (kind != "co-extended" and times[0] != 0):
-            raise ValueError(f"a {kind} path starts at the wrong place")
-        if kind == "co-extended" and times[-1] != 0:
-            raise ValueError("a co-extended path must end at time 0")
-        if kind == "finite" and times[-1] != den:
-            raise ValueError("a finite path must have total duration 1")
-        return _make(rs, kind, den, times, points)
+        return _init(object.__new__(cls), rs, kind, *_vertices(rs, kind, den, times, points))
 
     @property
     def segments(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
@@ -184,6 +154,35 @@ def _init(path: PLPath, rs, kind, den, times, points) -> PLPath:
     _set(path, "times", times)
     _set(path, "points", points)
     return path
+
+
+def _vertices(rs: RootSystem, kind: str, den, times, points):
+    """The canonical form (``_canonical``) of a path's vertices, or ValueError:
+    the one check of both constructors.  The type of every coordinate is
+    read in one pass in C, so booleans are refused without a Python loop."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown path kind {kind!r}")
+    try:
+        times, points = tuple(times), tuple(map(tuple, points))
+        integers = {int}.issuperset(map(type, chain((den,), times, *points)))
+    except TypeError:
+        integers = False
+    if not integers:
+        raise ValueError("the denominator, times and points must be integers")
+    if den <= 0 or not times or len(times) != len(points):
+        raise ValueError("need a positive denominator and one point per time")
+    if set(map(len, points)) != {rs.rank}:
+        raise ValueError("a point has the wrong rank")
+    if sorted(times) != list(times):
+        raise ValueError("vertex times must not decrease: no piece has a negative duration")
+    if points[0] != (times[0],) * rs.rank or (kind != "co-extended" and times[0] != 0):
+        raise ValueError(f"a {kind} path starts at the wrong place")
+    if kind == "co-extended" and times[-1] != 0:
+        raise ValueError("a co-extended path must end at time 0")
+    if kind == "finite" and times[-1] != den:
+        total = Fraction(times[-1], den)
+        raise ValueError(f"a finite path must have total duration 1, got {total}")
+    return _canonical(kind, den, times, points)
 
 
 def _canonical(kind: str, den: int, times, points):

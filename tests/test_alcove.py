@@ -120,6 +120,19 @@ def test_boolean_positions_and_levels_are_refused():
             element_from_pairs(chain, [((1, 0), bad)])
 
 
+def test_building_an_element_checks_its_positions():
+    # unsorted positions would give wrong statistics once read, and one past
+    # the end an IndexError or a window of no copies
+    rho = lex_chain(A2, (1, 1))
+    for chain in (rho, dual_chain(rho), window(A2, 2), window(A2, 2, dual=True)):
+        size = len(chain.entries)
+        bad_sets = [(1, 0), (2, 0), (1, 1), (-1,), (-1, 0), (size,), (0, size), (20,), (True,)]
+        for bad in bad_sets + [(0, 1.0), ("0",), [0]]:
+            with pytest.raises(ValueError, match="not a strictly increasing tuple"):
+                al.AlcoveElement(chain, bad)
+        assert al.AlcoveElement(chain, (0, size - 1)).positions == (0, size - 1)
+
+
 @pytest.mark.parametrize("bad", [0, 3, "1", True, 1.0], ids=repr)
 def test_direction_index_is_checked(bad):
     # True and 1.0 compare equal to 1, so a bare lookup would read them as

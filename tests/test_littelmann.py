@@ -80,9 +80,24 @@ def test_from_vertices_canonicalizes_and_validates():
         ("straight", 1, (0, 1), ((0, 0), (1, 0))),
         ("finite", 1, (0, 1.0), ((0, 0), (1, 0))),
         ("finite", 2, (0, 2), ((0, 0), (Q(1, 2), 0))),
+        # booleans are no integers here: each of these would be the path to (1, 0)
+        ("finite", True, (0, True), ((0, 0), (True, False))),
+        ("finite", 1, (0, 1), ((0, 0), (True, 0))),
+        ("finite", 1, (False, 1), ((0, 0), (1, 0))),
     ]:
         with pytest.raises(ValueError):
             lp.PLPath.from_vertices(A2, kind, den, times, points)
+    # one rule set: the same bad path is refused alike as segments and as vertices
+    for kind, segments, den, times, points in [
+        ("finite", (((1, 0), Q(1, 2)),), 2, (0, 1), ((0, 0), (1, 0))),
+        ("extended", (((1, 0), -1),), 1, (0, -1), ((0, 0), (-1, 0))),
+        ("straight", (((1, 0), 1),), 1, (0, 1), ((0, 0), (1, 0))),
+    ]:
+        with pytest.raises(ValueError) as as_segments:
+            lp.PLPath(A2, kind, segments)
+        with pytest.raises(ValueError) as as_vertices:
+            lp.PLPath.from_vertices(A2, kind, den, times, points)
+        assert str(as_segments.value) == str(as_vertices.value), kind
 
 
 def test_floats_are_rejected():
@@ -96,6 +111,17 @@ def test_floats_are_rejected():
         lp.straight_path(A2, (0.5, 0))
     p = lp.PLPath(A2, "extended", (((1, 0), Q(1, 10)),))
     assert (p.den, p.times, p.points) == (10, (0, 1), ((0, 0), (1, 0)))
+
+
+def test_booleans_are_refused():
+    # True and False would pass for 1 and 0; chains refuse them too, and
+    # test_from_vertices_canonicalizes_and_validates covers from_vertices
+    with pytest.raises(ValueError, match="bool"):
+        lp.PLPath(A2, "finite", (((True, False), True),))
+    with pytest.raises(ValueError, match="bool"):
+        lp.PLPath(A2, "finite", (((1, 0), True),))
+    with pytest.raises(ValueError, match="bool"):
+        lp.straight_path(A2, (True, False))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ call no operator except the one applied to each edge's other end;
 
 Graphs truncated at a depth remember which nodes had neighbors suppressed
 (``boundary``); structural checks skip existence assertions exactly there.
-Every checker, here and in ``verify``, returns a
-:class:`Check`: a name, how much it covered, and failures as strings that
-start with the failing element's ``repr``.  Elements print themselves, so
-text is made only where a failure or an export line needs it.
+Every checker, here and in ``verify``, reads a graph's edges through
+``CrystalGraph.links``, built once per graph, and returns a :class:`Check`:
+a name, how much it covered, and failures as strings that start with the
+failing element's ``repr``.  Elements print themselves, so text is made
+only where a failure or an export line needs it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import alcove as _alcove
 from . import littelmann as _paths
@@ -40,6 +41,7 @@ __all__ = [
     "Check",
     "CrystalGraph",
     "CrystalOps",
+    "Links",
     "NodeData",
     "alcove_ops",
     "check_axioms",
@@ -115,6 +117,13 @@ class NodeData:
     phi: tuple
 
 
+class Links(NamedTuple):
+    """A graph's edges looked up by their ends: ``CrystalGraph.links``."""
+    below: dict  # (x, i) -> the target of x's i-edge
+    above: dict  # (y, i) -> the source of y's i-edge
+    failures: tuple
+
+
 @dataclass
 class CrystalGraph:
     """An enumerated crystal: ``nodes`` maps each element of the model, its
@@ -159,6 +168,25 @@ class CrystalGraph:
             if back != want:
                 failures.append(f"{at!r}: operators not inverse in direction {i}")
         return tuple(failures)
+
+    @cached_property
+    def links(self) -> Links:
+        """The edges looked up by their ends, once per graph as
+        ``inverse_failures``; ``failures`` names each edge that leaves the
+        nodes, kept out of both maps, and each direction repeated at a node,
+        where the maps keep the last edge."""
+        nodes, below, above, failures = self.nodes, {}, {}, []
+        for src, i, dst in self.edges:
+            if src not in nodes or dst not in nodes:
+                failures.append(f"{src!r}: the edge -{i}-> {dst!r} leaves the nodes")
+                continue
+            if (src, i) in below:
+                failures.append(f"{src!r}: two lowering edges in direction {i}")
+            if (dst, i) in above:
+                failures.append(f"{dst!r}: two raising edges in direction {i}")
+            below[src, i] = dst
+            above[dst, i] = src
+        return Links(below, above, tuple(failures))
 
 
 def _generator(ops: CrystalOps, x):
@@ -299,25 +327,13 @@ class Check:
         return not self.failures
 
 
-def _edges_within(graph: CrystalGraph) -> tuple[list, list[str]]:
-    """The edges of ``graph`` with both ends among its nodes, and a failure
-    for each other edge."""
-    inside, stray = [], []
-    for src, i, dst in graph.edges:
-        if src in graph.nodes and dst in graph.nodes:
-            inside.append((src, i, dst))
-        else:
-            stray.append(f"{src!r}: the edge -{i}-> {dst!r} leaves the nodes")
-    return inside, stray
-
-
 def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
     """Audit the defining identities of a crystal on an enumerated graph;
     ``checked`` counts the nodes.
 
     Per node: phi - eps equals the weight paired with the coroot.  Per edge:
-    the weight drops by the root, the statistics step by one, and no node
-    has two edges out or two edges in along one direction.
+    the weight drops by the root, the statistics step by one, and the edge
+    is no ``links`` failure: it stays in the nodes and repeats no direction.
 
     On a graph that carries its ops, each edge is also checked against the
     operator enumeration did not apply to it: an edge found by f_i needs
@@ -332,20 +348,10 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
     the finite highest weight crystals but not for the unbounded models,
     where phi routinely reaches zero and below while lowering still acts.
     """
-    failures = []
     rs = graph.rs
     index_set = rs.index_set
-    out_edge = {}
-    in_edge = {}
-    for src, i, dst in graph.edges:
-        if (src, i) in out_edge:
-            failures.append(f"{src!r}: two lowering edges in direction {i}")
-        if (dst, i) in in_edge:
-            failures.append(f"{dst!r}: two raising edges in direction {i}")
-        out_edge[(src, i)] = dst
-        in_edge[(dst, i)] = src
-
-    failures += graph.inverse_failures
+    below, above, link_failures = graph.links
+    failures = list(graph.inverse_failures)
 
     for k, data in graph.nodes.items():
         for pos, i in enumerate(index_set):
@@ -354,15 +360,14 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
                 failures.append(f"{k!r}: phi - eps != <wt, coroot> in direction {i}")
             if not seminormal or k in graph.boundary:
                 continue
-            if (data.phi[pos] > 0) != ((k, i) in out_edge):
+            if (data.phi[pos] > 0) != ((k, i) in below):
                 failures.append(f"{k!r}: phi and lowering disagree in direction {i}")
-            if (data.eps[pos] > 0) != ((k, i) in in_edge):
+            if (data.eps[pos] > 0) != ((k, i) in above):
                 failures.append(f"{k!r}: eps and raising disagree in direction {i}")
 
-    edges, stray = _edges_within(graph)
-    failures += stray
+    failures += link_failures
     alphas = {i: rs.root_weights[rs.simple_index(i)] for i in index_set}
-    for src, i, dst in edges:
+    for (src, i), dst in below.items():
         pos = index_set.index(i)
         a = graph.nodes[src]
         b = graph.nodes[dst]
@@ -382,8 +387,8 @@ def check_dual_iso(source: CrystalGraph, mapping: Callable, target: CrystalGraph
     Each image must have the negated weight (read through the target's ops,
     so that an image outside the target reports it too) and be a target
     node with eps and phi swapped; the images must be the target's nodes,
-    one each, and the reversed source edges its edges; a source edge that
-    leaves the source's nodes fails as in ``check_axioms``.  Both graphs also get
+    one each, and the reversed source edges its edges; the source's
+    ``links`` failures fail as in ``check_axioms``.  Both graphs also get
     ``check_axioms``' inverse check, so an operator wrong only in the
     direction enumeration skipped fails here too.  ValueError if the graphs
     live over different root systems.
@@ -405,9 +410,8 @@ def check_dual_iso(source: CrystalGraph, mapping: Callable, target: CrystalGraph
         elif (found.eps, found.phi) != (data.phi, data.eps):
             failures.append(f"{x!r}: eps/phi swap")
     failures += [f"{y!r}: target node is not an image" for y in target.nodes if y not in preimage]
-    edges, stray = _edges_within(source)
-    failures += stray
-    reversed_edges = {(image[y], i, image[x]): x for x, i, y in edges}
+    failures += source.links.failures
+    reversed_edges = {(image[y], i, image[x]): x for (x, i), y in source.links.below.items()}
     target_edges = set(target.edges)
     failures += [
         f"{x!r}: lowering transport at {edge[1]}"
@@ -430,8 +434,8 @@ def check_stembridge(graph: CrystalGraph) -> Check:
     Walking up along ``i``, the change of the ``j`` statistics must be (0, -1)
     or (+1, 0) for neighbors and (0, 0) for orthogonal pairs; two zero changes
     force a commuting square, two +1 changes force the degree-two braid.
-    Nodes with truncated surroundings are skipped rather than failed; an
-    edge with an end that is not a node fails as in ``check_axioms``.
+    Nodes with truncated surroundings are skipped rather than failed; the
+    graph's ``links`` failures fail as in ``check_axioms``.
     """
     rs = graph.rs
     if not rs.cartan.simply_laced:
@@ -439,8 +443,7 @@ def check_stembridge(graph: CrystalGraph) -> Check:
     A = rs.cartan.matrix
     n = rs.rank
     pairs = 0
-    edges, failures = _edges_within(graph)
-    e_map = {(dst, i): src for src, i, dst in edges}
+    e_map, failures = graph.links.above, list(graph.links.failures)
 
     def chase(start, word):
         cur = start
@@ -510,13 +513,12 @@ def check_stembridge(graph: CrystalGraph) -> Check:
 
 
 def _canonical_signature(graph: CrystalGraph) -> tuple:
-    _, stray = _edges_within(graph)
-    if stray:
-        raise ValueError(stray[0])
+    below, _, failures = graph.links
+    if failures:
+        raise ValueError(failures[0])
     tops = highest_weight_keys(graph)
     if len(tops) != 1:
         raise ValueError(f"need a unique highest weight node, found {len(tops)}")
-    out_edge = {(src, i): dst for src, i, dst in graph.edges}
     order = {tops[0]: 0}
     queue = deque([tops[0]])
     lines = []
@@ -524,14 +526,11 @@ def _canonical_signature(graph: CrystalGraph) -> tuple:
         k = queue.popleft()
         children = []
         for i in graph.rs.index_set:
-            child = out_edge.get((k, i))
-            if child is None:
-                children.append(None)
-                continue
-            if child not in order:
+            child = below.get((k, i))
+            if child is not None and child not in order:
                 order[child] = len(order)
                 queue.append(child)
-            children.append(order[child])
+            children.append(order.get(child))
         data = graph.nodes[k]
         lines.append((data.weight, data.eps, data.phi, tuple(children)))
     return (len(graph.nodes), tuple(lines))
@@ -540,9 +539,9 @@ def _canonical_signature(graph: CrystalGraph) -> tuple:
 def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> bool:
     """Whether two enumerated crystals agree up to relabeling.
 
-    Both must have a unique highest weight node and no edge that leaves the
-    nodes (ValueError otherwise); the comparison walks both graphs in the
-    canonical order and also matches node weights and statistics.
+    Both must have a unique highest weight node and no ``links`` failure
+    (ValueError naming the first otherwise); both are walked in the
+    canonical order, matching node weights and statistics too.
     """
     return _canonical_signature(a) == _canonical_signature(b)
 

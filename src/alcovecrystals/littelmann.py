@@ -37,7 +37,7 @@ unbounded kinds to each other.
 
 :meth:`PLPath.from_vertices` takes the integer form, and ``PLPath(rs, kind,
 segments)`` exact (velocity, duration) segments, turned into it; both check
-the vertices in one place (``_vertices``), and refuse floats and booleans.
+the vertices in one place (``_vertices``) and refuse floats, bools and strs.
 ``segments``, :func:`render_path` and :func:`path_to_json` are ``Fraction``
 views of the integer form.
 """
@@ -73,7 +73,7 @@ _set = object.__setattr__
 
 
 def _exact(x, what: str) -> Fraction:
-    if isinstance(x, (bool, float)):
+    if isinstance(x, (bool, float, str)):
         raise ValueError(f"{what} {x!r} is a {type(x).__name__}, not an exact rational")
     return Fraction(x)
 

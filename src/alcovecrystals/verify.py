@@ -10,7 +10,7 @@ suites too.  Elements key graphs and are compared with ``==``.
 Every suite reports through :class:`crystalgraph.Check`, the record the
 checkers return, relabeled for the crystal it ran on.  Suites read what the
 sweep already holds: the profile suite takes the signature operators'
-results from each graph's edges, computing them only on a truncation's
+results from each graph's ``links``, computing them only on a truncation's
 boundary, and runs ``check_axioms``' inverse check on each graph so that
 an operator wrong only in the direction enumeration skipped still fails.
 """
@@ -51,6 +51,9 @@ def _path_truncation(rs, depth, kind):
     return cg.enumerate_crystal(cg.path_ops(rs, kind), [seed], depth=depth)
 
 
+_INF = {False: "Al(inf)", True: "Al-dual(inf)"}
+
+
 class Sweep:
     """The crystals of one root system that the suites check, built on first
     use and kept: Al(lam), its dual model and the path crystal for every
@@ -85,8 +88,11 @@ class Sweep:
         """The extended or co-extended path model enumerated to ``depth``."""
         return self._keep(_path_truncation, self.depth, kind)
 
-
-_INF = {False: "Al(inf)", True: "Al-dual(inf)"}
+    def alcove_graphs(self) -> list:
+        """(name, graph) for every Al(lam), then Al(infinity) and its dual."""
+        return [(f"Al{lam}", self.finite(lam)) for lam in self.weights] + [
+            (f"{model} depth {self.depth}", self.truncation(dual)) for dual, model in _INF.items()
+        ]
 
 
 def _axioms(sweep) -> list[Check]:
@@ -119,9 +125,7 @@ def _stembridge(sweep) -> list[Check]:
     and its dual; simply laced types only."""
     if not sweep.rs.cartan.simply_laced:
         return [Check("stembridge skipped: not simply laced", 0, [])]
-    graphs = [(f"Al{lam}", sweep.finite(lam)) for lam in sweep.weights]
-    for dual, model in _INF.items():
-        graphs.append((f"{model} depth {sweep.depth}", sweep.truncation(dual)))
+    graphs = sweep.alcove_graphs()
     return [replace(cg.check_stembridge(g), name=f"stembridge {src}") for src, g in graphs]
 
 
@@ -215,22 +219,18 @@ def _profile(sweep) -> list[Check]:
     from, and that runs the profile's structure conditions on every element
     and direction; a violation is a failure naming them.
 
-    The signature operators' results are read off each graph's edges, and
+    The signature operators' results are read off each graph's ``links``, and
     computed only at the nodes on a truncation's boundary, where edges were
     left out.  The edges hold one direction of each operator: enumeration
     computed each edge once, so an operator wrong only in the direction it
     skipped reads right there.  Each graph therefore also gets
     ``check_axioms``' inverse check, which computes every edge's other
     direction."""
-    graphs = [(f"Al{lam}", sweep.finite(lam)) for lam in sweep.weights]
-    for dual, model in _INF.items():
-        graphs.append((f"{model} depth {sweep.depth}", sweep.truncation(dual)))
     index_set = sweep.rs.index_set
     checks = stats = 0
     failures, stat_failures = [], []
-    for source, graph in graphs:
-        below = {(src, i): dst for src, i, dst in graph.edges}
-        above = {(dst, i): src for src, i, dst in graph.edges}
+    for source, graph in sweep.alcove_graphs():
+        below, above, _ = graph.links
         for el in graph.nodes:
             name, stat = ("phi", al.phi) if el.is_dual else ("epsilon", al.epsilon)
             cut = el in graph.boundary

@@ -370,6 +370,40 @@ def test_axioms_report_an_edge_to_a_dropped_node():
             assert str(exc.value) in dangling, gone
 
 
+def test_a_repeated_direction_fails_every_checker():
+    # a second i-edge out of x, a copy of its edge to y or an edge to another
+    # node: every checker names it, and is_isomorphic refuses the graph
+    # naming it, instead of keeping the last edge and passing the graph
+    g = alcove_graph(A2, (1, 1))
+    target = cg.dualize_graph(g)
+    x, i, y = g.edges[0]
+    other = next(k for k in g.nodes if k not in (x, y))
+    for extra in ((x, i, y), (x, i, other)):
+        h = cg.CrystalGraph(rs=g.rs, nodes=g.nodes, edges=[*g.edges, extra], generators=g.generators)
+        repeated = f"{x!r}: two lowering edges in direction {i}"
+        assert h.links.failures[0] == repeated
+        assert repeated in cg.check_axioms(h).failures
+        assert repeated in cg.check_stembridge(h).failures
+        assert repeated in cg.check_dual_iso(h, al.mirror, target).failures
+        for a, b in ((h, g), (g, h)):
+            with pytest.raises(ValueError, match="two lowering edges"):
+                cg.is_isomorphic(a, b)
+
+
+def test_a_replaced_graph_gets_its_own_links():
+    # links are kept per graph object: a graph with one edge fewer, made with
+    # dataclasses.replace after the checks read the original's, reads its own
+    g = alcove_graph(A2, (1, 1))
+    assert cg.check_axioms(g, seminormal=True).ok and cg.check_stembridge(g).ok
+    assert cg.is_isomorphic(g, g)
+    x, i, y = g.edges[-1]
+    h = replace(g, edges=g.edges[:-1])
+    assert g.links.below[x, i] == y and (x, i) not in h.links.below
+    assert g.links.above[y, i] == x and (y, i) not in h.links.above
+    assert not cg.check_axioms(h, seminormal=True).ok
+    assert not cg.is_isomorphic(h, g)
+
+
 def _tampered(chain, i, bad):
     """Enumerate the alcove crystal of ``chain`` with e_i replaced by ``bad``
     at the target of the first edge found by f_i; ``bad`` gets that target

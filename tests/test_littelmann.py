@@ -84,6 +84,9 @@ def test_from_vertices_canonicalizes_and_validates():
         ("finite", True, (0, True), ((0, 0), (True, False))),
         ("finite", 1, (0, 1), ((0, 0), (True, 0))),
         ("finite", 1, (False, 1), ((0, 0), (1, 0))),
+        # nor are strings
+        ("finite", 1, (0, 1), ((0, 0), ("1", 0))),
+        ("finite", "1", (0, "1"), ((0, 0), (1, 0))),
     ]:
         with pytest.raises(ValueError):
             lp.PLPath.from_vertices(A2, kind, den, times, points)
@@ -114,7 +117,8 @@ def test_floats_are_rejected():
 
 
 def test_booleans_are_refused():
-    # True and False would pass for 1 and 0; chains refuse them too, and
+    # True and False would pass for 1 and 0, and "1" and "0" would be parsed
+    # as them; chains refuse both too, and
     # test_from_vertices_canonicalizes_and_validates covers from_vertices
     with pytest.raises(ValueError, match="bool"):
         lp.PLPath(A2, "finite", (((True, False), True),))
@@ -122,6 +126,12 @@ def test_booleans_are_refused():
         lp.PLPath(A2, "finite", (((1, 0), True),))
     with pytest.raises(ValueError, match="bool"):
         lp.straight_path(A2, (True, False))
+    with pytest.raises(ValueError, match="str"):
+        lp.PLPath(A2, "finite", ((("1", "0"), "1"),))
+    with pytest.raises(ValueError, match="str"):
+        lp.PLPath(A2, "finite", (((1, 0), "1"),))
+    with pytest.raises(ValueError, match="str"):
+        lp.straight_path(A2, ("1", "0"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ same foldings are read in a wider window or in the chain for a multiple of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from math import lcm
 from operator import index
 
 from .rootsys import Root, RootSystem, pairing
@@ -169,15 +169,18 @@ def lex_chain(rs: RootSystem, lam) -> LambdaChain:
     Pairs ``(beta, h)`` are ordered by the vector
     ``(h, c_1, ..., c_n) / <lam, beta^vee>`` where the ``c_k`` are the coroot
     coordinates of ``beta``.  Roots pairing to zero with ``lam`` contribute
-    nothing.  Raises ValueError on a non-dominant weight.
+    nothing.  The sort keys are those vectors times the lcm of the pairings:
+    the same order, in integers.  Raises ValueError on a non-dominant weight.
     """
     lam = _dominant(rs, lam)
+    pairings = [(beta, pairing(lam, beta)) for beta in rs.positive_roots]
+    scale = lcm(*(m for _, m in pairings if m))
     keyed = []
-    for beta in rs.positive_roots:
-        m = pairing(lam, beta)
-        for h in range(m):
-            key = (Fraction(h, m),) + tuple(Fraction(c, m) for c in beta.cocoeffs)
-            keyed.append((key, ChainEntry(beta, h)))
+    for beta, m in pairings:
+        if m:
+            q = scale // m
+            coords = tuple(q * c for c in beta.cocoeffs)
+            keyed += [((q * h, *coords), ChainEntry(beta, h)) for h in range(m)]
     keyed.sort(key=lambda pair: pair[0])
     keys = [k for k, _ in keyed]
     assert len(set(keys)) == len(keys), "lex sort keys must be distinct"

@@ -17,11 +17,14 @@ call no operator except the one applied to each edge's other end;
 
 Graphs truncated at a depth remember which nodes had neighbors suppressed
 (``boundary``); structural checks skip existence assertions exactly there.
-Every checker, here and in ``verify``, reads a graph's edges through
-``CrystalGraph.links``, built once per graph, and returns a :class:`Check`:
-a name, how much it covered, and failures as strings that start with the
-failing element's ``repr``.  Elements print themselves, so text is made
-only where a failure or an export line needs it.
+Every checker, here and in ``verify``, reads a graph through
+``CrystalGraph.links``, built once per graph: it numbers the nodes in the
+order of ``nodes``, hashing each element once, and keeps each edge in a
+list slot of its source and of its target, so the checkers follow edges and
+read statistics by node id and hash no element.  Each checker returns a
+:class:`Check`: a name, how much it covered, and failures as strings that
+start with the failing element's ``repr``.  Elements print themselves, so
+text is made only where a failure or an export line needs it.
 """
 
 from __future__ import annotations
@@ -118,9 +121,15 @@ class NodeData:
 
 
 class Links(NamedTuple):
-    """A graph's edges looked up by their ends: ``CrystalGraph.links``."""
-    below: dict  # (x, i) -> the target of x's i-edge
-    above: dict  # (y, i) -> the source of y's i-edge
+    """A graph's edges by node id: ``CrystalGraph.links``.
+
+    ``order`` numbers the nodes in the order of ``nodes``.  Node ``n``'s
+    edge out and edge in along direction ``i`` sit in slot
+    ``n * rank + (i - 1)`` of ``below`` and ``above``, which hold the id of
+    the edge's other end, or None where the node has no such edge."""
+    order: dict  # element -> node id
+    below: list  # slot -> the id of the target of the node's i-edge
+    above: list  # slot -> the id of the source of the node's i-edge
     failures: tuple
 
 
@@ -150,18 +159,23 @@ class CrystalGraph:
 
     @cached_property
     def inverse_failures(self) -> tuple[str, ...]:
-        """Every edge checked against the operator enumeration did not apply
-        to it (see ``check_axioms``); a graph built by hand has no ops to
-        check.  Computed once per graph and kept, so ``check_axioms``,
-        ``check_dual_iso`` and the profile suite share one pass; a graph with
-        other edges or ops (``dataclasses.replace``) computes its own."""
+        """Every edge of ``links`` checked against the operator enumeration
+        did not apply to it (see ``check_axioms``); a graph built by hand has
+        no ops to check.  Computed once per graph and kept, so
+        ``check_axioms``, ``check_dual_iso`` and the profile suite share one
+        pass; a graph with other edges or ops (``dataclasses.replace``)
+        computes its own.  An edge that is a ``links`` failure is left to
+        it."""
         ops = self.ops
         if ops is None:
             return ()
+        order, below, _, _ = self.links
+        keys, rank = list(self.nodes), self.rs.rank
+        raised = {(order.get(src), i, order.get(dst)) for src, i, dst in self.raised}
         failures = []
-        for edge in self.edges:
-            src, i, dst = edge
-            if edge in self.raised:
+        for n, pos, m in _edge_ids(below, rank):
+            src, i, dst = keys[n], pos + 1, keys[m]
+            if (n, i, m) in raised:
                 at, want, back = src, dst, ops.f(src, i)
             else:
                 at, want, back = dst, src, ops.e(dst, i)
@@ -171,22 +185,41 @@ class CrystalGraph:
 
     @cached_property
     def links(self) -> Links:
-        """The edges looked up by their ends, once per graph as
-        ``inverse_failures``; ``failures`` names each edge that leaves the
-        nodes, kept out of both maps, and each direction repeated at a node,
-        where the maps keep the last edge."""
-        nodes, below, above, failures = self.nodes, {}, {}, []
+        """The nodes numbered and the edges between them in id slots, once
+        per graph as ``inverse_failures``; each node and each edge end is
+        hashed once.  ``failures`` names each edge that leaves the nodes or
+        has no direction of the index set (a boolean is none), kept out of
+        both lists, and each direction repeated at a node, where the lists
+        keep the last edge."""
+        order = dict(zip(self.nodes, range(len(self.nodes))))
+        rank = self.rs.rank
+        below = [None] * (len(order) * rank)
+        above = below.copy()
+        failures = []
         for src, i, dst in self.edges:
-            if src not in nodes or dst not in nodes:
+            s, t = order.get(src), order.get(dst)
+            if s is None or t is None:
                 failures.append(f"{src!r}: the edge -{i}-> {dst!r} leaves the nodes")
                 continue
-            if (src, i) in below:
+            if type(i) is not int or not 0 < i <= rank:
+                failures.append(f"{src!r}: the edge -{i}-> {dst!r} has no direction of the index set")
+                continue
+            out, into = s * rank + i - 1, t * rank + i - 1
+            if below[out] is not None:
                 failures.append(f"{src!r}: two lowering edges in direction {i}")
-            if (dst, i) in above:
+            if above[into] is not None:
                 failures.append(f"{dst!r}: two raising edges in direction {i}")
-            below[src, i] = dst
-            above[dst, i] = src
-        return Links(below, above, tuple(failures))
+            below[out], above[into] = t, s
+        return Links(order, below, above, tuple(failures))
+
+
+def _edge_ids(below: list, rank: int):
+    """(source id, position of i, target id) for each edge held in the
+    ``below`` slots of ``links``, in slot order."""
+    for slot, m in enumerate(below):
+        if m is not None:
+            n, pos = divmod(slot, rank)
+            yield n, pos, m
 
 
 def _generator(ops: CrystalOps, x):
@@ -333,7 +366,9 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
 
     Per node: phi - eps equals the weight paired with the coroot.  Per edge:
     the weight drops by the root, the statistics step by one, and the edge
-    is no ``links`` failure: it stays in the nodes and repeats no direction.
+    is no ``links`` failure: it stays in the nodes, has a direction of the
+    index set and repeats none.  Edges and statistics are read by node id,
+    from ``links.below`` and the statistics in the order of ``nodes``.
 
     On a graph that carries its ops, each edge is also checked against the
     operator enumeration did not apply to it: an edge found by f_i needs
@@ -349,34 +384,43 @@ def check_axioms(graph: CrystalGraph, seminormal: bool = False) -> Check:
     where phi routinely reaches zero and below while lowering still acts.
     """
     rs = graph.rs
-    index_set = rs.index_set
-    below, above, link_failures = graph.links
+    index_set, rank = rs.index_set, rs.rank
+    order, below, above, link_failures = graph.links
+    keys, stats = list(graph.nodes), list(graph.nodes.values())
     failures = list(graph.inverse_failures)
+    cut = {order.get(k) for k in graph.boundary} if seminormal else ()
 
-    for k, data in graph.nodes.items():
+    for n, data in enumerate(stats):
         for pos, i in enumerate(index_set):
             # <wt, alpha_i^vee> is the weight's i-th fundamental-weight coordinate
             if data.phi[pos] != data.eps[pos] + data.weight[pos]:
-                failures.append(f"{k!r}: phi - eps != <wt, coroot> in direction {i}")
-            if not seminormal or k in graph.boundary:
+                failures.append(f"{keys[n]!r}: phi - eps != <wt, coroot> in direction {i}")
+            if not seminormal or n in cut:
                 continue
-            if (data.phi[pos] > 0) != ((k, i) in below):
-                failures.append(f"{k!r}: phi and lowering disagree in direction {i}")
-            if (data.eps[pos] > 0) != ((k, i) in above):
-                failures.append(f"{k!r}: eps and raising disagree in direction {i}")
+            slot = n * rank + pos
+            if (data.phi[pos] > 0) != (below[slot] is not None):
+                failures.append(f"{keys[n]!r}: phi and lowering disagree in direction {i}")
+            if (data.eps[pos] > 0) != (above[slot] is not None):
+                failures.append(f"{keys[n]!r}: eps and raising disagree in direction {i}")
 
     failures += link_failures
-    alphas = {i: rs.root_weights[rs.simple_index(i)] for i in index_set}
-    for (src, i), dst in below.items():
-        pos = index_set.index(i)
-        a = graph.nodes[src]
-        b = graph.nodes[dst]
-        alpha = alphas[i]
-        if b.weight != tuple(w - c for w, c in zip(a.weight, alpha)):
-            failures.append(f"{src!r}: weight step wrong on the edge -{i}-> {dst!r}")
+    alphas = [rs.root_weights[rs.simple_index(i)] for i in index_set]
+    for n, pos, m in _edge_ids(below, rank):
+        a, b, i = stats[n], stats[m], index_set[pos]
+        if b.weight != tuple(w - c for w, c in zip(a.weight, alphas[pos])):
+            failures.append(f"{keys[n]!r}: weight step wrong on the edge -{i}-> {keys[m]!r}")
         if b.eps[pos] != a.eps[pos] + 1 or b.phi[pos] != a.phi[pos] - 1:
-            failures.append(f"{src!r}: statistic step wrong on the edge -{i}-> {dst!r}")
-    return Check("axioms", len(graph.nodes), failures)
+            failures.append(f"{keys[n]!r}: statistic step wrong on the edge -{i}-> {keys[m]!r}")
+    return Check("axioms", len(stats), failures)
+
+
+def _not_carried(below: list, ids: list, other: list, rank: int):
+    """(n, position of i) for each edge n -i-> m of ``below`` that ``ids``
+    does not carry to an edge ids[m] -i-> ids[n] of ``other``."""
+    for n, pos, m in _edge_ids(below, rank):
+        start, end = ids[m], ids[n]
+        if start is None or end is None or other[start * rank + pos] != end:
+            yield n, pos
 
 
 def check_dual_iso(source: CrystalGraph, mapping: Callable, target: CrystalGraph) -> Check:
@@ -387,44 +431,51 @@ def check_dual_iso(source: CrystalGraph, mapping: Callable, target: CrystalGraph
     Each image must have the negated weight (read through the target's ops,
     so that an image outside the target reports it too) and be a target
     node with eps and phi swapped; the images must be the target's nodes,
-    one each, and the reversed source edges its edges; the source's
-    ``links`` failures fail as in ``check_axioms``.  Both graphs also get
-    ``check_axioms``' inverse check, so an operator wrong only in the
-    direction enumeration skipped fails here too.  ValueError if the graphs
-    live over different root systems.
+    one each, and the reversed source edges its edges; the ``links``
+    failures of both graphs fail as in ``check_axioms``.  Each image is
+    looked up once in the target's ``links.order``; from there the images,
+    the preimages and both graphs' edges are compared by node id.  Both
+    graphs also get ``check_axioms``' inverse check, so an operator wrong
+    only in the direction enumeration skipped fails here too.  ValueError if
+    the graphs live over different root systems.
     """
     if source.rs != target.rs:
         raise ValueError("source and target live over different root systems")
     failures = []
-    image, preimage = {}, {}
-    for x, data in source.nodes.items():
-        y = image[x] = mapping(x)
+    rank, index_set = source.rs.rank, source.rs.index_set
+    links, target_links = source.links, target.links
+    keys, targets = list(source.nodes), list(target.nodes)
+    target_stats = list(target.nodes.values())
+    image = []  # source id -> the target id of its image, or None
+    preimage = [None] * len(targets)  # target id -> the first source id mapped onto it
+    for n, (x, data) in enumerate(source.nodes.items()):
+        y = mapping(x)
         if tuple(target.ops.weight(y)) != tuple(-c for c in data.weight):
             failures.append(f"{x!r}: weight negation")
-        if y in preimage:
-            failures.append(f"{x!r}: same image as {preimage[y]!r}")
-        preimage.setdefault(y, x)
-        found = target.nodes.get(y)
-        if found is None:
+        t = target_links.order.get(y)
+        image.append(t)
+        if t is None:
             failures.append(f"{x!r}: image is not a target node")
-        elif (found.eps, found.phi) != (data.phi, data.eps):
+            continue
+        if preimage[t] is None:
+            preimage[t] = n
+        else:
+            failures.append(f"{x!r}: same image as {keys[preimage[t]]!r}")
+        found = target_stats[t]
+        if (found.eps, found.phi) != (data.phi, data.eps):
             failures.append(f"{x!r}: eps/phi swap")
-    failures += [f"{y!r}: target node is not an image" for y in target.nodes if y not in preimage]
-    failures += source.links.failures
-    reversed_edges = {(image[y], i, image[x]): x for (x, i), y in source.links.below.items()}
-    target_edges = set(target.edges)
+    failures += [f"{y!r}: target node is not an image" for y, n in zip(targets, preimage) if n is None]
+    failures += links.failures + target_links.failures
     failures += [
-        f"{x!r}: lowering transport at {edge[1]}"
-        for edge, x in reversed_edges.items()
-        if edge not in target_edges
+        f"{keys[n]!r}: lowering transport at {index_set[pos]}"
+        for n, pos in _not_carried(links.below, image, target_links.below, rank)
     ]
     failures += [
-        f"{edge[0]!r}: target edge along {edge[1]} is not a reversed source edge"
-        for edge in target.edges
-        if edge not in reversed_edges
+        f"{targets[t]!r}: target edge along {index_set[pos]} is not a reversed source edge"
+        for t, pos in _not_carried(target_links.below, preimage, links.below, rank)
     ]
     failures += source.inverse_failures + target.inverse_failures
-    return Check("dual-iso", len(source.nodes), failures)
+    return Check("dual-iso", len(keys), failures)
 
 
 def check_stembridge(graph: CrystalGraph) -> Check:
@@ -435,73 +486,74 @@ def check_stembridge(graph: CrystalGraph) -> Check:
     or (+1, 0) for neighbors and (0, 0) for orthogonal pairs; two zero changes
     force a commuting square, two +1 changes force the degree-two braid.
     Nodes with truncated surroundings are skipped rather than failed; the
-    graph's ``links`` failures fail as in ``check_axioms``.
+    graph's ``links`` failures fail as in ``check_axioms``.  The walks chase
+    node ids through ``links.above``.
     """
     rs = graph.rs
     if not rs.cartan.simply_laced:
         raise ValueError("the local checks apply to simply laced types only")
     A = rs.cartan.matrix
-    n = rs.rank
+    index_set, rank = rs.index_set, rs.rank
     pairs = 0
-    e_map, failures = graph.links.above, list(graph.links.failures)
+    above, failures = graph.links.above, list(graph.links.failures)
+    keys, stats = list(graph.nodes), list(graph.nodes.values())
 
     def chase(start, word):
         cur = start
-        for i in word:
-            cur = e_map.get((cur, i))
+        for pos in word:
+            cur = above[cur * rank + pos]
             if cur is None:
                 return None
         return cur
 
-    def meet(k, first, second, off_graph, differ) -> None:
-        """Raising along two words from ``k`` must end at one node; a walk
-        off the graph fails a complete graph and is skipped otherwise."""
-        a_end = chase(k, first)
-        b_end = chase(k, second)
+    def meet(n, first, second, off_graph, differ) -> None:
+        """Raising along two words of directions' positions from node ``n``
+        must end at one node; a walk off the graph fails a complete graph
+        and is skipped otherwise."""
+        a_end = chase(n, first)
+        b_end = chase(n, second)
         if a_end is None or b_end is None:
             if graph.complete:
-                failures.append(f"{k!r}: {off_graph}")
+                failures.append(f"{keys[n]!r}: {off_graph}")
         elif a_end != b_end:
-            failures.append(f"{k!r}: {differ}")
+            failures.append(f"{keys[n]!r}: {differ}")
 
-    index_set = rs.index_set
-    for k in graph.nodes:
-        for ai in range(n):
-            for aj in range(ai + 1, n):
+    for n, node in enumerate(stats):
+        up = above[n * rank : (n + 1) * rank]
+        for ai in range(rank):
+            for aj in range(ai + 1, rank):
                 i, j = index_set[ai], index_set[aj]
-                yi = e_map.get((k, i))
-                yj = e_map.get((k, j))
+                yi, yj = up[ai], up[aj]
                 if yi is None or yj is None:
                     continue
                 pairs += 1
-                node = graph.nodes[k]
-                d_eps_j = graph.nodes[yi].eps[aj] - node.eps[aj]
-                d_phi_j = graph.nodes[yi].phi[aj] - node.phi[aj]
-                d_eps_i = graph.nodes[yj].eps[ai] - node.eps[ai]
-                d_phi_i = graph.nodes[yj].phi[ai] - node.phi[ai]
+                d_eps_j = stats[yi].eps[aj] - node.eps[aj]
+                d_phi_j = stats[yi].phi[aj] - node.phi[aj]
+                d_eps_i = stats[yj].eps[ai] - node.eps[ai]
+                d_phi_i = stats[yj].phi[ai] - node.phi[ai]
                 if A[ai][aj] == 0:
                     if (d_eps_j, d_phi_j) != (0, 0) or (d_eps_i, d_phi_i) != (0, 0):
-                        failures.append(f"{k!r}: orthogonal directions {i},{j} interact")
+                        failures.append(f"{keys[n]!r}: orthogonal directions {i},{j} interact")
                         continue
                     square = True
                 else:
                     for diff in ((d_eps_j, d_phi_j), (d_eps_i, d_phi_i)):
                         if diff not in ((0, -1), (1, 0)):
-                            failures.append(f"{k!r}: statistic change {diff} along {i},{j}")
+                            failures.append(f"{keys[n]!r}: statistic change {diff} along {i},{j}")
                     square = d_eps_j == 0 and d_eps_i == 0
                     if d_eps_j == 1 and d_eps_i == 1:
                         meet(
-                            k,
-                            [i, j, j, i],
-                            [j, i, i, j],
+                            n,
+                            [ai, aj, aj, ai],
+                            [aj, ai, ai, aj],
                             "braid walk falls off the graph",
                             f"braid relation fails along {i},{j}",
                         )
                 if square:
                     meet(
-                        k,
-                        [i, j],
-                        [j, i],
+                        n,
+                        [ai, aj],
+                        [aj, ai],
                         "commuting square walks off the graph",
                         f"raises along {i},{j} do not commute",
                     )
@@ -513,35 +565,37 @@ def check_stembridge(graph: CrystalGraph) -> Check:
 
 
 def _canonical_signature(graph: CrystalGraph) -> tuple:
-    below, _, failures = graph.links
+    _, below, _, failures = graph.links
     if failures:
         raise ValueError(failures[0])
-    tops = highest_weight_keys(graph)
+    stats = list(graph.nodes.values())
+    tops = [n for n, data in enumerate(stats) if all(v == 0 for v in data.eps)]
     if len(tops) != 1:
         raise ValueError(f"need a unique highest weight node, found {len(tops)}")
-    order = {tops[0]: 0}
-    queue = deque([tops[0]])
+    rank = graph.rs.rank
+    seen = [None] * len(stats)  # node id -> its place in the walk
+    seen[tops[0]] = 0
+    walk = [tops[0]]
     lines = []
-    while queue:
-        k = queue.popleft()
+    for n in walk:
         children = []
-        for i in graph.rs.index_set:
-            child = below.get((k, i))
-            if child is not None and child not in order:
-                order[child] = len(order)
-                queue.append(child)
-            children.append(order.get(child))
-        data = graph.nodes[k]
+        for child in below[n * rank : (n + 1) * rank]:
+            if child is not None and seen[child] is None:
+                seen[child] = len(walk)
+                walk.append(child)
+            children.append(None if child is None else seen[child])
+        data = stats[n]
         lines.append((data.weight, data.eps, data.phi, tuple(children)))
-    return (len(graph.nodes), tuple(lines))
+    return (len(stats), tuple(lines))
 
 
 def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> bool:
     """Whether two enumerated crystals agree up to relabeling.
 
     Both must have a unique highest weight node and no ``links`` failure
-    (ValueError naming the first otherwise); both are walked in the
-    canonical order, matching node weights and statistics too.
+    (ValueError naming the first otherwise); both are walked by node id
+    through ``links.below`` in the canonical order, matching node weights
+    and statistics too.
     """
     return _canonical_signature(a) == _canonical_signature(b)
 
@@ -560,15 +614,16 @@ def _dual_ops(ops: CrystalOps) -> CrystalOps:
 
 def dualize_graph(graph: CrystalGraph) -> CrystalGraph:
     """The contragredient graph: arrows reversed, statistics swapped, weights
-    negated.  The nodes are the original elements.  Ops carry over
-    swapped the same way, and an edge found by lowering becomes one found
-    by raising, so ``check_axioms`` still checks each edge's other
+    negated.  The nodes are the original elements, in their order, and the
+    reversed edges are sorted by ``links.order``.  Ops carry over swapped
+    the same way, and an edge found by lowering becomes one found by
+    raising, so ``check_axioms`` still checks each edge's other
     direction."""
     nodes = {
         k: NodeData(weight=tuple(-c for c in data.weight), eps=data.phi, phi=data.eps)
         for k, data in graph.nodes.items()
     }
-    order = {k: n for n, k in enumerate(nodes)}
+    order = graph.links.order
     edges = sorted(
         ((dst, i, src) for src, i, dst in graph.edges),
         key=lambda t: (order[t[0]], t[1], order[t[2]]),

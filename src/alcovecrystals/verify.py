@@ -6,13 +6,15 @@ same suites.  A :class:`Sweep` keeps every crystal it builds, so suites run
 on one sweep enumerate each crystal once.  Library functions are reached
 through their modules (``cg.enumerate_crystal``, not an imported name), so
 replacing a module attribute, as a test or a profiler does, reaches the
-suites too.  Elements key graphs and are compared with ``==``.
+suites too.  Elements key graphs and are compared with ``==``; once a
+graph's ``links`` number its nodes, suites read its edges by node id.
 Every suite reports through :class:`crystalgraph.Check`, the record the
 checkers return, relabeled for the crystal it ran on.  Suites read what the
 sweep already holds: the profile suite takes the signature operators'
-results from each graph's ``links``, computing them only on a truncation's
-boundary, and runs ``check_axioms``' inverse check on each graph so that
-an operator wrong only in the direction enumeration skipped still fails.
+results from each graph's ``links.below`` and ``links.above``, computing
+them only on a truncation's boundary, and runs ``check_axioms``' inverse
+check on each graph so that an operator wrong only in the direction
+enumeration skipped still fails.
 """
 
 from __future__ import annotations
@@ -219,22 +221,25 @@ def _profile(sweep) -> list[Check]:
     from, and that runs the profile's structure conditions on every element
     and direction; a violation is a failure naming them.
 
-    The signature operators' results are read off each graph's ``links``, and
-    computed only at the nodes on a truncation's boundary, where edges were
-    left out.  The edges hold one direction of each operator: enumeration
+    The signature operators' results are read off each graph's ``links``,
+    the other end's id in the node's slot of ``below`` (f) and ``above``
+    (e), and computed only at the nodes on a truncation's boundary, where
+    edges were left out.  The edges hold one direction of each operator: enumeration
     computed each edge once, so an operator wrong only in the direction it
     skipped reads right there.  Each graph therefore also gets
     ``check_axioms``' inverse check, which computes every edge's other
     direction."""
-    index_set = sweep.rs.index_set
+    index_set, rank = sweep.rs.index_set, sweep.rs.rank
     checks = stats = 0
     failures, stat_failures = [], []
     for source, graph in sweep.alcove_graphs():
-        below, above, _ = graph.links
-        for el in graph.nodes:
+        order, below, above, _ = graph.links
+        keys = list(graph.nodes)
+        boundary = {order[el] for el in graph.boundary}
+        for n, el in enumerate(keys):
             name, stat = ("phi", al.phi) if el.is_dual else ("epsilon", al.epsilon)
-            cut = el in graph.boundary
-            for i in index_set:
+            cut = n in boundary
+            for pos, i in enumerate(index_set):
                 checks += 2
                 stats += 1
                 try:
@@ -242,7 +247,12 @@ def _profile(sweep) -> list[Check]:
                         ("f", below, al.f_op, al.profile_f),
                         ("e", above, al.e_op, al.profile_e),
                     ):
-                        if (op(el, i) if cut else moved.get((el, i))) != prof(el, i):
+                        if cut:
+                            result = op(el, i)
+                        else:
+                            m = moved[n * rank + pos]
+                            result = None if m is None else keys[m]
+                        if result != prof(el, i):
                             failures.append(f"{source}: profile_{x} disagrees at {el!r}, i={i}")
                     _, _, h_inf, peak = al._profile_data(el, i)
                 except al.ProfileError:

@@ -388,6 +388,39 @@ def test_a_repeated_direction_fails_every_checker():
         for a, b in ((h, g), (g, h)):
             with pytest.raises(ValueError, match="two lowering edges"):
                 cg.is_isomorphic(a, b)
+    # the dual graph is the image of g under the identity; a target that
+    # lists one of its edges twice fails on its own links
+    assert cg.check_dual_iso(g, lambda b: b, target).ok
+    y, i, x = target.edges[0]
+    twice = replace(target, edges=[*target.edges, target.edges[0]])
+    failures = cg.check_dual_iso(g, lambda b: b, twice).failures
+    assert f"{y!r}: two lowering edges in direction {i}" in failures
+    assert f"{x!r}: two raising edges in direction {i}" in failures
+
+
+@pytest.mark.parametrize("direction", [0, 3, True], ids=["0", "3", "True"])
+def test_an_edge_outside_the_index_set_fails_every_checker(direction):
+    # an edge in no direction of A2's index set {1, 2} (a boolean is none)
+    # is one links failure, kept out of the id slots and so out of the
+    # inverse check's operator calls: every checker names it, on either side
+    # of check_dual_iso, and is_isomorphic refuses it
+    g = alcove_graph(A2, (1, 1))
+    target = cg.dualize_graph(g)
+    x, _, y = g.edges[0]
+    h = replace(g, edges=[*g.edges, (x, direction, y)])
+    outside = f"{x!r}: the edge -{direction}-> {y!r} has no direction of the index set"
+    assert h.links.failures == (outside,)
+    assert h.links.below == g.links.below and h.links.above == g.links.above
+    assert outside in cg.check_axioms(h).failures
+    assert outside in cg.check_axioms(h, seminormal=True).failures
+    assert outside in cg.check_stembridge(h).failures
+    assert outside in cg.check_dual_iso(h, lambda b: b, target).failures
+    reversed_outside = f"{y!r}: the edge -{direction}-> {x!r} has no direction of the index set"
+    assert reversed_outside in cg.check_dual_iso(g, lambda b: b, cg.dualize_graph(h)).failures
+    for a, b in ((h, g), (g, h)):
+        with pytest.raises(ValueError) as exc:
+            cg.is_isomorphic(a, b)
+        assert str(exc.value) == outside
 
 
 def test_a_replaced_graph_gets_its_own_links():
@@ -398,10 +431,39 @@ def test_a_replaced_graph_gets_its_own_links():
     assert cg.is_isomorphic(g, g)
     x, i, y = g.edges[-1]
     h = replace(g, edges=g.edges[:-1])
-    assert g.links.below[x, i] == y and (x, i) not in h.links.below
-    assert g.links.above[y, i] == x and (y, i) not in h.links.above
+    order, rank = g.links.order, g.rs.rank
+    out, into = order[x] * rank + i - 1, order[y] * rank + i - 1
+    assert g.links.below[out] == order[y] and h.links.below[out] is None
+    assert g.links.above[into] == order[x] and h.links.above[into] is None
     assert not cg.check_axioms(h, seminormal=True).ok
     assert not cg.is_isomorphic(h, g)
+
+
+@pytest.mark.parametrize("depth", [None, 3], ids=["A2 (2,2)", "A2 window depth 3"])
+def test_links_hash_each_node_once_and_each_edge_end_once(monkeypatch, depth):
+    # after links numbers the nodes, the checkers read lists by id and hash
+    # no element; the inverse check hashes the ends of the edges found by
+    # raising, and these graphs were all found by lowering
+    if depth is None:
+        g = alcove_graph(A2, (2, 2))
+    else:
+        g = window_graph(A2, depth)
+    calls = []
+    plain = al.AlcoveElement.__hash__
+
+    def counted(el):
+        calls.append(el)
+        return plain(el)
+
+    monkeypatch.setattr(al.AlcoveElement, "__hash__", counted)
+    g.links
+    assert len(calls) == len(g.nodes) + 2 * len(g.edges)
+    calls.clear()
+    assert cg.check_stembridge(g).ok and cg.is_isomorphic(g, g)
+    assert calls == []
+    assert not g.raised and cg.check_axioms(g, seminormal=depth is None).ok
+    assert calls == []
+    assert (len(g.nodes), len(g.edges)) == ((27, 36) if depth is None else (13, 14))
 
 
 def _tampered(chain, i, bad):

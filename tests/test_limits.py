@@ -400,7 +400,13 @@ def test_a_target_without_one_node_fails_there():
     gone = varpi(el)
     smaller = replace(target, nodes={p: data for p, data in target.nodes.items() if p != gone})
     report = cg.check_dual_iso(source, varpi, smaller)
-    assert report.failures == [f"{el!r}: image is not a target node"]
+    # the target's edges at the dropped node leave its nodes, and the source
+    # edges at el have no image among the target's edges
+    assert report.failures == [
+        f"{el!r}: image is not a target node",
+        *(f"{s!r}: the edge -{i}-> {d!r} leaves the nodes" for s, i, d in target.edges if gone in (s, d)),
+        *(f"{x!r}: lowering transport at {i}" for x, i, y in source.edges if el in (x, y)),
+    ]
 
 
 def test_a_missing_edge_fails_on_either_side():

@@ -11,29 +11,30 @@ same signature machinery drives all four flavours:
 
 Every element is read in its walk order: chain order primally, reversed
 dually.  One signature step (``_step``) gives all four operators: lowering a
-primal element or raising a dual one reads the letters of the folded chain in
-walk order, the other two read them backwards with negated signs, as
-``mirror`` (the dual isomorphism that swaps f_i and e_i) reads them.  The
-letters are found by one C-level scan (``_scan``): translating the folded
-roots by a mask of plus and minus alpha_i and compressing the positions by
-it, so the step, the signature and the profile do Python work per letter,
-not per position of the window, and one pass over those positions
-(``_reduce``) reduces the signature.  Weights are read off the folded chain
-through two tables built once: each folding adds its fold level (the
-chain's ``fold_levels``) times its folded root's row of
-``RootSystem.root_weights``.  The string statistics come from the signature
-rule of the step, so no operator is applied to compute them: stepping up
-applies once per unmatched plus of the upward reading and once more when the
-end product turns rho away from the i-th wall, which gives epsilon (phi in
-the dual models), and the weight's i-th coordinate gives the other one.
-``AlcoveElement.strings`` reads every direction in one pass: one
-``translate`` through ``RootSystem.letter_directions`` marks the letters of
-all directions, one ``compress`` picks them out upwards, and each direction
-keeps its own counts, so an element's statistics cost one reading, not one
-per direction; ``strings`` hands back both tuples, and ``epsilon`` and
-``phi`` read one entry.  A
-second, independent formulation of the operators through a piecewise linear
-profile is their oracle (``profile_f`` / ``profile_e``);
+primal element or raising a dual one steps down, the other two step up, and
+both steps and the string statistics come from one reading of direction i
+(``_reading``).  It walks the letters of the folded chain in walk order,
+matching each -alpha_i with the first unmatched alpha_i after it, which is
+the matching of the signature read either way, as ``mirror`` (the dual
+isomorphism that swaps f_i and e_i) reads it: the step down folds the last
+unmatched alpha_i, the step up the first unmatched -alpha_i.  The letters
+are found by one C-level scan (``_scan``): translating the folded roots by a
+mask of plus and minus alpha_i and compressing the positions by it, so the
+reading, the signature and the profile do Python work per letter, not per
+position of the window.  Weights are read off the folded chain through two
+tables built once: each folding adds its fold level (the chain's
+``fold_levels``) times its folded root's row of ``RootSystem.root_weights``.
+The string statistics come from the same reading, so no operator is applied
+to compute them: stepping up applies once per unmatched -alpha_i and once
+more when the end product turns rho away from the i-th wall, which gives
+epsilon (phi in the dual models), and the weight's i-th coordinate gives the
+other one.  ``AlcoveElement.strings`` makes one reading per direction and
+keeps them on the element, so every operator step taken there afterwards
+reads its change off them and scans nothing; a step at an element whose
+statistics were not read makes its one reading and keeps nothing.
+``strings`` hands back both tuples, and ``epsilon`` and ``phi`` read one
+entry.  A second, independent formulation of the operators through a
+piecewise linear profile is their oracle (``profile_f`` / ``profile_e``);
 how far that profile falls from its peak to its end is an oracle for the
 statistics.  Each element keeps the profile of each direction once read
 (``AlcoveElement.profiles``), so both profile operators and that oracle
@@ -211,44 +212,26 @@ class AlcoveElement:
     @cached_property
     def strings(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(epsilon, phi): two tuples with one entry per direction of
-        ``index_set``, from the signature count of every direction at once.
+        ``index_set``, from one reading of each direction (``_reading``).
 
-        Stepping up applies once per unmatched plus of the reading ``_step``
-        makes upwards, and once more when the end product turns rho away
-        from the i-th wall (``_turns_away``); that count is epsilon for a
-        primal element and phi for a dual one.  One ``translate`` through
-        ``RootSystem.letter_directions`` marks the letters of every direction,
-        the foldings are unmarked, and one ``compress`` picks the letters'
-        roots out in the upward order, against the walk, as ``_scan`` reads
-        upwards; each direction keeps its own count of open minuses and
-        unmatched pluses.  The other statistic follows from
-        phi - epsilon = <wt, alpha_i^vee>, the i-th coordinate of the
-        weight, which in the limit models defines it and lets it be negative.
+        Stepping up applies once per unmatched -alpha_i and once more when
+        the end product turns rho away from the i-th wall: the reading's up
+        count, epsilon for a primal element and phi for a dual one.  The
+        other statistic follows from phi - epsilon = <wt, alpha_i^vee>, the
+        i-th coordinate of the weight, which in the limit models defines it
+        and lets it be negative.  The readings are kept in the canonical
+        element's ``__dict__`` as ``readings``, so every operator step taken
+        there afterwards (``_step``) reads its change off them and scans
+        nothing.
         """
         el = _canonical(self)
-        chain, roots, wt = el.chain, el.fold.roots, self.wt
-        rs, dual = chain.rs, chain.dual
-        directions, npos = rs.letter_directions, len(rs.positive_roots)
-        marks = bytearray(roots.translate(directions))
-        for p in el.positions:
-            marks[p] = 0  # a folding is no letter of the signature
-        if not dual:  # primal walk order is chain order: read it backwards
-            roots, marks = roots[::-1], marks[::-1]
-        minuses = [0] * (rs.rank + 1)
-        pluses = [0] * (rs.rank + 1)
-        for root in compress(roots, marks):
-            j = directions[root]
-            if root < npos:  # alpha_j, a minus read upwards
-                minuses[j] += 1
-            elif minuses[j]:
-                minuses[j] -= 1
-            else:
-                pluses[j] += 1
-        steps = tuple(
-            pluses[i] + _turns_away(el, alpha) for i, alpha in zip(rs.index_set, rs._simple_indices)
+        rs, dual = el.rs, el.is_dual
+        readings = el.__dict__["readings"] = tuple(
+            _reading(el, i, alpha) for i, alpha in zip(rs.index_set, rs._simple_indices)
         )
+        steps = tuple(count for _, _, count in readings)
         # <wt, alpha_i^vee> is the i-th coordinate, as <Lambda_j, alpha_i^vee> = delta_ij
-        other = tuple(map(sub if dual else add, steps, wt))
+        other = tuple(map(sub if dual else add, steps, self.wt))
         return (other, steps) if dual else (steps, other)
 
     @cached_property
@@ -330,7 +313,7 @@ def _scan(roots: bytes, mask: bytes, backwards: bool) -> Iterator[int]:
     minus the i-th simple root, ``mask`` its ``RootSystem.letter_masks[i]``:
     in chain order, or ``backwards``.  Walk order is chain order for a primal
     element and reversed for a dual one, as :meth:`AlcoveElement.fold` walks,
-    and a reading ``up`` goes against it.  One ``translate`` marks the
+    and every caller reads in walk order.  One ``translate`` marks the
     letters and ``compress`` picks them out, so the Python work is one step
     per letter, not per position."""
     marks = roots.translate(mask)
@@ -379,52 +362,66 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
     element need not be the canonical window; the result is canonical.
 
     Lowering a primal element and raising a dual one step down, the other two
-    step up: the same rule on the letters read backwards with negated signs.
-    The last unmatched plus is folded and the next folding read after it, if
-    any, unfolded.  With no plus left, a step up drops the first folding read
-    when the walk's end product turns rho away from the i-th wall.  ``i`` is
-    checked and alpha_i looked up just once.
+    step up; both changes come from one reading of direction ``i``
+    (``_reading``).  ``i`` is checked and alpha_i looked up first.  An
+    element whose ``strings`` were read keeps its readings, and the step
+    takes its change from there; otherwise it makes the one reading and
+    keeps nothing.
     """
     chain = el.chain
     alpha = chain.rs.simple_index(i)
-    _, last, after = _reduce(el, i, alpha, up)
-    if last is not None:
-        return _child(el, i, (last,) if after is None else (last, after))
-    if not up:
-        if chain.is_window:
-            raise AssertionError("the limit models always admit a step down")
-        return None
-    if _turns_away(el, alpha):
-        return _child(el, i, (after,))
+    kept = el.__dict__.get("readings")
+    down, rise, _ = _reading(el, i, alpha, up) if kept is None else kept[i - 1]
+    changed = rise if up else down
+    if changed is not None:
+        return _child(el, i, changed)
+    if not up and chain.is_window:
+        raise AssertionError("the limit models always admit a step down")
     return None
 
 
-def _reduce(el: AlcoveElement, i: int, alpha: int, up: bool) -> tuple[int, int | None, int | None]:
-    """The signature rule of direction ``i`` in one pass over the positions of
-    ``_scan``, ``alpha`` the index of alpha_i: a plus cancels the latest
-    unmatched minus before it or stays unmatched.  A plus is alpha_i in walk
-    order and -alpha_i read ``up``, where every sign is negated.  Returns how
-    many pluses stay unmatched, the last of them (``last``) and the first
-    folding read after it, or since the start while there is none
-    (``after``)."""
+def _reading(el: AlcoveElement, i: int, alpha: int, up: bool | None = None) -> tuple:
+    """Direction ``i``'s signature read once, in walk order, ``alpha`` the
+    index of alpha_i: (the down step's change, the up step's change, the up
+    count), a change being the positions to toggle, or None.
+
+    Each -alpha_i letter is matched with the first unmatched alpha_i after
+    it, the matching of the signature read either way.  The down step folds
+    the last unmatched alpha_i and unfolds the first folding after it, if
+    any.  The up step folds the first unmatched -alpha_i and unfolds the
+    latest folding before it, if any; with none unmatched it unfolds the
+    last folding when the end product turns rho away from the i-th wall
+    (``_turns_away``), which then adds one to the count of unmatched
+    -alpha_i.  ``up`` names the one step a caller takes, if only one: the
+    end product is then read only where that step needs it, and the count
+    is not to be read.
+    """
     chain, roots = el.chain, el.fold.roots
-    rs = chain.rs
-    plus = alpha + len(rs.positive_roots) if up else alpha
     jset = set(el.positions)
-    minuses = pluses = 0
-    last = after = None
-    for p in _scan(roots, rs.letter_masks[i], chain.dual != up):
+    opens = 0
+    last = after = first = before = folded = None
+    for p in _scan(roots, chain.rs.letter_masks[i], chain.dual):
         if p in jset:
+            folded = p
             if after is None:
                 after = p
-        elif roots[p] != plus:
-            minuses += 1
-        elif minuses:
-            minuses -= 1
-        else:
-            pluses += 1
-            last, after = p, None
-    return pluses, last, after
+        elif roots[p] == alpha:  # alpha_i closes the latest open -alpha_i, if any
+            if opens:
+                opens -= 1
+            else:
+                last, after = p, None
+        elif opens:  # -alpha_i
+            opens += 1
+        else:  # -alpha_i with none open: the first unmatched one so far
+            first, before, opens = p, folded, 1
+    down = None if last is None else (last,) if after is None else (last, after)
+    if opens:
+        rise = (first,) if before is None else (first, before)
+        turns = up is None and _turns_away(el, alpha)
+    else:
+        turns = up is not False and _turns_away(el, alpha)
+        rise = (folded,) if turns else None
+    return down, rise, opens + turns
 
 
 def _child(el: AlcoveElement, i: int, changed: Collection[int]) -> AlcoveElement:

@@ -199,7 +199,7 @@ class CrystalGraph:
         for src, i, dst in self.edges:
             s, t = order.get(src), order.get(dst)
             if s is None or t is None:
-                failures.append(f"{src!r}: the edge -{i}-> {dst!r} leaves the nodes")
+                failures.append(_leaves(src, i, dst))
                 continue
             if type(i) is not int or not 0 < i <= rank:
                 failures.append(f"{src!r}: the edge -{i}-> {dst!r} has no direction of the index set")
@@ -211,6 +211,24 @@ class CrystalGraph:
                 failures.append(f"{dst!r}: two raising edges in direction {i}")
             below[out], above[into] = t, s
         return Links(order, below, above, tuple(failures))
+
+
+def _leaves(src, i, dst) -> str:
+    return f"{src!r}: the edge -{i}-> {dst!r} leaves the nodes"
+
+
+def _edge_ends(graph: CrystalGraph) -> list[tuple]:
+    """(source id, i, target id) for each edge, in the order of ``edges``,
+    by ``links.order``; ValueError naming the first edge that leaves the
+    nodes, with the failure ``links`` records for it."""
+    order = graph.links.order
+    ends = []
+    for src, i, dst in graph.edges:
+        s, t = order.get(src), order.get(dst)
+        if s is None or t is None:
+            raise ValueError(_leaves(src, i, dst))
+        ends.append((s, i, t))
+    return ends
 
 
 def _edge_ids(below: list, rank: int):
@@ -428,9 +446,8 @@ def check_dual_iso(source: CrystalGraph, mapping: Callable, target: CrystalGraph
     ``source`` onto the enumerated graph ``target``; ``checked`` counts the
     source nodes, each mapped once.
 
-    Each image must have the negated weight (read through the target's ops,
-    so that an image outside the target reports it too) and be a target
-    node with eps and phi swapped; the images must be the target's nodes,
+    Each image must be a target node with the negated weight and eps and phi
+    swapped, as the target stores them; the images must be the target's nodes,
     one each, and the reversed source edges its edges; the ``links``
     failures of both graphs fail as in ``check_axioms``.  Each image is
     looked up once in the target's ``links.order``; from there the images,
@@ -449,19 +466,18 @@ def check_dual_iso(source: CrystalGraph, mapping: Callable, target: CrystalGraph
     image = []  # source id -> the target id of its image, or None
     preimage = [None] * len(targets)  # target id -> the first source id mapped onto it
     for n, (x, data) in enumerate(source.nodes.items()):
-        y = mapping(x)
-        if tuple(target.ops.weight(y)) != tuple(-c for c in data.weight):
-            failures.append(f"{x!r}: weight negation")
-        t = target_links.order.get(y)
+        t = target_links.order.get(mapping(x))
         image.append(t)
         if t is None:
             failures.append(f"{x!r}: image is not a target node")
             continue
+        found = target_stats[t]
+        if found.weight != tuple(-c for c in data.weight):
+            failures.append(f"{x!r}: weight negation")
         if preimage[t] is None:
             preimage[t] = n
         else:
             failures.append(f"{x!r}: same image as {keys[preimage[t]]!r}")
-        found = target_stats[t]
         if (found.eps, found.phi) != (data.phi, data.eps):
             failures.append(f"{x!r}: eps/phi swap")
     failures += [f"{y!r}: target node is not an image" for y, n in zip(targets, preimage) if n is None]
@@ -615,23 +631,20 @@ def _dual_ops(ops: CrystalOps) -> CrystalOps:
 def dualize_graph(graph: CrystalGraph) -> CrystalGraph:
     """The contragredient graph: arrows reversed, statistics swapped, weights
     negated.  The nodes are the original elements, in their order, and the
-    reversed edges are sorted by ``links.order``.  Ops carry over swapped
-    the same way, and an edge found by lowering becomes one found by
-    raising, so ``check_axioms`` still checks each edge's other
-    direction."""
+    reversed edges are sorted by node id (``_edge_ends``, so ValueError on
+    an edge that leaves the nodes).  Ops carry over swapped the same way,
+    and an edge found by lowering becomes one found by raising, so
+    ``check_axioms`` still checks each edge's other direction."""
     nodes = {
         k: NodeData(weight=tuple(-c for c in data.weight), eps=data.phi, phi=data.eps)
         for k, data in graph.nodes.items()
     }
-    order = graph.links.order
-    edges = sorted(
-        ((dst, i, src) for src, i, dst in graph.edges),
-        key=lambda t: (order[t[0]], t[1], order[t[2]]),
-    )
+    keys = list(graph.nodes)
+    reversed_ids = sorted((t, i, s) for s, i, t in _edge_ends(graph))
     return CrystalGraph(
         rs=graph.rs,
         nodes=nodes,
-        edges=edges,
+        edges=[(keys[t], i, keys[s]) for t, i, s in reversed_ids],
         generators=list(graph.generators),
         boundary=graph.boundary,
         ops=None if graph.ops is None else _dual_ops(graph.ops),
@@ -678,8 +691,8 @@ def infinity_size(rs: RootSystem, depth: int) -> int:
 
 def graph_to_json(graph: CrystalGraph) -> dict:
     """JSON document for the graph: nodes labeled by their ``repr``, edges,
-    and truncation status."""
-    order = {k: n for n, k in enumerate(graph.nodes)}
+    and truncation status; ValueError on an edge that leaves the nodes
+    (``_edge_ends``)."""
     return {
         "nodes": [
             {
@@ -691,12 +704,9 @@ def graph_to_json(graph: CrystalGraph) -> dict:
             }
             for n, (el, data) in enumerate(graph.nodes.items())
         ],
-        "edges": [
-            {"src": f"n{order[src]}", "i": i, "dst": f"n{order[dst]}"}
-            for src, i, dst in graph.edges
-        ],
+        "edges": [{"src": f"n{s}", "i": i, "dst": f"n{t}"} for s, i, t in _edge_ends(graph)],
         "complete": graph.complete,
-        "boundary": sorted(f"n{order[k]}" for k in graph.boundary),
+        "boundary": sorted(f"n{graph.links.order[k]}" for k in graph.boundary),
     }
 
 

@@ -33,11 +33,9 @@ coordinates) sit in a second tuple indexed the same way
 over folded roots or stepped along an edge adds rows of that table instead
 of converting coordinates per root.  The simple roots' indices sit in a
 third, so :meth:`RootSystem.simple_index` is an index check and a lookup.
-Two ``translate`` tables mark where a chain of root indices passes through
-plus or minus a simple root: one per direction
-(:attr:`RootSystem.letter_masks`) and one for all directions at once, which
-also says which (:attr:`RootSystem.letter_directions`); both are built on
-first use.
+One ``translate`` table per direction marks where a chain of root indices
+passes through plus or minus that simple root
+(:attr:`RootSystem.letter_masks`), built on first use.
 """
 
 from __future__ import annotations
@@ -457,18 +455,6 @@ class RootSystem:
             alpha = self.simple_index(i)
             masks[i] = bytes(k in (alpha, alpha + npos) for k in range(256))
         return masks
-
-    @cached_property
-    def letter_directions(self) -> bytes:
-        """The translate table sending the indices of plus and minus the j-th
-        simple root to j and every other index to 0, so one ``translate``
-        marks where a chain of root indices passes through any simple root,
-        and which: the letters of every direction at once."""
-        npos = len(self.positive_roots)
-        table = bytearray(256)
-        for i, alpha in zip(self.index_set, self._simple_indices):
-            table[alpha] = table[alpha + npos] = i
-        return bytes(table)
 
     def length(self, w: WeylElement) -> int:
         """Coxeter length: the number of positive roots sent to negatives."""

@@ -217,7 +217,7 @@ def _profile(sweep) -> list[Check]:
     element of every Al(lam) and of Al(infinity) and its dual to ``depth``.
     On the same elements the profile falls from its peak to its end by twice
     epsilon primally and twice phi dually: a check of the string statistics
-    that shares no code with the signature reduction (``_reduce``) they come
+    that shares no code with the signature reading (``_reading``) they come
     from, and that runs the profile's structure conditions on every element
     and direction; a violation is a failure naming them.
 

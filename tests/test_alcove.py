@@ -136,14 +136,21 @@ def test_building_an_element_checks_its_positions():
 @pytest.mark.parametrize("bad", [0, 3, "1", True, 1.0], ids=repr)
 def test_direction_index_is_checked(bad):
     # True and 1.0 compare equal to 1, so a bare lookup would read them as
-    # direction 1; operators, statistics, signatures and profiles refuse them
+    # direction 1; operators, statistics, signatures and profiles refuse them,
+    # also once ``strings`` has kept its readings, where readings[0 - 1]
+    # would quietly serve direction 2 for 0
     rho = lex_chain(A2, (1, 1))
     for chain in (rho, dual_chain(rho), window(A2, 1), window(A2, 1, dual=True)):
         b = el(chain)
         ops = (al.f_op, al.e_op, al.epsilon, al.phi, al.profile_f, al.profile_e)
-        for fn in ops:
-            with pytest.raises(ValueError, match="outside index set"):
-                fn(b, bad)
+        steps = (lambda b, i: al._step(b, i, False), lambda b, i: al._step(b, i, True))
+        for kept in (False, True):
+            if kept:
+                b.strings
+                assert len(b.__dict__["readings"]) == A2.rank
+            for fn in ops + steps:
+                with pytest.raises(ValueError, match="outside index set"):
+                    fn(b, bad)
 
 
 def test_admissible_sets_for_doubled_first_fundamental_a3():
@@ -421,20 +428,50 @@ def test_derived_folds_match_fresh_walks(type_string, depth):
         assert (ok, folded_roots(c), c.fold.end, c.wt) == (True, folded, end, wt), c
 
 
+def admissible_sample(chain, rng):
+    """Every admissible position set of a chain of fewer than 8 entries, and
+    the admissible ones among ``random_position_sets`` of a longer one."""
+    if len(chain.entries) < 8:
+        return all_admissible(chain)
+    sets = random_position_sets(chain, rng, 12)
+    return [c for c in sets if al.is_admissible(al.AlcoveElement(chain, c))]
+
+
 @pytest.mark.parametrize(
     "type_string, depth",
     [("A2", 6), ("B2", 6), ("G2", 6), ("A3", 5), ("C3", 4), ("D4", 4), ("F4", 3), ("E6", 3)],
     ids=["a2", "b2", "g2", "a3", "c3", "d4", "f4", "e6"],
 )
 def test_steps_match_reference_step(type_string, depth):
-    """The one-pass step against the reduced word, both ways, on the pools of
-    the derived-fold test and on the few letters of long higher-rank
-    windows."""
+    """The one-reading step against the reduced word, both ways, on the pools
+    of the derived-fold test (enumerated, so with the readings ``strings``
+    keeps), on their widened elements (with none) and on the few letters of
+    long higher-rank windows; and on seeded random admissible elements of the
+    rho-chain and the one- and two-block windows, primal and dual, first as
+    they are built and then with ``strings`` read, through ``f_op``,
+    ``e_op`` and ``_step``."""
     pool, wide = widened_pool(type_string, depth)
-    for b in pool + wide:
-        for i in b.rs.index_set:
+    rs = RootSystem.from_type(type_string)
+    rng = random.Random(f"steps-{type_string}")
+    rho = lex_chain(rs, rs.rho)
+    chains = [rho, dual_chain(rho)] + [
+        window(rs, copies, dual) for copies in (1, 2) for dual in (False, True)
+    ]
+    built = [al.element(c, combo) for c in chains for combo in admissible_sample(c, rng)]
+    for b in wide:
+        for i in rs.index_set:
             for up in (False, True):
                 assert al._step(b, i, up) == reference_step(b, i, up), (b, i, up)
+    kept = Counter()
+    for b in pool + built + built:
+        kept["readings" in b.__dict__] += 1
+        for i in rs.index_set:
+            down, up = reference_step(b, i, False), reference_step(b, i, True)
+            assert (al._step(b, i, False), al._step(b, i, True)) == (down, up), (b, i)
+            lower, upper = (up, down) if b.is_dual else (down, up)
+            assert (al.f_op(b, i), al.e_op(b, i)) == (lower, upper), (b, i)
+        b.strings  # the second time round, ``built`` steps off the kept readings
+    assert kept == {True: len(pool) + len(built), False: len(built)}, kept
 
 
 def test_derived_child_checks_admissibility():
@@ -724,16 +761,16 @@ def test_string_statistics_match_string_walks_beyond_rank_three(type_string, lam
 
 def per_direction_strings(b):
     """(epsilon, phi) read one direction at a time: the unmatched pluses of
-    the upward signature reduction of each direction, plus one when the end
-    product turns rho away from its wall, the count of one ``_reduce`` per
-    direction; the weight gives the other statistic."""
+    the upward reduced word of each direction (``reference_letters`` read
+    up, reduced by ``reduce_signature``), plus one when the end product
+    turns rho away from its wall; the weight gives the other statistic."""
     el = al._canonical(b)
     rs = el.rs
     out = []
     for i in rs.index_set:
-        alpha = rs.simple_index(i)
-        pluses, _, _ = al._reduce(el, i, alpha, True)
-        steps = pluses + al._turns_away(el, alpha)
+        letters = reference_letters(el, i, True)
+        pluses, _ = reduce_signature([(p, sign) for p, sign, folded in letters if not folded])
+        steps = len(pluses) + al._turns_away(el, rs.simple_index(i))
         gap = b.wt[i - 1]
         out.append((steps - gap, steps) if el.is_dual else (steps, steps + gap))
     return out

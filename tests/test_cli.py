@@ -360,7 +360,8 @@ def test_profile_and_limits_checked_counts(type_string, depth, profile, limits_c
 
 def test_dual_iso_failures_print_like_every_other_failure(monkeypatch, capsys):
     # map the empty element of each Al(lam) to the straight path of lam, whose
-    # weight is lam, not -lam
+    # weight is lam, not -lam: a target node of the wrong weight where lam is
+    # self-dual (A2's (1, 1)), and no target node on Al(0, 1)
     varpi = limits.varpi
 
     def wrong(el):
@@ -376,7 +377,8 @@ def test_dual_iso_failures_print_like_every_other_failure(monkeypatch, capsys):
     assert run([*argv, "--format", "json"]) == 1
     doc = json.loads(out_of(capsys))
     assert all(type(f) is str for record in doc for f in record["failures"])
-    assert "(): weight negation" in doc[1]["failures"]
+    assert "(): image is not a target node" in doc[1]["failures"]
+    assert any("(): weight negation" in record["failures"] for record in doc)
 
 
 def test_dual_iso_catches_an_operator_wrong_only_where_enumeration_skips_it(monkeypatch, capsys):

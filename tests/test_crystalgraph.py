@@ -370,6 +370,37 @@ def test_axioms_report_an_edge_to_a_dropped_node():
             assert str(exc.value) in dangling, gone
 
 
+@pytest.mark.parametrize("transform", [cg.dualize_graph, cg.graph_to_json], ids=lambda f: f.__name__)
+def test_a_transform_names_an_edge_to_a_dropped_node(transform):
+    # a ValueError naming the edge as links does, not a bare KeyError
+    g = alcove_graph(A2, (1, 1))
+    for gone in g.nodes:
+        h = replace(g, nodes={k: v for k, v in g.nodes.items() if k != gone})
+        with pytest.raises(ValueError) as exc:
+            transform(h)
+        assert str(exc.value) in h.links.failures and "leaves the nodes" in str(exc.value), gone
+
+
+def test_dual_iso_reads_a_hand_built_target_off_its_nodes():
+    # a target built by hand has no ops: the images' weights are the ones it
+    # stores, so the check runs, and a wrong stored weight or an image
+    # outside it fails there
+    g = alcove_graph(A2, (1, 1))
+    t = cg.dualize_graph(g)
+    hand = cg.CrystalGraph(rs=t.rs, nodes=t.nodes, edges=t.edges, generators=t.generators)
+    check = cg.check_dual_iso(g, lambda b: b, hand)
+    assert isinstance(check, cg.Check) and check.ok and check.checked == len(g.nodes)
+    x = list(g.nodes)[2]
+    data = hand.nodes[x]
+    nodes = {**hand.nodes, x: replace(data, weight=tuple(-c for c in data.weight))}
+    wrong = cg.check_dual_iso(g, lambda b: b, replace(hand, nodes=nodes))
+    assert wrong.failures == [f"{x!r}: weight negation"]
+    top = g.generators[0]
+    moved = cg.check_dual_iso(g, lambda b: b if b != top else al.mirror(b), hand)
+    assert f"{top!r}: image is not a target node" in moved.failures
+    assert f"{top!r}: weight negation" not in moved.failures
+
+
 def test_a_repeated_direction_fails_every_checker():
     # a second i-edge out of x, a copy of its edge to y or an edge to another
     # node: every checker names it, and is_isomorphic refuses the graph

@@ -65,7 +65,6 @@ computed once per element and kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import add, sub
 from typing import Collection, Iterator, NamedTuple
@@ -79,7 +78,7 @@ from .chains import (
     dual_chain,
     window,
 )
-from .rootsys import Root, RootSystem, pairing, root_string, weight_neg
+from .rootsys import Root, RootSystem, _kept, pairing, root_string, weight_neg
 
 __all__ = [
     "AlcoveElement",
@@ -177,7 +176,7 @@ class AlcoveElement:
     def is_window(self) -> bool:
         return self.chain.is_window
 
-    @cached_property
+    @_kept
     def fold(self) -> Fold:
         """The folded chain, walked left to right primally, right to left dually.
 
@@ -192,7 +191,7 @@ class AlcoveElement:
             roots = _toggle(refl, roots, p, dual)
         return Fold(roots, *_covers(rs, positions, dual, roots))
 
-    @cached_property
+    @_kept
     def wt(self) -> tuple[int, ...]:
         """The weight, in fundamental-weight coordinates, read off the fold:
         with gamma_p the folded root at the folding on beta_p at level l_p, it
@@ -209,7 +208,7 @@ class AlcoveElement:
             total = [t + k * c for t, c in zip(total, rows[folded[p]])]
         return tuple(total)
 
-    @cached_property
+    @_kept
     def strings(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(epsilon, phi): two tuples with one entry per direction of
         ``index_set``, from one reading of each direction (``_reading``).
@@ -234,7 +233,7 @@ class AlcoveElement:
         other = tuple(map(sub if dual else add, steps, self.wt))
         return (other, steps) if dual else (steps, other)
 
-    @cached_property
+    @_kept
     def profiles(self) -> dict[int, tuple]:
         """The profile of each direction read so far, kept by
         ``_profile_data``."""

@@ -17,11 +17,11 @@ same foldings are read in a wider window or in the chain for a multiple of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from math import lcm
 from operator import index
 
-from .rootsys import Root, RootSystem, pairing
+from .rootsys import Root, RootSystem, _kept, pairing
 
 __all__ = [
     "ChainEntry",
@@ -65,14 +65,14 @@ class _RootIds:
     """What chains and windows share: their roots as root indices, and the
     multiplier each entry's folded root carries in a weight."""
 
-    @cached_property
+    @_kept
     def root_ids(self) -> bytes:
         """The index of each entry's root (see ``RootSystem.roots``), one byte
         per entry, in chain order."""
         index = self.rs.root_index
         return bytes(index(e.root.coeffs) for e in self.entries)
 
-    @cached_property
+    @_kept
     def fold_levels(self) -> tuple[int, ...]:
         """The fold level of each entry, in chain order: ``l - <lam, beta^vee>``
         on a primal chain, ``l`` on a dual chain and on windows (whose weight
@@ -131,7 +131,7 @@ class InfChainWindow(_RootIds):
     def is_window(self) -> bool:
         return True
 
-    @cached_property
+    @_kept
     def entries(self) -> tuple[ChainEntry, ...]:
         blocks = range(1, self.copies + 1) if self.dual else range(self.copies, 0, -1)
         return tuple(e for c in blocks for e in _block(self.rs, c, self.dual))
@@ -142,7 +142,7 @@ class InfChainWindow(_RootIds):
     def weight_for_ops(self) -> tuple:
         return (0,) * self.rs.rank
 
-    @cached_property
+    @_kept
     def _block_len(self) -> int:
         return len(_rho_chain(self.rs))
 

@@ -32,13 +32,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Callable, NamedTuple
 
 from . import alcove as _alcove
 from . import littelmann as _paths
 from .chains import _dominant, _integer
-from .rootsys import RootSystem, pairing
+from .rootsys import RootSystem, _kept, pairing
 
 __all__ = [
     "Check",
@@ -157,7 +156,7 @@ class CrystalGraph:
         """Whether the enumeration suppressed no neighbor of any node."""
         return not self.boundary
 
-    @cached_property
+    @_kept
     def inverse_failures(self) -> tuple[str, ...]:
         """Every edge of ``links`` checked against the operator enumeration
         did not apply to it (see ``check_axioms``); a graph built by hand has
@@ -183,7 +182,7 @@ class CrystalGraph:
                 failures.append(f"{at!r}: operators not inverse in direction {i}")
         return tuple(failures)
 
-    @cached_property
+    @_kept
     def links(self) -> Links:
         """The nodes numbered and the edges between them in id slots, once
         per graph as ``inverse_failures``; each node and each edge end is

@@ -8,7 +8,9 @@ built.  Starting from the velocity v = v0, v0 = lam on a finite chain and
 v0 = rho on a window, each folding on beta at level l is crossed at the time
 l / <v0, beta^vee> primally and ``end`` - l / <v0, beta^vee> dually, where
 ``end`` is 1 on a finite chain and 0 on a window, and crossing it drops v by
-<v0, beta^vee> gamma, gamma the folded root there.
+<v0, beta^vee> gamma, gamma the folded root there.  Every crossing time
+is an integer tick over the lcm of the gaps <v0, beta^vee>, so the walk
+builds the path's integer form with no ``Fraction``.
 
 ``varpi`` is minus the integral of v over [0, 1], a path whose raising and
 lowering swap with the element's and whose weight is the element's negated.
@@ -23,7 +25,6 @@ isomorphism between two enumerated crystal graphs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .alcove import _canonical
@@ -43,20 +44,23 @@ def _transport(el) -> PLPath:
     a window, the foldings walked in primal walk order (see the module
     docstring).  ValueError if the element is not admissible or its
     crossing times decrease.  The path is built in integer form over the
-    lcm of the crossing-time denominators."""
+    lcm of the gaps <v0, beta^vee>, so each crossing time is an integer
+    tick, with no ``Fraction``; ``from_vertices`` divides out the common
+    factor."""
     el = _canonical(el)
     chain, rs, dual = el.chain, el.rs, el.is_dual
     v0 = rs.rho if chain.is_window else tuple(chain.lam)
     end = 0 if chain.is_window else 1
     folded = el.fold.roots
-    crossings, drops = [], []
+    gaps, crossings, drops = [], [], []
     for p in reversed(el.positions) if dual else el.positions:
         entry = chain.entries[p]
         gap = pairing(v0, entry.root)
-        crossings.append(end - Fraction(entry.level, gap) if dual else Fraction(entry.level, gap))
+        gaps.append(gap)
+        crossings.append(end * gap - entry.level if dual else entry.level)  # time * gap
         drops.append(tuple(gap * c for c in rs.root_weights[folded[p]]))
-    den = lcm(*(t.denominator for t in crossings))
-    ticks = [t.numerator * (den // t.denominator) for t in crossings]
+    den = lcm(*gaps)
+    ticks = [c * (den // gap) for c, gap in zip(crossings, gaps)]
 
     if chain.is_window:
         # on the incoming ray up to the first crossing, then +v up to time 0

@@ -31,9 +31,11 @@ function checks the direction once.  Raising and lowering
 reflect a window of the path, where the height reaches its extreme value,
 through the Cartan row of i; they insert at most one vertex, at the crossing
 that bounds the window, rescaling the denominator when that crossing falls
-between integer times.  The co-extended kind gets its operators by transport
-through :func:`dualize`, which reverses the vertices and also couples the two
-unbounded kinds to each other.
+between integer times.  Their results come from canonical paths, so they are
+canonicalized at the window's two ends only (``_reflect``); ``_canonical``
+serves the constructors and unpickling.  The co-extended kind gets its
+operators by transport through :func:`dualize`, which reverses the vertices
+and also couples the two unbounded kinds to each other.
 
 :meth:`PLPath.from_vertices` takes the integer form, and ``PLPath(rs, kind,
 segments)`` exact (velocity, duration) segments, turned into it; both check
@@ -47,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, pairwise
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 
 from .rootsys import RootSystem
 
@@ -188,7 +190,9 @@ def _vertices(rs: RootSystem, kind: str, den, times, points):
 def _canonical(kind: str, den: int, times, points):
     """(den, times, points) with zero-length pieces dropped, collinear
     neighbours merged, a rho piece at the implicit ray absorbed and the
-    common factor divided out."""
+    common factor divided out: the whole-path route of the constructors
+    (``_vertices``) and of unpickling (``_make``).  Operator results take
+    the local route of ``_reflect``."""
     ts, ps = [times[0]], [points[0]]
     last_dt, last_dp = 0, None
     for t, p in zip(times[1:], points[1:]):
@@ -204,14 +208,10 @@ def _canonical(kind: str, den: int, times, points):
             last_dt, last_dp = dt, dp
     # neighbours are no longer collinear, so at most one rho piece meets the ray
     if len(ts) > 1:
-        if kind == "extended":
-            dt = ts[-1] - ts[-2]
-            if all(b - a == dt for a, b in zip(ps[-2], ps[-1])):
-                del ts[-1], ps[-1]
-        elif kind == "co-extended":
-            dt = ts[1] - ts[0]
-            if all(b - a == dt for a, b in zip(ps[0], ps[1])):
-                del ts[0], ps[0]
+        if kind == "extended" and _is_rho(ts, ps, -2):
+            del ts[-1], ps[-1]
+        elif kind == "co-extended" and _is_rho(ts, ps, 0):
+            del ts[0], ps[0]
     g = gcd(den, *ts, *(c for p in ps for c in p))
     if g > 1:
         return (
@@ -220,6 +220,12 @@ def _canonical(kind: str, den: int, times, points):
             tuple(tuple(c // g for c in p) for p in ps),
         )
     return den, tuple(ts), tuple(ps)
+
+
+def _is_rho(times, points, k) -> bool:
+    """Whether the piece from vertex ``k`` to the next has velocity rho."""
+    dt = times[k + 1] - times[k]
+    return all(b - a == dt for a, b in zip(points[k], points[k + 1]))
 
 
 def _make(rs, kind, den, times, points) -> PLPath:
@@ -295,16 +301,41 @@ def _split(den, times, points, k, level, i0):
 
 def _reflect(path, den, times, points, i0, lo, hi) -> PLPath:
     """Apply s_i to the stretch between vertices ``lo`` and ``hi`` relative
-    to its start, and translate everything after it to stay attached."""
+    to its start, and translate everything after it to stay attached.
+
+    The result is built from a canonical parent, so it is canonicalized at
+    the stretch's two ends only: s_i is linear and the tail only translated,
+    so no other vertex changes whether it is collinear with its neighbours,
+    ``_split`` makes no zero-length piece, and a vertex removed at ``hi`` or
+    ``lo`` leaves its neighbours as they were.  What remains is a rho piece
+    at the end of an extended path and the common factor.  ``times`` and
+    ``points`` are the lists ``_split`` updated, and are used up here."""
     row = path.rs.cartan.matrix[i0]  # alpha_i in fundamental-weight coordinates
     base = points[lo][i0]
-    shift = points[hi][i0] - base
+    moved = tuple(c * (points[hi][i0] - base) for c in row)
     out = points[: lo + 1]
-    for k in range(lo + 1, len(points)):
-        p = points[k]
-        c = p[i0] - base if k <= hi else shift
+    for p in points[lo + 1 : hi + 1]:
+        c = p[i0] - base
         out.append(tuple(x - c * a for x, a in zip(p, row)))
-    return _make(path.rs, path.kind, den, times, out)
+    out += (tuple(map(sub, p, moved)) for p in points[hi + 1 :])
+    for k in (hi, lo):
+        if 0 < k < len(out) - 1 and _collinear(times, out, k):
+            del times[k], out[k]
+    if path.kind == "extended" and len(out) > 1 and _is_rho(times, out, -2):
+        del times[-1], out[-1]
+    g = gcd(den, *times, *chain.from_iterable(out))
+    if g > 1:
+        den, times = den // g, [t // g for t in times]
+        out = [tuple(c // g for c in p) for p in out]
+    return _init(object.__new__(PLPath), path.rs, path.kind, den, tuple(times), tuple(out))
+
+
+def _collinear(times, points, k) -> bool:
+    """Whether vertex ``k`` lies on the line through its two neighbours."""
+    s, u = times[k] - times[k - 1], times[k + 1] - times[k]
+    return all(
+        (b - a) * u == (c - b) * s for a, b, c in zip(points[k - 1], points[k], points[k + 1])
+    )
 
 
 def e_op(path: PLPath, i: int) -> PLPath | None:

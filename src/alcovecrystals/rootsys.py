@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import mul
 
 __all__ = [
@@ -62,6 +61,22 @@ IMat = tuple[IVec, ...]
 
 def _freeze(rows) -> IMat:
     return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+class _kept:
+    """A value computed on its first read and kept in the instance
+    ``__dict__``, which later reads find first: ``functools.cached_property``
+    without the lock CPython 3.11 takes on every first read.  The package's
+    one caching descriptor."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -287,7 +302,7 @@ class RootSystem:
 
     # -- roots ---------------------------------------------------------------
 
-    @cached_property
+    @_kept
     def simple_root_list(self) -> tuple[Root, ...]:
         n = self.rank
         unit = lambda i: tuple(int(j == i) for j in range(n))  # noqa: E731
@@ -315,7 +330,7 @@ class RootSystem:
         d2[i0] -= dpair
         return tuple(c2), tuple(d2)
 
-    @cached_property
+    @_kept
     def positive_roots(self) -> tuple[Root, ...]:
         """All positive roots, sorted by height then lexicographically.
 
@@ -343,13 +358,13 @@ class RootSystem:
         roots.sort(key=lambda r: (r.height, r.coeffs))
         return tuple(roots)
 
-    @cached_property
+    @_kept
     def roots(self) -> tuple[Root, ...]:
         """Every root at its index: the positive roots, then their negatives
         in the same order, so ``-roots[k]`` is ``roots[k + len(positive_roots)]``."""
         return self.positive_roots + tuple(-r for r in self.positive_roots)
 
-    @cached_property
+    @_kept
     def _index(self) -> dict[IVec, int]:
         return {r.coeffs: k for k, r in enumerate(self.roots)}
 
@@ -365,7 +380,7 @@ class RootSystem:
         """Look up the root with the given simple-root coordinates."""
         return self.roots[self.root_index(coeffs)]
 
-    @cached_property
+    @_kept
     def _simple_indices(self) -> tuple[int, ...]:
         return tuple(self._index[r.coeffs] for r in self.simple_root_list)
 
@@ -384,7 +399,7 @@ class RootSystem:
         from :attr:`root_weights`."""
         return self.root_weights[self.root_index(root.coeffs)]
 
-    @cached_property
+    @_kept
     def root_weights(self) -> tuple[IVec, ...]:
         """Each root in fundamental-weight coordinates, at the root's index:
         A^T c for the simple-root coordinates c, so the i-th coordinate is
@@ -409,11 +424,11 @@ class RootSystem:
     def identity_element(self) -> WeylElement:
         return self._identity_element
 
-    @cached_property
+    @_kept
     def _identity_element(self) -> WeylElement:
         return WeylElement(bytes(range(256)), self)
 
-    @cached_property
+    @_kept
     def reflections(self) -> tuple[bytes, ...]:
         """The permutation of the reflection through each root, at the root's
         index (gamma -> gamma - <gamma, beta^vee> beta).  Each positive root
@@ -438,12 +453,12 @@ class RootSystem:
     def simple_reflection(self, i: int) -> WeylElement:
         return WeylElement(self.reflections[self.simple_index(i)], self)
 
-    @cached_property
+    @_kept
     def _negative(self) -> bytes:
         """The translate table sending negative root indices to 1, others to 0."""
         return bytes(k >= len(self.positive_roots) for k in range(256))
 
-    @cached_property
+    @_kept
     def letter_masks(self) -> dict[int, bytes]:
         """For each i in ``index_set``, the translate table sending the indices
         of plus and minus the i-th simple root to 1 and every other index to

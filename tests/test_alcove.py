@@ -301,7 +301,7 @@ def random_position_sets(chain, rng, count):
     ``is_cover`` allows it, with probability one half."""
     rs, entries = chain.rs, chain.entries
     n = len(entries)
-    sets = [tuple(sorted(rng.sample(range(n), rng.randint(1, 5)))) for _ in range(count)]
+    sets = [tuple(sorted(rng.sample(range(n), rng.randint(1, min(5, n))))) for _ in range(count)]
     walk = range(n - 1, -1, -1) if chain.dual else range(n)
     for _ in range(count):
         w, chosen = rs.identity_element(), []

@@ -7,7 +7,9 @@ normalization (zero durations dropped, equal neighbours merged, rho runs at
 the ray absorbed).  It reads a path only through its ``segments`` view and
 shares no code with ``littelmann``.  Every path of the enumerated path
 crystals is checked against it for every operator and statistic, and its
-integer vertices against the reference's points at the vertex times.
+integer vertices against the reference's points at the vertex times.  The
+``segments`` view cannot see a common factor left undivided, so each
+operator result is also checked to be its own canonical integer form.
 """
 
 from __future__ import annotations
@@ -237,6 +239,10 @@ def test_operators_and_statistics_match_the_fraction_model(name):
                 assert (got is None) == (want is None), (p, i, op)
                 if got is not None:
                     assert got.segments == want, (p, i, op)
+                    # built past the constructors' check, yet already canonical
+                    form = (got.den, got.times, got.points)
+                    again = lp.PLPath.from_vertices(rs, got.kind, *form)
+                    assert (again.den, again.times, again.points) == form, (p, i, op)
     assert {p.kind for p in paths} == set(lp.KINDS)
 
 

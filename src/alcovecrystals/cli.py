@@ -153,29 +153,46 @@ def _cmd_chain(args) -> int:
     return _output(args, chain_to_json(chain), f"({inner})")
 
 
-def _crystal_graph(chain, depth=None):
-    """The crystal of ``chain`` to ``depth``, refused before it is enumerated
-    when it may hold more than ``MAX_NODES`` nodes: a whole finite crystal
-    has its Weyl dimension of nodes, a truncation of the unbounded model the
-    count of B(infinity) to ``depth``, and one of a finite crystal at most
-    the smaller of the two."""
-    if depth is None:
-        what, size = "the crystal has", cg.weyl_dimension(chain.rs, chain.lam)
-    elif chain.is_window:
-        what, size = f"the truncation at depth {depth} has", cg.infinity_size(chain.rs, depth)
+def _past_limit(text: str) -> UsageError:
+    """The refusal of a crystal or truncation that ``text`` sizes."""
+    return UsageError(f"{text}; at most {MAX_NODES} are enumerated")
+
+
+def _crystal_graph(rs, lam=None, dual=False, depth=None):
+    """Al(lam) or its dual model, or with no ``lam`` Al(infinity) or its
+    dual, enumerated to ``depth``; refused before its chain is built when it
+    may hold more than ``MAX_NODES`` nodes.  A whole finite crystal has its
+    Weyl dimension of nodes, a truncation of the unbounded model the count
+    of B(infinity) to ``depth``, and one of a finite crystal at most the
+    smaller of the two.  A truncation at depth d holds f_1^k b for every
+    k <= d, more than d nodes, so from a depth of ``MAX_NODES`` on that
+    count, which takes time and memory linear in d, is not computed."""
+    deep = depth is not None and depth >= MAX_NODES
+    if lam is None:
+        if deep:
+            raise _past_limit(f"the truncation at depth {depth} has more than {depth} nodes")
+        what, size = f"the truncation at depth {depth} has", cg.infinity_size(rs, depth)
     else:
-        what = f"the truncation at depth {depth} has up to"
-        size = min(cg.infinity_size(chain.rs, depth), cg.weyl_dimension(chain.rs, chain.lam))
+        try:
+            size = cg.weyl_dimension(rs, lam)
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        if depth is None:
+            what = "the crystal has"
+        else:
+            what = f"the truncation at depth {depth} has up to"
+            if not deep:
+                size = min(cg.infinity_size(rs, depth), size)
     if size > MAX_NODES:
-        raise UsageError(f"{what} {size} nodes; at most {MAX_NODES} are enumerated")
-    gen = al.element(chain, [])
-    return cg.enumerate_crystal(cg.alcove_ops(chain), [gen], depth=depth)
+        raise _past_limit(f"{what} {size} nodes")
+    chain = window(rs, 1, dual=dual) if lam is None else _finite_chain(rs, lam, dual)
+    return cg.enumerate_crystal(cg.alcove_ops(chain), [al.element(chain, [])], depth=depth)
 
 
 def _cmd_crystal(args) -> int:
     rs = _root_system(args)
     lam = _weight(args, rs)
-    graph = _crystal_graph(_finite_chain(rs, lam, args.dual))
+    graph = _crystal_graph(rs, lam, args.dual)
     if args.list_vertices:
         for s in sorted((el.positions for el in graph.nodes), key=lambda s: (len(s), s)):
             print("[" + ", ".join(str(p) for p in s) + "]")
@@ -257,25 +274,25 @@ def _cmd_export(args) -> int:
     if args.infinity:
         if args.depth is None:
             raise UsageError("--depth is required with --infinity")
-        graph = _crystal_graph(window(rs, 1, dual=args.dual), depth=args.depth)
+        graph = _crystal_graph(rs, dual=args.dual, depth=args.depth)
     else:
-        graph = _crystal_graph(
-            _finite_chain(rs, _weight(args, rs), args.dual), depth=args.depth
-        )
+        graph = _crystal_graph(rs, _weight(args, rs), args.dual, args.depth)
     return _output(args, cg.graph_to_json(graph), cg.graph_to_dot(graph))
 
 
 def _cmd_verify(args) -> int:
     rs = _root_system(args)
     sweep = Sweep(rs, args.depth)
-    # refuse a sweep whose crystals Al(lam) hold too many nodes in all before any suite runs
+    # refuse a sweep whose crystals Al(lam) hold too many nodes in all, or
+    # whose truncations hold too many each, before any suite runs; from a
+    # depth of MAX_NODES on, without counting them (see _crystal_graph)
     if (total := sum(cg.weyl_dimension(rs, lam) for lam in sweep.weights)) > MAX_NODES:
-        raise UsageError(f"the sweep's crystals have {total} nodes; at most {MAX_NODES} are enumerated")
+        raise _past_limit(f"the sweep's crystals have {total} nodes")
+    what = f"the sweep's truncations at depth {args.depth} have"
+    if args.depth >= MAX_NODES:
+        raise _past_limit(f"{what} more than {args.depth} nodes each")
     if (size := cg.infinity_size(rs, args.depth)) > MAX_NODES:
-        raise UsageError(
-            f"the sweep's truncations at depth {args.depth} have {size} nodes each; "
-            f"at most {MAX_NODES} are enumerated"
-        )
+        raise _past_limit(f"{what} {size} nodes each")
     checks = []
     for name in list(_SUITES) if args.suite == "all" else [args.suite]:
         done = _SUITES[name](sweep)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from . import alcove as _alcove
@@ -656,15 +655,14 @@ def dualize_graph(graph: CrystalGraph) -> CrystalGraph:
 def weyl_dimension(rs: RootSystem, lam) -> int:
     """Product formula for the dimension of the highest weight module;
     ValueError unless ``lam`` is dominant integral."""
-    lam = _dominant(rs, lam)
     rho = rs.rho
-    total = Fraction(1)
+    shifted = tuple(a + b for a, b in zip(_dominant(rs, lam), rho))
+    up = down = 1
     for beta in rs.positive_roots:
-        up = pairing(tuple(a + b for a, b in zip(lam, rho)), beta)
-        down = pairing(rho, beta)
-        total *= Fraction(up, down)
-    assert total.denominator == 1
-    return int(total)
+        up *= pairing(shifted, beta)
+        down *= pairing(rho, beta)
+    assert up % down == 0
+    return up // down
 
 
 def infinity_size(rs: RootSystem, depth: int) -> int:

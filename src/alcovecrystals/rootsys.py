@@ -125,76 +125,55 @@ class CartanDatum:
 _TYPE_RE = re.compile(r"^([A-G])\s*(\d+)$")
 
 
+def _line(first: int, last: int) -> list:
+    """The simple bonds of the Dynkin path first - first+1 - ... - last."""
+    return [(i, i + 1, 1) for i in range(first, last)]
+
+
+#: per family: the ranks it exists in, the refusal for any other rank from 1
+#: to 8, and its Dynkin bonds at rank n in Bourbaki numbering
+_FAMILIES = {
+    "A": (range(1, 9), None, lambda n: _line(1, n)),
+    "B": (range(2, 9), "type B needs rank >= 2", lambda n: _line(1, n - 1) + [(n - 1, n, 2)]),
+    "C": (range(2, 9), "type C needs rank >= 2", lambda n: _line(1, n - 1) + [(n, n - 1, 2)]),
+    "D": (range(3, 9), "type D needs rank >= 3", lambda n: _line(1, n - 1) + [(n - 2, n, 1)]),
+    # node 2 hangs off node 4 of the path 1 - 3 - 4 - ... - n
+    "E": (
+        (6, 7, 8),
+        "type E exists for ranks 6, 7, 8",
+        lambda n: [(1, 3, 1), (2, 4, 1), (3, 4, 1)] + _line(4, n),
+    ),
+    "F": ((4,), "type F exists for rank 4", lambda n: [(1, 2, 1), (2, 3, 2), (3, 4, 1)]),
+    "G": ((2,), "type G exists for rank 2", lambda n: [(2, 1, 3)]),
+}
+
+
 def cartan_matrix(type_string: str) -> IMat:
     """Return the Cartan matrix of a named finite type, e.g. ``"A3"`` or ``"G2"``.
 
     Supported families: A(n>=1), B(n>=2), C(n>=2), D(n>=3), E6/E7/E8, F4, G2,
     with rank at most 8.  Raises ValueError for anything else.
+
+    One table (``_FAMILIES``) gives each family's ranks and its Dynkin bonds
+    in Bourbaki's numbering (*Lie Groups and Lie Algebras*, Ch. VI, Plates
+    I-IX): a bond ``(i, j, m)`` joins simple roots i and j with
+    ``a_ij = -m`` and ``a_ji = -1``, so for m > 1 the root alpha_j is the
+    short one.  The matrix is 2 on the diagonal, the bonds' entries off it,
+    and 0 elsewhere.
     """
-    m = _TYPE_RE.match(type_string.strip())
-    if not m:
+    match = _TYPE_RE.match(type_string.strip())
+    if not match:
         raise ValueError(f"unknown type string: {type_string!r}")
-    family, n = m.group(1), int(m.group(2))
+    family, n = match.group(1), int(match.group(2))
     if n < 1 or n > 8:
         raise ValueError(f"unsupported rank in type string: {type_string!r}")
-
-    def chain(size: int) -> list[list[int]]:
-        rows = [[0] * size for _ in range(size)]
-        for i in range(size):
-            rows[i][i] = 2
-            if i + 1 < size:
-                rows[i][i + 1] = -1
-                rows[i + 1][i] = -1
-        return rows
-
-    if family == "A":
-        return _freeze(chain(n))
-    if family == "B":
-        if n < 2:
-            raise ValueError("type B needs rank >= 2")
-        rows = chain(n)
-        rows[n - 2][n - 1] = -2
-        return _freeze(rows)
-    if family == "C":
-        if n < 2:
-            raise ValueError("type C needs rank >= 2")
-        rows = chain(n)
-        rows[n - 1][n - 2] = -2
-        return _freeze(rows)
-    if family == "D":
-        if n < 3:
-            raise ValueError("type D needs rank >= 3")
-        rows = chain(n - 1)
-        for row in rows:
-            row.append(0)
-        rows.append([0] * n)
-        rows[n - 1][n - 1] = 2
-        rows[n - 3][n - 1] = -1
-        rows[n - 1][n - 3] = -1
-        rows[n - 2][n - 1] = 0
-        rows[n - 1][n - 2] = 0
-        return _freeze(rows)
-    if family == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("type E exists for ranks 6, 7, 8")
-        # Bourbaki numbering: node 2 hangs off node 4 of the chain 1-3-4-5-...
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = 2
-        bonds = [(1, 3), (3, 4), (2, 4)] + [(i, i + 1) for i in range(4, n)]
-        for i, j in bonds:
-            rows[i - 1][j - 1] = -1
-            rows[j - 1][i - 1] = -1
-        return _freeze(rows)
-    if family == "F":
-        if n != 4:
-            raise ValueError("type F exists for rank 4")
-        return _freeze([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
-    if family == "G":
-        if n != 2:
-            raise ValueError("type G exists for rank 2")
-        return _freeze([[2, -1], [-3, 2]])
-    raise ValueError(f"unknown type string: {type_string!r}")
+    ranks, refusal, bonds = _FAMILIES[family]
+    if n not in ranks:
+        raise ValueError(refusal)
+    rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, m in bonds(n):
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = -m, -1
+    return _freeze(rows)
 
 
 @dataclass(frozen=True)

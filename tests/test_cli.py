@@ -636,6 +636,51 @@ def test_a_truncation_past_the_node_limit_is_refused(argv, message):
     assert done.stderr.endswith(f"; at most {cli.MAX_NODES} are enumerated\n")
 
 
+@pytest.mark.parametrize("cmd", ["crystal", "export"])
+def test_a_crystal_is_refused_before_its_chain_is_built(cmd, monkeypatch, capsys):
+    # the chain of (10^8, 0) alone would take gigabytes; the Weyl dimension
+    # refuses the crystal first
+    def no_chain(*args):
+        raise AssertionError("lex_chain called")
+
+    monkeypatch.setattr(cli, "lex_chain", no_chain)
+    assert run([cmd, "--type", "A2", "--weight", "100000000,0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the crystal has 5000000150000001 nodes; at most {cli.MAX_NODES} are enumerated\n"
+    )
+    assert run([cmd, "--type", "A2", "--weight", "-1,0"]) == 2
+    assert capsys.readouterr().err == "error: weight (-1, 0) is not dominant integral\n"
+
+
+def test_a_deep_truncation_is_refused_without_counting_it(monkeypatch, capsys):
+    # a truncation at depth d holds more than d nodes, so from a depth of
+    # MAX_NODES on B(infinity) is not counted, which takes memory linear in d
+    counted = cg.infinity_size
+
+    def shallow_only(rs, depth):
+        assert depth < cli.MAX_NODES
+        return counted(rs, depth)
+
+    monkeypatch.setattr(cg, "infinity_size", shallow_only)
+    depth = 10**12
+    assert run(["verify", "--type", "A2", "--depth", str(depth)]) == 2
+    assert run(["export", "--type", "A2", "--infinity", "--depth", str(depth)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the sweep's truncations at depth {depth} have more than {depth} nodes each; "
+        f"at most {cli.MAX_NODES} are enumerated\n"
+        f"error: the truncation at depth {depth} has more than {depth} nodes; "
+        f"at most {cli.MAX_NODES} are enumerated\n"
+    )
+    # a finite crystal's truncation is bounded by its Weyl dimension alone
+    assert run(["export", "--type", "A2", "--weight", "1,1", "--depth", str(depth)]) == 0
+    assert out_of(capsys).count(" -> ") == 8
+    assert run(["export", "--type", "A2", "--weight", "1000,1000", "--depth", str(depth)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the truncation at depth {depth} has up to 1003003001 nodes; "
+        f"at most {cli.MAX_NODES} are enumerated\n"
+    )
+
+
 def test_runs_in_a_row_share_no_options(monkeypatch, capsys):
     # the parser is built once per process; each run parses into a fresh
     # namespace, so an option given once is not carried into the next run

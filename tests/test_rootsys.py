@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -300,6 +302,52 @@ def test_named_matrices():
         (0, -1, 2, -1),
         (0, 0, -1, 2),
     )
+
+
+def bourbaki_simple_roots(family: str, n: int) -> list:
+    """Bourbaki's simple roots of a type in Euclidean coordinates
+    e_1, ..., e_9 (*Lie Groups and Lie Algebras*, Ch. VI, Plates I-IX); E6
+    and E7 are the first 6 and 7 roots of E8."""
+
+    def vec(*terms):
+        v = [Fraction(0)] * 9
+        for k, c in terms:
+            v[k - 1] += Fraction(c)
+        return v
+
+    half = Fraction(1, 2)
+    path = [vec((i, 1), (i + 1, -1)) for i in range(1, n)]
+    if family == "A":
+        return path + [vec((n, 1), (n + 1, -1))]
+    if family == "B":
+        return path + [vec((n, 1))]
+    if family == "C":
+        return path + [vec((n, 2))]
+    if family == "D":
+        return path + [vec((n - 1, 1), (n, 1))]
+    if family == "E":
+        first = vec((1, half), (8, half), *((k, -half) for k in range(2, 8)))
+        rest = [vec((i - 1, 1), (i - 2, -1)) for i in range(3, n + 1)]
+        return [first, vec((1, 1), (2, 1)), *rest]
+    if family == "F":
+        last = vec((1, half), (2, -half), (3, -half), (4, -half))
+        return [vec((2, 1), (3, -1)), vec((3, 1), (4, -1)), vec((4, 1)), last]
+    if family == "G":
+        return [vec((1, 1), (2, -1)), vec((1, -2), (2, 1), (3, 1))]
+    raise AssertionError(family)
+
+
+@pytest.mark.parametrize("type_string", EVERY_TYPE)
+def test_cartan_matrix_matches_bourbaki_simple_roots(type_string):
+    # a_ij = <alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j),
+    # from the roots alone: an oracle that shares no code with rootsys
+    roots = bourbaki_simple_roots(type_string[0], int(type_string[1:]))
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    expected = tuple(tuple(2 * dot(a, b) / dot(b, b) for b in roots) for a in roots)
+    assert cartan_matrix(type_string) == expected
 
 
 def test_root_string():

@@ -54,7 +54,7 @@ reflection's permutation from ``RootSystem.reflections`` at the folded
 root's byte, and ``_covers`` composes those permutations at the foldings
 into the end product, checking the length at every folding; it walks the
 root indices alone, the first 2|Phi+| bytes, and the end product stays those
-bytes; the Weyl elements of ``rootsys`` serve callers and tests.  Every
+bytes.  This module builds no Weyl element of ``rootsys``.  Every
 operator and statistic reads its argument through ``_canonical``, which
 moves it to its canonical window and refuses an element that is not
 admissible, and every operator checks its result; an operator's result is
@@ -135,7 +135,7 @@ def _covers(rs: RootSystem, positions, dual: bool, roots: bytes) -> tuple[bytes,
     indices alone, the first 2|Phi+| bytes of the identity, since no
     reflection moves a byte past them, and the end product is those bytes."""
     refl, negative, npos = rs.reflections, rs._negative, len(rs.positive_roots)
-    w = rs.identity_element().perm[: 2 * npos]
+    w = bytes(range(2 * npos))
     admissible = True
     for count, p in enumerate(reversed(positions) if dual else positions, 1):
         w = w.translate(refl[roots[p]])
@@ -201,7 +201,7 @@ class AlcoveElement:
         The multipliers k_p are the chain's ``fold_levels`` and each gamma_p
         a row of ``RootSystem.root_weights``, both tables built once."""
         rows, levels, folded = self.rs.root_weights, self.chain.fold_levels, self.fold.roots
-        lam = self.chain.weight_for_ops()
+        lam = self.chain.lam
         total = weight_neg(lam) if self.is_dual else lam
         for p in self.positions:
             k = levels[p]

@@ -62,8 +62,11 @@ class ChainEntry:
 
 
 class _RootIds:
-    """What chains and windows share: their roots as root indices, and the
-    multiplier each entry's folded root carries in a weight."""
+    """What chains and windows share: their length, their roots as root
+    indices, and the multiplier each entry's folded root carries in a weight."""
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
     @_kept
     def root_ids(self) -> bytes:
@@ -76,12 +79,11 @@ class _RootIds:
     def fold_levels(self) -> tuple[int, ...]:
         """The fold level of each entry, in chain order: ``l - <lam, beta^vee>``
         on a primal chain, ``l`` on a dual chain and on windows (whose weight
-        is 0).  A folding at the entry adds that multiple of its folded root
-        to the element's weight (``AlcoveElement.wt``)."""
+        ``lam`` is 0).  A folding at the entry adds that multiple of its
+        folded root to the element's weight (``AlcoveElement.wt``)."""
         if self.dual:
             return tuple(e.level for e in self.entries)
-        lam = self.weight_for_ops()
-        return tuple(e.level - pairing(lam, e.root) for e in self.entries)
+        return tuple(e.level - pairing(self.lam, e.root) for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -96,16 +98,7 @@ class LambdaChain(_RootIds):
     lam: tuple
     entries: tuple[ChainEntry, ...]
     dual: bool = False
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def is_window(self) -> bool:
-        return False
-
-    def weight_for_ops(self) -> tuple:
-        return self.lam
+    is_window = False
 
 
 @dataclass(frozen=True)
@@ -122,24 +115,20 @@ class InfChainWindow(_RootIds):
     rs: RootSystem
     copies: int
     dual: bool = False
+    is_window = True
 
     def __post_init__(self) -> None:
         if _integer(self.copies, "window copies") < 1:
             raise ValueError("window needs at least one copy")
-
-    @property
-    def is_window(self) -> bool:
-        return True
 
     @_kept
     def entries(self) -> tuple[ChainEntry, ...]:
         blocks = range(1, self.copies + 1) if self.dual else range(self.copies, 0, -1)
         return tuple(e for c in blocks for e in _block(self.rs, c, self.dual))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def weight_for_ops(self) -> tuple:
+    @property
+    def lam(self) -> tuple:
+        """The weight 0, as the limit of the chains for k * rho."""
         return (0,) * self.rs.rank
 
     @_kept

@@ -21,17 +21,18 @@ from functools import cache
 from . import alcove as al
 from . import crystalgraph as cg
 from . import littelmann as lp
-from .chains import chain_to_json, dual_chain, lex_chain, window
+from .chains import _dominant, _rho_multiple, chain_to_json, dual_chain, lex_chain, window
 from .limits import varpi, varpi_dual, varpi_dual_infinity, varpi_infinity
-from .rootsys import RootSystem, root_string
-from .verify import SUITES as _SUITES, Sweep
+from .rootsys import RootSystem, pairing, root_string
+from .verify import SUITES as _SUITES, Sweep, _alcove_crystal
 
 __all__ = ["main", "run"]
 
 
 #: the most nodes ``crystal`` and ``export`` enumerate in a crystal or a
 #: truncation, and ``verify`` in the crystals Al(lam) of its sweep and in each
-#: of its truncations
+#: of its truncations; and the most entries of the chain for lam (k * rho for
+#: ``lift`` and ``project --k``) that any subcommand builds, after any node count
 MAX_NODES = 100_000
 
 
@@ -74,7 +75,10 @@ def _weight(args, rs: RootSystem) -> tuple:
         raise UsageError(f"malformed weight {args.weight!r}")
     if len(coeffs) != rs.rank:
         raise UsageError(f"weight needs {rs.rank} coefficients")
-    return coeffs
+    try:
+        return _dominant(rs, coeffs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _word(text: str | None, rs: RootSystem, flag: str) -> list[int]:
@@ -114,11 +118,16 @@ def _seed_element(chain, args, rs):
     return el
 
 
+def _refuse_long_chain(rs, lam) -> None:
+    """Refuse the chain for the dominant weight ``lam`` before it is built if it
+    has more than ``MAX_NODES`` entries, one per beta > 0 and level below <lam, beta^vee>."""
+    if (size := sum(pairing(lam, beta) for beta in rs.positive_roots)) > MAX_NODES:
+        raise UsageError(f"the chain has {size} entries; at most {MAX_NODES} are built")
+
+
 def _finite_chain(rs, lam, dual: bool):
-    try:
-        chain = lex_chain(rs, lam)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    _refuse_long_chain(rs, lam)
+    chain = lex_chain(rs, lam)
     return dual_chain(chain) if dual else chain
 
 
@@ -159,12 +168,13 @@ def _past_limit(text: str) -> UsageError:
 
 
 def _crystal_graph(rs, lam=None, dual=False, depth=None):
-    """Al(lam) or its dual model, or with no ``lam`` Al(infinity) or its
-    dual, enumerated to ``depth``; refused before its chain is built when it
-    may hold more than ``MAX_NODES`` nodes.  A whole finite crystal has its
-    Weyl dimension of nodes, a truncation of the unbounded model the count
-    of B(infinity) to ``depth``, and one of a finite crystal at most the
-    smaller of the two.  A truncation at depth d holds f_1^k b for every
+    """Al(lam) or its dual model, or with no ``lam`` Al(infinity) or its dual,
+    enumerated to ``depth`` (``verify._alcove_crystal``); refused before its
+    chain is built when it may hold more than ``MAX_NODES`` nodes, or its
+    chain has more entries (``_refuse_long_chain``).  A whole finite crystal
+    has its Weyl dimension of nodes, a truncation of the unbounded model the
+    count of B(infinity) to ``depth``, and one of a finite crystal at most
+    the smaller of the two.  A truncation at depth d holds f_1^k b for every
     k <= d, more than d nodes, so from a depth of ``MAX_NODES`` on that
     count, which takes time and memory linear in d, is not computed."""
     deep = depth is not None and depth >= MAX_NODES
@@ -173,10 +183,7 @@ def _crystal_graph(rs, lam=None, dual=False, depth=None):
             raise _past_limit(f"the truncation at depth {depth} has more than {depth} nodes")
         what, size = f"the truncation at depth {depth} has", cg.infinity_size(rs, depth)
     else:
-        try:
-            size = cg.weyl_dimension(rs, lam)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        size = cg.weyl_dimension(rs, lam)
         if depth is None:
             what = "the crystal has"
         else:
@@ -185,8 +192,9 @@ def _crystal_graph(rs, lam=None, dual=False, depth=None):
                 size = min(cg.infinity_size(rs, depth), size)
     if size > MAX_NODES:
         raise _past_limit(f"{what} {size} nodes")
-    chain = window(rs, 1, dual=dual) if lam is None else _finite_chain(rs, lam, dual)
-    return cg.enumerate_crystal(cg.alcove_ops(chain), [al.element(chain, [])], depth=depth)
+    if lam is not None:
+        _refuse_long_chain(rs, lam)
+    return _alcove_crystal(rs, lam, dual, depth)
 
 
 def _cmd_crystal(args) -> int:
@@ -238,6 +246,7 @@ def _cmd_project(args) -> int:
         k, image = al.minimal_projection(el)
     else:
         k = args.k
+        _refuse_long_chain(rs, tuple(k * c for c in rs.rho))
         image = al.project_Spr(el, k)
     if image is None:
         return _output(args, {"k": k, "element": None}, "none")
@@ -250,8 +259,8 @@ def _cmd_lift(args) -> int:
     rs = _root_system(args)
     if args.k is None or args.k < 1:
         raise UsageError("--k must be a positive integer")
-    lam = tuple(c * args.k for c in rs.rho)
-    el = _seed_element(lex_chain(rs, lam), args, rs)
+    _refuse_long_chain(rs, tuple(args.k * c for c in rs.rho))
+    el = _seed_element(_rho_multiple(rs, args.k), args, rs)
     lifted = al.include_Sin(el, args.k)
     return _output(args, al.element_to_json(lifted), al.render_element(lifted))
 

@@ -66,7 +66,8 @@ class CrystalOps:
 
     ``strings(x)`` gives (epsilon, phi) of ``x`` in every direction at once,
     two tuples in ``index_set`` order; ``weight`` stays apart, as
-    ``check_dual_iso`` reads it on images.  A bundle derived with
+    enumeration stores it on each node and ``_dual_ops`` and derived
+    bundles replace it on its own.  A bundle derived with
     ``dataclasses.replace`` that changes the statistics replaces
     ``strings``; there is no per-direction field to fall back on.  ``kind``
     names the elements the ops take: alcove elements over a finite

@@ -18,10 +18,12 @@ moving a root and folding a chain of root indices are each one ``translate``
 or one index, and the length counts the positive roots sent to negatives
 (Humphreys, *Reflection Groups and Coxeter Groups*, 1.6-1.7).  Every root
 index has to fit in a byte, so a root system may have at most 128 positive
-roots; every named type does.  :class:`WeylElement` and the methods that
-build and measure it serve callers and tests: the alcove model walks the raw
-tables of :attr:`RootSystem.reflections` and keeps each fold's end product
-as the 2|Phi+| root-index bytes of its permutation.
+roots; every named type does.  The library builds no :class:`WeylElement`:
+the alcove model walks the raw tables of :attr:`RootSystem.reflections` and
+keeps each fold's end product as the 2|Phi+| root-index bytes of its
+permutation.  Only the tests and the benchmark's tracer use
+:class:`WeylElement` and the methods that build and measure it; they stay
+until the tracer tolerates their deletion.
 
 The reflections' permutations sit in one tuple indexed by root index
 (:attr:`RootSystem.reflections`), built on first use from the simple

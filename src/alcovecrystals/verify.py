@@ -32,20 +32,18 @@ from .crystalgraph import Check
 __all__ = ["Check", "SUITES", "Sweep"]
 
 
-def _alcove_closure(rs, lam, dual):
-    chain = chains.lex_chain(rs, lam)
-    if dual:
+def _alcove_crystal(rs, lam=None, dual=False, depth=None):
+    """Al(lam) or its dual model, or with no ``lam`` Al(infinity) or its dual,
+    enumerated to ``depth`` from the empty element: over the chain for lam,
+    or over a window of one rho-chain block, the chain of weight 0."""
+    chain = chains.window(rs, 1, dual) if lam is None else chains.lex_chain(rs, lam)
+    if dual and not chain.is_window:
         chain = chains.dual_chain(chain)
-    return cg.enumerate_crystal(cg.alcove_ops(chain), [al.element(chain, [])])
+    return cg.enumerate_crystal(cg.alcove_ops(chain), [al.element(chain, [])], depth=depth)
 
 
 def _path_closure(rs, lam):
     return cg.enumerate_crystal(cg.path_ops(rs), [lp.straight_path(rs, lam)])
-
-
-def _window_truncation(rs, depth, dual):
-    win = chains.window(rs, 1, dual)
-    return cg.enumerate_crystal(cg.alcove_ops(win), [al.element(win, [])], depth=depth)
 
 
 def _path_truncation(rs, depth, kind):
@@ -76,7 +74,7 @@ class Sweep:
 
     def finite(self, lam, dual=False) -> cg.CrystalGraph:
         """Al(lam), or its dual model."""
-        return self._keep(_alcove_closure, tuple(lam), dual)
+        return self._keep(_alcove_crystal, tuple(lam), dual)
 
     def paths(self, lam) -> cg.CrystalGraph:
         """The path crystal of lam: the closure of the straight path."""
@@ -84,7 +82,7 @@ class Sweep:
 
     def truncation(self, dual=False) -> cg.CrystalGraph:
         """Al(infinity), or its dual, enumerated to ``depth``."""
-        return self._keep(_window_truncation, self.depth, dual)
+        return self._keep(_alcove_crystal, None, dual, self.depth)
 
     def path_truncation(self, kind) -> cg.CrystalGraph:
         """The extended or co-extended path model enumerated to ``depth``."""

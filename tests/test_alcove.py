@@ -249,7 +249,7 @@ def reference_walk(chain, positions):
         folded[ind] = v.apply_root_coeffs(entries[ind].root.coeffs)
         if ind in positions:
             v = v * rs.reflection(entries[ind].root)
-    lam = chain.weight_for_ops()
+    lam = chain.lam
     sign = 1 if chain.dual else -1
     wt = lam if chain.dual else weight_neg(lam)
     for p in reversed(positions):

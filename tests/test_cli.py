@@ -100,9 +100,25 @@ def test_project_minimal_and_explicit(capsys):
     assert out_of(capsys) == "none\n"
 
 
+LIFTS = [
+    ("A2", 1, "1", "((α1, -1))"),
+    ("B2", 1, "1,2,2", "((α1, -1), (α1+α2, -2))"),
+    ("B2", 2, "1,2,2,1", "((α1, -1), (α1+α2, -2), (α1+2α2, -1))"),
+    ("B2", 3, "2,1,2,1,1", "((α1, -2), (α2, -1), (α1+α2, -1))"),
+    ("G2", 1, "2,1,1", "((α2, -1), (α1+α2, -2))"),
+    ("G2", 2, "1,2,1,1,2", "((α1, -1), (3α1+α2, -1), (2α1+α2, -2), (3α1+2α2, -1))"),
+    ("G2", 3, "1,2,2,1,1,1", "((α2, -1), (α1, -1), (2α1+α2, -3))"),
+]
+
+
 def test_lift_roundtrips_a_projection(capsys):
-    assert run(["lift", "--type", "A2", "--k", "1", "--fstring", "1"]) == 0
-    assert out_of(capsys) == "((α1, -1))\n"
+    # the word's element of B(k rho), lifted, is the word's element of
+    # Al(infinity), whose projection at k it is
+    for type_string, k, word, line in LIFTS:
+        assert run(["lift", "--type", type_string, "--k", str(k), "--fstring", word]) == 0
+        assert out_of(capsys) == f"{line}\n"
+        assert run(["binf", "--type", type_string, "--fstring", word, "--show", "positions"]) == 0
+        assert out_of(capsys) == f"positions: {line}\n"
 
 
 def test_path_image_finite(capsys):
@@ -644,12 +660,79 @@ def test_a_crystal_is_refused_before_its_chain_is_built(cmd, monkeypatch, capsys
         raise AssertionError("lex_chain called")
 
     monkeypatch.setattr(cli, "lex_chain", no_chain)
+    monkeypatch.setattr(chains, "lex_chain", no_chain)
     assert run([cmd, "--type", "A2", "--weight", "100000000,0"]) == 2
     assert capsys.readouterr().err == (
         f"error: the crystal has 5000000150000001 nodes; at most {cli.MAX_NODES} are enumerated\n"
     )
     assert run([cmd, "--type", "A2", "--weight", "-1,0"]) == 2
     assert capsys.readouterr().err == "error: weight (-1, 0) is not dominant integral\n"
+
+
+def _no_chains(monkeypatch):
+    """Make every constructor of a chain for lam, or for k * rho, raise."""
+
+    def no_chain(*args):
+        raise AssertionError("a chain was built")
+
+    for module in (cli, chains):
+        monkeypatch.setattr(module, "lex_chain", no_chain)
+    for module in (cli, alcove):
+        monkeypatch.setattr(module, "_rho_multiple", no_chain)
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["chain", "--weight", "100000000,0"], 200000000),
+        (["path-image", "--weight", "100000000,0"], 200000000),
+        (["export", "--weight", "100000000,0", "--depth", "2"], 200000000),
+        (["lift", "--fstring", "1", "--k", "100000000"], 400000000),
+        (["project", "--fstring", "1", "--k", "100000000"], 400000000),
+    ],
+)
+def test_a_long_chain_is_refused_before_it_is_built(argv, size, monkeypatch, capsys):
+    _no_chains(monkeypatch)
+    assert run([argv[0], "--type", "A2", *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: the chain has {size} entries; at most {cli.MAX_NODES} are built\n"
+
+
+@pytest.mark.parametrize(
+    "type_string, lam, size",
+    [("A2", (3, 1), 8), ("B2", (2, 5), 23), ("G2", (1, 4), 46), ("A3", (2, 0, 1), 9), ("E8", (1,) + (0,) * 7, 92)],
+)
+def test_a_chain_is_sized_before_it_is_built(type_string, lam, size, monkeypatch, capsys):
+    assert len(chains.lex_chain(RootSystem.from_type(type_string), lam)) == size
+    weight = ",".join(map(str, lam))
+    monkeypatch.setattr(cli, "MAX_NODES", size)
+    assert run(["chain", "--type", type_string, "--weight", weight, "--format", "json"]) == 0
+    assert len(json.loads(out_of(capsys))) == size
+    monkeypatch.setattr(cli, "MAX_NODES", size - 1)
+    _no_chains(monkeypatch)
+    assert run(["chain", "--type", type_string, "--weight", weight]) == 2
+    assert capsys.readouterr().err == f"error: the chain has {size} entries; at most {size - 1} are built\n"
+
+
+def test_the_chain_limit_is_inclusive(monkeypatch, capsys):
+    # the chain for 2 rho on A2 has 8 entries
+    monkeypatch.setattr(cli, "MAX_NODES", 8)
+    assert run(["lift", "--type", "A2", "--fstring", "1", "--k", "2"]) == 0
+    assert out_of(capsys) == "((α1, -1))\n"
+    assert run(["lift", "--type", "A2", "--fstring", "1", "--k", "3"]) == 2
+    assert capsys.readouterr().err == "error: the chain has 12 entries; at most 8 are built\n"
+    assert run(["project", "--type", "A2", "--fstring", "1", "--k", "2"]) == 0
+    assert out_of(capsys) == "k = 2: ((α1, 1))\n"
+    assert run(["project", "--type", "A2", "--fstring", "1", "--k", "3"]) == 2
+    assert capsys.readouterr().err == "error: the chain has 12 entries; at most 8 are built\n"
+
+
+def test_node_and_dominance_refusals_come_before_chain_refusals(monkeypatch, capsys):
+    _no_chains(monkeypatch)
+    monkeypatch.setattr(cli, "MAX_NODES", 2)
+    assert run(["export", "--type", "A2", "--weight", "1,1", "--depth", "1"]) == 2
+    assert capsys.readouterr().err == "error: the truncation at depth 1 has up to 3 nodes; at most 2 are enumerated\n"
+    assert run(["chain", "--type", "A2", "--weight", "-1,300000"]) == 2
+    assert capsys.readouterr().err == "error: weight (-1, 300000) is not dominant integral\n"
 
 
 def test_a_deep_truncation_is_refused_without_counting_it(monkeypatch, capsys):

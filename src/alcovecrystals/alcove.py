@@ -47,23 +47,27 @@ product of the folding reflections as the permutation it makes of the root
 indices, and whether every folding was a Bruhat cover.  Toggling the folding
 at p translates every root after p in walk order by the reflection through
 the folded root at p (``_toggle``), as P s_beta = s_{P(beta)} P.  An element
-built by :func:`element` or directly toggles each of its foldings on the
-chain's root indices; an operator's result toggles the one or two positions
-that move on its parent's folded roots (``_child``).  Both read the
-reflection's permutation from ``RootSystem.reflections`` at the folded
-root's byte, and ``_covers`` composes those permutations at the foldings
-into the end product, checking the length at every folding; it walks the
-root indices alone, the first 2|Phi+| bytes, and the end product stays those
-bytes.  This module builds no Weyl element of ``rootsys``.  Every
-operator and statistic reads its argument through ``_canonical``, which
-moves it to its canonical window and refuses an element that is not
-admissible, and every operator checks its result; an operator's result is
-built on its canonical window.  The weight and the string statistics are
-computed once per element and kept.
+built by :func:`element` or directly is folded afresh: it toggles each of
+its foldings on the chain's root indices, and ``_covers`` walks them,
+composing the reflections' permutations, read from ``RootSystem.reflections``
+at the folded roots' bytes, into the end product and checking the length at
+every folding; it walks the root indices alone, the first 2|Phi+| bytes, and
+the end product stays those bytes.  An operator's result changes one or two
+foldings, both at letters plus or minus alpha_i, and derives its fold from
+its parent's (``_child``): every prefix product P between the changes
+becomes s_i P, so it checks only the added folding and the foldings between
+the changes, as l(s_i w) = l(w) + 1 or - 1 with the sign of w^-1(alpha_i).
+This module builds no Weyl element of ``rootsys``.  Every operator and
+statistic reads its argument through ``_canonical``, which moves it to its
+canonical window and refuses an element that is not admissible, and every
+operator checks its result; an operator's result is built on its canonical
+window.  The weight and the string statistics are computed once per element
+and kept.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from operator import add, sub
@@ -108,8 +112,10 @@ class Fold(NamedTuple):
     position, one byte per position, the product of the folding reflections
     in walk order (tau primally, iota dually) as the 2|Phi+| bytes of the
     permutation it makes of the root indices, and whether every folding was
-    a Bruhat cover, these two from ``_covers``'s walk on the root indices.
-    The weight and the path image are read off the folded roots."""
+    a Bruhat cover: on a fresh fold these two come from ``_covers``'s walk on
+    the root indices, on an operator's result from its parent's fold
+    (``_child``).  The weight and the path image are read off the folded
+    roots."""
 
     roots: bytes
     end: bytes
@@ -424,25 +430,73 @@ def _reading(el: AlcoveElement, i: int, alpha: int, up: bool | None = None) -> t
 
 
 def _child(el: AlcoveElement, i: int, changed: Collection[int]) -> AlcoveElement:
-    """The element whose foldings differ from ``el``'s at ``changed``, letters
-    of direction ``i``, on its canonical window, with its fold derived from
-    ``el``'s instead of folded afresh.
+    """The element whose foldings differ from ``el``'s at ``changed``, one or
+    two letters of direction ``i``, on its canonical window, with its fold
+    derived from ``el``'s instead of walked afresh; ValueError if
+    ``changed`` is not such letters, or if ``el`` or the result is not
+    admissible.
 
-    The changed positions are toggled on the parent's folded roots in walk
-    order (``_toggle``): both pass through plus or minus alpha_i, so s_i
-    lands on every root after one changed position and cancels after two.
-    Blocks a window gains or loses hold no folding and are walked first, so
-    gained ones read the plain chain roots.  ``_covers`` gives the end
-    product and checks that the result is admissible.  The result is built
-    directly, with the fold ``AlcoveElement.fold`` would find.
+    Toggling the folding at c1, the first change in walk order, turns every
+    later prefix product P into s_i P, as the folded root there is plus or
+    minus alpha_i (P s_beta = s_{P(beta)} P), and a second change c2 turns
+    them back: the roots after c1 and up to c2 are translated by s_i, and
+    the end product is s_i times the parent's after one change and the
+    parent's after two.  The parent is admissible, so only the foldings
+    that moved are checked, as l(s_i w) = l(w) + 1 exactly when
+    w^-1(alpha_i) is positive: an added c1 is a cover exactly when the
+    parent's folded root there is +alpha_i; two changes must add one
+    folding and remove the other; and a folding strictly between them
+    (after c1 when there is one), with parent product P, stays a cover
+    exactly when P^-1(alpha_i) is positive if c1 was added and negative if
+    it was removed, which walks the parent's roots up to the last such
+    folding.  Blocks a window gains or loses hold no folding and come first
+    in walk order, so gained ones read the plain chain roots.
     """
-    chain, roots = el.chain, el.fold.roots
-    rs, dual = chain.rs, chain.dual
-    assert len(changed) in (1, 2) and all(rs.letter_masks[i][roots[p]] for p in changed)
-    refl = rs.reflections
-    for p in sorted(changed, reverse=dual):
-        roots = _toggle(refl, roots, p, dual)
-    positions = tuple(sorted(set(el.positions).symmetric_difference(changed)))
+    chain, fold, pos = el.chain, el.fold, el.positions
+    if not fold.admissible:
+        raise _inadmissible(pos, el)
+    rs, dual, roots, end = chain.rs, chain.dual, fold.roots, fold.end
+    mask, alpha = rs.letter_masks[i], rs._simple_indices[i - 1]
+    s = rs.reflections[alpha]
+    # a, b: the parent's foldings strictly between the changes, in chain
+    # order, are pos[a:b]; added: whether the first change adds a folding
+    if len(changed) == 2:
+        lo, hi = changed
+        if lo > hi:
+            lo, hi = hi, lo
+        letters = 0 <= lo != hi and mask[roots[lo]] and mask[roots[hi]]
+        a = bisect_right(pos, lo)
+        b = bisect_left(pos, hi, a)
+        had_lo, had_hi = pos[a - 1 : a] == (lo,), pos[b : b + 1] == (hi,)
+        # (p,)[had:] is empty where the parent folds at p, so p is removed
+        positions = pos[: a - had_lo] + (lo,)[had_lo:] + pos[a:b] + (hi,)[had_hi:] + pos[b + had_hi :]
+        first, added = (hi, not had_hi) if dual else (lo, not had_lo)
+        # one adds and one removes, or the count at the second is off by two
+        covers = had_lo != had_hi and (not added or roots[first] == alpha)
+        start, stop = (lo, hi) if dual else (lo + 1, hi + 1)
+    else:
+        (first,) = changed
+        letters = 0 <= first and mask[roots[first]]
+        k = bisect_left(pos, first)
+        added = pos[k : k + 1] != (first,)
+        positions = pos[:k] + (first,) + pos[k:] if added else pos[:k] + pos[k + 1 :]
+        a, b = (0, k) if dual else (k + (not added), len(pos))
+        covers = not added or roots[first] == alpha
+        start, stop = (0, first) if dual else (first + 1, len(roots))
+        end = end.translate(s)
+    if not letters:
+        raise ValueError(f"positions {sorted(changed)} are not one or two letters of direction {i}")
+    if covers and a < b:
+        refl, npos = rs.reflections, len(end) // 2
+        w = bytes(range(len(end)))
+        for p in reversed(pos[b:]) if dual else pos[:a]:
+            w = w.translate(refl[roots[p]])
+        for p in reversed(pos[a:b]) if dual else pos[a:b]:
+            w = w.translate(refl[roots[p]])
+            if (w.index(alpha) < npos) != added:
+                covers = False
+                break
+    roots = roots[:start] + roots[start:stop].translate(s) + roots[stop:]
     chain, positions = _canonical_window(chain, positions)
     ids = chain.root_ids
     grown = len(ids) - len(roots)
@@ -453,10 +507,9 @@ def _child(el: AlcoveElement, i: int, changed: Collection[int]) -> AlcoveElement
     out = object.__new__(AlcoveElement)
     kept = out.__dict__
     kept["chain"], kept["positions"] = chain, positions
-    end, admissible = _covers(rs, positions, dual, roots)
-    if not admissible:
+    if not covers:
         raise _inadmissible(positions, out)
-    kept["fold"] = Fold(roots, end, admissible)
+    kept["fold"] = Fold(roots, end, True)
     return out
 
 
@@ -584,7 +637,9 @@ def _profile_data(el: AlcoveElement, i: int) -> tuple:
     element and direction and kept on the element, as its fold, weight and
     string statistics are, so that ``profile_f``, ``profile_e`` and the
     statistics oracle share it.  Only a profile that meets the structure
-    conditions is kept."""
+    conditions is kept.  ``i`` is checked first: True and 1.0 hash as 1, so
+    the lookup alone would read them as a kept direction 1."""
+    el.rs._check_index(i)
     kept = el.profiles
     if i not in kept:
         kept[i] = _read_profile(el, i)

@@ -138,7 +138,8 @@ def test_direction_index_is_checked(bad):
     # True and 1.0 compare equal to 1, so a bare lookup would read them as
     # direction 1; operators, statistics, signatures and profiles refuse them,
     # also once ``strings`` has kept its readings, where readings[0 - 1]
-    # would quietly serve direction 2 for 0
+    # would quietly serve direction 2 for 0, and once the profiles of
+    # direction 1 are kept in a dict where True and 1.0 would find them
     rho = lex_chain(A2, (1, 1))
     for chain in (rho, dual_chain(rho), window(A2, 1), window(A2, 1, dual=True)):
         b = el(chain)
@@ -148,6 +149,8 @@ def test_direction_index_is_checked(bad):
             if kept:
                 b.strings
                 assert len(b.__dict__["readings"]) == A2.rank
+                al.profile_f(b, 1)
+                assert 1 in b.profiles
             for fn in ops + steps:
                 with pytest.raises(ValueError, match="outside index set"):
                     fn(b, bad)
@@ -483,6 +486,97 @@ def test_derived_child_checks_admissibility():
         al.element(chain, letters)
     with pytest.raises(ValueError, match="not admissible"):
         al._child(al.AlcoveElement(chain, ()), 1, set(letters))
+    # alpha_2 letters at 4 and 6 with a folding at 5 between them: removing
+    # the one at 4 and adding the one at 6 breaks the cover at 5, which only
+    # the check of the foldings between the changes sees
+    b = al.element(chain, [4, 5])
+    assert [chain.rs.roots[k].coeffs for k in b.fold.roots[4:7]] == [(0, 1), (1, 0), (0, 1)]
+    with pytest.raises(ValueError, match="not admissible"):
+        al.element(chain, [5, 6])
+    for changed in ({4, 6}, (4, 6), (6, 4)):
+        with pytest.raises(ValueError, match="not admissible"):
+            al._child(b, 2, changed)
+
+
+def test_derived_child_refuses_what_is_not_a_letter():
+    # the check of the foldings a step moved holds only at letters of its
+    # direction, so anything else is refused, also under python -O:
+    # position 5 passes through alpha_1, not alpha_2, and a position given
+    # twice or below 0 is no change
+    b = al.element(window(A2, 2), [4, 5])
+    for changed in ({5}, (4, 5), (6, 5), (4, 4), (-2,)):
+        with pytest.raises(ValueError, match="not one or two letters of direction 2"):
+            al._child(b, 2, changed)
+
+
+def between_changes(b, changed):
+    """Whether ``b`` folds strictly between the changed positions in walk
+    order, or after the one change."""
+    if len(changed) == 1:
+        (c,) = changed
+        return any(p < c if b.is_dual else p > c for p in b.positions)
+    lo, hi = sorted(changed)
+    return any(lo < p < hi for p in b.positions)
+
+
+def child_toggles(rng):
+    """(element, direction, positions) to toggle: on the depth-3 window pools
+    of both models, one letter, two letters, and a folded and an unfolded
+    letter, the kind of pair a step changes, drawn at random per element and
+    direction; and on the crystals of rho for B2 and G2, primal and dual,
+    every pair of a folded and an unfolded letter, among which an unfolded
+    -alpha_i comes before a folded letter (rare in the windows), where only
+    the sign of the added folding's root refuses."""
+    for type_string in ("A2", "B2", "G2", "A3", "C3", "D4", "F4", "E6"):
+        rs = RootSystem.from_type(type_string)
+        sweep = Sweep(rs, 3)
+        pool = [*sweep.truncation().nodes, *sweep.truncation(dual=True).nodes]
+        if type_string in ("B2", "G2"):
+            pool += [b for dual in (False, True) for b in sweep.finite(rs.rho, dual).nodes]
+        for b in pool:
+            for i in rs.index_set:
+                letters = [p for p, k in enumerate(b.fold.roots) if rs.letter_masks[i][k]]
+                folded = [p for p in letters if p in b.positions]
+                unfolded = [p for p in letters if p not in b.positions]
+                if not b.is_window:
+                    yield from ((b, i, [f, u]) for f in folded for u in unfolded)
+                    continue
+                yield b, i, [rng.choice(letters)]
+                if len(letters) > 1:
+                    yield b, i, rng.sample(letters, 2)
+                if folded and unfolded:
+                    yield b, i, [rng.choice(folded), rng.choice(unfolded)]
+
+
+def test_derived_child_matches_the_full_walk():
+    """``_child`` checks only the foldings its step moved; on the toggles of
+    ``child_toggles``, given as sets and as tuples in either order, it must
+    refuse exactly what the fresh full walk of the toggled positions
+    refuses (``_canonical``), and otherwise give its element and fold; also
+    where the parent folds between the changes, the one case whose check
+    walks."""
+    rng = random.Random("derived-child")
+    verdicts = Counter()
+    for b, i, picked in child_toggles(rng):
+        rng.shuffle(picked)
+        changed = set(picked) if rng.random() < 0.5 else tuple(picked)
+        toggled = tuple(sorted(set(b.positions).symmetric_difference(picked)))
+        try:
+            expected = al._canonical(al.AlcoveElement(b.chain, toggled))
+        except ValueError as refusal:
+            assert "not admissible" in str(refusal)
+            expected = None
+        verdicts[expected is not None, between_changes(b, picked)] += 1
+        if expected is None:
+            with pytest.raises(ValueError, match="not admissible"):
+                al._child(b, i, changed)
+            continue
+        got = al._child(b, i, changed)
+        assert (got, got.chain, got.fold) == (expected, expected.chain, expected.fold), (b, i, changed)
+    accepted = verdicts[True, False] + verdicts[True, True]
+    refused = verdicts[False, False] + verdicts[False, True]
+    assert accepted >= 1000 and refused >= 500, verdicts
+    assert verdicts[True, True] >= 500 and verdicts[False, True] >= 500, verdicts
 
 
 def full_cover_walk(rs, positions, dual, roots):

@@ -13,14 +13,18 @@ Every element is read in its walk order: chain order primally, reversed
 dually.  One signature step (``_step``) gives all four operators: lowering a
 primal element or raising a dual one steps down, the other two step up, and
 both steps and the string statistics come from one reading of direction i
-(``_reading``).  It walks the letters of the folded chain in walk order,
+(``_reading``).  It reads the letters of the folded chain in walk order,
 matching each -alpha_i with the first unmatched alpha_i after it, which is
 the matching of the signature read either way, as ``mirror`` (the dual
 isomorphism that swaps f_i and e_i) reads it: the step down folds the last
-unmatched alpha_i, the step up the first unmatched -alpha_i.  The letters
-are found by one C-level scan (``_scan``): translating the folded roots by a
-mask of plus and minus alpha_i and compressing the positions by it, so the
-reading, the signature and the profile do Python work per letter, not per
+unmatched alpha_i, the step up the first unmatched -alpha_i.  The reading
+walks the element's foldings, not the window.  Between two foldings the
+product W of the foldings walked is fixed, and the folded root at p is
+W(beta_p) (P s_beta = s_{P(beta)} P), so the letters there are exactly the
+occurrences in the chain of one positive root, plus or minus W^-1(alpha_i),
+and all have the sign of W^-1(alpha_i).  Two bisections of the chain's
+``occurrences`` of that root count such a run, and it is matched in one
+step, so a reading does Python work per folding, not per letter or per
 position of the window.  Weights are read off the folded chain through two
 tables built once: each folding adds its fold level (the chain's
 ``fold_levels``) times its folded root's row of ``RootSystem.root_weights``.
@@ -30,7 +34,7 @@ more when the end product turns rho away from the i-th wall, which gives
 epsilon (phi in the dual models), and the weight's i-th coordinate gives the
 other one.  ``AlcoveElement.strings`` makes one reading per direction and
 keeps them on the element, so every operator step taken there afterwards
-reads its change off them and scans nothing; a step at an element whose
+reads its change off them and reads nothing again; a step at an element whose
 statistics were not read makes its one reading and keeps nothing.
 ``strings`` hands back both tuples, and ``epsilon`` and ``phi`` read one
 entry.  A second, independent formulation of the operators through a
@@ -71,7 +75,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from operator import add, sub
-from typing import Collection, Iterator, NamedTuple
+from typing import Collection, NamedTuple
 
 from .chains import (
     InfChainWindow,
@@ -226,8 +230,8 @@ class AlcoveElement:
         i-th coordinate of the weight, which in the limit models defines it
         and lets it be negative.  The readings are kept in the canonical
         element's ``__dict__`` as ``readings``, so every operator step taken
-        there afterwards (``_step``) reads its change off them and scans
-        nothing.
+        there afterwards (``_step``) reads its change off them and reads
+        nothing again.
         """
         el = _canonical(self)
         rs, dual = el.rs, el.is_dual
@@ -313,29 +317,21 @@ def is_admissible(el: AlcoveElement) -> bool:
     return el.fold.admissible
 
 
-def _scan(roots: bytes, mask: bytes, backwards: bool) -> Iterator[int]:
-    """The positions where the folded chain ``roots`` passes through plus or
-    minus the i-th simple root, ``mask`` its ``RootSystem.letter_masks[i]``:
-    in chain order, or ``backwards``.  Walk order is chain order for a primal
-    element and reversed for a dual one, as :meth:`AlcoveElement.fold` walks,
-    and every caller reads in walk order.  One ``translate`` marks the
-    letters and ``compress`` picks them out, so the Python work is one step
-    per letter, not per position."""
-    marks = roots.translate(mask)
-    if backwards:
-        return compress(range(len(roots) - 1, -1, -1), marks[::-1])
-    return compress(range(len(roots)), marks)
-
-
 def _letters(el: AlcoveElement, i: int) -> list[tuple[int, int, bool]]:
-    """(position, sign, folded) at each position of ``_scan`` in walk order:
-    the letters of direction ``i``, alpha_i a plus and -alpha_i a minus."""
+    """(position, sign, folded) at each letter of direction ``i`` in walk
+    order, alpha_i a plus and -alpha_i a minus.  Only the profile, the
+    signature route's oracle, scans the whole folded chain for them, so the
+    two routes share no letter-finding code: one ``translate`` by the
+    direction's ``RootSystem.letter_masks`` entry marks the letters and
+    ``compress`` picks them out, one Python step per letter."""
     chain, roots = el.chain, el.fold.roots
     rs = chain.rs
     plus = rs.simple_index(i)
     jset = set(el.positions)
-    spots = _scan(roots, rs.letter_masks[i], chain.dual)
-    return [(p, 1 if roots[p] == plus else -1, p in jset) for p in spots]
+    spots, marks = range(len(roots)), roots.translate(rs.letter_masks[i])
+    if chain.dual:
+        spots, marks = spots[::-1], marks[::-1]
+    return [(p, 1 if roots[p] == plus else -1, p in jset) for p in compress(spots, marks)]
 
 
 def _turns_away(el: AlcoveElement, alpha: int) -> bool:
@@ -395,36 +391,89 @@ def _reading(el: AlcoveElement, i: int, alpha: int, up: bool | None = None) -> t
     the last unmatched alpha_i and unfolds the first folding after it, if
     any.  The up step folds the first unmatched -alpha_i and unfolds the
     latest folding before it, if any; with none unmatched it unfolds the
-    last folding when the end product turns rho away from the i-th wall
-    (``_turns_away``), which then adds one to the count of unmatched
-    -alpha_i.  ``up`` names the one step a caller takes, if only one: the
-    end product is then read only where that step needs it, and the count
-    is not to be read.
+    last folding when the end product turns rho away from the i-th wall,
+    which then adds one to the count of unmatched -alpha_i.  ``up`` names
+    the one step a caller takes, if only one: the turn then counts only
+    where that step needs it, and the count is not to be read.
+
+    The reading walks the foldings in walk order, not the window, and
+    reads neither the folded roots nor the end product.  It keeps x =
+    W^-1(alpha_i), W the product of the foldings walked so far, which the
+    folding at q turns into s_{beta_q}(x), beta_q the chain's root there.
+    Between two foldings W is fixed and the folded root at p is W(beta_p),
+    so the letters there are the chain's occurrences of the positive root
+    g = +-x, counted by two bisections of ``occurrences[g]``: all alpha_i
+    when x is positive, each closing an open -alpha_i if any is left, and
+    all -alpha_i when x is negative.  A folding is a letter exactly when
+    its chain root is g, and the end product turns rho away from the i-th
+    wall exactly when x ends negative (``_turns_away``).
     """
-    chain, roots = el.chain, el.fold.roots
-    jset = set(el.positions)
+    chain, pos = el.chain, el.positions
+    ids, occ = chain.root_ids, chain.occurrences
+    refl, npos, size = chain.rs.reflections, len(occ), len(ids)
     opens = 0
     last = after = first = before = folded = None
-    for p in _scan(roots, chain.rs.letter_masks[i], chain.dual):
-        if p in jset:
-            folded = p
-            if after is None:
-                after = p
-        elif roots[p] == alpha:  # alpha_i closes the latest open -alpha_i, if any
-            if opens:
-                opens -= 1
-            else:
-                last, after = p, None
-        elif opens:  # -alpha_i
-            opens += 1
-        else:  # -alpha_i with none open: the first unmatched one so far
-            first, before, opens = p, folded, 1
+    x = alpha
+    # each pass reads the run of letters before the folding q, or the tail
+    # before the sentinel, then the folding itself; dually the walk runs
+    # down the chain, so a run's first letter in walk order is o[hi - 1]
+    if chain.dual:
+        edge = size
+        for q in (*reversed(pos), -1):
+            g = x % npos
+            o = occ[g]
+            hi = bisect_left(o, edge)
+            lo = bisect_right(o, q, 0, hi)
+            if lo < hi:
+                if x < npos:  # alpha_i letters close the latest open -alpha_i
+                    if hi - lo <= opens:
+                        opens -= hi - lo
+                    else:
+                        opens, last, after = 0, o[lo], None
+                elif opens:
+                    opens += hi - lo
+                else:  # the first unmatched -alpha_i so far
+                    first, before, opens = o[hi - 1], folded, hi - lo
+            if q < 0:
+                break
+            if ids[q] == g:
+                folded = q
+                if after is None:
+                    after = q
+            x = refl[ids[q]][x]
+            edge = q
+    else:
+        edge = -1
+        for q in (*pos, size):
+            g = x % npos
+            o = occ[g]
+            lo = bisect_right(o, edge)
+            hi = bisect_left(o, q, lo)
+            if lo < hi:
+                if x < npos:
+                    if hi - lo <= opens:
+                        opens -= hi - lo
+                    else:
+                        opens, last, after = 0, o[hi - 1], None
+                elif opens:
+                    opens += hi - lo
+                else:
+                    first, before, opens = o[lo], folded, hi - lo
+            if q == size:
+                break
+            if ids[q] == g:
+                folded = q
+                if after is None:
+                    after = q
+            x = refl[ids[q]][x]
+            edge = q
     down = None if last is None else (last,) if after is None else (last, after)
+    turns = x >= npos
     if opens:
         rise = (first,) if before is None else (first, before)
-        turns = up is None and _turns_away(el, alpha)
+        turns = up is None and turns
     else:
-        turns = up is not False and _turns_away(el, alpha)
+        turns = up is not False and turns
         rise = (folded,) if turns else None
     return down, rise, opens + turns
 

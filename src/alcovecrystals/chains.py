@@ -63,7 +63,10 @@ class ChainEntry:
 
 class _RootIds:
     """What chains and windows share: their length, their roots as root
-    indices, and the multiplier each entry's folded root carries in a weight."""
+    indices, the positions of each positive root, which the signature
+    reading bisects (``alcove._reading``), and the multiplier each entry's
+    folded root carries in a weight.  Each table is built on its first
+    read, never when the chain or window is made."""
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -74,6 +77,15 @@ class _RootIds:
         per entry, in chain order."""
         index = self.rs.root_index
         return bytes(index(e.root.coeffs) for e in self.entries)
+
+    @_kept
+    def occurrences(self) -> tuple[tuple[int, ...], ...]:
+        """The positions of each positive root, increasing, at the root's
+        index: together they partition the chain's positions."""
+        lists = [[] for _ in self.rs.positive_roots]
+        for p, r in enumerate(self.root_ids):
+            lists[r].append(p)
+        return tuple(map(tuple, lists))
 
     @_kept
     def fold_levels(self) -> tuple[int, ...]:

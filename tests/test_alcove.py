@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 import pytest
 from hypothesis import given, settings
@@ -903,6 +903,131 @@ def test_one_reading_statistics_match_the_per_direction_reading(type_string):
             assert (al.epsilon(b, i), al.phi(b, i)) == want, (b, i)
         moved += any(eps) and any(phi)
     assert len(elements) > 60 and moved > 30, (len(elements), moved)
+
+
+def scan_reading(el, i, alpha, up=None):
+    """The signature reading as the scan of the whole folded chain gives it,
+    the oracle of ``_reading``'s walk over the foldings: the letters of
+    direction ``i`` are picked out of ``fold.roots`` in walk order, one
+    ``translate`` and one ``compress``, and matched one by one, and the end
+    product is read off ``fold.end``; nothing here reads ``occurrences``."""
+    chain, roots = el.chain, el.fold.roots
+    marks = roots.translate(chain.rs.letter_masks[i])
+    spots = range(len(roots))
+    if chain.dual:
+        spots, marks = spots[::-1], marks[::-1]
+    jset = set(el.positions)
+    opens = 0
+    last = after = first = before = folded = None
+    for p in compress(spots, marks):
+        if p in jset:
+            folded = p
+            if after is None:
+                after = p
+        elif roots[p] == alpha:  # alpha_i closes the latest open -alpha_i, if any
+            if opens:
+                opens -= 1
+            else:
+                last, after = p, None
+        elif opens:  # -alpha_i
+            opens += 1
+        else:  # -alpha_i with none open: the first unmatched one so far
+            first, before, opens = p, folded, 1
+    down = None if last is None else (last,) if after is None else (last, after)
+    away = el.fold.end.index(alpha) >= len(chain.rs.positive_roots)
+    if opens:
+        rise = (first,) if before is None else (first, before)
+        turns = up is None and away
+    else:
+        turns = up is not False and away
+        rise = (folded,) if turns else None
+    return down, rise, opens + turns
+
+
+def run_cases(el, i):
+    """The run cases a reading of direction ``i`` meets, read off the folded
+    roots: a run of two letters or more between two foldings or after the
+    last; a folding that is not a letter and still moves W^-1(alpha_i),
+    W the product of the foldings before it, which is when its folded root
+    pairs nonzero with alpha_i^vee; and letters after the last folding.
+    Each run must be letters of one sign, as every letter between two
+    foldings is an occurrence of the one root +-W^-1(alpha_i)."""
+    rs, roots, jset = el.rs, el.fold.roots, set(el.positions)
+    alpha = rs.simple_index(i)
+    letters = {alpha, alpha + len(rs.positive_roots)}
+    runs, run, moving = [], [], False
+    for p in range(len(roots) - 1, -1, -1) if el.is_dual else range(len(roots)):
+        if p in jset:
+            runs.append(run)
+            run = []
+            moving = moving or roots[p] not in letters and rs.root_weights[roots[p]][i - 1] != 0
+        elif roots[p] in letters:
+            run.append(roots[p])
+    runs.append(run)
+    assert all(len(set(run)) <= 1 for run in runs), (el, i)
+    return {
+        "long run": any(len(run) >= 2 for run in runs),
+        "moving folding": moving,
+        "tail": bool(jset and runs[-1]),
+    }
+
+
+def compare_readings(elements):
+    """``_reading`` against ``scan_reading`` on every direction of
+    ``elements`` and every ``up``; each run case of ``run_cases`` must be
+    met by more readings than a quarter of the elements."""
+    met = Counter()
+    for b in elements:
+        rs = b.rs
+        for i, alpha in zip(rs.index_set, rs._simple_indices):
+            for up in (None, True, False):
+                assert al._reading(b, i, alpha, up) == scan_reading(b, i, alpha, up), (b, i, up)
+            met.update(case for case, seen in run_cases(b, i).items() if seen)
+    assert len(met) == 3 and min(met.values()) > len(elements) / 4, (len(elements), met)
+
+
+@pytest.mark.parametrize("type_string", ["E8", "F4", "G2"])
+def test_run_reading_matches_the_scan_on_truncations(type_string):
+    """The reading that walks the foldings against the scan of the whole
+    folded chain, on every node and direction of the depth-3 truncations
+    of Al(infinity) and its dual."""
+    sweep = Sweep(RootSystem.from_type(type_string), 3)
+    compare_readings([*sweep.truncation().nodes, *sweep.truncation(dual=True).nodes])
+
+
+def random_window_walk(rs, dual, rng):
+    """The elements of a seeded walk of 40 to 60 steps from the empty
+    element of a window, three in four of them steps down (always
+    defined there) and the rest steps up where one is defined, each
+    also widened by two blocks, where the reading runs on a window that is
+    not its canonical one."""
+    b = al.element(window(rs, 1, dual), [])
+    walk = []
+    for _ in range(rng.randint(40, 60)):
+        b = al._step(b, rng.choice(rs.index_set), rng.random() < 0.25) or b
+        walk += [b, verify._widen(b, 2)]
+    return walk
+
+
+@pytest.mark.parametrize("type_string", ["A3", "G2", "B3"])
+def test_run_reading_matches_the_scan_on_random_window_walks(type_string):
+    """The run reading against the scan along seeded random walks in both
+    limit models: windows of ten copies and more, where a run between two
+    foldings holds several letters."""
+    rs = RootSystem.from_type(type_string)
+    rng = random.Random(f"runs-{type_string}")
+    elements = [b for dual in (False, True) for _ in range(3) for b in random_window_walk(rs, dual, rng)]
+    assert max(b.chain.copies for b in elements) >= 10
+    compare_readings(elements)
+
+
+@pytest.mark.parametrize("type_string", ["B2", "G2", "C3"])
+def test_run_reading_matches_the_scan_on_finite_rho_crystals(type_string):
+    """The run reading against the scan on the crystal of rho over the
+    rho-chain and over its dual chain."""
+    rs = RootSystem.from_type(type_string)
+    sweep = Sweep(rs, 1)
+    compare_readings([*sweep.finite(rs.rho).nodes, *sweep.finite(rs.rho, dual=True).nodes])
 
 
 # ---------------------------------------------------------------------------

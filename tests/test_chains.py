@@ -6,11 +6,13 @@ import itertools
 
 import pytest
 
+from alcovecrystals.alcove import element
 from alcovecrystals.chains import (
     ChainEntry,
     InfChainWindow,
     LambdaChain,
     _rho_multiple,
+    _window,
     chain_to_json,
     dual_chain,
     lex_chain,
@@ -487,6 +489,31 @@ def test_fold_levels(type_string):
     others = [dual_chain(chain)] + [window(rs, k, dual) for k in (1, 2) for dual in (False, True)]
     for other in others:
         assert other.fold_levels == tuple(e.level for e in other.entries)
+
+
+@pytest.mark.parametrize("type_string", ["A2", "G2", "E8"])
+def test_occurrences_partition_the_chain(type_string):
+    """``occurrences`` lists the positions of each positive root, in
+    increasing order, and the lists partition the chain's positions.  It is
+    built on its first read and kept: not when a chain or window is made
+    (windows through ``window``'s uncached builder, so that no other test's
+    reading of a shared window shows), nor when its entries, root indices
+    or fold levels are read or its empty element folded, as the benchmark's
+    set-up does."""
+    rs = RootSystem.from_type(type_string)
+    rho = lex_chain(rs, rs.rho)
+    windows = [_window.__wrapped__(rs, k, dual) for k in (1, 2, 3, 4) for dual in (False, True)]
+    for chain in [rho, dual_chain(rho), *windows]:
+        chain.entries, chain.root_ids, chain.fold_levels
+        element(chain, []).fold
+        assert "occurrences" not in vars(chain)
+        occ = chain.occurrences
+        assert len(occ) == len(rs.positive_roots)
+        assert sorted(p for positions in occ for p in positions) == list(range(len(chain)))
+        for r, positions in enumerate(occ):
+            assert list(positions) == sorted(set(positions))
+            assert all(chain.root_ids[p] == r for p in positions)
+        assert chain.occurrences is occ
 
 
 def test_window_rejects_bad_copies():

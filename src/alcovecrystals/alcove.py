@@ -9,18 +9,18 @@ same signature machinery drives all four flavours:
 * primal windows model the direct limit from below,
 * dual windows model the dual limit.
 
-Every element is read in its walk order: chain order primally, reversed
-dually.  One signature step (``_step``) gives all four operators: lowering a
-primal element or raising a dual one steps down, the other two step up, and
-both steps and the string statistics come from one reading of direction i
-(``_reading``).  It reads the letters of the folded chain in walk order,
-matching each -alpha_i with the first unmatched alpha_i after it, which is
-the matching of the signature read either way, as ``mirror`` (the dual
-isomorphism that swaps f_i and e_i) reads it: the step down folds the last
+The kernel reads an element's foldings as walk indices
+(``AlcoveElement.walk``), so a dual element is folded and read as its
+``mirror`` (the dual isomorphism that swaps f_i and e_i).  One signature
+step (``_step``) gives all four operators: lowering a primal element or
+raising a dual one steps down, the other two step up, and both steps and the
+string statistics come from one reading of direction i (``_reading``).  It
+reads the letters of the folded chain in walk order, matching each -alpha_i
+with the first unmatched alpha_i after it: the step down folds the last
 unmatched alpha_i, the step up the first unmatched -alpha_i.  The reading
 walks the element's foldings, not the window.  Between two foldings the
-product W of the foldings walked is fixed, and the folded root at p is
-W(beta_p) (P s_beta = s_{P(beta)} P), so the letters there are exactly the
+product W of the foldings walked is fixed, and the folded root at u is
+W(beta_u) (P s_beta = s_{P(beta)} P), so the letters there are exactly the
 occurrences in the chain of one positive root, plus or minus W^-1(alpha_i),
 and all have the sign of W^-1(alpha_i).  Two bisections of the chain's
 ``occurrences`` of that root count such a run, and it is matched in one
@@ -46,13 +46,13 @@ share it; a profile whose letters break its structure conditions raises
 :class:`ProfileError`.
 
 Each element is folded once (``AlcoveElement.fold``): the folded roots as
-root indices (one byte per position, see ``RootSystem.roots``), the end
+root indices (one byte per walk index, see ``RootSystem.roots``), the end
 product of the folding reflections as the permutation it makes of the root
 indices, and whether every folding was a Bruhat cover.  Toggling the folding
-at p translates every root after p in walk order by the reflection through
-the folded root at p (``_toggle``), as P s_beta = s_{P(beta)} P.  An element
-built by :func:`element` or directly is folded afresh: it toggles each of
-its foldings on the chain's root indices, and ``_covers`` walks them,
+at u translates every root after u by the reflection through the folded
+root at u, as P s_beta = s_{P(beta)} P.  An element built by
+:func:`element` or directly is folded afresh: it toggles each of its
+foldings on the chain's root indices, and ``_covers`` walks them,
 composing the reflections' permutations, read from ``RootSystem.reflections``
 at the folded roots' bytes, into the end product and checking the length at
 every folding; it walks the root indices alone, the first 2|Phi+| bytes, and
@@ -113,42 +113,31 @@ __all__ = [
 
 class Fold(NamedTuple):
     """One walk along an element's chain: the index of the folded root at each
-    position, one byte per position, the product of the folding reflections
-    in walk order (tau primally, iota dually) as the 2|Phi+| bytes of the
+    walk index, one byte each, the product of the folding reflections in
+    walk order (tau primally, iota dually) as the 2|Phi+| bytes of the
     permutation it makes of the root indices, and whether every folding was
     a Bruhat cover: on a fresh fold these two come from ``_covers``'s walk on
     the root indices, on an operator's result from its parent's fold
-    (``_child``).  The weight and the path image are read off the folded
-    roots."""
+    (``_child``).  An element and its ``mirror`` have equal folds.  The
+    weight and the path image are read off the folded roots."""
 
     roots: bytes
     end: bytes
     admissible: bool
 
 
-def _toggle(refl: tuple[bytes, ...], roots: bytes, p: int, dual: bool) -> bytes:
-    """The folded roots after toggling the folding at ``p``: every prefix
-    product P after p in walk order becomes s_gamma P, gamma = roots[p] the
-    folded root there (P s_beta = s_{P(beta)} P), so every later root is
-    translated by the permutation of s_gamma, ``refl[roots[p]]``."""
-    s = refl[roots[p]]
-    if dual:
-        return roots[:p].translate(s) + roots[p:]
-    return roots[: p + 1] + roots[p + 1 :].translate(s)
-
-
-def _covers(rs: RootSystem, positions, dual: bool, roots: bytes) -> tuple[bytes, bool]:
-    """The end product of the foldings at ``positions``, given the folded
-    roots, and whether every folding was a Bruhat cover.  Each folding on
-    gamma turns the permutation w so far into s_gamma w; after k covers it
+def _covers(rs: RootSystem, walk, roots: bytes) -> tuple[bytes, bool]:
+    """The end product of the foldings at the walk indices ``walk``, given the
+    folded roots, and whether every folding was a Bruhat cover.  Each folding
+    on gamma turns the permutation w so far into s_gamma w; after k covers it
     has length k, so each folding is checked.  The walk runs on the root
     indices alone, the first 2|Phi+| bytes of the identity, since no
     reflection moves a byte past them, and the end product is those bytes."""
     refl, negative, npos = rs.reflections, rs._negative, len(rs.positive_roots)
     w = bytes(range(2 * npos))
     admissible = True
-    for count, p in enumerate(reversed(positions) if dual else positions, 1):
-        w = w.translate(refl[roots[p]])
+    for count, u in enumerate(walk, 1):
+        w = w.translate(refl[roots[u]])
         admissible = admissible and w[:npos].translate(negative).count(1) == count
     return w, admissible
 
@@ -187,19 +176,22 @@ class AlcoveElement:
         return self.chain.is_window
 
     @_kept
-    def fold(self) -> Fold:
-        """The folded chain, walked left to right primally, right to left dually.
+    def walk(self) -> tuple[int, ...]:
+        """The foldings as walk indices (the chain's ``walk_indices``),
+        increasing: on a dual chain, the positions of the element's ``mirror``."""
+        return self.chain.walk_indices(self.positions)
 
-        Starting from the chain's root indices, each folding is toggled in
-        walk order (``_toggle``); ``_covers`` then reads the end product and
-        the cover check off the folded roots.
-        """
-        chain, positions = self.chain, self.positions
-        rs, dual = chain.rs, chain.dual
-        refl, roots = rs.reflections, chain.root_ids
-        for p in reversed(positions) if dual else positions:
-            roots = _toggle(refl, roots, p, dual)
-        return Fold(roots, *_covers(rs, positions, dual, roots))
+    @_kept
+    def fold(self) -> Fold:
+        """The folded chain: starting from the chain's root indices, each
+        folding is toggled in walk order, which translates every later root
+        by the reflection through its folded root; ``_covers`` then reads the
+        end product and the cover check off the folded roots."""
+        chain, walk = self.chain, self.walk
+        refl, roots = chain.rs.reflections, chain.root_ids
+        for u in walk:
+            roots = roots[: u + 1] + roots[u + 1 :].translate(refl[roots[u]])
+        return Fold(roots, *_covers(chain.rs, walk, roots))
 
     @_kept
     def wt(self) -> tuple[int, ...]:
@@ -213,9 +205,9 @@ class AlcoveElement:
         rows, levels, folded = self.rs.root_weights, self.chain.fold_levels, self.fold.roots
         lam = self.chain.lam
         total = weight_neg(lam) if self.is_dual else lam
-        for p in self.positions:
-            k = levels[p]
-            total = [t + k * c for t, c in zip(total, rows[folded[p]])]
+        for u in self.walk:
+            k = levels[u]
+            total = [t + k * c for t, c in zip(total, rows[folded[u]])]
         return tuple(total)
 
     @_kept
@@ -310,28 +302,23 @@ def element(chain, positions) -> AlcoveElement:
 
 
 def is_admissible(el: AlcoveElement) -> bool:
-    """Whether the folding positions form a chain of Bruhat covers.
-
-    Primal elements are read left to right, dual elements right to left.
-    """
+    """Whether the foldings, read in walk order, form a chain of Bruhat
+    covers."""
     return el.fold.admissible
 
 
 def _letters(el: AlcoveElement, i: int) -> list[tuple[int, int, bool]]:
-    """(position, sign, folded) at each letter of direction ``i`` in walk
+    """(walk index, sign, folded) at each letter of direction ``i`` in walk
     order, alpha_i a plus and -alpha_i a minus.  Only the profile, the
     signature route's oracle, scans the whole folded chain for them, so the
     two routes share no letter-finding code: one ``translate`` by the
     direction's ``RootSystem.letter_masks`` entry marks the letters and
     ``compress`` picks them out, one Python step per letter."""
-    chain, roots = el.chain, el.fold.roots
-    rs = chain.rs
+    roots, rs = el.fold.roots, el.rs
     plus = rs.simple_index(i)
-    jset = set(el.positions)
-    spots, marks = range(len(roots)), roots.translate(rs.letter_masks[i])
-    if chain.dual:
-        spots, marks = spots[::-1], marks[::-1]
-    return [(p, 1 if roots[p] == plus else -1, p in jset) for p in compress(spots, marks)]
+    folded = set(el.walk)
+    spots = compress(range(len(roots)), roots.translate(rs.letter_masks[i]))
+    return [(u, 1 if roots[u] == plus else -1, u in folded) for u in spots]
 
 
 def _turns_away(el: AlcoveElement, alpha: int) -> bool:
@@ -363,8 +350,9 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
     element need not be the canonical window; the result is canonical.
 
     Lowering a primal element and raising a dual one step down, the other two
-    step up; both changes come from one reading of direction ``i``
-    (``_reading``).  ``i`` is checked and alpha_i looked up first.  An
+    step up; both changes, as walk indices, come from one reading of
+    direction ``i`` (``_reading``).  ``i`` is checked and alpha_i looked up
+    first.  An
     element whose ``strings`` were read keeps its readings, and the step
     takes its change from there; otherwise it makes the one reading and
     keeps nothing.
@@ -384,7 +372,7 @@ def _step(el: AlcoveElement, i: int, up: bool) -> AlcoveElement | None:
 def _reading(el: AlcoveElement, i: int, alpha: int, up: bool | None = None) -> tuple:
     """Direction ``i``'s signature read once, in walk order, ``alpha`` the
     index of alpha_i: (the down step's change, the up step's change, the up
-    count), a change being the positions to toggle, or None.
+    count), a change being the walk indices to toggle, or None.
 
     Each -alpha_i letter is matched with the first unmatched alpha_i after
     it, the matching of the signature read either way.  The down step folds
@@ -396,77 +384,50 @@ def _reading(el: AlcoveElement, i: int, alpha: int, up: bool | None = None) -> t
     the one step a caller takes, if only one: the turn then counts only
     where that step needs it, and the count is not to be read.
 
-    The reading walks the foldings in walk order, not the window, and
-    reads neither the folded roots nor the end product.  It keeps x =
-    W^-1(alpha_i), W the product of the foldings walked so far, which the
-    folding at q turns into s_{beta_q}(x), beta_q the chain's root there.
-    Between two foldings W is fixed and the folded root at p is W(beta_p),
-    so the letters there are the chain's occurrences of the positive root
-    g = +-x, counted by two bisections of ``occurrences[g]``: all alpha_i
-    when x is positive, each closing an open -alpha_i if any is left, and
-    all -alpha_i when x is negative.  A folding is a letter exactly when
-    its chain root is g, and the end product turns rho away from the i-th
-    wall exactly when x ends negative (``_turns_away``).
+    The reading walks the foldings, not the window, and reads neither the
+    folded roots nor the end product.  It keeps x = W^-1(alpha_i), W the
+    product of the foldings walked so far, which the folding at q turns
+    into s_{beta_q}(x), beta_q the chain's root there.  Between two
+    foldings W is fixed and the folded root at u is W(beta_u), so the
+    letters there are the chain's occurrences of the positive root g = +-x,
+    counted by two bisections of ``occurrences[g]``: all alpha_i when x is
+    positive, each closing an open -alpha_i if any is left, and all
+    -alpha_i when x is negative.  A folding is a letter exactly when its
+    chain root is g, and the end product turns rho away from the i-th wall
+    exactly when x ends negative (``_turns_away``).
     """
-    chain, pos = el.chain, el.positions
+    chain = el.chain
     ids, occ = chain.root_ids, chain.occurrences
     refl, npos, size = chain.rs.reflections, len(occ), len(ids)
     opens = 0
     last = after = first = before = folded = None
     x = alpha
+    edge = -1
     # each pass reads the run of letters before the folding q, or the tail
-    # before the sentinel, then the folding itself; dually the walk runs
-    # down the chain, so a run's first letter in walk order is o[hi - 1]
-    if chain.dual:
-        edge = size
-        for q in (*reversed(pos), -1):
-            g = x % npos
-            o = occ[g]
-            hi = bisect_left(o, edge)
-            lo = bisect_right(o, q, 0, hi)
-            if lo < hi:
-                if x < npos:  # alpha_i letters close the latest open -alpha_i
-                    if hi - lo <= opens:
-                        opens -= hi - lo
-                    else:
-                        opens, last, after = 0, o[lo], None
-                elif opens:
-                    opens += hi - lo
-                else:  # the first unmatched -alpha_i so far
-                    first, before, opens = o[hi - 1], folded, hi - lo
-            if q < 0:
-                break
-            if ids[q] == g:
-                folded = q
-                if after is None:
-                    after = q
-            x = refl[ids[q]][x]
-            edge = q
-    else:
-        edge = -1
-        for q in (*pos, size):
-            g = x % npos
-            o = occ[g]
-            lo = bisect_right(o, edge)
-            hi = bisect_left(o, q, lo)
-            if lo < hi:
-                if x < npos:
-                    if hi - lo <= opens:
-                        opens -= hi - lo
-                    else:
-                        opens, last, after = 0, o[hi - 1], None
-                elif opens:
-                    opens += hi - lo
+    # before the sentinel, then the folding itself
+    for q in (*el.walk, size):
+        g = x % npos
+        o = occ[g]
+        lo = bisect_right(o, edge)
+        hi = bisect_left(o, q, lo)
+        if lo < hi:
+            if x < npos:  # alpha_i letters close the latest open -alpha_i
+                if hi - lo <= opens:
+                    opens -= hi - lo
                 else:
-                    first, before, opens = o[lo], folded, hi - lo
-            if q == size:
-                break
-            if ids[q] == g:
-                folded = q
-                if after is None:
-                    after = q
-            x = refl[ids[q]][x]
-            edge = q
+                    opens, last, after = 0, o[hi - 1], None
+            elif opens:
+                opens += hi - lo
+            else:  # the first unmatched -alpha_i so far
+                first, before, opens = o[lo], folded, hi - lo
+        if q == size:
+            break
+        if ids[q] == g:
+            folded = q
+            if after is None:
+                after = q
+        x = refl[ids[q]][x]
+        edge = q
     down = None if last is None else (last,) if after is None else (last, after)
     turns = x >= npos
     if opens:
@@ -479,83 +440,81 @@ def _reading(el: AlcoveElement, i: int, alpha: int, up: bool | None = None) -> t
 
 
 def _child(el: AlcoveElement, i: int, changed: Collection[int]) -> AlcoveElement:
-    """The element whose foldings differ from ``el``'s at ``changed``, one or
-    two letters of direction ``i``, on its canonical window, with its fold
-    derived from ``el``'s instead of walked afresh; ValueError if
-    ``changed`` is not such letters, or if ``el`` or the result is not
-    admissible.
+    """The element whose foldings differ from ``el``'s at the walk indices
+    ``changed``, one or two letters of direction ``i``, on its canonical
+    window, with its fold derived from ``el``'s instead of walked afresh;
+    ValueError if ``changed`` is not such letters, or if ``el`` or the
+    result is not admissible.
 
-    Toggling the folding at c1, the first change in walk order, turns every
-    later prefix product P into s_i P, as the folded root there is plus or
-    minus alpha_i (P s_beta = s_{P(beta)} P), and a second change c2 turns
-    them back: the roots after c1 and up to c2 are translated by s_i, and
-    the end product is s_i times the parent's after one change and the
-    parent's after two.  The parent is admissible, so only the foldings
-    that moved are checked, as l(s_i w) = l(w) + 1 exactly when
-    w^-1(alpha_i) is positive: an added c1 is a cover exactly when the
-    parent's folded root there is +alpha_i; two changes must add one
-    folding and remove the other; and a folding strictly between them
-    (after c1 when there is one), with parent product P, stays a cover
-    exactly when P^-1(alpha_i) is positive if c1 was added and negative if
-    it was removed, which walks the parent's roots up to the last such
-    folding.  Blocks a window gains or loses hold no folding and come first
-    in walk order, so gained ones read the plain chain roots.
+    Toggling the folding at c1, the first change, turns every later prefix
+    product P into s_i P, as the folded root there is plus or minus alpha_i
+    (P s_beta = s_{P(beta)} P), and a second change c2 turns them back: the
+    roots after c1 and up to c2 are translated by s_i, and the end product
+    is s_i times the parent's after one change and the parent's after two.
+    The parent is admissible, so only the foldings that moved are checked,
+    as l(s_i w) = l(w) + 1 exactly when w^-1(alpha_i) is positive: an added
+    c1 is a cover exactly when the parent's folded root there is +alpha_i;
+    two changes must add one folding and remove the other; and a folding
+    strictly between them (after c1 when there is one), with parent product
+    P, stays a cover exactly when P^-1(alpha_i) is positive if c1 was added
+    and negative if it was removed, which walks the parent's roots up to
+    the last such folding.  The result keeps its walk and converts it to
+    positions once.  Blocks a window gains or loses hold no folding and come
+    first in walk order, so gained ones read the plain chain roots.
     """
-    chain, fold, pos = el.chain, el.fold, el.positions
+    chain, fold, walk = el.chain, el.fold, el.walk
     if not fold.admissible:
-        raise _inadmissible(pos, el)
-    rs, dual, roots, end = chain.rs, chain.dual, fold.roots, fold.end
+        raise _inadmissible(el.positions, el)
+    rs, roots, end = chain.rs, fold.roots, fold.end
     mask, alpha = rs.letter_masks[i], rs._simple_indices[i - 1]
     s = rs.reflections[alpha]
-    # a, b: the parent's foldings strictly between the changes, in chain
-    # order, are pos[a:b]; added: whether the first change adds a folding
+    # a, b: the parent's foldings strictly between the changes are
+    # walk[a:b]; added: whether the first change adds a folding
     if len(changed) == 2:
         lo, hi = changed
         if lo > hi:
             lo, hi = hi, lo
         letters = 0 <= lo != hi and mask[roots[lo]] and mask[roots[hi]]
-        a = bisect_right(pos, lo)
-        b = bisect_left(pos, hi, a)
-        had_lo, had_hi = pos[a - 1 : a] == (lo,), pos[b : b + 1] == (hi,)
-        # (p,)[had:] is empty where the parent folds at p, so p is removed
-        positions = pos[: a - had_lo] + (lo,)[had_lo:] + pos[a:b] + (hi,)[had_hi:] + pos[b + had_hi :]
-        first, added = (hi, not had_hi) if dual else (lo, not had_lo)
+        a = bisect_right(walk, lo)
+        b = bisect_left(walk, hi, a)
+        had_lo, had_hi = walk[a - 1 : a] == (lo,), walk[b : b + 1] == (hi,)
+        # (u,)[had:] is empty where the parent folds at u, so u is removed
+        toggled = walk[: a - had_lo] + (lo,)[had_lo:] + walk[a:b] + (hi,)[had_hi:] + walk[b + had_hi :]
+        first, added = lo, not had_lo
         # one adds and one removes, or the count at the second is off by two
         covers = had_lo != had_hi and (not added or roots[first] == alpha)
-        start, stop = (lo, hi) if dual else (lo + 1, hi + 1)
+        stop = hi + 1
     else:
         (first,) = changed
         letters = 0 <= first and mask[roots[first]]
-        k = bisect_left(pos, first)
-        added = pos[k : k + 1] != (first,)
-        positions = pos[:k] + (first,) + pos[k:] if added else pos[:k] + pos[k + 1 :]
-        a, b = (0, k) if dual else (k + (not added), len(pos))
+        k = bisect_left(walk, first)
+        added = walk[k : k + 1] != (first,)
+        toggled = walk[:k] + (first,) + walk[k:] if added else walk[:k] + walk[k + 1 :]
+        a, b = k + (not added), len(walk)
         covers = not added or roots[first] == alpha
-        start, stop = (0, first) if dual else (first + 1, len(roots))
+        stop = len(roots)
         end = end.translate(s)
     if not letters:
-        raise ValueError(f"positions {sorted(changed)} are not one or two letters of direction {i}")
+        raise ValueError(f"walk indices {sorted(changed)} are not one or two letters of direction {i}")
     if covers and a < b:
         refl, npos = rs.reflections, len(end) // 2
         w = bytes(range(len(end)))
-        for p in reversed(pos[b:]) if dual else pos[:a]:
-            w = w.translate(refl[roots[p]])
-        for p in reversed(pos[a:b]) if dual else pos[a:b]:
-            w = w.translate(refl[roots[p]])
+        for u in walk[:a]:
+            w = w.translate(refl[roots[u]])
+        for u in walk[a:b]:
+            w = w.translate(refl[roots[u]])
             if (w.index(alpha) < npos) != added:
                 covers = False
                 break
-    roots = roots[:start] + roots[start:stop].translate(s) + roots[stop:]
-    chain, positions = _canonical_window(chain, positions)
-    ids = chain.root_ids
-    grown = len(ids) - len(roots)
-    if dual and grown:
-        roots = roots[: len(ids)] + ids[len(roots) :]
-    elif grown:
-        roots = ids[: max(grown, 0)] + roots[max(-grown, 0) :]
+    roots = roots[: first + 1] + roots[first + 1 : stop].translate(s) + roots[stop:]
+    chain, positions = _canonical_window(chain, chain.positions_at(toggled))
+    grown = len(chain.root_ids) - len(roots)
+    if grown:
+        roots = chain.root_ids[: max(grown, 0)] + roots[max(-grown, 0) :]
+        toggled = tuple([u + grown for u in toggled])
     out = object.__new__(AlcoveElement)
     kept = out.__dict__
-    kept["chain"], kept["positions"] = chain, positions
+    kept["chain"], kept["positions"], kept["walk"] = chain, positions, toggled
     if not covers:
         raise _inadmissible(positions, out)
     kept["fold"] = Fold(roots, end, True)
@@ -656,15 +615,15 @@ def mirror(el: AlcoveElement) -> AlcoveElement:
     """The canonical reinterpretation between the primal and dual models.
 
     Foldings keep their roots; finite levels reflect within their occurrence
-    range, window levels negate.  This map is a dual isomorphism of crystals
-    (it swaps the raising and lowering operators).
+    range, window levels negate.  The mirrored chain is walked the other way,
+    so the image folds at the element's walk indices.  This map is a dual
+    isomorphism of crystals (it swaps the raising and lowering operators).
     """
     if el.is_window:
         target = window(el.rs, el.chain.copies, dual=not el.is_dual)
     else:
         target = dual_chain(el.chain)
-    size = len(el.chain.entries)
-    return element(target, tuple(size - 1 - p for p in el.positions))
+    return element(target, target.positions_at(el.walk))
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +657,11 @@ def _profile_data(el: AlcoveElement, i: int) -> tuple:
 def _read_profile(el: AlcoveElement, i: int) -> tuple:
     """Doubled heights of the profile for direction ``i``.
 
-    Returns (positions, heights at marked half-points, height past the end,
-    maximum of the whole profile), every height twice the profile's so that
-    all of them are integers.  The letters are read in walk order, so a dual
-    element reads the profile of its mirror, and the fold ends at the product
-    of the foldings in the order read.  Only the profile operators and the
+    Returns (walk indices, heights at marked half-points, height past the
+    end, maximum of the whole profile), every height twice the profile's so
+    that all of them are integers.  The letters are read in walk order, so a
+    dual element reads the profile of its mirror, and the fold ends at the
+    product of the foldings in the order read.  Only the profile operators and the
     oracles of the string statistics (the fall from the maximum to the end
     is twice epsilon, twice phi dually) read it.  :class:`ProfileError` if
     the slopes break the structure conditions.
@@ -754,8 +713,8 @@ def _profile_down(el: AlcoveElement, i: int) -> AlcoveElement | None:
     spots, heights, h_inf, peak = _profile_data(el, i)
     if peak <= 0:
         return None
-    jset = set(el.positions)
-    candidates = [pos for pos, h in zip(spots, heights) if h == peak]
+    jset = set(el.walk)
+    candidates = [u for u, h in zip(spots, heights) if h == peak]
     if candidates:
         mu = candidates[0]
         idx = spots.index(mu)
@@ -769,7 +728,7 @@ def _profile_down(el: AlcoveElement, i: int) -> AlcoveElement | None:
         k = spots[-1]
         new = jset | {k}
     _require(k not in jset, "the letter folded is unfolded")
-    return element(el.chain, new)
+    return element(el.chain, el.chain.positions_at(sorted(new)))
 
 
 def _profile_up(el: AlcoveElement, i: int) -> AlcoveElement | None:
@@ -778,8 +737,8 @@ def _profile_up(el: AlcoveElement, i: int) -> AlcoveElement | None:
     spots, heights, h_inf, peak = _profile_data(el, i)
     if peak <= h_inf:
         return None
-    jset = set(el.positions)
-    candidates = [pos for pos, h in zip(spots, heights) if h == peak]
+    jset = set(el.walk)
+    candidates = [u for u, h in zip(spots, heights) if h == peak]
     _require(bool(candidates), "a maximum above the end is at a half-point")
     k = candidates[-1]
     _require(k in jset, "a maximal half-point is folded")
@@ -790,7 +749,7 @@ def _profile_up(el: AlcoveElement, i: int) -> AlcoveElement | None:
         new = (jset - {k}) | {mu}
     else:
         new = jset - {k}
-    return element(el.chain, new)
+    return element(el.chain, el.chain.positions_at(sorted(new)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 A chain for a dominant weight ``lam`` lists every pair ``(beta, h)`` with
 ``0 <= h < <lam, beta^vee>`` in some admissible total order.  The reversed
-("dual") variant stores levels ``l~ = <lam, beta^vee> - l`` instead and walks
-the sequence back to front; both variants share the entry type so
-downstream code can handle them uniformly.
+("dual") variant stores levels ``l~ = <lam, beta^vee> - l`` instead and is
+walked back to front; both variants share the entry type so downstream code
+can handle them uniformly.
+
+Every chain is walked in one order: position p is walk index u = p on a
+primal chain and u = len - 1 - p on a dual chain or window
+(:meth:`LambdaChain.walk_indices`), and the tables the alcove model reads are
+indexed by walk index, so a dual chain's equal its primal chain's.
 
 Windows truncate the one-sided infinite chain built from copies of the
 ``rho`` chain; all window levels are negative (primal) or positive (dual).
@@ -62,8 +67,9 @@ class ChainEntry:
 
 
 class _RootIds:
-    """What chains and windows share: their length, their roots as root
-    indices, the positions of each positive root, which the signature
+    """What chains and windows share: their length, the conversion between
+    positions and walk indices, and three tables indexed by walk index: their roots as root
+    indices, the walk indices of each positive root, which the signature
     reading bisects (``alcove._reading``), and the multiplier each entry's
     folded root carries in a weight.  Each table is built on its first
     read, never when the chain or window is made."""
@@ -71,30 +77,42 @@ class _RootIds:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def walk_indices(self, positions) -> tuple[int, ...]:
+        """The walk indices of increasing ``positions``, increasing: p on a
+        primal chain (the tuple itself), len - 1 - p on a dual chain or
+        window.  The map is its own inverse, so it is also ``positions_at``."""
+        if not self.dual:
+            return tuple(positions)
+        last = len(self.entries) - 1
+        return tuple([last - p for p in reversed(positions)])
+
+    positions_at = walk_indices
+
     @_kept
     def root_ids(self) -> bytes:
         """The index of each entry's root (see ``RootSystem.roots``), one byte
-        per entry, in chain order."""
+        per entry, in walk order."""
         index = self.rs.root_index
-        return bytes(index(e.root.coeffs) for e in self.entries)
+        walked = reversed(self.entries) if self.dual else self.entries
+        return bytes(index(e.root.coeffs) for e in walked)
 
     @_kept
     def occurrences(self) -> tuple[tuple[int, ...], ...]:
-        """The positions of each positive root, increasing, at the root's
-        index: together they partition the chain's positions."""
+        """The walk indices of each positive root, increasing, at the root's
+        index: together they partition the chain's walk indices."""
         lists = [[] for _ in self.rs.positive_roots]
-        for p, r in enumerate(self.root_ids):
-            lists[r].append(p)
+        for u, r in enumerate(self.root_ids):
+            lists[r].append(u)
         return tuple(map(tuple, lists))
 
     @_kept
     def fold_levels(self) -> tuple[int, ...]:
-        """The fold level of each entry, in chain order: ``l - <lam, beta^vee>``
+        """The fold level of each entry, in walk order: ``l - <lam, beta^vee>``
         on a primal chain, ``l`` on a dual chain and on windows (whose weight
         ``lam`` is 0).  A folding at the entry adds that multiple of its
         folded root to the element's weight (``AlcoveElement.wt``)."""
         if self.dual:
-            return tuple(e.level for e in self.entries)
+            return tuple(e.level for e in reversed(self.entries))
         return tuple(e.level - pairing(self.lam, e.root) for e in self.entries)
 
 
@@ -194,6 +212,7 @@ def _rho_chain(rs: RootSystem) -> LambdaChain:
     return lex_chain(rs, rs.rho)
 
 
+# unbounded, as a chain for k * rho reads k blocks in turn: a smaller LRU rebuilds them all
 @cache
 def _block(rs: RootSystem, c: int, dual: bool) -> tuple[ChainEntry, ...]:
     """The c-th rho-chain block of the infinite chain, counted from the end
@@ -207,11 +226,11 @@ def _block(rs: RootSystem, c: int, dual: bool) -> tuple[ChainEntry, ...]:
     )
 
 
-@cache
+@lru_cache(maxsize=32)
 def _rho_multiple(rs: RootSystem, k: int) -> LambdaChain:
     """The chain for k * rho, equal to ``lex_chain(rs, k * rho)``: k copies of
-    the rho-chain, the j-th shifted up by j * <rho, beta^vee>.  Built once per
-    (root system, k) from the shared blocks, without sorting."""
+    the rho-chain, the j-th shifted up by j * <rho, beta^vee>.  Built from the
+    shared blocks, without sorting; the latest few are kept."""
     entries = tuple(e for j in range(k) for e in _block(rs, -j, False))
     return LambdaChain(rs, tuple(k * c for c in rs.rho), entries)
 

@@ -1,16 +1,16 @@
 """Transports between the alcove model and the path model.
 
 All four transports read an element through one walk over its own fold
-(``_transport``).  The walk visits the foldings in primal walk order, which
-for a dual element means its positions reversed: a dual element's folded
-roots are those of its mirror in the primal model, reversed, so no mirror is
-built.  Starting from the velocity v = v0, v0 = lam on a finite chain and
-v0 = rho on a window, each folding on beta at level l is crossed at the time
-l / <v0, beta^vee> primally and ``end`` - l / <v0, beta^vee> dually, where
-``end`` is 1 on a finite chain and 0 on a window, and crossing it drops v by
-<v0, beta^vee> gamma, gamma the folded root there.  Every crossing time
-is an integer tick over the lcm of the gaps <v0, beta^vee>, so the walk
-builds the path's integer form with no ``Fraction``.
+(``_transport``).  The walk visits the foldings in walk order
+(``AlcoveElement.walk``): a dual element's folded roots are those of its
+mirror in the primal model, equal, so no mirror is built.  Starting from
+the velocity v = v0, v0 = lam on a finite chain and v0 = rho on a window,
+each folding on beta at level l is crossed at the time l / <v0, beta^vee>
+primally and ``end`` - l / <v0, beta^vee> dually, where ``end`` is 1 on a
+finite chain and 0 on a window, and crossing it drops v by
+<v0, beta^vee> gamma, gamma the folded root there.  Every crossing time is
+an integer tick over the lcm of the gaps <v0, beta^vee>, so the walk builds
+the path's integer form with no ``Fraction``.
 
 ``varpi`` is minus the integral of v over [0, 1], a path whose raising and
 lowering swap with the element's and whose weight is the element's negated.
@@ -41,24 +41,26 @@ __all__ = [
 
 def _transport(el) -> PLPath:
     """The primal path image of an element: finite on a chain, co-extended on
-    a window, the foldings walked in primal walk order (see the module
+    a window, the foldings walked in walk order (see the module
     docstring).  ValueError if the element is not admissible or its
     crossing times decrease.  The path is built in integer form over the
     lcm of the gaps <v0, beta^vee>, so each crossing time is an integer
     tick, with no ``Fraction``; ``from_vertices`` divides out the common
     factor."""
     el = _canonical(el)
-    chain, rs, dual = el.chain, el.rs, el.is_dual
+    chain, rs = el.chain, el.rs
     v0 = rs.rho if chain.is_window else tuple(chain.lam)
     end = 0 if chain.is_window else 1
-    folded = el.fold.roots
+    ids, levels, folded = chain.root_ids, chain.fold_levels, el.fold.roots
+    # time * gap, l primally and end * gap - l dually, is end * gap plus the
+    # fold level (l - gap on a finite chain, l on a window), minus it dually
+    turn = -1 if el.is_dual else 1
     gaps, crossings, drops = [], [], []
-    for p in reversed(el.positions) if dual else el.positions:
-        entry = chain.entries[p]
-        gap = pairing(v0, entry.root)
+    for u in el.walk:
+        gap = pairing(v0, rs.roots[ids[u]])
         gaps.append(gap)
-        crossings.append(end * gap - entry.level if dual else entry.level)  # time * gap
-        drops.append(tuple(gap * c for c in rs.root_weights[folded[p]]))
+        crossings.append(end * gap + turn * levels[u])
+        drops.append(tuple(gap * c for c in rs.root_weights[folded[u]]))
     den = lcm(*gaps)
     ticks = [c * (den // gap) for c, gap in zip(crossings, gaps)]
 

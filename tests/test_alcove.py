@@ -46,8 +46,18 @@ def element_from_pairs(chain, pairs) -> al.AlcoveElement:
     return al.element(chain, positions)
 
 
+def walk_of(chain, indices):
+    """Increasing positions as increasing walk indices, or walk indices as
+    positions: the map is x -> len - 1 - x on a dual chain or window, which
+    is walked back to front, and the identity on a primal chain.  Computed
+    here, not by the chain, so the oracles below stay independent."""
+    if chain.dual:
+        return tuple(sorted(len(chain.entries) - 1 - x for x in indices))
+    return tuple(sorted(indices))
+
+
 def folded_roots(elem):
-    """The folded chain as root coefficient tuples, one per position."""
+    """The folded chain as root coefficient tuples, one per walk index."""
     roots = elem.rs.roots
     return tuple(roots[k].coeffs for k in elem.fold.roots)
 
@@ -235,8 +245,9 @@ def affine_reflect(rs, root, level, weight):
 
 
 def reference_walk(chain, positions):
-    """Admissibility, folded roots, end product and weight of a position set,
-    each from its own loop of plain reflection products."""
+    """Admissibility, folded roots (in walk order), end product and weight
+    of a position set, each from its own loop of plain reflection
+    products."""
     rs = chain.rs
     entries = chain.entries
     walk = list(reversed(positions)) if chain.dual else list(positions)
@@ -245,11 +256,11 @@ def reference_walk(chain, positions):
     for p in walk:
         admissible = admissible and rs.is_cover(w, entries[p].root)
         w = w * rs.reflection(entries[p].root)
-    folded = [None] * len(entries)
+    folded = []
     v = rs.identity_element()
     order = range(len(entries) - 1, -1, -1) if chain.dual else range(len(entries))
     for ind in order:
-        folded[ind] = v.apply_root_coeffs(entries[ind].root.coeffs)
+        folded.append(v.apply_root_coeffs(entries[ind].root.coeffs))
         if ind in positions:
             v = v * rs.reflection(entries[ind].root)
     lam = chain.lam
@@ -342,25 +353,26 @@ def test_fold_matches_reference_walks_beyond_rank_three(type_string):
 
 
 def reference_letters(el, i, up):
-    """(position, sign, folded) wherever the folded chain passes through plus
-    or minus the i-th simple root, found by comparing every position, in walk
-    order; read ``up``, backwards with their signs negated."""
+    """(walk index, sign, folded) wherever the folded chain passes through
+    plus or minus the i-th simple root, found by comparing every walk index,
+    in walk order; read ``up``, backwards with their signs negated."""
     rs = el.rs
     alpha = rs.simple_index(i)
     sign = -1 if up else 1
     signs = {alpha: sign, alpha + len(rs.positive_roots): -sign}
-    jset = set(el.positions)
+    jset = set(walk_of(el.chain, el.positions))
     out = [(ind, signs[c], ind in jset) for ind, c in enumerate(el.fold.roots) if c in signs]
-    if el.is_dual != up:
+    if up:
         out.reverse()
     return out
 
 
 def i_signature(el, i):
-    """The plus/minus word for direction ``i``: (position, sign) pairs at the
-    unfolded positions where the folded chain passes through plus or minus
-    the i-th simple root, in chain order, signs negated dually, as the
-    lowering operator reads them; found by comparing every position."""
+    """The plus/minus word for direction ``i``: (walk index, sign) pairs at
+    the unfolded walk indices where the folded chain passes through plus or
+    minus the i-th simple root, in walk order, backwards with signs negated
+    dually, as the lowering operator reads them; found by comparing every
+    walk index."""
     el = al._canonical(el)
     letters = reference_letters(el, i, el.is_dual)
     return tuple((p, sign) for p, sign, folded in letters if not folded)
@@ -412,8 +424,8 @@ def test_derived_folds_match_fresh_walks(type_string, depth):
     fresh fold and the reference walk on window truncations of both models,
     on finite primal and dual crystals, and on pool elements widened by two
     and three blocks (as the limits suite widens them), whose steps drop
-    blocks again.  Fresh and derived folds share ``_toggle``, so the reference walk
-    is the oracle that shares nothing with them."""
+    blocks again.  Fresh and derived folds both read the chain's tables, so
+    the reference walk is the oracle that shares nothing with them."""
     rs = RootSystem.from_type(type_string)
     pool, widened = widened_pool(type_string, depth)
     children = [op(b, i) for b in pool for i in rs.index_set for op in (al.f_op, al.e_op)]
@@ -510,17 +522,18 @@ def test_derived_child_refuses_what_is_not_a_letter():
 
 
 def between_changes(b, changed):
-    """Whether ``b`` folds strictly between the changed positions in walk
-    order, or after the one change."""
+    """Whether ``b`` folds strictly between the changed walk indices, or
+    after the one change."""
+    walk = walk_of(b.chain, b.positions)
     if len(changed) == 1:
         (c,) = changed
-        return any(p < c if b.is_dual else p > c for p in b.positions)
+        return any(u > c for u in walk)
     lo, hi = sorted(changed)
-    return any(lo < p < hi for p in b.positions)
+    return any(lo < u < hi for u in walk)
 
 
 def child_toggles(rng):
-    """(element, direction, positions) to toggle: on the depth-3 window pools
+    """(element, direction, walk indices) to toggle: on the depth-3 window pools
     of both models, one letter, two letters, and a folded and an unfolded
     letter, the kind of pair a step changes, drawn at random per element and
     direction; and on the crystals of rho for B2 and G2, primal and dual,
@@ -535,9 +548,10 @@ def child_toggles(rng):
             pool += [b for dual in (False, True) for b in sweep.finite(rs.rho, dual).nodes]
         for b in pool:
             for i in rs.index_set:
-                letters = [p for p, k in enumerate(b.fold.roots) if rs.letter_masks[i][k]]
-                folded = [p for p in letters if p in b.positions]
-                unfolded = [p for p in letters if p not in b.positions]
+                walk = walk_of(b.chain, b.positions)
+                letters = [u for u, k in enumerate(b.fold.roots) if rs.letter_masks[i][k]]
+                folded = [u for u in letters if u in walk]
+                unfolded = [u for u in letters if u not in walk]
                 if not b.is_window:
                     yield from ((b, i, [f, u]) for f in folded for u in unfolded)
                     continue
@@ -560,7 +574,8 @@ def test_derived_child_matches_the_full_walk():
     for b, i, picked in child_toggles(rng):
         rng.shuffle(picked)
         changed = set(picked) if rng.random() < 0.5 else tuple(picked)
-        toggled = tuple(sorted(set(b.positions).symmetric_difference(picked)))
+        walk = set(walk_of(b.chain, b.positions)).symmetric_difference(picked)
+        toggled = walk_of(b.chain, walk)
         try:
             expected = al._canonical(al.AlcoveElement(b.chain, toggled))
         except ValueError as refusal:
@@ -579,15 +594,15 @@ def test_derived_child_matches_the_full_walk():
     assert verdicts[True, True] >= 500 and verdicts[False, True] >= 500, verdicts
 
 
-def full_cover_walk(rs, positions, dual, roots):
-    """``_covers``'s walk on all 256 bytes of the identity permutation, with
-    the length counted by comparing every root index with the number of
-    positive roots: the end product and whether every folding was a
-    Bruhat cover."""
+def full_cover_walk(rs, walk, roots):
+    """``_covers``'s walk over the walk indices ``walk`` on all 256 bytes of
+    the identity permutation, with the length counted by comparing every
+    root index with the number of positive roots: the end product and
+    whether every folding was a Bruhat cover."""
     npos = len(rs.positive_roots)
     w, covers = bytes(range(256)), True
-    for count, p in enumerate(reversed(positions) if dual else positions, 1):
-        w = w.translate(rs.reflections[roots[p]])
+    for count, u in enumerate(walk, 1):
+        w = w.translate(rs.reflections[roots[u]])
         covers = covers and sum(k >= npos for k in w[:npos]) == count
     return w, covers
 
@@ -614,8 +629,9 @@ def test_cover_walk_on_the_root_indices_matches_the_full_walk(type_string):
     verdicts = Counter()
     for b in elements:
         chain = b.chain
-        end, ok = al._covers(rs, b.positions, chain.dual, b.fold.roots)
-        full, covers = full_cover_walk(rs, b.positions, chain.dual, b.fold.roots)
+        walk = walk_of(chain, b.positions)
+        end, ok = al._covers(rs, walk, b.fold.roots)
+        full, covers = full_cover_walk(rs, walk, b.fold.roots)
         assert (end, ok) == (full[: 2 * npos], covers), b
         assert (end, ok) == (b.fold.end, b.fold.admissible), b
         assert type(b.fold.end) is bytes and len(b.fold.end) == 2 * npos, b
@@ -913,26 +929,23 @@ def scan_reading(el, i, alpha, up=None):
     product is read off ``fold.end``; nothing here reads ``occurrences``."""
     chain, roots = el.chain, el.fold.roots
     marks = roots.translate(chain.rs.letter_masks[i])
-    spots = range(len(roots))
-    if chain.dual:
-        spots, marks = spots[::-1], marks[::-1]
-    jset = set(el.positions)
+    jset = set(walk_of(chain, el.positions))
     opens = 0
     last = after = first = before = folded = None
-    for p in compress(spots, marks):
-        if p in jset:
-            folded = p
+    for u in compress(range(len(roots)), marks):
+        if u in jset:
+            folded = u
             if after is None:
-                after = p
-        elif roots[p] == alpha:  # alpha_i closes the latest open -alpha_i, if any
+                after = u
+        elif roots[u] == alpha:  # alpha_i closes the latest open -alpha_i, if any
             if opens:
                 opens -= 1
             else:
-                last, after = p, None
+                last, after = u, None
         elif opens:  # -alpha_i
             opens += 1
         else:  # -alpha_i with none open: the first unmatched one so far
-            first, before, opens = p, folded, 1
+            first, before, opens = u, folded, 1
     down = None if last is None else (last,) if after is None else (last, after)
     away = el.fold.end.index(alpha) >= len(chain.rs.positive_roots)
     if opens:
@@ -952,17 +965,17 @@ def run_cases(el, i):
     pairs nonzero with alpha_i^vee; and letters after the last folding.
     Each run must be letters of one sign, as every letter between two
     foldings is an occurrence of the one root +-W^-1(alpha_i)."""
-    rs, roots, jset = el.rs, el.fold.roots, set(el.positions)
+    rs, roots, jset = el.rs, el.fold.roots, set(walk_of(el.chain, el.positions))
     alpha = rs.simple_index(i)
     letters = {alpha, alpha + len(rs.positive_roots)}
     runs, run, moving = [], [], False
-    for p in range(len(roots) - 1, -1, -1) if el.is_dual else range(len(roots)):
-        if p in jset:
+    for u in range(len(roots)):
+        if u in jset:
             runs.append(run)
             run = []
-            moving = moving or roots[p] not in letters and rs.root_weights[roots[p]][i - 1] != 0
-        elif roots[p] in letters:
-            run.append(roots[p])
+            moving = moving or roots[u] not in letters and rs.root_weights[roots[u]][i - 1] != 0
+        elif roots[u] in letters:
+            run.append(roots[u])
     runs.append(run)
     assert all(len(set(run)) <= 1 for run in runs), (el, i)
     return {
@@ -986,13 +999,26 @@ def compare_readings(elements):
     assert len(met) == 3 and min(met.values()) > len(elements) / 4, (len(elements), met)
 
 
+def truncation_pool(type_string):
+    """Every node of the depth-3 truncations of Al(infinity) and its dual."""
+    sweep = Sweep(RootSystem.from_type(type_string), 3)
+    return [*sweep.truncation().nodes, *sweep.truncation(dual=True).nodes]
+
+
+def finite_rho_pool(type_string):
+    """Every node of the crystal of rho over the rho-chain and over its dual
+    chain."""
+    rs = RootSystem.from_type(type_string)
+    sweep = Sweep(rs, 1)
+    return [*sweep.finite(rs.rho).nodes, *sweep.finite(rs.rho, dual=True).nodes]
+
+
 @pytest.mark.parametrize("type_string", ["E8", "F4", "G2"])
 def test_run_reading_matches_the_scan_on_truncations(type_string):
     """The reading that walks the foldings against the scan of the whole
     folded chain, on every node and direction of the depth-3 truncations
     of Al(infinity) and its dual."""
-    sweep = Sweep(RootSystem.from_type(type_string), 3)
-    compare_readings([*sweep.truncation().nodes, *sweep.truncation(dual=True).nodes])
+    compare_readings(truncation_pool(type_string))
 
 
 def random_window_walk(rs, dual, rng):
@@ -1025,9 +1051,29 @@ def test_run_reading_matches_the_scan_on_random_window_walks(type_string):
 def test_run_reading_matches_the_scan_on_finite_rho_crystals(type_string):
     """The run reading against the scan on the crystal of rho over the
     rho-chain and over its dual chain."""
-    rs = RootSystem.from_type(type_string)
-    sweep = Sweep(rs, 1)
-    compare_readings([*sweep.finite(rs.rho).nodes, *sweep.finite(rs.rho, dual=True).nodes])
+    compare_readings(finite_rho_pool(type_string))
+
+
+@pytest.mark.parametrize(
+    "pool, type_string",
+    [(finite_rho_pool, "B2"), (finite_rho_pool, "G2"), (finite_rho_pool, "C3"),
+     (truncation_pool, "F4"), (truncation_pool, "G2")],
+    ids=["rho-B2", "rho-G2", "rho-C3", "truncation-F4", "truncation-G2"],
+)
+def test_an_element_and_its_mirror_walk_alike(pool, type_string):
+    """Every chain is walked in one order, back to front on a dual chain or
+    window, so an element and its ``mirror`` have equal walk indices and
+    folds, and read every direction alike, whichever step the reading is
+    for."""
+    elements = pool(type_string)
+    for b in elements:
+        m = al.mirror(b)
+        assert (m.walk, m.fold) == (b.walk, b.fold), b
+        assert m.walk == walk_of(b.chain, b.positions), b
+        for i, alpha in zip(b.rs.index_set, b.rs._simple_indices):
+            for up in (None, True, False):
+                assert al._reading(m, i, alpha, up) == al._reading(b, i, alpha, up), (b, i, up)
+    assert sum(b.is_dual for b in elements) * 2 == len(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -1295,7 +1341,6 @@ def test_mirror_intertwines_the_operators():
     for type_string in ("A2", "B2", "G2", "A3"):
         for b in mirror_elements(type_string):
             m = al.mirror(b)
-            size = len(b.chain.entries)
             assert al.weight(m) == weight_neg(al.weight(b))
             for i in b.rs.index_set:
                 for op, op_dual in ((al.f_op, al.e_op), (al.e_op, al.f_op)):
@@ -1305,9 +1350,7 @@ def test_mirror_intertwines_the_operators():
                     else:
                         assert pairs(lhs) == pairs(al.mirror(rhs))
                 assert al.epsilon(m, i) == al.phi(b, i)
-                assert i_signature(m, i) == tuple(
-                    (size - 1 - p, -sign) for p, sign in reversed(i_signature(b, i))
-                )
+                assert i_signature(m, i) == tuple((u, -sign) for u, sign in reversed(i_signature(b, i)))
 
 
 # ---------------------------------------------------------------------------

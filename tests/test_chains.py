@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from alcovecrystals.alcove import element
+from alcovecrystals.alcove import element, f_op, project_Spr
 from alcovecrystals.chains import (
     ChainEntry,
     InfChainWindow,
@@ -440,6 +441,19 @@ def test_rho_multiple_is_the_sorted_chain(type_string):
     assert all(a is b for a, b in zip(two, three[: 2 * block], strict=True))
 
 
+def test_rho_multiple_cache_is_bounded():
+    """Projecting one element onto the chains for k * rho, k = 1 ... 200,
+    leaves at most the cache's fixed bound of those chains alive, and the
+    latest k still gives one chain object."""
+    rs = RootSystem.from_type("A2")
+    b = f_op(element(window(rs, 1), []), 1)
+    for k in range(1, 201):
+        assert project_Spr(b, k).chain is _rho_multiple(rs, k)
+    info = _rho_multiple.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 200
+    assert _rho_multiple(rs, 200) is _rho_multiple(rs, 200)
+
+
 def _block_by_level(rs, entry, dual):
     """Reference for the window layout: the entry's block read off its level,
     ceil(-level / <rho, beta^vee>) primally and ceil(level / ...) dually."""
@@ -480,40 +494,56 @@ def test_window_layout_matches_levels(type_string, dual):
 
 @pytest.mark.parametrize("type_string", ["A2", "B2", "G2", "C3"])
 def test_fold_levels(type_string):
-    """A folding's multiplier in the weight: level - <lam, beta^vee> on a
-    primal chain, the level itself on its dual chain and on windows."""
+    """The tables in walk order, which runs back to front on a dual chain or
+    window: a folding's multiplier in the weight is level - <lam, beta^vee>
+    on a primal chain and the level itself on its dual chain and on windows;
+    a dual chain's root indices are its ``dual_chain``'s, and a dual
+    window's the primal window's of as many copies."""
     rs = RootSystem.from_type(type_string)
     lam = tuple(range(1, rs.rank + 1))
     chain = lex_chain(rs, lam)
     assert chain.fold_levels == tuple(e.level - pairing(lam, e.root) for e in chain.entries)
     others = [dual_chain(chain)] + [window(rs, k, dual) for k in (1, 2) for dual in (False, True)]
     for other in others:
-        assert other.fold_levels == tuple(e.level for e in other.entries)
+        walked = other.entries[::-1] if other.dual else other.entries
+        assert other.fold_levels == tuple(e.level for e in walked)
+    assert dual_chain(chain).root_ids == chain.root_ids
+    for k in (1, 2, 3):
+        assert window(rs, k, dual=True).root_ids == window(rs, k).root_ids
 
 
 @pytest.mark.parametrize("type_string", ["A2", "G2", "E8"])
 def test_occurrences_partition_the_chain(type_string):
-    """``occurrences`` lists the positions of each positive root, in
-    increasing order, and the lists partition the chain's positions.  It is
-    built on its first read and kept: not when a chain or window is made
-    (windows through ``window``'s uncached builder, so that no other test's
-    reading of a shared window shows), nor when its entries, root indices
-    or fold levels are read or its empty element folded, as the benchmark's
-    set-up does."""
+    """``occurrences`` lists the walk indices of each positive root, in
+    increasing order, and the lists partition the chain's walk indices; the
+    conversions between positions and walk indices are u = p on a primal
+    chain and u = len - 1 - p on a dual chain or window, and undo each
+    other.  The table is built on its first read and kept: not when a chain
+    or window is made (windows through ``window``'s uncached builder, so
+    that no other test's reading of a shared window shows), nor when its
+    entries, root indices or fold levels are read or its empty element
+    folded, as the benchmark's set-up does."""
     rs = RootSystem.from_type(type_string)
+    rng = random.Random(f"walk-{type_string}")
     rho = lex_chain(rs, rs.rho)
     windows = [_window.__wrapped__(rs, k, dual) for k in (1, 2, 3, 4) for dual in (False, True)]
+    index = {r: n for n, r in enumerate(rs.positive_roots)}
     for chain in [rho, dual_chain(rho), *windows]:
         chain.entries, chain.root_ids, chain.fold_levels
         element(chain, []).fold
         assert "occurrences" not in vars(chain)
         occ = chain.occurrences
         assert len(occ) == len(rs.positive_roots)
-        assert sorted(p for positions in occ for p in positions) == list(range(len(chain)))
-        for r, positions in enumerate(occ):
-            assert list(positions) == sorted(set(positions))
-            assert all(chain.root_ids[p] == r for p in positions)
+        assert sorted(u for walk in occ for u in walk) == list(range(len(chain)))
+        walked = chain.entries[::-1] if chain.dual else chain.entries
+        for r, walk in enumerate(occ):
+            assert list(walk) == sorted(set(walk))
+            assert all(chain.root_ids[u] == r == index[walked[u].root] for u in walk)
         assert chain.occurrences is occ
+        positions = sorted(rng.sample(range(len(chain)), rng.randint(0, min(len(chain), 50))))
+        walk = chain.walk_indices(positions)
+        assert walk == tuple(sorted(len(chain) - 1 - p if chain.dual else p for p in positions))
+        assert chain.positions_at(walk) == tuple(positions)
 
 
 def test_window_rejects_bad_copies():
